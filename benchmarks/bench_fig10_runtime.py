@@ -14,45 +14,58 @@ orders of magnitude off.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from common import emit, quick_mode
-from repro.analysis import TABLE_II, banner, format_table, load_entry, runtime_point
-from repro.compressors import (
-    ChunkedCompressor,
-    MgardLikeCompressor,
-    SperrCompressor,
-    SzLikeCompressor,
-    TthreshLikeCompressor,
-    ZfpLikeCompressor,
-)
+from repro import PsnrMode, PweMode, compress
+from repro.analysis import TABLE_II, banner, format_table, load_entry
+from repro.compressors import psnr_target_for_idx
+
+#: Column name -> container ``codec=`` value.
+CODECS = {
+    "sperr": "quality",
+    "sz-like": "sz-like",
+    "zfp-like": "zfp-like",
+    "tthresh-like": "tthresh-like",
+    "mgard-like": "mgard-like",
+}
+
+
+def _compress_seconds(codec: str, data: np.ndarray, idx: int, chunk: int) -> float:
+    """Wall time of one chunked, four-thread compress at the cell's idx."""
+    if codec == "tthresh-like":
+        mode = PsnrMode(psnr_target_for_idx(max(1, idx)))
+    else:
+        mode = PweMode(float(data.max() - data.min()) / float(2**idx))
+    t0 = time.perf_counter()
+    compress(
+        data, mode, codec=codec, chunk_shape=chunk, executor="thread", workers=4
+    )
+    return time.perf_counter() - t0
 
 
 def test_fig10_runtime(benchmark):
     shape = (16, 16, 16) if quick_mode() else (24, 24, 24)
     entries = [e for e in (TABLE_II[:2] if quick_mode() else TABLE_II)]
     chunk = shape[0] // 2
-    # every compressor gets the paper's four-thread configuration: SPERR
-    # through its native chunk executor, the baselines through the
-    # chunk-parallel adapter (their reference builds use OpenMP blocks)
-    compressors = [
-        SperrCompressor(chunk_shape=chunk, executor="thread", workers=4),
-        ChunkedCompressor(SzLikeCompressor(), chunk, executor="thread", workers=4),
-        ChunkedCompressor(ZfpLikeCompressor(), chunk, executor="thread", workers=4),
-        ChunkedCompressor(TthreshLikeCompressor(), chunk, executor="thread", workers=4),
-        ChunkedCompressor(MgardLikeCompressor(), chunk, executor="thread", workers=4),
-    ]
+    # every compressor gets the paper's four-thread configuration: the
+    # container's chunk executor, with the baselines under their codec
+    # tags (their reference builds use OpenMP blocks)
 
     times: dict[tuple[str, str], float] = {}
 
     def run():
         for entry in entries:
             data, _ = load_entry(entry, shape=shape)
-            for comp in compressors:
-                if comp.name.startswith("mgard-like") and entry.idx >= 40:
-                    times[(entry.abbrev, comp.name)] = float("nan")
+            for name, codec in CODECS.items():
+                if name == "mgard-like" and entry.idx >= 40:
+                    times[(entry.abbrev, name)] = float("nan")
                     continue
-                times[(entry.abbrev, comp.name)] = runtime_point(comp, data, entry.idx)
+                times[(entry.abbrev, name)] = _compress_seconds(
+                    codec, data, entry.idx, chunk
+                )
         return times
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -61,7 +74,7 @@ def test_fig10_runtime(benchmark):
     for entry in entries:
         rows.append(
             [entry.abbrev]
-            + [times[(entry.abbrev, c.name)] for c in compressors]
+            + [times[(entry.abbrev, name)] for name in CODECS]
         )
 
     # SPERR time grows as the tolerance tightens (idx 20 -> 40 pairs)
@@ -77,7 +90,7 @@ def test_fig10_runtime(benchmark):
         "fig10",
         banner(f"Fig. 10: compression wall time in seconds (fields at {shape})")
         + "\n"
-        + format_table(["field-idx"] + [c.name for c in compressors], rows)
+        + format_table(["field-idx"] + list(CODECS), rows)
         + "\n(paper: SZ3/ZFP fastest, SPERR a few times slower, TTHRESH slowest;"
         "\n our ZFP-like pays a per-block Python bit loop - see EXPERIMENTS.md)",
     )

@@ -22,7 +22,7 @@ from .scaling import (
 from .spectra import SpectralFidelity, radial_power_spectrum, spectral_fidelity
 from .subbands import SubbandProfile, compaction_curve, subband_profile
 from .sweep import DEFAULT_Q_FACTORS, QSweepPoint, q_sweep
-from .timing import StageBreakdown, runtime_point, time_breakdown
+from .timing import StageBreakdown, time_breakdown
 
 __all__ = [
     "TABLE_II",
@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_Q_FACTORS",
     "StageBreakdown",
     "time_breakdown",
-    "runtime_point",
     "ScalingStudy",
     "scaling_study",
     "measure_chunk_times",

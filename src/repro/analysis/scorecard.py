@@ -11,13 +11,14 @@ one bit per cell:
 * NaN/±Inf positions (and their kinds) must be restored exactly;
 * for PWE-mode codecs, ``|x - x'| <= tolerance`` on every valid sample.
 
-Baselines run behind :class:`~repro.compressors.masked.MaskedCompressor`
-(their native formats predate the mask work); SPERR's container and the
-szx fast tier handle masks natively.  The matrix also carries an
-``adaptive`` row — the chunked core pipeline under per-chunk codec
-dispatch — whose cells report the chunk-routing counts read back from
-the container's chunk table.  4-D scenarios compress frame-by-frame
-along the leading axis, matching the paper's time-series treatment.
+Every row is one :func:`repro.core.compress` call: the baselines run
+under their container codec tags, ``sperr`` and ``szx-like`` are the
+``quality`` and ``fast`` tiers, so masks and dtype are the container's
+in every row.  The ``adaptive`` row — the chunked pipeline under
+per-chunk codec dispatch — reports the chunk-routing counts read back
+from the container's chunk table.  4-D scenarios compress
+frame-by-frame along the leading axis, matching the paper's time-series
+treatment.
 
 ``run_scorecard(smoke_only=True)`` is the tier-1 subset used by the
 regression gate; the full matrix backs the opt-in CI sweep and the
@@ -31,8 +32,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..compressors import ALL_COMPRESSORS, MaskedCompressor
 from ..compressors.base import psnr_target_for_idx
+from ..core.adaptive import CODEC_NAMES, CODEC_SPERR
+from ..core.container import compress, decompress, parse_container
 from ..core.modes import PsnrMode, PweMode
 from ..datasets.scenarios import SCENARIOS, Scenario
 from ..errors import InvalidArgumentError
@@ -102,16 +104,6 @@ def _tolerance(data: np.ndarray) -> float:
     return max(rng * _TOL_FRACTION, _TOL_FLOOR)
 
 
-def _roundtrip(codec, data: np.ndarray, mode) -> np.ndarray:
-    """Compress + decompress, per-frame along axis 0 for 4-D input."""
-    if data.ndim <= 3:
-        return codec.decompress(codec.compress(data, mode))
-    frames = [
-        codec.decompress(codec.compress(frame, mode)) for frame in data
-    ]
-    return np.stack(frames)
-
-
 def _check_cell(
     data: np.ndarray, out: np.ndarray, mode, tol: float
 ) -> tuple[bool, str | None, float | None, float | None]:
@@ -137,58 +129,33 @@ def _check_cell(
     return True, None, err, quality
 
 
-class _AdaptivePipeline:
-    """The chunked core pipeline under ``codec="adaptive"`` as a matrix
-    row.
-
-    Unlike the registry codecs this is the full container path — masks,
-    dtype preservation, and per-chunk dispatch are native — so it is
-    never mask-wrapped.  Routing decisions are read back from the
-    container chunk table and accumulated across frames for the
-    scorecard's ``routing`` column.
-    """
-
-    name = "adaptive"
-    _CHUNK = 16
-
-    def __init__(self) -> None:
-        self.routing: dict[str, int] = {}
-
-    def compress(self, data: np.ndarray, mode) -> bytes:
-        from ..core import compress as core_compress
-        from ..core.adaptive import CODEC_NAMES
-        from ..core.container import parse_container
-
-        payload = core_compress(
-            data, mode, chunk_shape=self._CHUNK, codec="adaptive"
-        ).payload
-        parsed = parse_container(payload)
-        tags = parsed.codec_tags or (0,) * len(parsed.streams)
-        for tag in tags:
-            key = CODEC_NAMES[tag]
-            self.routing[key] = self.routing.get(key, 0) + 1
-        return payload
-
-    def decompress(self, payload: bytes) -> np.ndarray:
-        from ..core import decompress as core_decompress
-
-        return core_decompress(payload)
+#: Container ``codec=`` value and chunking behind each matrix row.  The
+#: registry baselines run under their own tags; ``sperr`` and
+#: ``szx-like`` are the quality and fast tiers, and ``adaptive`` is the
+#: per-chunk dispatcher on a chunked grid.
+_ROWS = {
+    "sperr": ("quality", None),
+    "sz-like": ("sz-like", None),
+    "szx-like": ("fast", None),
+    "zfp-like": ("zfp-like", None),
+    "tthresh-like": ("tthresh-like", None),
+    "mgard-like": ("mgard-like", None),
+    "adaptive": ("adaptive", 16),
+}
 
 
-def _make_codec(name: str):
-    """Instantiate one matrix codec, mask-wrapped unless self-masking.
-
-    SPERR's container and the szx tier handle NaN/Inf masks and dtype
-    natively; ``adaptive`` is the chunked core pipeline, not a registry
-    codec at all.  Everything else predates the mask work and leans on
-    :class:`MaskedCompressor`.
-    """
+def _roundtrip_frame(
+    name: str, frame: np.ndarray, mode, routing: dict[str, int]
+) -> tuple[np.ndarray, int, list]:
+    """One container roundtrip; adaptive rows count their chunk routing."""
+    codec, chunk = _ROWS[name]
+    result = compress(frame, mode, chunk_shape=chunk, codec=codec)
     if name == "adaptive":
-        return _AdaptivePipeline()
-    codec = ALL_COMPRESSORS[name]()
-    if name in ("sperr", "szx-like"):
-        return codec
-    return MaskedCompressor(codec)
+        tags = parse_container(result.payload).codec_tags
+        for tag in tags or (CODEC_SPERR,) * len(result.reports):
+            key = CODEC_NAMES[tag]
+            routing[key] = routing.get(key, 0) + 1
+    return decompress(result.payload), result.nbytes, result.notes
 
 
 def run_scorecard(
@@ -202,8 +169,8 @@ def run_scorecard(
         scenarios = [
             s for s in SCENARIOS.values() if s.smoke or not smoke_only
         ]
-    known = set(ALL_COMPRESSORS) | {"adaptive"}
-    names = codecs if codecs is not None else [*ALL_COMPRESSORS, "adaptive"]
+    known = set(_ROWS)
+    names = codecs if codecs is not None else list(_ROWS)
     unknown = [n for n in names if n not in known]
     if unknown:
         raise InvalidArgumentError(
@@ -215,26 +182,23 @@ def run_scorecard(
         data = scenario.build()
         tol = _tolerance(data)
         for name in names:
-            codec = _make_codec(name)
             mode = (
                 PsnrMode(psnr_target_for_idx(_PSNR_IDX))
                 if name == "tthresh-like"
                 else PweMode(tol)
             )
+            routing: dict[str, int] = {}
             start = time.perf_counter()
             try:
                 payload_bytes = 0
-                if data.ndim <= 3:
-                    payload = codec.compress(data, mode)
-                    payload_bytes = len(payload)
-                    out = codec.decompress(payload)
-                else:
-                    outs = []
-                    for frame in data:
-                        payload = codec.compress(frame, mode)
-                        payload_bytes += len(payload)
-                        outs.append(codec.decompress(payload))
-                    out = np.stack(outs)
+                outs = []
+                for frame in data if data.ndim > 3 else [data]:
+                    out, nbytes, notes = _roundtrip_frame(
+                        name, frame, mode, routing
+                    )
+                    payload_bytes += nbytes
+                    outs.append(out)
+                out = np.stack(outs) if data.ndim > 3 else outs[0]
             except Exception as exc:  # noqa: BLE001 - the verdict boundary
                 card.cells.append(
                     ScorecardCell(
@@ -258,10 +222,8 @@ def run_scorecard(
                     psnr_db=quality,
                     seconds=elapsed,
                     error=error,
-                    notes=tuple(
-                        str(n) for n in getattr(codec, "last_notes", ())
-                    ),
-                    routing=dict(getattr(codec, "routing", None) or {}) or None,
+                    notes=tuple(str(n) for n in notes),
+                    routing=routing or None,
                 )
             )
     return card

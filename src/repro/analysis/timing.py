@@ -1,21 +1,19 @@
-"""Timing studies: the Fig. 6 stage breakdown and Fig. 10 runtime grid."""
+"""Timing studies: the Fig. 6 stage breakdown (the Fig. 10 runtime grid
+times ``repro.compress`` directly in its bench)."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
-from ..compressors.base import Compressor, PsnrMode, psnr_target_for_idx
 from ..core.modes import PweMode
 from ..core.pipeline import compress_chunk
 
 __all__ = [
     "StageBreakdown",
     "time_breakdown",
-    "runtime_point",
     "STAGE_SPANS",
     "STAGE_SPANS_DECODE",
 ]
@@ -85,18 +83,3 @@ def time_breakdown(
                 best[stage] = min(best.get(stage, wall), wall)
         out.append(StageBreakdown(idx=idx, **best))
     return out
-
-
-def runtime_point(
-    compressor: Compressor, data: np.ndarray, idx: int
-) -> float:
-    """Wall-clock compression time for one (compressor, field, idx) cell
-    of the Fig. 10 grid."""
-    rng = float(data.max() - data.min())
-    if PsnrMode in compressor.supported_modes:
-        mode = PsnrMode(psnr_target_for_idx(max(1, idx)))
-    else:
-        mode = PweMode(rng / float(2**idx))
-    t0 = time.perf_counter()
-    compressor.compress(data, mode)
-    return time.perf_counter() - t0

@@ -326,6 +326,7 @@ _MODE_NAMES = {0: "PWE-bounded", 1: "size-bounded", 2: "PSNR-bounded"}
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from .core.adaptive import CODEC_NAMES
     from .core.container import parse_container
     from .core.mask import decode_mask, mask_summary
 
@@ -340,10 +341,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"mode:     {_MODE_NAMES.get(parsed.mode_code, f'code {parsed.mode_code}')}")
     print(f"chunks:   {len(parsed.chunks)}")
     if parsed.codec_tags:
-        names = ("sperr", "szx", "stored")
-        counts = {n: 0 for n in names}
+        counts = {n: 0 for n in CODEC_NAMES.values()}
         for t in parsed.codec_tags:
-            counts[names[t]] += 1
+            counts[CODEC_NAMES[t]] += 1
         routed = ", ".join(f"{n}={c}" for n, c in counts.items() if c)
         print(f"codecs:   {routed}")
     print(f"size:     {len(payload)} bytes ({8.0 * len(payload) / npoints:.3f} bpp)")

@@ -1,9 +1,12 @@
 """The five compressors of the paper's comparison study (Sec. VI-A):
-SPERR plus reimplemented SZ3-, ZFP-, TTHRESH-, and MGARD-like baselines."""
+SPERR plus reimplemented SZ3-, ZFP-, TTHRESH-, and MGARD-like baselines.
+
+Chunking, NaN/Inf masks and dtype are not wrapper concerns: the
+baselines run chunk by chunk inside the SPERR container via
+``repro.compress(data, mode, codec=<registry name>, chunk_shape=...)``.
+"""
 
 from .base import Compressor, Mode, PsnrMode, psnr_target_for_idx
-from .chunked import ChunkedCompressor
-from .masked import MaskedCompressor
 from .mgardlike import MgardLikeCompressor
 from .sperr import SperrCompressor
 from .szlike import SzLikeCompressor
@@ -23,8 +26,6 @@ ALL_COMPRESSORS = {
 
 __all__ = [
     "ALL_COMPRESSORS",
-    "ChunkedCompressor",
-    "MaskedCompressor",
     "Compressor",
     "Mode",
     "PsnrMode",

@@ -8,23 +8,20 @@ Two layers live here:
   SPERR path these streams deliberately skip the lossless backend pass:
   the bitshuffled planes are already dense, and the whole point of the
   tier is to keep the byte path as short as possible.
-* :class:`SzxLikeCompressor` — the registry codec (``szx-like``) used by
-  the analysis scorecard.  It is mask- and dtype-aware on its own
-  (``SZXF`` outer frame with a CRC, mask blob, and dtype tag), so the
-  scorecard can run it bare against NaN-masked float32 scenarios.
+* :class:`SzxLikeCompressor` — the registry codec (``szx-like``): the
+  container's ``fast`` tier behind the :class:`Compressor` interface.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 
 import numpy as np
 
-from ...core import mask as mask_mod
+from ...core import compress as core_compress
+from ...core import decompress as core_decompress
 from ...core.modes import PweMode
 from ...errors import (
-    IntegrityError,
     InvalidArgumentError,
     StreamFormatError,
     checked_shape,
@@ -45,13 +42,6 @@ CHUNK_MAGIC = b"SZX1"
 
 #: Chunk prologue: magic, version, rank, reserved, tolerance.
 _CHUNK_HEAD = struct.Struct("<4sBBHd")
-
-_FRAME_MAGIC = b"SZXF"
-#: Frame prologue: magic, version, dtype code, rank, reserved,
-#: mask blob nbytes, mask CRC32, chunk-stream CRC32.
-_FRAME_HEAD = struct.Struct("<4sBBBBQII")
-
-_DTYPE_CODES = {0: np.dtype(np.float64), 1: np.dtype(np.float32)}
 
 
 def encode_chunks(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
@@ -123,107 +113,20 @@ def decode_chunk(
 class SzxLikeCompressor(Compressor):
     """SZx-style ultra-fast error-bounded compressor (Yu et al., PAPERS.md).
 
-    Whole-array codec for the registry/scorecard: classifies fixed-size
-    blocks as constant / linear / dense / raw, quantizes residuals
-    against the PWE bound, and bitshuffles the code planes.  Handles
-    NaN/Inf masks and float32 inputs itself via :mod:`repro.core.mask`,
-    unlike the other baselines which lean on ``MaskedCompressor``.
+    The registry face of the fast tier: a thin :class:`Compressor` over
+    ``repro.core.compress(codec="fast")`` and ``repro.core.decompress``,
+    like :class:`~repro.compressors.sperr.SperrCompressor`.  Masks,
+    dtype and CRCs come from the container.
     """
 
     name = "szx-like"
     supported_modes = (PweMode,)
 
     def compress(self, data: np.ndarray, mode: Mode) -> bytes:
-        """Encode a 1-D to 3-D array under a point-wise error bound.
-
-        Non-finite samples are masked out and restored exactly on
-        decode; float32 inputs keep their dtype through the roundtrip.
-        """
+        """Encode a 1-D to 3-D array under a point-wise error bound."""
         self.check_mode(mode)
-        assert isinstance(mode, PweMode)
-        data = np.asarray(data)
-        if data.ndim < 1 or data.ndim > 3:
-            raise InvalidArgumentError("szx-like supports 1-D to 3-D arrays")
-        if data.size == 0:
-            raise InvalidArgumentError("cannot compress an empty array")
-        dtype_code = 1 if data.dtype == np.float32 else 0
-        if dtype_code == 0:
-            data = np.asarray(data, dtype=np.float64)
-        clean, codes, _notes = mask_mod.sanitize_array(data)
-        mode = mask_mod.tighten_pwe_for_dtype(mode, clean)
-        stream = encode_chunk(
-            np.asarray(clean, dtype=np.float64), mode.tolerance
-        )
-        mask_blob = mask_mod.encode_mask(codes) if codes is not None else b""
-        return self.frame_stream(
-            stream, data.ndim, dtype_code=dtype_code, mask_blob=mask_blob
-        )
-
-    @staticmethod
-    def frame_stream(
-        stream: bytes,
-        rank: int,
-        *,
-        dtype_code: int = 0,
-        mask_blob: bytes = b"",
-    ) -> bytes:
-        """Wrap a ready ``SZX1`` chunk stream in the ``SZXF`` frame.
-
-        Used by :meth:`compress` and by the chunked adapter's batched
-        lane path, so both produce identical frames for the same stream.
-        """
-        head = _FRAME_HEAD.pack(
-            _FRAME_MAGIC,
-            1,
-            dtype_code,
-            rank,
-            0,
-            len(mask_blob),
-            zlib.crc32(mask_blob),
-            zlib.crc32(stream),
-        )
-        return head + stream + mask_blob
+        return core_compress(data, mode, codec="fast").payload
 
     def decompress(self, payload: bytes) -> np.ndarray:
-        """Decode an ``SZXF`` frame back to the original array."""
-        if payload[:4] != _FRAME_MAGIC:
-            raise StreamFormatError("not an szx-like payload")
-        with decode_guard(self.name):
-            (
-                _magic,
-                version,
-                dtype_code,
-                rank,
-                _reserved,
-                mask_nbytes,
-                mask_crc,
-                chunk_crc,
-            ) = _FRAME_HEAD.unpack_from(payload, 0)
-            if version != 1:
-                raise StreamFormatError(f"unknown szx-like version {version}")
-            if dtype_code not in _DTYPE_CODES:
-                raise StreamFormatError(
-                    f"unknown szx-like dtype code {dtype_code}"
-                )
-            body = payload[_FRAME_HEAD.size :]
-            if mask_nbytes > len(body):
-                raise StreamFormatError(
-                    "szx-like frame declares an oversized mask blob"
-                )
-            split = len(body) - mask_nbytes
-            stream, mask_blob = body[:split], body[split:]
-            if zlib.crc32(stream) != chunk_crc:
-                raise IntegrityError("szx-like chunk stream CRC mismatch")
-            if zlib.crc32(mask_blob) != mask_crc:
-                raise IntegrityError("szx-like mask blob CRC mismatch")
-            out = decode_chunk(stream)
-            if out.ndim != rank:
-                raise StreamFormatError(
-                    f"szx-like frame declares rank {rank}, chunk has "
-                    f"{out.ndim}"
-                )
-            out = out.astype(_DTYPE_CODES[dtype_code], copy=False)
-            if mask_nbytes:
-                mask_codes = mask_mod.decode_mask(mask_blob, out.size)
-                mask_mod.apply_mask(out, mask_codes)
-            return out
+        """Decode a payload written by :meth:`compress`."""
+        return core_decompress(payload)

@@ -50,7 +50,12 @@ __all__ = [
     "CODEC_SPERR",
     "CODEC_SZX",
     "CODEC_STORED",
+    "CODEC_SZ",
+    "CODEC_ZFP",
+    "CODEC_TTHRESH",
+    "CODEC_MGARD",
     "CODEC_NAMES",
+    "BASELINE_TAGS",
     "CODEC_POLICIES",
     "chunk_proxies",
     "choose_codecs",
@@ -59,14 +64,35 @@ __all__ = [
     "STORED_MAGIC",
 ]
 
-#: Chunk-table codec tags (container format v4, store index v3).
+#: Chunk-table codec tags (container format v4; store index v3 holds 0-2).
 CODEC_SPERR = 0
 CODEC_SZX = 1
 CODEC_STORED = 2
+#: Baseline codecs: each chunk stream is the registry codec's own payload
+#: (:data:`repro.compressors.ALL_COMPRESSORS`), written by
+#: ``compress(..., codec=<registry name>)``.
+CODEC_SZ = 3
+CODEC_ZFP = 4
+CODEC_TTHRESH = 5
+CODEC_MGARD = 6
 
-CODEC_NAMES = {CODEC_SPERR: "sperr", CODEC_SZX: "szx", CODEC_STORED: "stored"}
+CODEC_NAMES = {
+    CODEC_SPERR: "sperr",
+    CODEC_SZX: "szx",
+    CODEC_STORED: "stored",
+    CODEC_SZ: "sz-like",
+    CODEC_ZFP: "zfp-like",
+    CODEC_TTHRESH: "tthresh-like",
+    CODEC_MGARD: "mgard-like",
+}
 
-#: The ``codec=`` knob values accepted by ``compress()``/CLI/service.
+#: Registry name -> tag for the baseline codecs (``compress(codec=...)``).
+BASELINE_TAGS = {
+    CODEC_NAMES[t]: t for t in (CODEC_SZ, CODEC_ZFP, CODEC_TTHRESH, CODEC_MGARD)
+}
+
+#: The ``codec=`` policies accepted by ``compress()``/CLI/service/store.
+#: ``compress()`` also takes a :data:`BASELINE_TAGS` name.
 CODEC_POLICIES = ("quality", "fast", "adaptive")
 
 #: Sampling geometry: up to 16 contiguous runs of 256 points spread
@@ -143,16 +169,19 @@ def choose_codecs(
     verbatim; ``adaptive`` samples each chunk and picks the cheapest
     tier whose ratio cost is acceptable.  ``fast`` and ``adaptive``
     need a PWE bound — szx has no rate-targeting mode — so any other
-    mode is rejected.
+    mode is rejected.  A baseline name (:data:`BASELINE_TAGS`) tags
+    every chunk with that codec; the codec checks the mode itself.
 
-    Returns a ``uint8`` array of :data:`CODEC_SPERR` /
-    :data:`CODEC_SZX` / :data:`CODEC_STORED` tags, one per chunk, and
-    records one ``adaptive.route.<codec>`` counter per decision on the
+    Returns a ``uint8`` array of tags, one per chunk, and records one
+    ``adaptive.route.<codec>`` counter per sampled decision on the
     active trace.
     """
+    if policy in BASELINE_TAGS:
+        return np.full(len(chunks), BASELINE_TAGS[policy], dtype=np.uint8)
     if policy not in CODEC_POLICIES:
         raise InvalidArgumentError(
-            f"codec must be one of {CODEC_POLICIES}, got {policy!r}"
+            f"codec must be one of {CODEC_POLICIES + tuple(BASELINE_TAGS)}, "
+            f"got {policy!r}"
         )
     tags = np.full(len(chunks), CODEC_SPERR, dtype=np.uint8)
     if policy == "quality":

@@ -13,11 +13,12 @@ wavelet decomposition would be shallow.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidArgumentError
+from ..errors import InvalidArgumentError, StreamFormatError
 
 __all__ = [
     "Chunk",
@@ -25,6 +26,7 @@ __all__ = [
     "split",
     "assemble",
     "group_by_shape",
+    "read_chunk_table",
     "DEFAULT_CHUNK",
 ]
 
@@ -132,3 +134,71 @@ def assemble(
     if filled != out.size:
         raise InvalidArgumentError("chunk plan does not tile the volume")
     return out
+
+
+def read_chunk_table(
+    payload: bytes, pos: int, shape: tuple[int, ...], n_chunks: int
+) -> tuple[list[Chunk], int]:
+    """Read ``n_chunks`` untrusted ``rank * (u64 start, u64 stop)`` bounds.
+
+    The one chunk-table reader behind every on-disk format (container,
+    legacy chunked framings, store index).  Returns the chunks and the
+    position after the table.  Raises :class:`StreamFormatError` unless
+    the chunks tile ``shape`` exactly: each axis must be cut into
+    consecutive runs, and every cell of that grid must appear once.
+    That is the grid :func:`plan_chunks` emits; a table with repeated or
+    overlapping chunks, or with holes, would otherwise assemble into a
+    volume with stale samples.  The check costs O(n_chunks * rank).
+    """
+    rank = len(shape)
+    end = pos + 16 * rank * n_chunks
+    if end > len(payload):
+        raise StreamFormatError(
+            f"chunk table truncated: {n_chunks} chunks need {end - pos} "
+            f"bytes, {max(0, len(payload) - pos)} remain"
+        )
+    flat = struct.unpack_from(f"<{2 * rank * n_chunks}Q", payload, pos)
+    chunks = []
+    for i in range(n_chunks):
+        row = flat[2 * rank * i : 2 * rank * (i + 1)]
+        bounds = tuple(zip(row[0::2], row[1::2]))
+        for (a, b), extent in zip(bounds, shape):
+            if a >= b or b > extent:
+                raise StreamFormatError(
+                    f"chunk bounds ({a}, {b}) outside axis extent {extent}"
+                )
+        chunks.append(Chunk(bounds=bounds))
+    _check_tiling(shape, chunks)
+    return chunks, end
+
+
+def _check_tiling(shape: tuple[int, ...], chunks: list[Chunk]) -> None:
+    """Raise unless ``chunks`` is a permutation of one per-axis run grid."""
+    starts: list[dict[int, int]] = []
+    cells = 1
+    for axis, extent in enumerate(shape):
+        runs = sorted({c.bounds[axis] for c in chunks})
+        edge = 0
+        for a, b in runs:
+            if a != edge:
+                raise StreamFormatError(
+                    f"chunk table does not tile axis {axis}: run ({a}, {b}) "
+                    f"after offset {edge}"
+                )
+            edge = b
+        if edge != extent:
+            raise StreamFormatError(
+                f"chunk table covers axis {axis} up to {edge} of {extent}"
+            )
+        starts.append({a: i for i, (a, _) in enumerate(runs)})
+        cells *= len(runs)
+    if cells != len(chunks):
+        raise StreamFormatError(
+            f"chunk table has {len(chunks)} chunks for a {cells}-cell grid"
+        )
+    seen = set()
+    for c in chunks:
+        cell = tuple(starts[axis][a] for axis, (a, _) in enumerate(c.bounds))
+        if cell in seen:
+            raise StreamFormatError(f"chunk table repeats chunk {c.bounds}")
+        seen.add(cell)

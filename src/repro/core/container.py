@@ -30,10 +30,17 @@ codec tag column (``n_chunks * u8``, values from
 mask field, and the mask nbytes/CRC pair is always present (zero for
 finite inputs).  Each chunk stream is then self-contained under its
 tag's decoder — the lossless-wrapped SPERR stream, a raw ``SZX1``
-stream, or verbatim ``RAW1`` bytes — so mixed-codec payloads are
-self-describing.  v4 is written only when at least one chunk routed
-away from sperr; all-sperr output (including everything produced by
-``codec="quality"``, the default) keeps its exact v2/v3 bytes.
+stream, verbatim ``RAW1`` bytes, or a baseline registry codec's own
+payload (tags 3–6) — so mixed-codec payloads are self-describing.  v4
+is written only when at least one chunk is not a sperr chunk; all-sperr
+output (including everything produced by ``codec="quality"``, the
+default) keeps its exact v2/v3 bytes.
+
+Every reader takes the chunk table through
+:func:`~repro.core.chunking.read_chunk_table`, which rejects tables
+that do not tile the shape exactly.  Retired framings from before the
+baselines became tags are parsed read-only by :mod:`repro.core.legacy`
+into the same :class:`ParsedContainer` view.
 
 Each sperr chunk payload is the self-contained stream of
 :func:`repro.core.pipeline.compress_chunk`, mirroring real SPERR's
@@ -63,6 +70,8 @@ from ..errors import (
     decode_guard,
 )
 from .adaptive import (
+    BASELINE_TAGS,
+    CODEC_NAMES,
     CODEC_SPERR,
     CODEC_STORED,
     CODEC_SZX,
@@ -70,7 +79,7 @@ from .adaptive import (
     decode_stored_chunk,
     encode_stored_chunk,
 )
-from .chunking import Chunk, assemble, plan_chunks
+from .chunking import Chunk, assemble, plan_chunks, read_chunk_table
 from .mask import (
     DegradationNote,
     apply_mask,
@@ -106,6 +115,7 @@ _MAGIC_V2 = b"SPRRPY2\x00"
 _MAGIC_V3 = b"SPRRPY3\x00"
 _MAGIC_V4 = b"SPRRPY4\x00"
 _MAGIC_BY_VERSION = {1: _MAGIC_V1, 2: _MAGIC_V2, 3: _MAGIC_V3, 4: _MAGIC_V4}
+_VERSION_BY_MAGIC = {m: v for v, m in _MAGIC_BY_VERSION.items()}
 
 #: Container format version written by :func:`build_container` by default.
 #: Version 3 adds the non-finite mask section and is only emitted for
@@ -186,13 +196,31 @@ def _compress_chunk_job(
     return packed, report
 
 
+def _compress_baseline_job(
+    part: np.ndarray, name: str, mode: PweMode | SizeMode | PsnrMode
+) -> tuple[bytes, ChunkReport]:
+    """Module-level baseline chunk job (picklable for the process executor).
+
+    The chunk stream is the default-constructed registry codec's payload
+    for the float64 chunk, so each baseline keeps its own stream format
+    and error semantics inside the shared container.
+    """
+    from ..compressors import ALL_COMPRESSORS
+
+    part = np.ascontiguousarray(part, dtype=np.float64)
+    stream = ALL_COMPRESSORS[name]().compress(part, mode)
+    tolerance = mode.tolerance if isinstance(mode, PweMode) else 0.0
+    return stream, _fast_tier_report(part.shape, tolerance, len(stream))
+
+
 def decode_tagged_chunk(
     stream: bytes, tag: int, rank: int, expected_shape: tuple[int, ...]
 ) -> np.ndarray:
     """Decode one chunk stream under its chunk-table codec tag.
 
     Shared by the container decoder and the store reader so every decode
-    path dispatches identically on mixed-codec payloads.
+    path dispatches identically on mixed-codec payloads.  Baseline tags
+    decode through the registry codec and must reproduce the table shape.
     """
     if tag == CODEC_SPERR:
         with decode_guard("sperr"):
@@ -207,6 +235,18 @@ def decode_tagged_chunk(
         return szx_decode(stream, expected_shape=expected_shape)
     if tag == CODEC_STORED:
         return decode_stored_chunk(stream, expected_shape=expected_shape)
+    name = CODEC_NAMES.get(tag)
+    if name in BASELINE_TAGS:
+        from ..compressors import ALL_COMPRESSORS
+
+        with decode_guard(name):
+            out = ALL_COMPRESSORS[name]().decompress(stream)
+        if tuple(out.shape) != tuple(expected_shape):
+            raise StreamFormatError(
+                f"{name} chunk decodes to shape {tuple(out.shape)}, table "
+                f"says {tuple(expected_shape)}"
+            )
+        return out
     raise StreamFormatError(f"unknown chunk codec tag {tag}")
 
 
@@ -270,6 +310,10 @@ def compress(
     szx / sperr / stored per its smoothness.  ``fast`` and ``adaptive``
     require a :class:`~repro.core.modes.PweMode` bound, which every
     tier honors — routing trades ratio against throughput only.
+    A baseline registry name (``"sz-like"``, ``"zfp-like"``,
+    ``"tthresh-like"``, ``"mgard-like"``) encodes every chunk with that
+    codec under its own mode rules; masks, dtype, CRCs and salvage come
+    from this container as for every other tier.
     """
     if trace and not obs.is_active():
         with obs.trace("sperr.compress") as tracer:
@@ -413,7 +457,7 @@ def _compress_impl(
 def _fast_tier_report(
     shape: tuple[int, ...], tolerance: float, nbytes: int
 ) -> ChunkReport:
-    """Accounting stub for szx/stored chunks (no SPECK/outlier stages)."""
+    """Accounting stub for non-sperr chunks (no SPECK/outlier stages)."""
     return ChunkReport(
         shape=tuple(shape),
         q=2.0 * tolerance,
@@ -442,7 +486,9 @@ def _compress_parts_mixed(
     sperr-tagged chunks keep their batched/parallel path; szx-tagged
     chunks run through one stacked :func:`encode_chunks` kernel call
     (which is byte-identical chunk-by-chunk to serial encoding); stored
-    chunks are framed verbatim.  Results come back in chunk order.
+    chunks are framed verbatim; baseline-tagged chunks fan out through
+    the executor (``batch`` degrades to serial).  Results come back in
+    chunk order.
     """
     results: list[tuple[bytes, ChunkReport] | None] = [None] * len(chunks)
     sperr_idx = [i for i, t in enumerate(tags) if t == CODEC_SPERR]
@@ -501,6 +547,24 @@ def _compress_parts_mixed(
                     _fast_tier_report(part.shape, mode.tolerance, len(stream)),
                 )
 
+    for name, tag in BASELINE_TAGS.items():
+        idx = [i for i, t in enumerate(tags) if t == tag]
+        if not idx:
+            continue
+        from ..compressors import ALL_COMPRESSORS
+
+        ALL_COMPRESSORS[name]().check_mode(mode)
+        pairs = map_chunk_arrays(
+            _compress_baseline_job,
+            data,
+            [chunks[i] for i in idx],
+            args=(name, mode),
+            executor=executor,
+            workers=workers,
+        )
+        for i, pair in zip(idx, pairs):
+            results[i] = pair
+
     return results  # type: ignore[return-value]
 
 
@@ -516,10 +580,8 @@ class ParsedContainer:
     the raw (still lossless-compressed) mask section of a v3/v4 payload —
     its stored CRC is in ``mask_crc`` and is verified by
     :func:`decompress`, not here, so salvage can survive mask damage.
-    ``codec_tags`` is the per-chunk codec column of a v4 payload
-    (:data:`~repro.core.adaptive.CODEC_SPERR` /
-    :data:`~repro.core.adaptive.CODEC_SZX` /
-    :data:`~repro.core.adaptive.CODEC_STORED`), ``None`` below v4
+    ``codec_tags`` is the per-chunk codec column of a v4 payload (keys
+    of :data:`~repro.core.adaptive.CODEC_NAMES`), ``None`` below v4
     (every chunk is sperr).
     """
 
@@ -539,20 +601,13 @@ class ParsedContainer:
 def parse_container(payload: bytes) -> ParsedContainer:
     """Decode the container framing without touching chunk payloads.
 
-    Accepts both v1 and v2 payloads; on v2, the header CRC is verified
-    before any field is trusted (:class:`~repro.errors.IntegrityError` on
-    mismatch).  Chunk-stream CRCs are *returned*, not verified — chunk
+    Accepts v1-v4 payloads; from v2 on, the header CRC is verified
+    before the chunk table is trusted (:class:`~repro.errors.IntegrityError`
+    on mismatch).  Chunk-stream CRCs are *returned*, not verified — chunk
     verification belongs to :func:`decompress`, which can salvage.
     """
-    if payload[:8] == _MAGIC_V1:
-        version = 1
-    elif payload[:8] == _MAGIC_V2:
-        version = 2
-    elif payload[:8] == _MAGIC_V3:
-        version = 3
-    elif payload[:8] == _MAGIC_V4:
-        version = 4
-    else:
+    version = _VERSION_BY_MAGIC.get(bytes(payload[:8]))
+    if version is None:
         raise StreamFormatError("not a SPERR container (bad magic)")
     try:
         return _parse_container_body(payload, version)
@@ -572,32 +627,9 @@ def _parse_container_body(payload: bytes, version: int) -> ParsedContainer:
         raise StreamFormatError(f"invalid rank {rank}")
     if dtype_code not in _DTYPE_BY_CODE:
         raise StreamFormatError(f"invalid dtype code {dtype_code}")
-    shape = struct.unpack_from(f"<{rank}Q", payload, pos)
-    pos += 8 * rank
-    npoints = math.prod(int(s) for s in shape)
-    if npoints > MAX_TOTAL_POINTS:
-        raise AllocationLimitError(
-            f"container declares {npoints} points, beyond the "
-            f"{MAX_TOTAL_POINTS}-point decode cap"
-        )
-    (n_chunks,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
-    if n_chunks > max(1, npoints):
-        raise StreamFormatError(
-            f"container declares {n_chunks} chunks for {npoints} points"
-        )
-    chunks = []
-    for _ in range(n_chunks):
-        bounds = []
-        for axis in range(rank):
-            a, b = struct.unpack_from("<QQ", payload, pos)
-            pos += 16
-            if a >= b or b > int(shape[axis]):
-                raise StreamFormatError(
-                    f"chunk bounds ({a}, {b}) outside axis extent {shape[axis]}"
-                )
-            bounds.append((a, b))
-        chunks.append(Chunk(bounds=tuple(bounds)))
+    shape, n_chunks, pos = _read_extent(payload, pos, rank, "container")
+    table_pos = pos
+    pos += 16 * rank * n_chunks
     sizes = struct.unpack_from(f"<{n_chunks}Q", payload, pos)
     pos += 8 * n_chunks
     chunk_crcs: tuple[int, ...] | None = None
@@ -610,30 +642,89 @@ def _parse_container_body(payload: bytes, version: int) -> ParsedContainer:
         if version >= 4:
             codec_tags = struct.unpack_from(f"<{n_chunks}B", payload, pos)
             pos += n_chunks
-            if any(t > 2 for t in codec_tags):
+            if any(t not in CODEC_NAMES for t in codec_tags):
                 raise StreamFormatError(
                     "container chunk table carries an unknown codec tag"
                 )
         if version >= 3:
             mask_nbytes, mask_crc = struct.unpack_from("<QI", payload, pos)
             pos += 12
-        header = bytearray(payload[:pos])
-        header[_HEADER_CRC_OFFSET : _HEADER_CRC_OFFSET + 4] = b"\x00\x00\x00\x00"
-        if zlib.crc32(bytes(header)) != stored_header_crc:
-            raise IntegrityError("container header CRC mismatch")
+        _check_header_crc(
+            payload, pos, _HEADER_CRC_OFFSET, stored_header_crc, "container"
+        )
+    chunks, _ = read_chunk_table(payload, table_pos, shape, n_chunks)
+    mask_blob, streams = _split_sections(
+        payload, pos, mask_nbytes, sizes, "container"
+    )
+    return ParsedContainer(
+        rank=rank,
+        dtype=_DTYPE_BY_CODE[dtype_code],
+        mode_code=mode_code,
+        shape=shape,
+        chunks=chunks,
+        streams=streams,
+        format_version=version,
+        chunk_crcs=chunk_crcs,
+        mask_blob=mask_blob,
+        mask_crc=mask_crc,
+        codec_tags=codec_tags,
+    )
+
+
+def _read_extent(
+    payload: bytes, pos: int, rank: int, what: str
+) -> tuple[tuple[int, ...], int, int]:
+    """Read the shape and chunk count that open a chunk table.
+
+    Shared with the legacy readers; caps the declared point count before
+    anything is sized from it.  Returns ``(shape, n_chunks, pos)``.
+    """
+    shape = tuple(int(s) for s in struct.unpack_from(f"<{rank}Q", payload, pos))
+    pos += 8 * rank
+    npoints = math.prod(shape)
+    if npoints > MAX_TOTAL_POINTS:
+        raise AllocationLimitError(
+            f"{what} declares {npoints} points, beyond the "
+            f"{MAX_TOTAL_POINTS}-point decode cap"
+        )
+    (n_chunks,) = struct.unpack_from("<I", payload, pos)
+    pos += 4
+    if n_chunks > max(1, npoints):
+        raise StreamFormatError(
+            f"{what} declares {n_chunks} chunks for {npoints} points"
+        )
+    return shape, n_chunks, pos
+
+
+def _check_header_crc(
+    payload: bytes, end: int, offset: int, stored: int, what: str
+) -> None:
+    """Verify a header CRC32 stored at ``offset`` over ``payload[:end]``."""
+    header = bytearray(payload[:end])
+    header[offset : offset + 4] = b"\x00\x00\x00\x00"
+    if zlib.crc32(bytes(header)) != stored:
+        raise IntegrityError(f"{what} header CRC mismatch")
+
+
+def _split_sections(
+    payload: bytes, pos: int, mask_nbytes: int, sizes: tuple[int, ...], what: str
+) -> tuple[bytes | None, list[bytes]]:
+    """Slice the mask blob and the chunk streams that follow a header.
+
+    The declared sizes must account for every remaining byte: a short
+    payload is truncated, a long one carries trailing garbage.
+    """
     if mask_nbytes > len(payload) - pos:
         raise StreamFormatError(
-            f"container declares a {mask_nbytes}-byte mask but only "
+            f"{what} declares a {mask_nbytes}-byte mask but only "
             f"{len(payload) - pos} bytes remain"
         )
-    mask_blob: bytes | None = None
-    if version >= 3 and mask_nbytes:
-        mask_blob = payload[pos : pos + mask_nbytes]
-        pos += mask_nbytes
+    mask_blob = payload[pos : pos + mask_nbytes] if mask_nbytes else None
+    pos += mask_nbytes
     declared = sum(int(s) for s in sizes)
     if declared > len(payload) - pos:
         raise StreamFormatError(
-            f"container truncated: sections declare {declared} bytes but "
+            f"{what} truncated: sections declare {declared} bytes but "
             f"only {len(payload) - pos} remain"
         )
     if declared < len(payload) - pos:
@@ -645,19 +736,7 @@ def _parse_container_body(payload: bytes, version: int) -> ParsedContainer:
     for size in sizes:
         streams.append(payload[pos : pos + size])
         pos += size
-    return ParsedContainer(
-        rank=rank,
-        dtype=_DTYPE_BY_CODE[dtype_code],
-        mode_code=mode_code,
-        shape=tuple(int(s) for s in shape),
-        chunks=chunks,
-        streams=streams,
-        format_version=version,
-        chunk_crcs=chunk_crcs,
-        mask_blob=mask_blob,
-        mask_crc=mask_crc,
-        codec_tags=codec_tags,
-    )
+    return mask_blob, streams
 
 
 def build_container(
@@ -698,7 +777,7 @@ def build_container(
             raise InvalidArgumentError(
                 f"{len(tags)} codec tags for {len(chunks)} chunks"
             )
-        if any(t not in (CODEC_SPERR, CODEC_SZX, CODEC_STORED) for t in tags):
+        if any(t not in CODEC_NAMES for t in tags):
             raise InvalidArgumentError(f"unknown codec tag in {tags}")
     head = bytearray()
     head += _MAGIC_BY_VERSION[version]
@@ -825,7 +904,8 @@ def decompress(
     per-chunk independence as a fault-isolation boundary.  ``timeout``
     bounds each parallel chunk task in seconds; an expired or broken pool
     degrades to serial for the affected chunks and is recorded in the
-    report rather than raised.
+    report rather than raised.  The retired baseline wrapper framings
+    decode here too, through :mod:`repro.core.legacy`.
     """
     if on_error not in ("raise", "salvage"):
         raise InvalidArgumentError(
@@ -833,7 +913,12 @@ def decompress(
         )
     with obs.span("sperr.decompress", nbytes=len(payload), mode=on_error):
         with obs.span("container.parse"):
-            parsed = parse_container(payload)
+            if bytes(payload[:8]) in _VERSION_BY_MAGIC:
+                parsed = parse_container(payload)
+            else:
+                from .legacy import parse_legacy
+
+                parsed = parse_legacy(payload)
         crcs: list[int | None]
         if parsed.chunk_crcs is None:
             crcs = [None] * len(parsed.streams)

@@ -135,8 +135,8 @@ def truncate(payload: bytes, fraction: float) -> bytes:
     new_streams: list[bytes] = []
     for stream, tag in zip(parsed.streams, tags):
         if tag != CODEC_SPERR:
-            # szx/stored chunks have no embedded-bitplane structure to
-            # cut; they pass through whole (they are already the cheap
+            # non-sperr chunks have no embedded-bitplane structure to
+            # cut; they pass through whole (szx and stored are the cheap
             # tier) and keep their tag in the rebuilt table.
             new_streams.append(stream)
             continue
@@ -188,7 +188,7 @@ def decompress_multires(payload: bytes, level: int) -> np.ndarray:
 
     tag = parsed.codec_tags[0] if parsed.codec_tags else CODEC_SPERR
     if tag != CODEC_SPERR:
-        # szx/stored chunks carry no wavelet hierarchy; a coarse view is
+        # non-sperr chunks carry no wavelet hierarchy; a coarse view is
         # produced by full decode + per-level decimation, which matches
         # the (n+1)//2-per-level extents of the wavelet path.
         from .container import decode_tagged_chunk

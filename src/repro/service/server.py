@@ -45,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..core import PsnrMode, PweMode, SizeMode, compress, decompress
+from ..core import CODEC_POLICIES, PsnrMode, PweMode, SizeMode, compress, decompress
 from ..errors import (
     IntegrityError,
     InvalidArgumentError,
@@ -567,7 +567,7 @@ class CompressionService:
             ):
                 raise InvalidArgumentError(f"bad chunk spec {chunk!r}")
             codec = msg.header.get("codec", "quality")
-            if not isinstance(codec, str):
+            if codec not in CODEC_POLICIES:
                 raise InvalidArgumentError(f"bad codec spec {codec!r}")
             result = compress(data, mode, chunk_shape=chunk, codec=codec)
             header = {

@@ -76,7 +76,7 @@ from ..errors import (
     checked_shape,
     decode_guard,
 )
-from ..core.chunking import Chunk
+from ..core.chunking import Chunk, read_chunk_table
 from ..core.container import MAX_TOTAL_POINTS, _DTYPE_BY_CODE, _DTYPES
 
 __all__ = [
@@ -306,18 +306,7 @@ def _parse_index_body(payload: bytes, version: int) -> StoreIndex:
         raise StreamFormatError(
             f"index declares {n_chunks} chunks for {npoints} points"
         )
-    chunks = []
-    for _ in range(n_chunks):
-        bounds = []
-        for axis in range(rank):
-            a, b = struct.unpack_from("<QQ", payload, pos)
-            pos += 16
-            if a >= b or b > int(shape[axis]):
-                raise StreamFormatError(
-                    f"chunk bounds ({a}, {b}) outside axis extent {shape[axis]}"
-                )
-            bounds.append((int(a), int(b)))
-        chunks.append(Chunk(bounds=tuple(bounds)))
+    chunks, pos = read_chunk_table(payload, pos, shape, n_chunks)
     n_frames, n_shards = struct.unpack_from("<II", payload, pos)
     pos += 8
     if n_frames < 1 or n_frames > MAX_FRAMES:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import obs
 from ..errors import InvalidArgumentError
+from ..core.adaptive import CODEC_POLICIES
 from ..core.container import CompressionResult, compress, parse_container
 from ..core.modes import PsnrMode, PweMode, SizeMode
 from .format import (
@@ -61,6 +62,10 @@ class StoreWriter:
     ) -> None:
         if shard_bytes < 1:
             raise InvalidArgumentError("shard_bytes must be positive")
+        if codec not in CODEC_POLICIES:
+            raise InvalidArgumentError(
+                f"store codec must be one of {CODEC_POLICIES}, got {codec!r}"
+            )
         self.path = Path(path)
         if (self.path / INDEX_NAME).exists():
             raise InvalidArgumentError(

@@ -87,3 +87,55 @@ class TestSplitAssemble:
         c = Chunk(bounds=((0, 4), (2, 5)))
         assert c.shape == (4, 3)
         assert c.size == 12
+
+
+class TestReadChunkTable:
+    @staticmethod
+    def _table(chunks):
+        import struct
+
+        return b"".join(
+            struct.pack("<QQ", a, b) for c in chunks for a, b in c.bounds
+        )
+
+    @pytest.mark.parametrize(
+        "shape,spec", [((64,), 32), ((23, 17), (8, 8)), ((9, 10, 11), (4, 5, 3))]
+    )
+    def test_planned_grids_round_trip(self, shape, spec):
+        from repro.core.chunking import read_chunk_table
+
+        chunks = plan_chunks(shape, spec)
+        blob = b"\x00" * 5 + self._table(chunks)
+        parsed, end = read_chunk_table(blob, 5, shape, len(chunks))
+        assert parsed == chunks and end == len(blob)
+        # any permutation of the grid still tiles the volume
+        parsed, _ = read_chunk_table(self._table(chunks[::-1]), 0, shape, len(chunks))
+        assert parsed == chunks[::-1]
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [((0, 8), (0, 5)), ((0, 8), (0, 5))],  # duplicate, hole
+            [((0, 4), (0, 5)), ((4, 8), (0, 5)), ((0, 4), (0, 5))],  # 3 in 2 cells
+            [((0, 8), (0, 4))],  # axis 0 ok, axis 1 short
+            [((0, 8), (0, 3)), ((0, 8), (2, 5))],  # overlap
+            [((0, 4), (0, 5)), ((4, 8), (0, 2)), ((4, 8), (2, 5))],  # not a grid
+            [((0, 9), (0, 5))],  # out of bounds
+            [],  # empty table
+        ],
+    )
+    def test_bad_tables_rejected(self, bounds):
+        from repro.core.chunking import read_chunk_table
+        from repro.errors import StreamFormatError
+
+        table = self._table([Chunk(bounds=b) for b in bounds])
+        with pytest.raises(StreamFormatError):
+            read_chunk_table(table, 0, (8, 5), len(bounds))
+
+    def test_truncated_table_rejected(self):
+        from repro.core.chunking import read_chunk_table
+        from repro.errors import StreamFormatError
+
+        table = self._table(plan_chunks((8,), 4))
+        with pytest.raises(StreamFormatError, match="truncated"):
+            read_chunk_table(table[:-1], 0, (8,), 2)

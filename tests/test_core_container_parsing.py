@@ -72,3 +72,50 @@ class TestParseContainer:
         assert isinstance(parsed, ParsedContainer)
         assert all(isinstance(c, Chunk) for c in parsed.chunks)
         assert all(isinstance(s, bytes) for s in parsed.streams)
+
+
+class TestChunkTableTiling:
+    """A CRC-valid table that overlaps or leaves holes must not decode."""
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        x = np.linspace(0.0, 1.0, 64)
+        return parse_container(repro.compress(x, PweMode(1e-3), chunk_shape=32).payload)
+
+    def _forge(self, parts, bounds):
+        chunks = [Chunk(bounds=b) for b in bounds]
+        return build_container(
+            1, np.dtype(np.float64), 0, (64,), chunks, parts.streams
+        )
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (((0, 32),), ((0, 32),)),  # repeated chunk, samples 32-63 a hole
+            (((0, 40),), ((24, 64),)),  # overlap
+            (((0, 32),), ((33, 64),)),  # one-sample hole
+            (((32, 64),), ((32, 64),)),
+        ],
+    )
+    def test_forged_table_rejected(self, parts, bounds):
+        forged = self._forge(parts, bounds)
+        with pytest.raises(StreamFormatError, match="chunk table"):
+            parse_container(forged)
+        with pytest.raises(StreamFormatError, match="chunk table"):
+            repro.decompress(forged)
+        with pytest.raises(StreamFormatError, match="chunk table"):
+            repro.decompress(forged, on_error="salvage")
+
+    def test_permuted_grid_still_decodes(self, parts):
+        forged = build_container(
+            1,
+            np.dtype(np.float64),
+            0,
+            (64,),
+            [parts.chunks[1], parts.chunks[0]],
+            parts.streams[::-1],
+        )
+        expected = repro.decompress(
+            build_container(1, np.dtype(np.float64), 0, (64,), parts.chunks, parts.streams)
+        )
+        np.testing.assert_array_equal(repro.decompress(forged), expected)

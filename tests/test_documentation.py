@@ -100,3 +100,67 @@ class TestRepoDocuments:
         assert "Experiment index" in text
         for bench in ("bench_fig8", "bench_fig9", "bench_fig11"):
             assert bench in text
+
+
+def _magic_constants() -> dict[str, bytes]:
+    """Every magic-bytes constant in the package, keyed by its location.
+
+    Module attributes whose name contains ``MAGIC`` count when they are
+    bytes, or dicts/tuples of bytes (``_MAGIC_BY_VERSION``,
+    ``LEGACY_MAGICS``).
+    """
+    import pkgutil
+
+    import repro
+
+    found: dict[str, bytes] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for attr, value in vars(module).items():
+            if "MAGIC" not in attr:
+                continue
+            if isinstance(value, dict):
+                value = tuple(value.values())
+            values = value if isinstance(value, tuple) else (value,)
+            for i, v in enumerate(values):
+                if isinstance(v, bytes):
+                    found[f"{info.name}.{attr}[{i}]"] = v
+    return found
+
+
+class TestFormatDocument:
+    """``docs/file-format.md`` must track the code's format constants."""
+
+    TEXT = (ROOT / "docs" / "file-format.md").read_text()
+
+    def test_scan_finds_every_format_family(self):
+        magics = set(_magic_constants().values())
+        for expected in (
+            b"SPRRPY4\x00", b"SPRRIDX3", b"SPRRSHD1", b"RAW1", b"SZX1",
+            b"MSK1", b"SZLK", b"ZFPL", b"TTHL", b"MGDL", b"SPRRTS1\x00",
+            b"CHNK", b"CHK2", b"CHK3", b"MSKW", b"SZXF",
+        ):
+            assert expected in magics, expected
+
+    def test_every_magic_is_documented(self):
+        missing = {
+            where: magic
+            for where, magic in _magic_constants().items()
+            if f"`{magic.decode('ascii').replace(chr(0), chr(92) + '0')}`"
+            not in self.TEXT
+        }
+        assert not missing, f"docs/file-format.md lacks magics {missing}"
+
+    def test_every_codec_tag_is_documented(self):
+        import re
+
+        from repro.core.adaptive import CODEC_NAMES
+
+        for tag, name in CODEC_NAMES.items():
+            row = rf"^\| {tag} \| `{re.escape(name)}` \|"
+            assert re.search(row, self.TEXT, re.M), (tag, name)
+        rows = re.findall(r"^\| (\d+) \| `", self.TEXT, re.M)
+        assert sorted(map(int, rows)) == sorted(CODEC_NAMES)
+
+    def test_no_second_format_document(self):
+        assert not (ROOT / "docs" / "format.md").exists()

@@ -2,8 +2,8 @@
 
 Paper Sec. III-D: chunk parallelism must not change the bitstream — the
 chunks are independent and results are concatenated deterministically.
-These tests pin that contract for the SPERR container and the chunked
-baseline wrapper, including the shared-memory process path.
+These tests pin that contract for the SPERR container, including the
+baseline codec tags and the shared-memory process path.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import pytest
 from repro.core import PweMode, compress, decompress
 from repro.core.chunking import plan_chunks
 from repro.core.parallel import map_chunk_arrays
-from repro.compressors import ChunkedCompressor, ZfpLikeCompressor
+from repro.compressors import PsnrMode
+from repro.core.adaptive import BASELINE_TAGS
 
 EXECUTORS = ["serial", "thread", "process", "batch"]
 
@@ -40,19 +41,22 @@ class TestSperrContainerEquivalence:
         assert np.max(np.abs(rec_serial - volume)) <= mode.tolerance
 
 
-class TestChunkedBaselineEquivalence:
+class TestBaselineEquivalence:
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_zfp_chunked_matches_serial(self, volume, executor):
-        mode = PweMode(1e-2)
-        serial = ChunkedCompressor(ZfpLikeCompressor(), 20).compress(volume, mode)
-        comp = ChunkedCompressor(
-            ZfpLikeCompressor(), 20, executor=executor, workers=2
-        )
-        payload = comp.compress(volume, mode)
-        assert payload == serial
+    @pytest.mark.parametrize("codec", sorted(BASELINE_TAGS))
+    def test_matches_serial(self, volume, codec, executor):
+        mode = PsnrMode(60.0) if codec == "tthresh-like" else PweMode(1e-2)
+        serial = compress(
+            volume, mode, codec=codec, chunk_shape=20, executor="serial"
+        ).payload
+        other = compress(
+            volume, mode, codec=codec, chunk_shape=20, executor=executor,
+            workers=2,
+        ).payload
+        assert other == serial
         np.testing.assert_array_equal(
-            comp.decompress(payload),
-            ChunkedCompressor(ZfpLikeCompressor(), 20).decompress(serial),
+            decompress(other, executor=executor, workers=2),
+            decompress(serial, executor="serial"),
         )
 
 

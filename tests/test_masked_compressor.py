@@ -1,9 +1,10 @@
-"""Tests for :class:`repro.compressors.MaskedCompressor`.
+"""NaN/Inf masks and dtype for the baseline codecs, via the container.
 
-The wrapper gives every baseline codec the same NaN/Inf and dtype
-robustness the native pipeline has, without touching the inner stream
-format: finite float64 inputs pass through byte-identically, everything
-else rides in an ``MSKW`` frame around the untouched inner payload.
+Every baseline runs as a codec tag inside the SPERR container, so it
+gets the same input hardening as the native pipeline: non-finite
+samples are masked and filled before the codec sees them, the mask
+rides in the container's CRC-checked mask section, and float32 inputs
+come back as float32.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compressors import ALL_COMPRESSORS, MaskedCompressor
-from repro.compressors.szlike import SzLikeCompressor
-from repro.compressors.zfplike import ZfpLikeCompressor
+import repro
+from repro.compressors.base import PsnrMode
+from repro.core.adaptive import BASELINE_TAGS
+from repro.core.container import parse_container
 from repro.core.modes import PweMode
-from repro.errors import IntegrityError, InvalidArgumentError, ReproError
+from repro.errors import IntegrityError, ReproError
 
 TOL = 1e-3
+
+BASELINES = tuple(BASELINE_TAGS)
 
 
 @pytest.fixture(scope="module")
@@ -35,92 +39,76 @@ def masked(field):
     return data
 
 
-class TestPassthrough:
-    def test_finite_float64_is_byte_identical(self, field):
-        inner = SzLikeCompressor()
-        wrapped = MaskedCompressor(SzLikeCompressor())
-        mode = PweMode(TOL)
-        assert wrapped.compress(field, mode) == inner.compress(field, mode)
+def _mode(name: str):
+    return PsnrMode(60.0) if name == "tthresh-like" else PweMode(TOL)
 
-    def test_decompress_falls_back_to_inner_payload(self, field):
-        inner = SzLikeCompressor()
-        wrapped = MaskedCompressor(SzLikeCompressor())
-        payload = inner.compress(field, PweMode(TOL))
-        out = wrapped.decompress(payload)
-        np.testing.assert_array_equal(out, inner.decompress(payload))
+
+def _compress(name: str, data: np.ndarray):
+    return repro.compress(data, _mode(name), codec=name, chunk_shape=10)
 
 
 class TestMaskedRoundtrip:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_nan_positions_and_dtype(self, masked, dtype):
         data = masked.astype(dtype)
-        codec = MaskedCompressor(SzLikeCompressor())
-        out = codec.decompress(codec.compress(data, PweMode(TOL)))
-        assert out.dtype == data.dtype
-        assert np.array_equal(np.isnan(out), np.isnan(data))
-        assert np.array_equal(np.isposinf(out), np.isposinf(data))
-        assert np.array_equal(np.isneginf(out), np.isneginf(data))
-        valid = np.isfinite(data)
-        assert np.abs(out[valid] - data[valid]).max() <= TOL * (1 + 1e-9)
+        for name in BASELINES:
+            out = repro.decompress(_compress(name, data).payload)
+            assert out.dtype == data.dtype, name
+            assert np.array_equal(np.isnan(out), np.isnan(data)), name
+            assert np.array_equal(np.isposinf(out), np.isposinf(data)), name
+            assert np.array_equal(np.isneginf(out), np.isneginf(data)), name
+            if name != "tthresh-like":
+                valid = np.isfinite(data)
+                err = np.abs(out[valid] - data[valid]).max()
+                assert err <= TOL * (1 + 1e-9), name
 
     def test_float32_finite_gets_framed(self, field):
-        codec = MaskedCompressor(SzLikeCompressor())
-        payload = codec.compress(field.astype(np.float32), PweMode(TOL))
-        assert payload[:4] == b"MSKW"
-        out = codec.decompress(payload)
-        assert out.dtype == np.float32
+        for name in BASELINES:
+            payload = _compress(name, field.astype(np.float32)).payload
+            parsed = parse_container(payload)
+            assert parsed.dtype == np.float32 and parsed.mask_blob is None
+            assert repro.decompress(payload).dtype == np.float32, name
 
     def test_degradation_notes_surface(self, masked):
-        codec = MaskedCompressor(SzLikeCompressor())
-        codec.compress(masked, PweMode(TOL))
-        assert any(n.kind == "masked_input" for n in codec.last_notes)
+        for name in BASELINES:
+            notes = _compress(name, masked).notes
+            assert any(n.kind == "masked_input" for n in notes), name
 
 
 class TestFraming:
     def test_header_crc_guards_fields(self, masked):
-        codec = MaskedCompressor(SzLikeCompressor())
-        payload = bytearray(codec.compress(masked, PweMode(TOL)))
-        payload[10] ^= 0xFF  # inside the CRC-protected header
-        with pytest.raises(ReproError):
-            codec.decompress(bytes(payload))
+        for name in BASELINES:
+            payload = bytearray(_compress(name, masked).payload)
+            payload[10] ^= 0xFF  # mode code, inside the CRC-protected header
+            with pytest.raises(IntegrityError, match="header CRC"):
+                repro.decompress(bytes(payload))
 
     def test_mask_blob_crc_checked(self, masked):
-        codec = MaskedCompressor(SzLikeCompressor())
-        payload = codec.compress(masked, PweMode(TOL))
-        # Damage a byte inside the mask blob (after the fixed header).
-        buf = bytearray(payload)
-        buf[30] ^= 0xFF
-        with pytest.raises((IntegrityError, ReproError)):
-            codec.decompress(bytes(buf))
+        for name in BASELINES:
+            payload = _compress(name, masked).payload
+            parsed = parse_container(payload)
+            # The mask blob sits right before the chunk streams.
+            start = len(payload) - sum(len(s) for s in parsed.streams) - 1
+            bad = bytearray(payload)
+            bad[start] ^= 0xFF
+            with pytest.raises(IntegrityError, match="mask CRC"):
+                repro.decompress(bytes(bad))
+            salvaged = repro.decompress(bytes(bad), on_error="salvage")
+            assert any("mask" in n for n in salvaged.report.notes), name
 
     def test_truncation_raises_repro_error(self, masked):
-        codec = MaskedCompressor(SzLikeCompressor())
-        payload = codec.compress(masked, PweMode(TOL))
-        for cut in (3, 8, 20, len(payload) - 5):
-            with pytest.raises(ReproError):
-                codec.decompress(payload[:cut])
-
-    def test_nesting_refused(self):
-        with pytest.raises(InvalidArgumentError):
-            MaskedCompressor(MaskedCompressor(SzLikeCompressor()))
-
-    def test_name_reflects_inner(self):
-        assert MaskedCompressor(ZfpLikeCompressor()).name == "zfp-like+mask"
+        for name in BASELINES:
+            payload = _compress(name, masked).payload
+            for cut in (3, 8, 20, len(payload) - 5):
+                with pytest.raises(ReproError):
+                    repro.decompress(payload[:cut])
 
 
 class TestAllBaselines:
-    @pytest.mark.parametrize(
-        "key", [k for k in sorted(ALL_COMPRESSORS) if k != "sperr"]
-    )
+    @pytest.mark.parametrize("key", sorted((*BASELINES, "szx-like")))
     def test_every_baseline_wraps(self, masked, key):
-        codec = MaskedCompressor(ALL_COMPRESSORS[key]())
-        mode = (
-            PweMode(TOL)
-            if key != "tthresh-like"
-            else __import__(
-                "repro.compressors.base", fromlist=["PsnrMode"]
-            ).PsnrMode(60.0)
-        )
-        out = codec.decompress(codec.compress(masked, mode))
+        codec = "fast" if key == "szx-like" else key
+        payload = repro.compress(masked, _mode(key), codec=codec).payload
+        out = repro.decompress(payload)
         assert out.dtype == masked.dtype
         assert np.array_equal(np.isnan(out), np.isnan(masked))

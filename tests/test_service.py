@@ -432,6 +432,14 @@ class TestServerEndpoints:
         with pytest.raises(ReproError):
             client.compress(data)  # no mode given: rejected client-side
 
+    def test_compress_accepts_only_routing_policies(self, client):
+        data = _field((16, 16), seed=2)
+        for codec in ("zfp-like", "turbo"):
+            with pytest.raises(ServiceError) as err:
+                client.compress(data, pwe=PWE, codec=codec)
+            assert err.value.code == "bad_request"
+        assert client.ping()
+
     def test_unknown_request_kind_is_structured(self, client):
         with pytest.raises(ServiceError) as err:
             client._request(77, {})

@@ -144,3 +144,22 @@ class TestMaskedFrames:
         assert payload.startswith(b"SPRRIDX1")
         info = open_store(tmp_path / "s").info()
         assert info["masked_frames"] == []
+
+
+class TestIndexChunkTable:
+    def test_repeated_chunk_in_index_rejected(self, tmp_path):
+        import dataclasses
+
+        from repro.store import pack_index
+
+        x = np.linspace(0.0, 1.0, 64)
+        write_store(tmp_path / "s", x, PweMode(TOL), chunk_shape=32)
+        index = parse_index((tmp_path / "s" / INDEX_NAME).read_bytes())
+        assert len(index.chunks) == 2
+        forged = dataclasses.replace(index, chunks=[index.chunks[0]] * 2)
+        payload = pack_index(forged)  # CRC-valid: the index CRC is recomputed
+        with pytest.raises(ReproError, match="chunk table"):
+            parse_index(payload)
+        (tmp_path / "s" / INDEX_NAME).write_bytes(payload)
+        with pytest.raises(ReproError, match="chunk table"):
+            open_store(tmp_path / "s")
