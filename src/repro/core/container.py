@@ -79,7 +79,7 @@ from .adaptive import (
     decode_stored_chunk,
     encode_stored_chunk,
 )
-from .chunking import Chunk, assemble, plan_chunks, read_chunk_table
+from .chunking import Chunk, assemble, group_by_shape, plan_chunks, read_chunk_table
 from .mask import (
     DegradationNote,
     apply_mask,
@@ -90,7 +90,7 @@ from .mask import (
 )
 from .modes import PsnrMode, PweMode, SizeMode
 from .parallel import map_chunk_arrays, robust_chunk_map
-from .pipeline import ChunkReport, compress_chunk, decompress_chunk
+from .pipeline import ChunkReport, compress_stack, decompress_chunk, psnr_target_rmse
 
 __all__ = [
     "CompressionResult",
@@ -177,23 +177,34 @@ class CompressionResult:
         return sum(r.n_outliers for r in self.reports)
 
 
-def _compress_chunk_job(
-    part: np.ndarray,
+def _compress_stack_job(
+    stack: np.ndarray,
     mode: PweMode | SizeMode | PsnrMode,
     wavelet: str,
     levels: int | None,
     lossless_method: str,
-) -> tuple[bytes, ChunkReport]:
-    """Module-level chunk job (picklable for the process executor).
+    target_rmse: float | None,
+) -> list[tuple[bytes, ChunkReport]]:
+    """Compress a ``(lanes, *shape)`` stack of sperr chunks and pack each.
 
     The lossless final pass runs here — inside the executor — so chunked
     compression parallelizes the entropy-coding stage along with the
     transform/SPECK stages instead of serializing it in the parent.
     """
-    raw, report = compress_chunk(part, mode, wavelet=wavelet, levels=levels)
-    packed = lossless.compress(raw, method=lossless_method)
-    report.total_nbytes = len(packed)
-    return packed, report
+    out = compress_stack(
+        stack, mode, wavelet=wavelet, levels=levels, target_rmse=target_rmse
+    )
+    for lane, (raw, report) in enumerate(out):
+        packed = lossless.compress(raw, method=lossless_method)
+        report.total_nbytes = len(packed)
+        out[lane] = (packed, report)
+    return out
+
+
+def _compress_chunk_job(part: np.ndarray, *args) -> tuple[bytes, ChunkReport]:
+    """One chunk as a stack of one (module-level, picklable for the
+    process executor)."""
+    return _compress_stack_job(part[None], *args)[0]
 
 
 def _compress_baseline_job(
@@ -387,46 +398,17 @@ def _compress_impl(
         executor=executor,
         codec=codec,
     ):
-        if not tags.any():
-            if executor == "batch" and len(chunks) > 1 and not isinstance(mode, PsnrMode):
-                # Same-shaped chunks traverse each stage as one stacked numpy
-                # call; output streams are byte-identical to the serial loop.
-                from .batch import compress_chunks_batched
-
-                results = compress_chunks_batched(
-                    data,
-                    chunks,
-                    mode,
-                    wavelet=wavelet,
-                    levels=levels,
-                    lossless_method=lossless_method,
-                )
-            else:
-                # Chunks are sliced inside the executor: the process path
-                # ships the volume through shared memory once instead of
-                # pickling every chunk.  ``batch`` with a single chunk (or
-                # PSNR mode, whose per-chunk calibration is sequential)
-                # degrades to the serial reference loop.
-                results = map_chunk_arrays(
-                    _compress_chunk_job,
-                    data,
-                    chunks,
-                    args=(mode, wavelet, levels, lossless_method),
-                    executor=executor,
-                    workers=workers,
-                )
-        else:
-            results = _compress_parts_mixed(
-                data,
-                chunks,
-                tags,
-                mode,
-                wavelet=wavelet,
-                levels=levels,
-                lossless_method=lossless_method,
-                executor=executor,
-                workers=workers,
-            )
+        results = _compress_parts(
+            data,
+            chunks,
+            tags,
+            mode,
+            wavelet=wavelet,
+            levels=levels,
+            lossless_method=lossless_method,
+            executor=executor,
+            workers=workers,
+        )
         streams = [packed for packed, _ in results]
         reports = [report for _, report in results]
 
@@ -469,7 +451,7 @@ def _fast_tier_report(
     )
 
 
-def _compress_parts_mixed(
+def _compress_parts(
     data: np.ndarray,
     chunks: list[Chunk],
     tags: np.ndarray,
@@ -481,14 +463,16 @@ def _compress_parts_mixed(
     executor: str,
     workers: int | None,
 ) -> list[tuple[bytes, ChunkReport]]:
-    """Compress a mixed-codec chunk plan, lane by lane.
+    """Compress every chunk under its codec tag; results in chunk order.
 
-    sperr-tagged chunks keep their batched/parallel path; szx-tagged
+    sperr-tagged chunks run through :func:`compress_stack`: one call per
+    shape group under ``batch``, one stack of one per chunk under the
+    other executors, which fan the chunks out.  The PSNR target is
+    resolved once from the whole field.  szx-tagged
     chunks run through one stacked :func:`encode_chunks` kernel call
     (which is byte-identical chunk-by-chunk to serial encoding); stored
     chunks are framed verbatim; baseline-tagged chunks fan out through
-    the executor (``batch`` degrades to serial).  Results come back in
-    chunk order.
+    the executor (``batch`` degrades to serial).
     """
     results: list[tuple[bytes, ChunkReport] | None] = [None] * len(chunks)
     sperr_idx = [i for i, t in enumerate(tags) if t == CODEC_SPERR]
@@ -497,28 +481,27 @@ def _compress_parts_mixed(
 
     if sperr_idx:
         sub = [chunks[i] for i in sperr_idx]
-        if executor == "batch" and len(sub) > 1 and not isinstance(mode, PsnrMode):
-            from .batch import compress_chunks_batched
-
-            pairs = compress_chunks_batched(
-                data,
-                sub,
-                mode,
-                wavelet=wavelet,
-                levels=levels,
-                lossless_method=lossless_method,
-            )
+        args = (mode, wavelet, levels, lossless_method, psnr_target_rmse(mode, data))
+        if executor == "batch":
+            # Same-shaped chunks traverse each stage as one stacked call.
+            for _, members in group_by_shape(sub):
+                stack = np.stack([data[sub[j].slices()] for j in members])
+                for j, pair in zip(members, _compress_stack_job(stack, *args)):
+                    results[sperr_idx[j]] = pair
         else:
+            # Chunks are sliced inside the executor: the process path
+            # ships the volume through shared memory once instead of
+            # pickling every chunk.
             pairs = map_chunk_arrays(
                 _compress_chunk_job,
                 data,
                 sub,
-                args=(mode, wavelet, levels, lossless_method),
+                args=args,
                 executor=executor,
                 workers=workers,
             )
-        for i, pair in zip(sperr_idx, pairs):
-            results[i] = pair
+            for i, pair in zip(sperr_idx, pairs):
+                results[i] = pair
 
     # fast/adaptive policies guarantee PweMode before any chunk is
     # tagged szx or stored (see choose_codecs).

@@ -9,10 +9,11 @@ parallel structure with three executors:
 * ``thread``  — ``concurrent.futures.ThreadPoolExecutor``; numpy releases
   the GIL in the heavy kernels so threads do overlap;
 * ``process`` — ``ProcessPoolExecutor`` for full core isolation;
-* ``batch``   — in-process stacked-lane kernels over same-shaped chunks
-  (see :mod:`repro.core.batch`).  Only the compression fan-out has a
-  dedicated batched implementation; everywhere else ``batch`` degrades
-  to the serial loop, so it is always safe to request.
+* ``batch``   — in-process, one stacked call per group of same-shaped
+  chunks.  Only SPERR compression has stacked kernels
+  (:func:`repro.core.pipeline.compress_stack`, grouped by the
+  container); every map in this module treats ``batch`` as ``serial``,
+  so it is always safe to request.
 
 Two throughput mechanisms back the executors:
 

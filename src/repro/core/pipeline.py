@@ -23,15 +23,26 @@ import numpy as np
 from ..bitstream import HEADER_SIZE, ChunkHeader, ChunkParams
 from ..errors import InvalidArgumentError, StreamFormatError
 from ..obs import add_counter, span
-from ..outlier import OutlierCoder, encode_outliers, locate_outliers
-from ..speck import SpeckStats, decode_coefficients, encode_coefficients
+from ..outlier import (
+    OutlierCoder,
+    OutlierEncoding,
+    encode_outliers_batch,
+    locate_outliers_batch,
+)
+from ..speck import SpeckStats, decode_coefficients, encode_coefficients_batch
 from ..quant import calibrate_step
-from ..wavelets import forward as dwt_forward
 from ..wavelets import inverse as dwt_inverse
+from ..wavelets.dwt import forward_batch, inverse_batch
 from .modes import PsnrMode, PweMode, SizeMode
 from .plans import wavelet_plan
 
-__all__ = ["ChunkReport", "compress_chunk", "decompress_chunk"]
+__all__ = [
+    "ChunkReport",
+    "compress_chunk",
+    "compress_stack",
+    "decompress_chunk",
+    "psnr_target_rmse",
+]
 
 #: Size-mode quantization: q = max|coefficient| / 2**SIZE_MODE_PLANES, deep
 #: enough that any practical bit budget truncates before precision runs out.
@@ -84,6 +95,26 @@ def _shape3(shape: tuple[int, ...]) -> tuple[int, int, int]:
     return tuple(list(shape) + [1] * (3 - len(shape)))  # type: ignore[return-value]
 
 
+def psnr_target_rmse(
+    mode: PweMode | SizeMode | PsnrMode, data: np.ndarray
+) -> float | None:
+    """The RMSE a :class:`PsnrMode` target allows on ``data``; ``None``
+    for every other mode.
+
+    PSNR is a property of the whole field, so the container resolves it
+    once from the full (sanitized) array and codes every chunk against
+    the same RMSE, the way :func:`~repro.core.mask.tighten_pwe_for_dtype`
+    resolves a PWE bound once.  A constant field has no range; it falls
+    back to ``max(1, |x|)``.
+    """
+    if not isinstance(mode, PsnrMode):
+        return None
+    rng = float(data.max()) - float(data.min())
+    if rng == 0.0:
+        rng = max(1.0, abs(float(data.flat[0])))
+    return rng / (10.0 ** (mode.psnr_db / 20.0))
+
+
 def compress_chunk(
     data: np.ndarray,
     mode: PweMode | SizeMode | PsnrMode,
@@ -94,114 +125,130 @@ def compress_chunk(
     """Compress one chunk; returns ``(stream, report)``.
 
     The stream is self-contained: fixed 20-byte header, parameter block,
-    SPECK section, optional outlier section.
+    SPECK section, optional outlier section.  This is
+    :func:`compress_stack` on a stack of one.
     """
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim < 1 or data.ndim > 3:
-        raise InvalidArgumentError("chunks must be 1-D, 2-D, or 3-D")
-    if not np.all(np.isfinite(data)):
-        raise InvalidArgumentError("input contains NaN or Inf")
-    with span("chunk.compress", shape=data.shape):
-        return _compress_chunk_body(data, mode, wavelet, levels)
+    return compress_stack(data[None], mode, wavelet=wavelet, levels=levels)[0]
 
 
-def _compress_chunk_body(
-    data: np.ndarray,
+def compress_stack(
+    stack: np.ndarray,
     mode: PweMode | SizeMode | PsnrMode,
-    wavelet: str,
-    levels: int | None,
-) -> tuple[bytes, ChunkReport]:
-    """The four compression stages, inside the ``chunk.compress`` span."""
-    is_double = True  # numpy pipeline runs in float64 throughout
+    *,
+    wavelet: str = "cdf97",
+    levels: int | None = None,
+    target_rmse: float | None = None,
+) -> list[tuple[bytes, ChunkReport]]:
+    """Compress a ``(lanes, *shape)`` stack of same-shaped chunks.
 
-    t0 = time.perf_counter()
-    with span("wavelet.forward", wavelet=wavelet):
-        coeffs, plan = dwt_forward(data, wavelet=wavelet, levels=levels)
-    t1 = time.perf_counter()
+    Every stage runs once over the whole stack; lane ``l`` of the result
+    is the self-contained stream of chunk ``stack[l]``, independent of
+    the other lanes.  In PSNR mode every lane is calibrated against
+    ``target_rmse`` (default: resolved from the whole stack, see
+    :func:`psnr_target_rmse`).
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    n_lanes = stack.shape[0]
+    shape = stack.shape[1:]
+    if len(shape) < 1 or len(shape) > 3:
+        raise InvalidArgumentError("chunks must be 1-D, 2-D, or 3-D")
+    if not np.all(np.isfinite(stack)):
+        raise InvalidArgumentError("input contains NaN or Inf")
+    chunk_size = int(np.prod(shape))
 
-    if isinstance(mode, PweMode):
-        q = mode.q
-        tolerance = mode.tolerance
-        max_bits = None
-    elif isinstance(mode, PsnrMode):
-        # Sec. VII average-error mode: near-orthogonality of CDF 9/7
-        # equates coefficient-domain and data-domain RMS error, so the
-        # step is calibrated on the coefficients directly — no inverse
-        # transform, no outlier pass.
-        rng = float(data.max() - data.min())
-        if rng == 0.0:
-            rng = max(1.0, abs(float(data.flat[0])))
-        target_rmse = rng / (10.0 ** (mode.psnr_db / 20.0))
-        q = calibrate_step(coeffs, target_rmse, margin=0.8)
+    with span("chunk.compress", shape=shape, lanes=n_lanes):
+        t0 = time.perf_counter()
+        with span("wavelet.forward", wavelet=wavelet, lanes=n_lanes):
+            plan = wavelet_plan(shape, wavelet=wavelet, levels=levels)
+            coeffs = forward_batch(stack, plan)
+        t1 = time.perf_counter()
+
         tolerance = 0.0
         max_bits = None
-    else:
-        max_abs = float(np.abs(coeffs).max())
-        q = max_abs / float(2**SIZE_MODE_PLANES) if max_abs > 0 else 1.0
-        tolerance = 0.0
-        overhead_bits = 8 * (HEADER_SIZE + ChunkParams.SIZE)
-        max_bits = max(64, int(mode.bpp * data.size) - overhead_bits)
+        if isinstance(mode, PweMode):
+            q = np.full(n_lanes, mode.q)
+            tolerance = mode.tolerance
+        elif isinstance(mode, PsnrMode):
+            # Sec. VII average-error mode: near-orthogonality of CDF 9/7
+            # equates coefficient-domain and data-domain RMS error, so the
+            # step is calibrated on each lane's coefficients directly — no
+            # inverse transform, no outlier pass.
+            if target_rmse is None:
+                target_rmse = psnr_target_rmse(mode, stack)
+            q = np.array([calibrate_step(c, target_rmse, margin=0.8) for c in coeffs])
+        else:
+            max_abs = np.abs(coeffs).reshape(n_lanes, -1).max(axis=1)
+            q = np.where(max_abs > 0, max_abs / float(2**SIZE_MODE_PLANES), 1.0)
+            overhead_bits = 8 * (HEADER_SIZE + ChunkParams.SIZE)
+            max_bits = max(64, int(mode.bpp * chunk_size) - overhead_bits)
 
-    speck_stream, speck_nbits, stats, coeff_recon = encode_coefficients(
-        coeffs, q, max_bits=max_bits
-    )
-    t2 = time.perf_counter()
+        encoded, coeff_recon = encode_coefficients_batch(coeffs, q, max_bits=max_bits)
+        t2 = time.perf_counter()
 
-    outlier_stream = b""
-    outlier_nbits = 0
-    n_outliers = 0
-    t3 = t2
-    t4 = t2
-    if isinstance(mode, PweMode):
-        with span("wavelet.inverse", wavelet=wavelet):
-            recon = dwt_inverse(coeff_recon, plan)
-        positions, corrections = locate_outliers(data, recon, tolerance)
-        n_outliers = int(positions.size)
-        t3 = time.perf_counter()
-        if n_outliers:
-            enc = encode_outliers(positions, corrections, data.size, tolerance)
-            outlier_stream = enc.stream
-            outlier_nbits = enc.nbits
-        t4 = time.perf_counter()
+        outliers = [OutlierEncoding(b"", 0, 0)] * n_lanes
+        t3 = t4 = t2
+        if isinstance(mode, PweMode):
+            with span("wavelet.inverse", wavelet=wavelet, lanes=n_lanes):
+                recon = inverse_batch(coeff_recon, plan)
+            lanes, positions, corrections = locate_outliers_batch(
+                stack, recon, tolerance
+            )
+            t3 = time.perf_counter()
+            # Only lanes that have outliers get an outlier section.
+            coded, rows = np.unique(lanes, return_inverse=True)
+            if coded.size:
+                encodings = encode_outliers_batch(
+                    rows, positions, corrections, coded.size, chunk_size, tolerance
+                )
+                for lane, enc in zip(coded, encodings):
+                    outliers[lane] = enc
+            t4 = time.perf_counter()
 
-    header = ChunkHeader(
-        shape=_shape3(data.shape),
-        speck_nbytes=len(speck_stream),
-        is_double=is_double,
-        pwe_mode=isinstance(mode, PweMode),
-        has_outliers=n_outliers > 0,
-    )
-    params = ChunkParams(
-        q=q,
-        tolerance=tolerance,
-        speck_nbits=speck_nbits,
-        outlier_nbits=outlier_nbits,
-        outlier_nbytes=len(outlier_stream),
-        wavelet=wavelet,
-        levels=levels,
-    )
-    stream = header.pack() + params.pack() + speck_stream + outlier_stream
-    add_counter("speck.bits", speck_nbits)
-    add_counter("outlier.bits", outlier_nbits)
-    add_counter("outlier.count", n_outliers)
-    add_counter("chunk.bytes", len(stream))
-    report = ChunkReport(
-        shape=data.shape,
-        q=q,
-        tolerance=tolerance,
-        speck_nbits=speck_nbits,
-        outlier_nbits=outlier_nbits,
-        n_outliers=n_outliers,
-        total_nbytes=len(stream),
-        timings={
-            "transform": t1 - t0,
-            "speck": t2 - t1,
-            "locate": t3 - t2,
-            "outlier_code": t4 - t3,
-        },
-        speck_stats=stats,
-    )
-    return stream, report
+        timings = {
+            "transform": (t1 - t0) / n_lanes,
+            "speck": (t2 - t1) / n_lanes,
+            "locate": (t3 - t2) / n_lanes,
+            "outlier_code": (t4 - t3) / n_lanes,
+        }
+        out: list[tuple[bytes, ChunkReport]] = []
+        for lane in range(n_lanes):
+            speck_stream, speck_nbits, stats = encoded[lane]
+            outlier = outliers[lane]
+            header = ChunkHeader(
+                shape=_shape3(shape),
+                speck_nbytes=len(speck_stream),
+                is_double=True,  # numpy pipeline runs in float64 throughout
+                pwe_mode=isinstance(mode, PweMode),
+                has_outliers=outlier.n_outliers > 0,
+            )
+            params = ChunkParams(
+                q=float(q[lane]),
+                tolerance=tolerance,
+                speck_nbits=speck_nbits,
+                outlier_nbits=outlier.nbits,
+                outlier_nbytes=len(outlier.stream),
+                wavelet=wavelet,
+                levels=levels,
+            )
+            stream = header.pack() + params.pack() + speck_stream + outlier.stream
+            add_counter("speck.bits", speck_nbits)
+            add_counter("outlier.bits", outlier.nbits)
+            add_counter("outlier.count", outlier.n_outliers)
+            add_counter("chunk.bytes", len(stream))
+            report = ChunkReport(
+                shape=shape,
+                q=float(q[lane]),
+                tolerance=tolerance,
+                speck_nbits=speck_nbits,
+                outlier_nbits=outlier.nbits,
+                n_outliers=outlier.n_outliers,
+                total_nbytes=len(stream),
+                timings=dict(timings),
+                speck_stats=stats,
+            )
+            out.append((stream, report))
+    return out
 
 
 def decompress_chunk(

@@ -37,8 +37,14 @@ from ..errors import InvalidArgumentError
 from ..obs import span
 from ..quant import integerize
 from ..speck import codec as _speck_codec
+from ..speck.batched import encode_batch
 
-__all__ = ["OutlierCoder", "encode_outliers", "decode_outliers"]
+__all__ = [
+    "OutlierCoder",
+    "encode_outliers",
+    "encode_outliers_batch",
+    "decode_outliers",
+]
 
 
 @dataclass(frozen=True)
@@ -76,19 +82,14 @@ class OutlierCoder:
             raise InvalidArgumentError("outlier position out of range")
         if np.unique(positions).size != positions.size:
             raise InvalidArgumentError("duplicate outlier positions")
-
-        # Quantize only the sparse corrections and scatter the integer
-        # magnitudes: elementwise quantization of the implicit zeros is a
-        # no-op, so this is bit-identical to quantizing the dense array
-        # while skipping four full-domain float passes.
-        with span("outlier.encode", n_outliers=int(positions.size)):
-            mags, negative = integerize(corrections, self.tolerance)
-            dense_mags = np.zeros(self.n, dtype=np.uint64)
-            dense_neg = np.zeros(self.n, dtype=bool)
-            dense_mags[positions] = mags
-            dense_neg[positions] = negative
-            stream, nbits, _ = _speck_codec.encode(dense_mags, dense_neg)
-        return OutlierEncoding(stream=stream, nbits=nbits, n_outliers=positions.size)
+        return encode_outliers_batch(
+            np.zeros(positions.size, dtype=np.int64),
+            positions,
+            corrections,
+            1,
+            self.n,
+            self.tolerance,
+        )[0]
 
     def decode(self, stream: bytes, nbits: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Decode to ``(positions, corrections)``; corrections are the
@@ -115,6 +116,37 @@ def encode_outliers(
 ) -> OutlierEncoding:
     """One-shot outlier encoding (see :class:`OutlierCoder`)."""
     return OutlierCoder(n, tolerance).encode(positions, corrections)
+
+
+def encode_outliers_batch(
+    lanes: np.ndarray,
+    positions: np.ndarray,
+    corrections: np.ndarray,
+    n_lanes: int,
+    n: int,
+    tolerance: float,
+) -> list[OutlierEncoding]:
+    """Encode the outliers of ``n_lanes`` length-``n`` domains in one pass.
+
+    Outlier ``i`` sits at ``positions[i]`` of lane ``lanes[i]``; every
+    lane gets a stream, including lanes without outliers.  Only the
+    sparse corrections are quantized before being scattered into the
+    dense ``(n_lanes, n)`` magnitudes: quantizing the implicit zeros is
+    a no-op, so this equals quantizing the dense array while skipping
+    four full-domain float passes.
+    """
+    with span("outlier.encode", n_outliers=int(positions.size), lanes=n_lanes):
+        mags, negative = integerize(corrections, tolerance)
+        dense_mags = np.zeros((n_lanes, n), dtype=np.uint64)
+        dense_neg = np.zeros((n_lanes, n), dtype=bool)
+        dense_mags[lanes, positions] = mags
+        dense_neg[lanes, positions] = negative
+        encoded = encode_batch(dense_mags, dense_neg)
+    counts = np.bincount(lanes, minlength=n_lanes)
+    return [
+        OutlierEncoding(stream=stream, nbits=nbits, n_outliers=int(count))
+        for (stream, nbits, _), count in zip(encoded, counts)
+    ]
 
 
 def decode_outliers(

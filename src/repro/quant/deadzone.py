@@ -26,20 +26,16 @@ def integerize(values: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(mags, negative)`` where ``mags[i] = floor(|values[i]| / q)``
     as ``uint64`` and ``negative`` is a boolean sign array.  A magnitude of
-    zero means the value falls in the dead zone ``[-q, q]``.
+    zero means the value falls in the dead zone ``[-q, q]``.  This is
+    :func:`integerize_batch` on a stack of one.
     """
-    if not np.isfinite(q) or q <= 0:
-        raise InvalidArgumentError(f"quantization step must be positive, got {q}")
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError("input contains NaN or Inf")
-    scaled = np.abs(values) / q
-    if scaled.max(initial=0.0) >= float(MAX_INT_MAGNITUDE):
-        raise InvalidArgumentError(
-            "quantization step too small for the data range (integer overflow)"
-        )
-    mags = np.floor(scaled).astype(np.uint64)
-    return mags, values < 0
+    mags, negative = integerize_batch(np.asarray(values)[None], q)
+    return mags[0], negative[0]
+
+
+def dequantize(mags: np.ndarray, negative: np.ndarray, q: float) -> np.ndarray:
+    """Mid-riser reconstruction: ``sign * (m + 1/2) * q`` outside the dead zone."""
+    return dequantize_batch(np.asarray(mags)[None], np.asarray(negative)[None], q)[0]
 
 
 def _lane_steps(q, ndim: int) -> np.ndarray:
@@ -56,15 +52,14 @@ def integerize_batch(values: np.ndarray, q) -> tuple[np.ndarray, np.ndarray]:
     """Per-lane :func:`integerize` of a ``(lanes, ...)`` stack.
 
     ``q`` is a scalar or a per-lane array; the scale/floor arithmetic is
-    elementwise, so lane ``l`` is bit-identical to
-    ``integerize(values[l], q[l])``.
+    elementwise, so each lane is quantized independently.
     """
     values = np.asarray(values, dtype=np.float64)
     qb = _lane_steps(q, values.ndim)
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("input contains NaN or Inf")
-    # Same |v|/q -> floor arithmetic as the serial path, staged in one
-    # scratch buffer instead of three temporaries.
+    # |v|/q -> floor staged in one scratch buffer instead of three
+    # temporaries.
     scaled = np.abs(values)
     scaled /= qb
     if scaled.max(initial=0.0) >= float(MAX_INT_MAGNITUDE):
@@ -87,15 +82,6 @@ def dequantize_batch(mags: np.ndarray, negative: np.ndarray, q) -> np.ndarray:
     return out
 
 
-def dequantize(mags: np.ndarray, negative: np.ndarray, q: float) -> np.ndarray:
-    """Mid-riser reconstruction: ``sign * (m + 1/2) * q`` outside the dead zone."""
-    mags = np.asarray(mags, dtype=np.uint64)
-    out = (mags.astype(np.float64) + 0.5) * q
-    out[mags == 0] = 0.0
-    out[np.asarray(negative, dtype=bool)] *= -1.0
-    return out
-
-
 def calibrate_step(values: np.ndarray, target_rms: float, margin: float = 0.9) -> float:
     """Largest quantization step whose RMS quantization error stays under
     ``margin * target_rms``.
@@ -112,7 +98,10 @@ def calibrate_step(values: np.ndarray, target_rms: float, margin: float = 0.9) -
     amax = float(np.abs(values).max(initial=0.0))
     if amax == 0.0:
         return 1.0
-    lo, hi = target_rms * 1e-3, amax * 2.0
+    # Never probe a step so fine that the integer magnitudes overflow: a
+    # near-constant field (range ~1e-17 after a mask fill) asks for one.
+    lo = max(target_rms * 1e-3, 2.0 * amax / float(MAX_INT_MAGNITUDE))
+    hi = amax * 2.0
     for _ in range(60):
         mid = float(np.sqrt(lo * hi))
         mags, neg = integerize(values, mid)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import span
-from ..quant import dequantize, dequantize_batch, integerize, integerize_batch
+from ..quant import dequantize_batch, integerize_batch
 from .batched import BatchedSpeckEncoder, encode_batch
 from .codec import SpeckDecoder, SpeckEncoder, SpeckStats, decode, encode
 from .geometry import Geometry, MaxPyramid
@@ -40,25 +40,24 @@ def encode_coefficients(
     reconstruction is the coefficient array a decoder would produce from
     the *full* stream — used by the SPERR pipeline to locate outliers
     without running the decoder (Sec. V-C step 3 still performs the
-    inverse transform).
+    inverse transform).  This is :func:`encode_coefficients_batch` on a
+    stack of one.
     """
-    with span("speck.encode", q=q) as sp:
-        mags, negative = integerize(coeffs, q)
-        stream, nbits, stats = encode(mags, negative, max_bits=max_bits)
-        recon = dequantize(mags, negative, q)
-        sp.set(nbits=nbits)
-    return stream, nbits, stats, recon
+    encoded, recon = encode_coefficients_batch(
+        np.asarray(coeffs)[None], q, max_bits=max_bits
+    )
+    stream, nbits, stats = encoded[0]
+    return stream, nbits, stats, recon[0]
 
 
 def encode_coefficients_batch(
     coeffs: np.ndarray, q, max_bits=None
 ) -> tuple[list[tuple[bytes, int, SpeckStats]], np.ndarray]:
-    """Stacked-lane :func:`encode_coefficients` for ``(lanes, *shape)``.
+    """Stacked-lane SPECK encode of ``(lanes, *shape)`` coefficients.
 
     ``q`` and ``max_bits`` are scalars or per-lane arrays.  Returns
-    ``(per_lane_results, reconstruction_stack)`` where lane ``l`` of both
-    is bit-identical to ``encode_coefficients(coeffs[l], q[l],
-    max_bits[l])``.
+    ``(per_lane_results, reconstruction_stack)``: one ``(stream, nbits,
+    stats)`` triple per lane plus the stacked encoder reconstruction.
     """
     with span("speck.encode", lanes=len(coeffs)) as sp:
         mags, negative = integerize_batch(coeffs, q)

@@ -129,7 +129,7 @@ def forward(
     """Forward multi-level DWT; returns (coefficients, plan).
 
     The coefficient array has the same shape as the input, in nested
-    Mallat layout.
+    Mallat layout.  This is :func:`forward_batch` on a stack of one.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim < 1 or data.ndim > 3:
@@ -140,14 +140,12 @@ def forward(
         from ..core.plans import wavelet_plan
 
         plan = wavelet_plan(data.shape, wavelet=wavelet, levels=levels)
-    fwd, _ = FILTERS[plan.wavelet]
-    coeffs = data.copy()
-    for level in range(plan.total_levels):
-        lengths = plan.low_lengths[level]
-        for ax in range(coeffs.ndim):
-            if level < plan.axis_levels[ax] and lengths[ax] >= 2:
-                _axis_apply(coeffs, ax, lengths[ax], fwd)
-    return coeffs, plan
+    return forward_batch(data[None], plan)[0], plan
+
+
+def inverse(coeffs: np.ndarray, plan: WaveletPlan) -> np.ndarray:
+    """Inverse multi-level DWT (exact inverse of :func:`forward`)."""
+    return inverse_batch(np.asarray(coeffs)[None], plan)[0]
 
 
 #: Target per-block working set for the stacked transforms.  The lifting
@@ -157,56 +155,56 @@ def forward(
 _BLOCK_BYTES = 1 << 17
 
 
-def _lane_block(shape: tuple[int, ...]) -> int:
-    lane_bytes = int(np.prod(shape)) * 8
-    return max(1, _BLOCK_BYTES // max(1, lane_bytes))
+def _lift(
+    stack: np.ndarray, plan: WaveletPlan, backward: bool, stop: int = 0
+) -> np.ndarray:
+    """Run the lifting schedule over a ``(lanes, *shape)`` stack.
 
-
-def forward_batch(stack: np.ndarray, plan: WaveletPlan) -> np.ndarray:
-    """Forward DWT of a ``(lanes, *shape)`` stack, one pass per axis.
-
+    The forward transform walks levels and axes in order; the inverse
+    (``backward``) walks both in reverse and stops before level
+    ``stop`` (``stop > 0`` leaves the finest levels untransformed, see
+    :func:`inverse_to_level`).
     The lifting steps are pure elementwise slice arithmetic broadcast
-    over every non-transform axis, so lane ``l`` of the result is
-    bit-identical to ``forward(stack[l], plan=plan)[0]``.  Lanes are
-    processed in L2-sized blocks (see :data:`_BLOCK_BYTES`).
+    over every non-transform axis, so each lane's result is independent
+    of its neighbours.  Lanes are processed in L2-sized blocks (see
+    :data:`_BLOCK_BYTES`).
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.shape[1:] != plan.shape:
         raise InvalidArgumentError(
-            f"stack shape {stack.shape[1:]} does not match plan {plan.shape}"
+            f"array shape {stack.shape[1:]} does not match plan {plan.shape}"
         )
-    fwd, _ = FILTERS[plan.wavelet]
-    coeffs = stack.copy()
-    block = _lane_block(plan.shape)
-    for b0 in range(0, coeffs.shape[0], block):
-        sub = coeffs[b0 : b0 + block]
-        for level in range(plan.total_levels):
-            lengths = plan.low_lengths[level]
-            for ax in range(len(plan.shape)):
-                if level < plan.axis_levels[ax] and lengths[ax] >= 2:
-                    _axis_apply(sub, ax + 1, lengths[ax], fwd)
-    return coeffs
+    fwd, inv = FILTERS[plan.wavelet]
+    rank = len(plan.shape)
+    if backward:
+        steps = [
+            (level, ax)
+            for level in range(plan.total_levels - 1, stop - 1, -1)
+            for ax in range(rank - 1, -1, -1)
+        ]
+    else:
+        steps = [
+            (level, ax) for level in range(plan.total_levels) for ax in range(rank)
+        ]
+    out = stack.copy()
+    block = max(1, _BLOCK_BYTES // max(1, int(np.prod(plan.shape)) * 8))
+    for b0 in range(0, out.shape[0], block):
+        sub = out[b0 : b0 + block]
+        for level, ax in steps:
+            length = plan.low_lengths[level][ax]
+            if level < plan.axis_levels[ax] and length >= 2:
+                _axis_apply(sub, ax + 1, length, inv if backward else fwd)
+    return out
+
+
+def forward_batch(stack: np.ndarray, plan: WaveletPlan) -> np.ndarray:
+    """Forward DWT of a ``(lanes, *shape)`` stack, one pass per axis."""
+    return _lift(stack, plan, backward=False)
 
 
 def inverse_batch(stack: np.ndarray, plan: WaveletPlan) -> np.ndarray:
-    """Inverse of :func:`forward_batch` (lane-wise identical to
-    :func:`inverse`)."""
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.shape[1:] != plan.shape:
-        raise InvalidArgumentError(
-            f"stack shape {stack.shape[1:]} does not match plan {plan.shape}"
-        )
-    _, inv = FILTERS[plan.wavelet]
-    data = stack.copy()
-    block = _lane_block(plan.shape)
-    for b0 in range(0, data.shape[0], block):
-        sub = data[b0 : b0 + block]
-        for level in range(plan.total_levels - 1, -1, -1):
-            lengths = plan.low_lengths[level]
-            for ax in range(len(plan.shape) - 1, -1, -1):
-                if level < plan.axis_levels[ax] and lengths[ax] >= 2:
-                    _axis_apply(sub, ax + 1, lengths[ax], inv)
-    return data
+    """Inverse of :func:`forward_batch`."""
+    return _lift(stack, plan, backward=True)
 
 
 _DC_GAIN_CACHE: dict[str, float] = {}
@@ -240,24 +238,11 @@ def inverse_to_level(
     the wavelet hierarchy makes every coarsened level a usable preview of
     the data, decoded from the same stream.
     """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != plan.shape:
-        raise InvalidArgumentError(
-            f"coefficient shape {coeffs.shape} does not match plan {plan.shape}"
-        )
     if level < 0 or level > plan.total_levels:
         raise InvalidArgumentError(
             f"level must be in [0, {plan.total_levels}], got {level}"
         )
-    if level == 0:
-        return inverse(coeffs, plan)
-    _, inv = FILTERS[plan.wavelet]
-    data = coeffs.copy()
-    for lv in range(plan.total_levels - 1, level - 1, -1):
-        lengths = plan.low_lengths[lv]
-        for ax in range(data.ndim - 1, -1, -1):
-            if lv < plan.axis_levels[ax] and lengths[ax] >= 2:
-                _axis_apply(data, ax, lengths[ax], inv)
+    data = _lift(np.asarray(coeffs)[None], plan, backward=True, stop=level)[0]
     box_lengths = list(plan.shape)
     for lv in range(level):
         for ax in range(len(box_lengths)):
@@ -271,19 +256,3 @@ def inverse_to_level(
             box /= gain**skipped
     return box
 
-
-def inverse(coeffs: np.ndarray, plan: WaveletPlan) -> np.ndarray:
-    """Inverse multi-level DWT (exact inverse of :func:`forward`)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != plan.shape:
-        raise InvalidArgumentError(
-            f"coefficient shape {coeffs.shape} does not match plan {plan.shape}"
-        )
-    _, inv = FILTERS[plan.wavelet]
-    data = coeffs.copy()
-    for level in range(plan.total_levels - 1, -1, -1):
-        lengths = plan.low_lengths[level]
-        for ax in range(data.ndim - 1, -1, -1):
-            if level < plan.axis_levels[ax] and lengths[ax] >= 2:
-                _axis_apply(data, ax, lengths[ax], inv)
-    return data

@@ -7,8 +7,9 @@ bitstreams, the same container bytes, the same obs counters — only the
 wall time.  These tests pin that contract three ways:
 
 * a Hypothesis sweep over random shapes (prime dimensions included),
-  chunk shapes and modes, comparing ``executor="batch"`` against
-  ``executor="serial"`` payloads byte for byte;
+  chunk shapes and modes (PWE, size and PSNR), comparing
+  ``executor="batch"`` against ``executor="serial"`` payloads byte for
+  byte;
 * direct stacked-encoder checks — :class:`~repro.speck.batched.
   BatchedSpeckEncoder` against the serial :func:`repro.speck.codec.
   encode` — covering the masked-lane mechanics the end-to-end sweep
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PweMode, SizeMode, compress, decompress
+from repro.core import PsnrMode, PweMode, SizeMode, compress, decompress
 from repro.speck.batched import BatchedSpeckEncoder, encode_batch
 from repro.speck.codec import encode as serial_encode
 from repro import obs
@@ -63,6 +64,7 @@ def _volumes(draw):
         st.one_of(
             st.sampled_from([PweMode(1e-2), PweMode(1e-4)]),
             st.sampled_from([SizeMode(4.0), SizeMode(1.0)]),
+            st.sampled_from([PsnrMode(40.0), PsnrMode(70.0)]),
         )
     )
     seed = draw(st.integers(0, 2**16))
@@ -82,9 +84,9 @@ class TestBatchedExecutorIdentity:
             decompress(batch.payload), decompress(serial.payload)
         )
 
-    def test_single_chunk_group_routes_serially_and_matches(self):
+    def test_singleton_groups_match_serial(self):
         # A volume whose chunk grid degenerates to one chunk per shape
-        # group (every group a singleton) must still be byte-identical.
+        # group runs every group as a one-lane stack; still byte-identical.
         data = _field((13, 13), seed=5)
         mode = PweMode(1e-3)
         serial = compress(data, mode, chunk_shape=13, executor="serial")
@@ -245,7 +247,9 @@ class TestSzxLaneIdentity:
 
 class TestObsCounterEquivalence:
     @pytest.mark.parametrize(
-        "mode", [PweMode(1e-3), SizeMode(2.0)], ids=["pwe", "size"]
+        "mode",
+        [PweMode(1e-3), SizeMode(2.0), PsnrMode(50.0)],
+        ids=["pwe", "size", "psnr"],
     )
     def test_counters_match_serial(self, mode):
         data = _field((16, 16, 16), seed=11)

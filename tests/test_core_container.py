@@ -103,3 +103,44 @@ class TestContainer:
         result = repro.compress(smooth_field, repro.PweMode(t))
         recon = repro.decompress(result.payload)
         assert np.abs(recon - smooth_field).max() <= t
+
+
+class TestChunkedPsnr:
+    """A PSNR target is a property of the whole field, so every chunk must
+    be coded against the field's range, not its own: a flat chunk has no
+    range of its own, and a chunk's local range overstates the target."""
+
+    @staticmethod
+    def _fields():
+        from repro.datasets import spectral_field
+
+        smooth = spectral_field((32, 32, 32), slope=3.0, seed=7)
+        flat_half = np.full((32, 32, 32), 1000.0)
+        flat_half[16:] += spectral_field((16, 32, 32), slope=3.0, seed=8)
+        return {"smooth": smooth, "flat_half": flat_half}
+
+    @pytest.mark.parametrize("field", ["smooth", "flat_half"])
+    @pytest.mark.parametrize("executor", ["serial", "batch"])
+    @pytest.mark.parametrize("chunk", [16, 8])
+    def test_chunked_psnr_reaches_target(self, field, executor, chunk):
+        from repro.metrics import psnr
+
+        data = self._fields()[field]
+        target = 40.0
+        payload = compress(
+            data, repro.PsnrMode(target), chunk_shape=chunk, executor=executor
+        ).payload
+        assert psnr(data, decompress(payload)) >= target - 0.5
+
+
+class TestNearConstantPsnr:
+    @pytest.mark.parametrize("codec", ["quality", "tthresh-like"])
+    def test_single_valid_sample_field(self, codec):
+        # The mask fill leaves a ~1e-17 range, so the PSNR target RMSE is
+        # far below what the coefficients can resolve.
+        data = np.full((4, 6, 8), np.nan)
+        data[3, 4, 7] = -0.2003297
+        payload = compress(data, repro.PsnrMode(96.0), codec=codec).payload
+        out = decompress(payload)
+        np.testing.assert_array_equal(np.isnan(out), np.isnan(data))
+        assert abs(out[3, 4, 7] - data[3, 4, 7]) < 1e-6

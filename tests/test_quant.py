@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidArgumentError
-from repro.quant import MAX_INT_MAGNITUDE, dequantize, integerize, quantize_error_bound
+from repro.quant import (
+    MAX_INT_MAGNITUDE,
+    calibrate_step,
+    dequantize,
+    integerize,
+    quantize_error_bound,
+)
 
 
 class TestIntegerize:
@@ -68,6 +74,18 @@ class TestDequantize:
         coded = mags > 0
         assert err[coded].max() <= q / 2 + 1e-12
         assert err.max() <= quantize_error_bound(q) + 1e-12
+
+
+class TestCalibrateStep:
+    def test_unreachable_target_stays_integerizable(self):
+        """A target far below the coefficients' float resolution (a
+        near-constant field) yields the finest step that still fits the
+        integer magnitudes, not an overflow."""
+        values = np.array([2.77, 1e-16, -3e-17, 0.0])
+        q = calibrate_step(values, 1e-22)
+        mags, neg = integerize(values, q)
+        assert mags.max() < MAX_INT_MAGNITUDE
+        assert np.abs(dequantize(mags, neg, q) - values).max() <= q
 
 
 @settings(max_examples=60, deadline=None)
