@@ -31,7 +31,6 @@ __all__ = [
     "wavelet_plan",
     "speck_geometry",
     "zfp_scan_order",
-    "huffman_window_table",
     "cache_stats",
     "clear_plan_caches",
 ]
@@ -107,13 +106,7 @@ WAVELET_PLANS = PlanCache(maxsize=64, name="wavelet_plans")
 SPECK_GEOMETRIES = PlanCache(maxsize=32, name="speck_geometries")
 #: ZFP total-sequency scan orders, keyed by ndim.
 ZFP_SCAN_ORDERS = PlanCache(maxsize=8, name="zfp_scan_orders")
-#: Huffman flat decode tables, keyed by the code-length table bytes.
-#: Canonical code values are a pure function of the lengths, so the key is
-#: complete; the Huffman layer only routes codes up to 16 bits here (a
-#: 2**16-entry table is 512 KiB, bounding the cache at ~16 MiB).
-HUFFMAN_TABLES = PlanCache(maxsize=32, name="huffman_tables")
-
-_ALL_CACHES = (WAVELET_PLANS, SPECK_GEOMETRIES, ZFP_SCAN_ORDERS, HUFFMAN_TABLES)
+_ALL_CACHES = (WAVELET_PLANS, SPECK_GEOMETRIES, ZFP_SCAN_ORDERS)
 
 
 def wavelet_plan(
@@ -156,20 +149,6 @@ def zfp_scan_order(ndim: int):
         return perm, inv
 
     return ZFP_SCAN_ORDERS.get(int(ndim), build)
-
-
-def huffman_window_table(code):
-    """Cached flat decode table for a canonical :class:`HuffmanCode`.
-
-    Keyed by the length-table bytes (which fully determine canonical code
-    values).  Chunked compression decodes many sections under the same
-    code book — SZ-like quantization bins especially — so sharing the
-    table skips the ``2**max_len`` rebuild per section.
-    """
-    from ..lossless.huffman import build_window_table
-
-    key = (int(code.lengths.size), code.lengths.tobytes())
-    return HUFFMAN_TABLES.get(key, lambda: build_window_table(code))
 
 
 def cache_stats() -> dict:

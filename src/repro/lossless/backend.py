@@ -125,6 +125,12 @@ def _huffman_unpack(data: bytes) -> bytes:
             f"huffman section declares {n} symbols in {nbits} bits"
         )
     code, consumed = huffman.deserialize_code(data[16:])
+    # Byte sections are coded over a 256-symbol alphabet; a wider book
+    # would decode symbols that wrap in the uint8 output below.
+    if code.nsymbols > 256:
+        raise StreamFormatError(
+            f"huffman byte section has a {code.nsymbols}-symbol code book"
+        )
     body = data[16 + consumed :]
     if indexed:
         isize = 2 * (-(-n // huffman.SEGMENT_SYMBOLS) - 1) if n else 0

@@ -15,6 +15,8 @@ it in O(1) numpy passes:
 * :func:`byte_windows` precomputes the 32-bit big-endian window at
   every byte offset, after which :func:`extract_msb` reads a field at
   any bit position with two shifts — the decode-side mirror.
+  :func:`bit_windows` reads one at *every* bit offset as eight shifted
+  copies of the byte windows, for table-driven decoders.
 
 Both ends are byte-for-byte compatible with ``BitWriter``/``BitReader``
 (`tests/test_lossless.py` cross-checks them).
@@ -26,7 +28,7 @@ import numpy as np
 
 from ..errors import InvalidArgumentError
 
-__all__ = ["pack_msb", "byte_windows", "extract_msb", "MAX_FIELD_BITS"]
+__all__ = ["pack_msb", "byte_windows", "extract_msb", "bit_windows", "MAX_FIELD_BITS"]
 
 #: Widest field :func:`pack_msb` accepts.  A 32-bit field at bit offset
 #: 7 spans 39 bits — five byte lanes — which bounds the lane loop.
@@ -123,3 +125,25 @@ def extract_msb(
     w = windows[bitpos >> 3]
     shift = (np.uint32(32 - width) - (bitpos & 7).astype(np.uint32))
     return (w >> shift) & np.uint32((1 << width) - 1)
+
+
+def bit_windows(data: bytes | np.ndarray, nbits: int, width: int) -> np.ndarray:
+    """The ``width``-bit MSB-first field at every bit offset ``0..nbits-1``.
+
+    Equal to ``extract_msb(byte_windows(data), np.arange(nbits), width)``
+    but returned as ``intp``, ready to index a lookup table.  Bit offset
+    ``8*i + r`` is byte window ``i`` shifted by ``r``, so the result is
+    eight strided shift-and-mask passes over the byte windows instead of
+    a gather per bit.  Bits past the end of ``data`` read as zero;
+    ``nbits`` must not exceed ``8 * len(data)``.
+    """
+    if width < 0 or width > MAX_EXTRACT_BITS:
+        raise InvalidArgumentError(
+            f"extract width must lie in [0, {MAX_EXTRACT_BITS}]"
+        )
+    w = byte_windows(data).astype(np.intp)
+    out = np.empty((w.size, 8), dtype=np.intp)
+    mask = (1 << width) - 1
+    for r in range(8):
+        np.bitwise_and(w >> (32 - width - r), mask, out=out[:, r])
+    return out.reshape(-1)[:nbits]

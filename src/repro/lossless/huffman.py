@@ -11,15 +11,17 @@ This is the entropy-coding substrate used in three places:
 Both directions are table-driven and vectorized (docs/lossless.md has the
 kernel design).  Encoding gathers each symbol's (code, length) pair and
 batch-packs the fields with :func:`repro.lossless.bitpack.pack_msb`.
-Decoding gathers the next-``max_len``-bits window at every bit offset
-through a flat ``2**max_len`` lookup table; the only sequential part left
-is the code-length chain walk (one list read + add per symbol), because
-symbol boundaries are data-dependent.  Decode tables for short codes are
-cached in :mod:`repro.core.plans` keyed by the length table.
+Decoding looks the next-``max_len``-bits window at every bit offset up in
+a flat ``2**max_len`` table; the only sequential part left is the
+code-length chain walk (one ``bytes`` index + add per symbol), because
+symbol boundaries are data-dependent.  Every code book is canonical, so
+codes and the decode table are computed from the length table alone.
 """
 
 from __future__ import annotations
 
+import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +46,6 @@ _MAX_CODE_LEN = 24  # encoder clamps to this; the decode window table is 2**max_
 #: ``backend._huffman_pack``).  512 symbols of at most ``_MAX_CODE_LEN``
 #: bits keep every segment's bit length within a ``uint16`` index entry.
 SEGMENT_SYMBOLS = 512
-
-#: Decode tables are memoized in ``core.plans`` only up to this code
-#: length (a 2**16-entry table is 512 KiB; anything longer is rebuilt per
-#: call so a forged code book cannot pin huge tables in the cache).
-_CACHE_MAX_LEN = 16
 
 
 @dataclass(frozen=True)
@@ -153,19 +150,36 @@ def _limit_lengths(lengths: np.ndarray, limit: int) -> np.ndarray:
     return lengths
 
 
+def _canonical_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Used symbols in canonical order (code length, then symbol) and
+    their lengths as ``int64``."""
+    used = np.flatnonzero(lengths)
+    syms = used[np.argsort(lengths[used], kind="stable")]
+    return syms, lengths[syms].astype(np.int64)
+
+
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical code values from code lengths."""
+    """Assign canonical code values from code lengths.
+
+    Codes of one length are consecutive in symbol order, starting at that
+    length's first code; the first code of length ``l`` is one past the
+    last code of length ``l - 1``, shifted left a bit.  So the only loop
+    runs over code lengths, not symbols.
+    """
     codes = np.zeros(lengths.size, dtype=np.uint32)
-    order = np.lexsort((np.arange(lengths.size), lengths))
-    order = order[lengths[order] > 0]
-    code = 0
-    prev_len = 0
-    for sym in order:
-        length = int(lengths[sym])
-        code <<= length - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = length
+    syms, lens = _canonical_order(lengths)
+    if syms.size == 0:
+        return codes
+    count = np.bincount(lens)
+    first = np.zeros(count.size, dtype=np.int64)
+    for length in range(1, count.size):
+        first[length] = (first[length - 1] + count[length - 1]) << 1
+    # Position of each length's first symbol in canonical order.
+    start = np.cumsum(count) - count
+    rank = np.arange(syms.size) - start[lens]
+    # An over-subscribed (forged) book can run past 32 bits; its values
+    # wrap here and its decode table is rejected in build_window_table.
+    codes[syms] = (first[lens] + rank).astype(np.uint32)
     return codes
 
 
@@ -207,13 +221,16 @@ def build_window_table(code: HuffmanCode) -> tuple[np.ndarray, np.ndarray, int]:
     """Flat decode table: next ``max_len`` bits -> (symbol, code length).
 
     Returns ``(table_sym, table_len, max_len)`` where invalid windows map
-    to symbol ``-1`` / length ``0``.  The arrays are read-only so they can
-    be shared through the plan cache.
+    to symbol ``-1`` / length ``0``; ``table_len`` is ``uint8``.  In
+    canonical order each code word of length ``l`` owns the next
+    ``2**(max_len - l)`` windows, so the table is two ``np.repeat`` calls.
+    Spans summing past ``2**max_len`` mean the code book breaks the Kraft
+    inequality (no prefix code has those lengths): it is rejected.
     """
-    used = np.flatnonzero(code.lengths > 0)
-    if used.size == 0:
+    syms, lens = _canonical_order(code.lengths)
+    if syms.size == 0:
         raise StreamFormatError("empty code book")
-    max_len = int(code.lengths[used].max())
+    max_len = int(lens[-1])
     if max_len > _MAX_CODE_LEN:
         # The encoder never emits codes past _MAX_CODE_LEN; a longer length
         # can only come from a forged code book, and would size the window
@@ -221,41 +238,32 @@ def build_window_table(code: HuffmanCode) -> tuple[np.ndarray, np.ndarray, int]:
         raise StreamFormatError(
             f"huffman code length {max_len} exceeds the {_MAX_CODE_LEN}-bit limit"
         )
+    spans = np.left_shift(1, max_len - lens)
+    filled = int(spans.sum())
+    if filled > 1 << max_len:
+        raise StreamFormatError("over-subscribed huffman code book")
     table_sym = np.full(1 << max_len, -1, dtype=np.int32)
-    table_len = np.zeros(1 << max_len, dtype=np.int32)
-    for sym in used.tolist():
-        length = int(code.lengths[sym])
-        base = int(code.codes[sym]) << (max_len - length)
-        span = 1 << (max_len - length)
-        table_sym[base : base + span] = sym
-        table_len[base : base + span] = length
-    table_sym.setflags(write=False)
-    table_len.setflags(write=False)
+    table_len = np.zeros(1 << max_len, dtype=np.uint8)
+    table_sym[:filled] = np.repeat(syms, spans)
+    table_len[:filled] = np.repeat(lens, spans)
     return table_sym, table_len, max_len
 
 
-def _window_table(code: HuffmanCode) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fetch (or build) the decode table, memoized for short codes.
-
-    Canonical code values are a pure function of the length table, so the
-    lengths alone key the cache (every code book in this package is built
-    canonically).  Long codes bypass the cache — see :data:`_CACHE_MAX_LEN`.
-    """
-    max_len = int(code.lengths.max(initial=0))
-    if max_len == 0 or max_len > _CACHE_MAX_LEN:
-        return build_window_table(code)
-    from ..core import plans
-
-    return plans.huffman_window_table(code)
-
-
 def decode(data: bytes, nbits: int, nsymbols: int, code: HuffmanCode) -> np.ndarray:
-    """Decode ``nsymbols`` symbols from a packed Huffman bit stream."""
+    """Decode ``nsymbols`` symbols from a packed Huffman bit stream.
+
+    The code words must cover exactly ``nbits`` bits: a stream that runs
+    out, holds an invalid code word, or has bits left after the last
+    symbol raises :class:`StreamFormatError`.
+    """
     if nsymbols == 0:
         return np.zeros(0, dtype=np.int64)
     if nbits > len(data) * 8:
         raise StreamFormatError("huffman stream shorter than declared")
-    table_sym, table_len, max_len = _window_table(code)
+    if nsymbols > nbits:
+        # Every code word spends at least one bit.
+        raise StreamFormatError("huffman stream exhausted mid-symbol")
+    table_sym, table_len, max_len = build_window_table(code)
 
     # Zero any tail bits of the last byte beyond ``nbits`` so windows near
     # the end read the same zero padding the bit-array decoder saw.
@@ -263,27 +271,30 @@ def decode(data: bytes, nbits: int, nsymbols: int, code: HuffmanCode) -> np.ndar
     buf = np.frombuffer(data, dtype=np.uint8, count=nbytes).copy()
     if nbits & 7:
         buf[-1] &= 0xFF << (8 - (nbits & 7)) & 0xFF
-    windows = bitpack.byte_windows(buf)
+    win = bitpack.bit_windows(buf, nbits, max_len)
 
-    # Window value, candidate symbol and code length at every bit offset;
-    # the data-dependent walk then just chains code lengths.
-    pos_all = np.arange(nbits, dtype=np.int64)
-    win = bitpack.extract_msb(windows, pos_all, max_len)
-    sym_at = table_sym[win]
-    steps = table_len[win].tolist()
-
-    positions = []
-    append = positions.append
+    # Code length at every bit offset.  The walk from a valid offset
+    # overshoots ``nbits`` by less than ``max_len`` bits and then sits on
+    # the zero padding; an invalid window (length 0) stalls it the same
+    # way, so it never indexes out of range.
+    steps = np.zeros(nbits + max_len, dtype=np.uint8)
+    np.take(table_len, win, out=steps[:nbits])
+    step_at = steps.tobytes()
     pos = 0
-    for _ in range(nsymbols):
-        if pos >= nbits:
-            raise StreamFormatError("huffman stream exhausted mid-symbol")
-        append(pos)
-        pos += steps[pos]
-    out = sym_at[positions].astype(np.int64)
-    if out.min(initial=0) < 0:
+    ends = [pos := pos + step_at[pos] for _ in range(nsymbols)]
+    starts = np.zeros(nsymbols, dtype=np.int64)
+    starts[1:] = np.frombuffer(array("q", ends), dtype=np.int64)[:-1]
+
+    # Positions never decrease, so the last start tells whether the
+    # stream ran out; a stall shows as an invalid code word.
+    if starts[-1] >= nbits:
+        raise StreamFormatError("huffman stream exhausted mid-symbol")
+    out = table_sym[win[starts]]
+    if out.min() < 0:
         raise StreamFormatError("invalid huffman code word")
-    return out
+    if pos != nbits:
+        raise StreamFormatError("huffman stream length mismatch")
+    return out.astype(np.int64)
 
 
 def segment_bits(symbols: np.ndarray, code: HuffmanCode) -> np.ndarray:
@@ -327,7 +338,7 @@ def decode_segmented(
     np.cumsum(seg_bits, out=starts[1:])
     if int(starts[-1]) >= nbits:
         raise StreamFormatError("huffman segment index past stream end")
-    table_sym, table_len, max_len = _window_table(code)
+    table_sym, table_len, max_len = build_window_table(code)
 
     nbytes = (nbits + 7) >> 3
     buf = np.frombuffer(data, dtype=np.uint8, count=nbytes).copy()
@@ -369,8 +380,6 @@ def decode_segmented(
 def serialize_code(code: HuffmanCode) -> bytes:
     """Serialize a code book as (nsymbols: u32, lengths: u8 array, RLE'd)."""
     lengths = code.lengths.astype(np.uint8)
-    import struct
-
     # Simple zero-run compression of the length table: pairs (len, run).
     parts = [struct.pack("<I", lengths.size)]
     i = 0
@@ -386,12 +395,14 @@ def serialize_code(code: HuffmanCode) -> bytes:
 
 
 def deserialize_code(data: bytes) -> tuple[HuffmanCode, int]:
-    """Inverse of :func:`serialize_code`; returns (code, bytes_consumed)."""
-    import struct
+    """Inverse of :func:`serialize_code`; returns (code, bytes_consumed).
 
+    The last run may reach past the declared symbol count; its surplus is
+    dropped.
+    """
     if len(data) < 4:
         raise StreamFormatError("truncated code book")
-    (nsym,) = struct.unpack("<I", data[:4])
+    (nsym,) = struct.unpack_from("<I", data)
     # Each 2-byte (value, run) pair covers at most 255 symbols, so the
     # remaining bytes bound any honest symbol count — check before sizing
     # the length table from the untrusted field.
@@ -399,20 +410,25 @@ def deserialize_code(data: bytes) -> tuple[HuffmanCode, int]:
         raise StreamFormatError(
             f"code book declares {nsym} symbols in {len(data)} bytes"
         )
-    lengths = np.zeros(nsym, dtype=np.uint8)
-    pos = 4
-    filled = 0
-    while filled < nsym:
-        if pos + 2 > len(data):
-            raise StreamFormatError("truncated code book run")
-        val, run = data[pos], data[pos + 1]
-        if run == 0:
+    # Every valid run covers at least one symbol, so no more than ``nsym``
+    # pairs are ever read.
+    npairs = min((len(data) - 4) // 2, nsym)
+    pairs = np.frombuffer(data, dtype=np.uint8, count=2 * npairs, offset=4)
+    vals, runs = pairs[0::2], pairs[1::2]
+    # Pairs read: up to and including the one whose run reaches ``nsym``
+    # (one past the end when the data runs out first).
+    used = 0
+    if nsym:
+        used = int(np.searchsorted(np.cumsum(runs, dtype=np.int64), nsym)) + 1
+    bad = np.flatnonzero((runs[:used] == 0) | (vals[:used] > _MAX_CODE_LEN))
+    if bad.size:
+        i = int(bad[0])
+        if runs[i] == 0:
             raise StreamFormatError("zero-length run in code book")
-        if val > _MAX_CODE_LEN:
-            raise StreamFormatError(
-                f"huffman code length {val} exceeds the {_MAX_CODE_LEN}-bit limit"
-            )
-        lengths[filled : filled + run] = val
-        filled += run
-        pos += 2
-    return HuffmanCode(lengths=lengths, codes=_canonical_codes(lengths)), pos
+        raise StreamFormatError(
+            f"huffman code length {vals[i]} exceeds the {_MAX_CODE_LEN}-bit limit"
+        )
+    if used > npairs:
+        raise StreamFormatError("truncated code book run")
+    lengths = np.repeat(vals[:used], runs[:used])[:nsym]
+    return HuffmanCode(lengths=lengths, codes=_canonical_codes(lengths)), 4 + 2 * used

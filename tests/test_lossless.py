@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import lossless
@@ -81,6 +84,158 @@ class TestHuffman:
         payload, nbits = huffman.encode(symbols, code)
         out = huffman.decode(payload, nbits, symbols.size, code)
         assert np.array_equal(out, symbols)
+
+    def test_over_subscribed_code_book_rejected(self):
+        # Three 1-bit codes (Kraft sum 1.5) cannot form a prefix code.
+        lengths = np.zeros(9, dtype=np.uint8)
+        lengths[6:] = 1
+        code, _ = huffman.deserialize_code(
+            huffman.serialize_code(huffman.HuffmanCode(lengths, lengths.astype(np.uint32)))
+        )
+        with pytest.raises(StreamFormatError, match="over-subscribed"):
+            huffman.decode(bytes([0b01011000]), 5, 5, code)
+
+    def test_lowered_symbol_count_rejected(self, rng):
+        data = bytes(rng.integers(0, 16, size=1000).astype(np.uint8))
+        section = bytearray(lossless.compress(data, method="huffman"))
+        assert section[0] == 2
+        section[1:9] = struct.pack("<Q", 900)
+        with pytest.raises(StreamFormatError, match="length mismatch"):
+            lossless.decompress(bytes(section))
+
+
+def _reference_decode(data, nbits, nsymbols, code):
+    """The per-symbol decoder :func:`huffman.decode` replaced: canonical
+    codes assigned one symbol at a time, the window table filled one code
+    word at a time, and the code-length chain walked with a bounds check
+    per symbol.  Kept as the oracle for the vectorized decoder."""
+    if nsymbols == 0:
+        return np.zeros(0, dtype=np.int64)
+    if nbits > len(data) * 8:
+        raise StreamFormatError("huffman stream shorter than declared")
+    lengths = code.lengths
+    codes = {}
+    value = prev_len = 0
+    for sym in np.lexsort((np.arange(lengths.size), lengths)).tolist():
+        length = int(lengths[sym])
+        if length:
+            value <<= length - prev_len
+            codes[sym] = value
+            value += 1
+            prev_len = length
+    if not codes:
+        raise StreamFormatError("empty code book")
+    max_len = int(lengths.max())
+    table_sym = np.full(1 << max_len, -1, dtype=np.int32)
+    table_len = np.zeros(1 << max_len, dtype=np.uint8)
+    for sym, value in codes.items():
+        length = int(lengths[sym])
+        base = value << (max_len - length)
+        span = 1 << (max_len - length)
+        table_sym[base : base + span] = sym
+        table_len[base : base + span] = length
+
+    nbytes = (nbits + 7) >> 3
+    buf = np.frombuffer(data, dtype=np.uint8, count=nbytes).copy()
+    if nbits & 7:
+        buf[-1] &= 0xFF << (8 - (nbits & 7)) & 0xFF
+    windows = bitpack.byte_windows(buf)
+    win = bitpack.extract_msb(windows, np.arange(nbits, dtype=np.int64), max_len)
+    sym_at = table_sym[win]
+    steps = table_len[win].tolist()
+    positions = []
+    pos = 0
+    for _ in range(nsymbols):
+        if pos >= nbits:
+            raise StreamFormatError("huffman stream exhausted mid-symbol")
+        positions.append(pos)
+        pos += steps[pos]
+    out = sym_at[positions].astype(np.int64)
+    if out.min(initial=0) < 0:
+        raise StreamFormatError("invalid huffman code word")
+    return out
+
+
+def _check_decode_against_reference(alphabet, book, seed, corruption):
+    """Encode a random message under a code book of the given kind, damage
+    it, and compare :func:`huffman.decode` with :func:`_reference_decode`.
+
+    An undamaged stream decodes to the message.  Where the reference
+    returns, the decoder returns the same symbols or (only for bits left
+    after the last symbol) raises; where the reference raises, the
+    decoder raises :class:`StreamFormatError`.
+    """
+    rng = np.random.default_rng(seed)
+    freqs = np.zeros(alphabet, dtype=np.int64)
+    if book == "single":
+        freqs[rng.integers(alphabet)] = 1
+    elif book == "deep":
+        # Fibonacci weights give the deepest trees: 26 or more leaves
+        # need codes past 24 bits, which the encoder length-limits.
+        fib = [1, 1]
+        while len(fib) < min(alphabet, 40):
+            fib.append(fib[-1] + fib[-2])
+        freqs[rng.permutation(alphabet)[: len(fib)]] = fib[:alphabet]
+    else:
+        freqs[:] = rng.integers(0, 1000, size=alphabet)
+        freqs[rng.integers(alphabet)] += 1
+    code = huffman.build_code(freqs)
+    used = np.flatnonzero(freqs)
+    symbols = rng.choice(used, size=int(rng.integers(1, 400)))
+    payload, nbits = huffman.encode(symbols, code)
+    nsymbols = symbols.size
+    if corruption == "flip":
+        buf = bytearray(payload)
+        for bit in rng.integers(0, nbits, size=int(rng.integers(1, 4))).tolist():
+            buf[bit >> 3] ^= 0x80 >> (bit & 7)
+        payload = bytes(buf)
+    elif corruption == "shorten":
+        nbits = int(rng.integers(0, nbits))
+    elif corruption == "raise":
+        nsymbols += int(rng.integers(1, 20))
+
+    try:
+        expected = _reference_decode(payload, nbits, nsymbols, code)
+    except StreamFormatError:
+        expected = None
+    try:
+        got = huffman.decode(payload, nbits, nsymbols, code)
+    except StreamFormatError as exc:
+        assert corruption != "none"
+        assert expected is None or str(exc) == "huffman stream length mismatch"
+        return
+    assert expected is not None
+    np.testing.assert_array_equal(got, expected)
+    if corruption == "none":
+        np.testing.assert_array_equal(got, symbols)
+
+
+_REFERENCE_CASES = dict(
+    alphabet=st.integers(1, 300),
+    book=st.sampled_from(["random", "single", "deep"]),
+    seed=st.integers(0, 2**32 - 1),
+    corruption=st.sampled_from(["none", "flip", "shorten", "raise"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_REFERENCE_CASES)
+@example(alphabet=300, book="deep", seed=0, corruption="none")  # 24-bit codes
+@example(alphabet=1, book="single", seed=0, corruption="raise")
+def test_decode_matches_reference_walk(alphabet, book, seed, corruption):
+    _check_decode_against_reference(alphabet, book, seed, corruption)
+
+
+@pytest.mark.fuzz
+@pytest.mark.skipif(
+    os.environ.get("REPRO_FUZZ_DEEP") != "1",
+    reason="deep fuzz is opt-in: set REPRO_FUZZ_DEEP=1 and run -m fuzz",
+)
+@settings(max_examples=int(os.environ.get("REPRO_FUZZ_N", "500")), deadline=None)
+@given(**_REFERENCE_CASES)
+def test_decode_matches_reference_walk_deep(alphabet, book, seed, corruption):
+    """The same property at campaign depth (``REPRO_FUZZ_N`` examples)."""
+    _check_decode_against_reference(alphabet, book, seed, corruption)
 
 
 class TestRle:
@@ -162,6 +317,16 @@ class TestBitpack:
             bitpack.pack_msb(
                 np.array([1], dtype=np.uint64), np.array([33], dtype=np.int64)
             )
+
+    def test_bit_windows_match_extract_at_every_offset(self, rng):
+        data = bytes(rng.integers(0, 256, size=37).astype(np.uint8))
+        windows = bitpack.byte_windows(data)
+        for width in (0, 1, 9, 24, 25):
+            for nbits in (0, 291, 8 * len(data)):
+                expected = bitpack.extract_msb(windows, np.arange(nbits), width)
+                got = bitpack.bit_windows(data, nbits, width)
+                assert got.dtype == np.intp
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestRangeCoder:
@@ -254,6 +419,19 @@ class TestBackend:
     def test_empty_data_round_trips(self):
         for method in lossless.METHODS:
             assert lossless.decompress(lossless.compress(b"", method=method)) == b""
+
+    def test_byte_section_rejects_wide_code_book(self):
+        # A tag-2 section is a byte stream; symbol 299 must not wrap to 43.
+        freqs = np.zeros(300, dtype=np.int64)
+        freqs[[5, 299]] = [1, 2]
+        code = huffman.build_code(freqs)
+        payload, nbits = huffman.encode(np.array([299, 5, 299]), code)
+        section = (
+            bytes([2]) + struct.pack("<QQ", 3, nbits)
+            + huffman.serialize_code(code) + payload
+        )
+        with pytest.raises(StreamFormatError, match="300-symbol code book"):
+            lossless.decompress(section)
 
 
 @settings(max_examples=40, deadline=None)

@@ -97,7 +97,6 @@ class TestSharedPlans:
             "wavelet_plans",
             "speck_geometries",
             "zfp_scan_orders",
-            "huffman_tables",
         }
         assert stats["wavelet_plans"]["misses"] == 1
 
