@@ -1,10 +1,13 @@
 """Batched bit-oriented input stream, the mirror of :class:`BitWriter`.
 
-Decoding a SPECK stream consumes bits in the same deterministic batch
-order the encoder produced them, so the reader exposes a vectorized
-``read_bits(n)`` returning a boolean array view.  Exhaustion is a normal
-event for embedded streams (any prefix is decodable): ``read_bits`` returns
-however many bits remain and the caller checks :attr:`exhausted`.
+Batch decoders (the Elias universal codes, the outlier-coding
+alternatives) consume bits in the same order the encoder produced them,
+so the reader exposes a vectorized ``read_bits(n)`` returning a boolean
+array view.  Exhaustion is a normal event for embedded streams (any
+prefix is decodable): ``read_bits`` returns however many bits remain and
+the caller checks :attr:`exhausted`.  The SPECK decoder walks its own
+unpacked bit array with an integer cursor instead
+(:func:`repro.speck.codec.decode_lsp`).
 """
 
 from __future__ import annotations

@@ -100,52 +100,6 @@ class _Encoder:
         return self.bits
 
 
-class _Decoder:
-    def __init__(self, bits: np.ndarray) -> None:
-        self.bits = bits
-        self.pos = 0
-        self.low = 0
-        self.high = _MASK
-        self.value = 0
-        for _ in range(32):
-            self.value = (self.value << 1) | self._next()
-
-    def _next(self) -> int:
-        if self.pos < self.bits.size:
-            b = int(self.bits[self.pos])
-            self.pos += 1
-            return b
-        return 0
-
-    def decode(self, model: AdaptiveBitModel) -> int:
-        total = model.c0 + model.c1
-        span = self.high - self.low + 1
-        split = self.low + (span * model.c0) // total - 1
-        bit = 1 if self.value > split else 0
-        if bit:
-            self.low = split + 1
-        else:
-            self.high = split
-        model.update(bit)
-        while True:
-            if self.high < _HALF:
-                pass
-            elif self.low >= _HALF:
-                self.low -= _HALF
-                self.high -= _HALF
-                self.value -= _HALF
-            elif self.low >= _QUARTER and self.high < _THREE_QUARTER:
-                self.low -= _QUARTER
-                self.high -= _QUARTER
-                self.value -= _QUARTER
-            else:
-                break
-            self.low = (self.low << 1) & _MASK
-            self.high = ((self.high << 1) | 1) & _MASK
-            self.value = ((self.value << 1) | self._next()) & _MASK
-        return bit
-
-
 def encode_bits(bits: np.ndarray, n_contexts: int, context_fn) -> bytes:
     """Encode a bit array with caller-supplied context selection."""
     models = [AdaptiveBitModel() for _ in range(n_contexts)]
@@ -159,16 +113,63 @@ def encode_bits(bits: np.ndarray, n_contexts: int, context_fn) -> bytes:
 
 
 def decode_bits(data: bytes, n: int, n_contexts: int, context_fn) -> np.ndarray:
-    """Inverse of :func:`encode_bits`."""
-    models = [AdaptiveBitModel() for _ in range(n_contexts)]
-    dec = _Decoder(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))
-    out = np.zeros(n, dtype=np.uint8)
+    """Inverse of :func:`encode_bits`.
+
+    One fused loop: the coder state and the per-context counts live in
+    locals and lists (the arithmetic of :class:`AdaptiveBitModel` and
+    the encoder, inlined), and input bits come from a Python list.
+    Input past the end of ``data`` reads as zeros.
+    """
+    c0 = [1] * n_contexts
+    c1 = [1] * n_contexts
+    src = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
+    nsrc = len(src)
+    value = 0
+    for b in src[:32]:
+        value = (value << 1) | b
+    value <<= 32 - min(nsrc, 32)
+    pos = 32
+    low = 0
+    high = _MASK
+    out = [0] * n
     prev = 0
     for i in range(n):
-        b = dec.decode(models[context_fn(i, prev)])
-        out[i] = b
-        prev = b
-    return out
+        ctx = context_fn(i, prev)
+        zeros = c0[ctx]
+        ones = c1[ctx]
+        split = low + ((high - low + 1) * zeros) // (zeros + ones) - 1
+        if value > split:
+            prev = 1
+            low = split + 1
+            ones += 1
+            c1[ctx] = ones
+        else:
+            prev = 0
+            high = split
+            zeros += 1
+            c0[ctx] = zeros
+        if zeros + ones >= _MAX_TOTAL:
+            c0[ctx] = (zeros + 1) >> 1
+            c1[ctx] = (ones + 1) >> 1
+        out[i] = prev
+        while True:
+            if high < _HALF:
+                pass
+            elif low >= _HALF:
+                low -= _HALF
+                high -= _HALF
+                value -= _HALF
+            elif low >= _QUARTER and high < _THREE_QUARTER:
+                low -= _QUARTER
+                high -= _QUARTER
+                value -= _QUARTER
+            else:
+                break
+            low = (low << 1) & _MASK
+            high = ((high << 1) | 1) & _MASK
+            value = ((value << 1) | (src[pos] if pos < nsrc else 0)) & _MASK
+            pos += 1
+    return np.array(out, dtype=np.uint8)
 
 
 def _byte_context(i: int, prev: int) -> int:

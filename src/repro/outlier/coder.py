@@ -36,7 +36,7 @@ import numpy as np
 from ..errors import InvalidArgumentError
 from ..obs import span
 from ..quant import integerize
-from ..speck import codec as _speck_codec
+from ..speck.codec import decode_lsp
 from ..speck.batched import encode_batch
 
 __all__ = [
@@ -94,11 +94,21 @@ class OutlierCoder:
     def decode(self, stream: bytes, nbits: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Decode to ``(positions, corrections)``; corrections are the
         quantized approximations with ``|corr - ĉorr| <= t/2``."""
-        rec_mags, negative = _speck_codec.decode(stream, (self.n,), nbits=nbits)
-        values = rec_mags * self.tolerance
-        values[negative] *= -1.0
-        positions = np.flatnonzero(rec_mags > 0)
-        return positions, values[positions]
+        positions, values = self._decode_unordered(stream, nbits)
+        order = np.argsort(positions)
+        return positions[order], values[order]
+
+    def _decode_unordered(
+        self, stream: bytes, nbits: int | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Corrections in SPECK discovery order, padding positions dropped."""
+        positions, rec, negative = decode_lsp(stream, (self.n,), nbits=nbits)
+        values = np.where(negative, -self.tolerance, self.tolerance)
+        values *= rec
+        inside = positions < self.n
+        if not inside.all():
+            positions, values = positions[inside], values[inside]
+        return positions, values
 
     def apply(self, reconstruction: np.ndarray, stream: bytes, nbits: int | None = None) -> None:
         """Add decoded corrections to a flattened reconstruction in place."""
@@ -106,7 +116,7 @@ class OutlierCoder:
         if flat.size != self.n:
             raise InvalidArgumentError("reconstruction length mismatch")
         with span("outlier.apply") as sp:
-            positions, corrections = self.decode(stream, nbits=nbits)
+            positions, corrections = self._decode_unordered(stream, nbits)
             flat[positions] += corrections
             sp.set(n_outliers=int(positions.size))
 

@@ -12,12 +12,11 @@ import numpy as np
 from ..obs import span
 from ..quant import dequantize_batch, integerize_batch
 from .batched import BatchedSpeckEncoder, encode_batch
-from .codec import SpeckDecoder, SpeckEncoder, SpeckStats, decode, encode
+from .codec import SpeckEncoder, SpeckStats, decode, decode_lsp, encode, scatter
 from .geometry import Geometry, MaxPyramid
 
 __all__ = [
     "SpeckEncoder",
-    "SpeckDecoder",
     "SpeckStats",
     "BatchedSpeckEncoder",
     "Geometry",
@@ -25,6 +24,7 @@ __all__ = [
     "encode",
     "encode_batch",
     "decode",
+    "decode_lsp",
     "encode_coefficients",
     "encode_coefficients_batch",
     "decode_coefficients",
@@ -70,9 +70,14 @@ def encode_coefficients_batch(
 def decode_coefficients(
     data: bytes, shape: tuple[int, ...], q: float, nbits: int | None = None
 ) -> np.ndarray:
-    """Decode a SPECK stream back to real coefficient values."""
+    """Decode a SPECK stream back to real coefficient values.
+
+    Step and sign apply to the significant pixels only, in discovery
+    order; one scatter then places them in the zeroed volume.
+    """
     with span("speck.decode", q=q):
-        rec_mags, negative = decode(data, shape, nbits=nbits)
-        out = rec_mags * q
-        out[negative] *= -1.0
+        positions, rec, negative = decode_lsp(data, shape, nbits=nbits)
+        values = np.where(negative, -q, q)
+        values *= rec
+        out = scatter(shape, positions, values)
     return out

@@ -88,7 +88,7 @@ def reference_decode(
     """Canonical SPECK decode of a *complete* reference stream.
 
     Returns ``(approx_mags, negative)`` with the same mid-riser-centered
-    semantics as :meth:`repro.speck.codec.SpeckDecoder.decode`.
+    semantics as :func:`repro.speck.decode`.
     """
     geometry = Geometry(shape)
     stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:nbits]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.bitstream import HEADER_SIZE, ChunkHeader, ChunkParams
 from repro.core.modes import PweMode, SizeMode
 from repro.core.pipeline import compress_chunk, decompress_chunk
 from repro.errors import InvalidArgumentError, StreamFormatError
+from repro.speck import encode
 
 
 class TestCompressChunk:
@@ -109,3 +112,69 @@ class TestCompressChunk:
         stream, _ = compress_chunk(smooth_field, PweMode(t))
         with pytest.raises(StreamFormatError):
             decompress_chunk(stream[: HEADER_SIZE + 4], rank=3)
+
+
+class TestForgedSpeckHeaders:
+    """A SPECK section's first byte counts bitplanes.  Magnitudes are
+    uint64, so no encoder writes more than 64; a larger count used to
+    decode silently to wrong values (planes 64+ shift the 1 out)."""
+
+    @pytest.fixture
+    def chunk(self, rough_field):
+        t = (rough_field.max() - rough_field.min()) / 2**18
+        stream, report = compress_chunk(rough_field, PweMode(t))
+        assert report.n_outliers > 0
+        header = ChunkHeader.unpack(stream)
+        speck_at = HEADER_SIZE + ChunkParams.SIZE
+        return stream, {"speck": speck_at, "outlier": speck_at + header.speck_nbytes}
+
+    @staticmethod
+    def _forge(stream: bytes, at: int, value: int) -> bytes:
+        bad = bytearray(stream)
+        bad[at] = value
+        return bytes(bad)
+
+    @pytest.mark.parametrize("section", ["speck", "outlier"])
+    @pytest.mark.parametrize("value", [65, 128, 255])
+    def test_impossible_plane_count_rejected(self, chunk, section, value):
+        stream, offsets = chunk
+        with pytest.raises(StreamFormatError, match="bitplanes"):
+            decompress_chunk(self._forge(stream, offsets[section], value), rank=3)
+
+    @pytest.mark.parametrize("section", ["speck", "outlier"])
+    def test_largest_legal_plane_count_decodes(self, chunk, section):
+        stream, offsets = chunk
+        out = decompress_chunk(self._forge(stream, offsets[section], 64), rank=3)
+        assert out.shape == (20, 20, 20)
+
+
+def test_forged_padding_coefficients_dropped(rng):
+    """A ragged 9x13x6 chunk pads to 16x16x8.  A SPECK section coded for
+    the padded box, with nonzeros in the padding, must decode to the
+    chunk's own cells only: the same volume as with the padding zeroed."""
+    shape, padded = (9, 13, 6), (16, 16, 8)
+    data = rng.standard_normal(shape)
+    stream, _ = compress_chunk(data, PweMode(0.05))
+    header = ChunkHeader.unpack(stream)
+    params = ChunkParams.unpack(stream[HEADER_SIZE:])
+    tail = stream[HEADER_SIZE + ChunkParams.SIZE + header.speck_nbytes :]
+
+    mags = np.zeros(padded, dtype=np.uint64)
+    mags[:9, :13, :6] = rng.integers(0, 1000, size=shape)
+    neg = rng.random(padded) < 0.5
+    honest = encode(mags, neg)
+    mags[12, 14, 7] = mags[3, 15, 2] = mags[10, 1, 6] = 5000
+    forged = encode(mags, neg)
+
+    def with_speck_section(section: bytes, nbits: int) -> bytes:
+        return (
+            dataclasses.replace(header, speck_nbytes=len(section)).pack()
+            + dataclasses.replace(params, speck_nbits=nbits).pack()
+            + section
+            + tail
+        )
+
+    want = decompress_chunk(with_speck_section(*honest[:2]), rank=3)
+    got = decompress_chunk(with_speck_section(*forged[:2]), rank=3)
+    assert got.shape == shape
+    assert np.array_equal(got, want)

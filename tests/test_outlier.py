@@ -155,3 +155,21 @@ def test_outlier_guarantee_property(n, seed, t):
     order = np.argsort(dpos)
     order_in = np.argsort(pos)
     assert np.abs(dcorr[order] - corr[order_in]).max() <= t / 2 * (1 + 1e-9) + 1e-15
+
+
+class TestForgedPaddingPositions:
+    """The outlier domain pads to a power of two; a forged stream can
+    mark padding cells significant.  Decode must drop them."""
+
+    def test_padding_outliers_dropped(self):
+        t = 0.5
+        positions = np.array([5, 9000, 12000, 16000])
+        forged = OutlierCoder(16384, t).encode(positions, np.array([3.0, -4.0, 5.0, 6.0]))
+        coder = OutlierCoder(10240, t)
+        got, corr = coder.decode(forged.stream, nbits=forged.nbits)
+        assert got.tolist() == [5, 9000]
+        assert np.all(np.abs(corr - [3.0, -4.0]) <= t / 2)
+        recon = np.zeros(10240)
+        coder.apply(recon, forged.stream, nbits=forged.nbits)
+        assert np.flatnonzero(recon).tolist() == [5, 9000]
+        assert np.array_equal(recon[[5, 9000]], corr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import re
 import zlib
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.compressors import (
 from repro.compressors.base import PsnrMode
 from repro.core.container import parse_container
 from repro.core.modes import PweMode
+from repro.core.pipeline import compress_chunk, decompress_chunk
 from repro.datasets import spectral_field
 from repro.errors import IntegrityError, InvalidArgumentError, ReproError
 from repro.testing.faults import FAULT_OPERATORS, corrupt, fuzz_decoder
@@ -159,29 +161,49 @@ _FUZZ_CODECS = {
 }
 
 
+#: Fuzzed beside the codecs: a raw 32³ SPERR chunk stream with an outlier
+#: section, fed to ``decompress_chunk`` directly.  Through the container
+#: most corruptions stop at the chunk CRC; here they reach the SPECK
+#: coefficient and outlier decoders.
+_RAW_CHUNK = "sperr-chunk"
+_RAW_CHUNK_SHAPE = (32, 32, 32)
+_FUZZ_TARGETS = sorted([*_FUZZ_CODECS, _RAW_CHUNK])
+
+
+def _fuzz_decoder(target: str):
+    if target == _RAW_CHUNK:
+        return partial(decompress_chunk, expected_shape=_RAW_CHUNK_SHAPE)
+    return _FUZZ_CODECS[target][0].decompress
+
+
 @pytest.fixture(scope="module")
 def fuzz_payloads(field):
-    """One clean payload per codec, compressed once for the whole matrix."""
-    return {
+    """One clean payload per target, compressed once for the whole matrix."""
+    payloads = {
         name: comp.compress(field, mode)
         for name, (comp, mode) in _FUZZ_CODECS.items()
     }
+    chunk = spectral_field(_RAW_CHUNK_SHAPE, slope=2.0, seed=12)
+    stream, report = compress_chunk(chunk, PweMode(1e-3 * float(np.ptp(chunk))))
+    assert report.n_outliers > 0
+    payloads[_RAW_CHUNK] = stream
+    return payloads
 
 
 class TestFaultInjectionMatrix:
-    """Every codec × every fault operator × seeded corruption campaigns.
+    """Every codec (and a raw SPERR chunk) × every fault operator ×
+    seeded corruption campaigns.
 
     The contract: a corrupted payload either decodes (to garbage or a
     salvage) or raises a ``ReproError`` subclass.  Raw ``struct.error`` /
     ``IndexError``, unbounded allocations, and hangs are decoder bugs.
     """
 
-    @pytest.mark.parametrize("codec", sorted(_FUZZ_CODECS))
+    @pytest.mark.parametrize("codec", _FUZZ_TARGETS)
     @pytest.mark.parametrize("operator", sorted(FAULT_OPERATORS))
     def test_codec_survives_operator(self, codec, operator, fuzz_payloads):
-        comp, _ = _FUZZ_CODECS[codec]
         report = fuzz_decoder(
-            comp.decompress,
+            _fuzz_decoder(codec),
             fuzz_payloads[codec],
             n=50,
             operators=[operator],
@@ -204,16 +226,15 @@ class TestFaultInjectionMatrix:
         os.environ.get("REPRO_FUZZ_DEEP") != "1",
         reason="deep fuzz is opt-in: set REPRO_FUZZ_DEEP=1 and run -m fuzz",
     )
-    @pytest.mark.parametrize("codec", sorted(_FUZZ_CODECS))
+    @pytest.mark.parametrize("codec", _FUZZ_TARGETS)
     def test_deep_fuzz(self, codec, fuzz_payloads):
         """The acceptance campaign: 500 seeded corruptions per codec.
 
         ``REPRO_FUZZ_N`` scales the campaign (CI smoke runs use a
         smaller count; nightly runs can raise it).
         """
-        comp, _ = _FUZZ_CODECS[codec]
         n = int(os.environ.get("REPRO_FUZZ_N", "500"))
-        report = fuzz_decoder(comp.decompress, fuzz_payloads[codec], n=n, seed=0)
+        report = fuzz_decoder(_fuzz_decoder(codec), fuzz_payloads[codec], n=n, seed=0)
         assert report.ok, f"{codec} deep fuzz: {report.summary()}"
 
     def test_corrupt_is_deterministic(self, payload):
