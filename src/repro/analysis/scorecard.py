@@ -20,9 +20,9 @@ from the container's chunk table.  4-D scenarios compress
 frame-by-frame along the leading axis, matching the paper's time-series
 treatment.
 
-``run_scorecard(smoke_only=True)`` is the tier-1 subset used by the
-regression gate; the full matrix backs the opt-in CI sweep and the
-``sperr scorecard --full`` CLI command.
+``run_scorecard(smoke_only=True)`` is the tier-1 subset
+(``tests/test_scenarios.py``); the full matrix backs the opt-in CI
+sweep and the ``sperr scorecard --full`` CLI command.
 """
 
 from __future__ import annotations

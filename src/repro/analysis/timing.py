@@ -15,7 +15,6 @@ __all__ = [
     "StageBreakdown",
     "time_breakdown",
     "STAGE_SPANS",
-    "STAGE_SPANS_DECODE",
 ]
 
 #: Fig. 6 stage -> the obs span names whose wall time it aggregates.
@@ -26,16 +25,6 @@ STAGE_SPANS: dict[str, tuple[str, ...]] = {
     "speck": ("speck.encode",),
     "locate": ("outlier.locate", "wavelet.inverse"),
     "outlier_code": ("outlier.encode",),
-}
-
-#: Decompress-side stage -> span names, the mirror of :data:`STAGE_SPANS`
-#: for traced decode passes (``wavelet.inverse`` only runs once on that
-#: path, so no disambiguation against ``locate`` is needed).
-STAGE_SPANS_DECODE: dict[str, tuple[str, ...]] = {
-    "lossless": ("lossless.decode",),
-    "speck": ("speck.decode",),
-    "transform": ("wavelet.inverse",),
-    "outlier_apply": ("outlier.apply",),
 }
 
 
@@ -63,7 +52,8 @@ def time_breakdown(
     under an :class:`~repro.obs.trace` and keeps the per-stage minimum
     (the classic noise-rejecting estimator), aggregating span wall time
     per :data:`STAGE_SPANS` — the same collector the CLI's ``--trace``
-    and the regression benchmarks consume.
+    and the benchmark's traced pass (``perfbench/run.py --trace 1``)
+    consume.
     """
     data = np.asarray(data, dtype=np.float64)
     rng = float(data.max() - data.min())

@@ -22,10 +22,10 @@ Typical use::
     print(format_stage_table(report))
     write_chrome_trace(report, "out.json")   # chrome://tracing loadable
 
-The CLI exposes the same machinery as ``sperr compress --trace out.json``
-and the benchmark harnesses (``bench_fig6_time_breakdown``,
-``bench_regression``) consume :meth:`TraceReport.stage_totals` instead of
-hand-rolled timers.  See ``docs/observability.md``.
+The CLI exposes the same machinery as ``sperr compress --trace out.json``;
+``bench_fig6_time_breakdown`` consumes :meth:`TraceReport.stage_totals`
+instead of hand-rolled timers, and ``perfbench/run.py --trace 1`` builds
+its per-layer split from the same spans.  See ``docs/observability.md``.
 """
 
 from .export import chrome_trace, format_stage_table, to_json, write_chrome_trace

@@ -249,3 +249,51 @@ class TestStoreTags:
         assert counts["szx"] > 0
         assert counts["sperr"] > 0
         assert sum(counts.values()) == 8
+
+
+class TestSpeed:
+    """The tiers' speed claims on the seeded 64^3 field, chunk 32: ``fast``
+    compresses >= 5x faster than ``quality`` at the same bound, and
+    ``adaptive`` is never slower than ``quality``."""
+
+    @pytest.fixture
+    def fields(self, miranda):
+        smooth = miranda((64, 64, 64))
+        span = float(smooth.max() - smooth.min())
+        # Heavy noise on one half at a 100x tighter bound: at 1e-3 even
+        # noise stays inside szx's width threshold, so only a tight bound
+        # gives adaptive a genuine sperr/szx split to route.
+        mixed = smooth.copy()
+        mixed[32:] += np.random.default_rng(99).normal(0.0, 0.5 * span, (32, 64, 64))
+        return {
+            "smooth": (smooth, PweMode(1e-3 * span)),
+            "mixed": (mixed, PweMode(1e-5 * float(mixed.max() - mixed.min()))),
+        }
+
+    @staticmethod
+    def _speedup(best_of_3, data, mode, codec):
+        def run(policy):
+            return lambda: compress(data, mode, chunk_shape=32, codec=policy)
+
+        def measure():
+            quality, other = best_of_3(run("quality"), run(codec))
+            return quality / other
+
+        run(codec)()  # warm-up: the first call imports and plans
+        return measure
+
+    def test_fast_tier_at_least_5x_quality(self, fields, best_of_3, at_least):
+        measure = self._speedup(best_of_3, *fields["smooth"], "fast")
+        at_least(measure, 5.0, "fast vs quality compress speed-up")
+
+    @pytest.mark.parametrize("field", ["smooth", "mixed"])
+    def test_adaptive_never_slower_than_quality(
+        self, fields, field, best_of_3, at_least
+    ):
+        data, mode = fields[field]
+        payload = compress(data, mode, chunk_shape=32, codec="adaptive").payload
+        # The smooth field routes to szx; the mixed one splits sperr/szx.
+        want = {CODEC_SZX} if field == "smooth" else {CODEC_SPERR, CODEC_SZX}
+        assert set(parse_container(payload).codec_tags) >= want
+        measure = self._speedup(best_of_3, data, mode, "adaptive")
+        at_least(measure, 1.0, f"adaptive vs quality on the {field} field")

@@ -74,7 +74,10 @@ class TestTimeBreakdown:
             assert r.total == pytest.approx(
                 r.transform + r.speck + r.locate + r.outlier_code
             )
-            assert r.speck >= 0
+            # No stage reads negative, and SPECK, the dominant stage,
+            # always takes measurable time.
+            assert min(r.transform, r.locate, r.outlier_code) >= 0
+            assert r.speck > 0
 
 
 class TestScalingModel:

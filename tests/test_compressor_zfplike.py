@@ -216,3 +216,30 @@ class TestVectorizedEncoderIdentity:
         assert _encode_blocks_vectorized(
             u, exps, nonzero, kmins, None
         ) == self._serial(u, exps, nonzero, kmins, None)
+
+
+class TestThroughputFloors:
+    """Encode/decode MB/s of float64 input on the seeded 32^3 field.  No
+    benchmark workload runs this codec; the floors are half the speeds
+    the vectorized block coder was tuned to."""
+
+    @pytest.mark.parametrize(
+        "rate_mode, floor", [("accuracy", 2.0), ("fixed_rate", 1.5)]
+    )
+    def test_floor(self, miranda, best_of_3, at_least, rate_mode, floor):
+        data = miranda((32, 32, 32))
+        mode = (
+            PweMode(1e-3 * float(data.max() - data.min()))
+            if rate_mode == "accuracy"
+            else SizeMode(8.0)
+        )
+        comp = ZfpLikeCompressor()
+        payload = comp.compress(data, mode)
+
+        def mbps():
+            seconds = best_of_3(
+                lambda: comp.compress(data, mode), lambda: comp.decompress(payload)
+            )
+            return data.nbytes / 1e6 / max(seconds)  # the slower direction
+
+        at_least(mbps, floor, f"zfp {rate_mode} encode/decode MB/s")

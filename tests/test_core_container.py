@@ -144,3 +144,59 @@ class TestNearConstantPsnr:
         out = decompress(payload)
         np.testing.assert_array_equal(np.isnan(out), np.isnan(data))
         assert abs(out[3, 4, 7] - data[3, 4, 7]) < 1e-6
+
+
+def _pwe(data: np.ndarray) -> PweMode:
+    return PweMode(1e-3 * float(data.max() - data.min()))
+
+
+class TestIntegrityOverhead:
+    def test_crc_fields_cost_under_a_thousandth_of_the_payload(self, miranda):
+        """The v2+ header CRC and per-chunk CRC table, measured against
+        the same parse rebuilt as an unprotected v1 container."""
+        from repro.core.container import build_container, parse_container
+
+        data = miranda((64, 64, 64))
+        payload = compress(data, _pwe(data), chunk_shape=32).payload
+        p = parse_container(payload)
+        v1 = build_container(
+            p.rank, p.dtype, p.mode_code, p.shape, p.chunks, p.streams, version=1
+        )
+        overhead = len(payload) - len(v1)
+        assert 0 < overhead < 1e-3 * len(payload)
+
+
+class TestBatchExecutor:
+    """``executor="batch"`` stacks each group of same-shaped chunks into
+    one ``compress_stack`` call; the bytes match the serial executor."""
+
+    @pytest.fixture
+    def stack_shapes(self, monkeypatch):
+        from repro.core import container
+
+        shapes = []
+        real = container.compress_stack
+
+        def counting(stack, *args, **kwargs):
+            shapes.append(stack.shape)
+            return real(stack, *args, **kwargs)
+
+        monkeypatch.setattr(container, "compress_stack", counting)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "shape, groups",
+        [
+            ((128, 128, 128), [(64, 32, 32, 32)]),
+            ((64, 64, 48), [(4, 32, 32, 16), (4, 32, 32, 32)]),
+        ],
+        ids=["64-chunks", "ragged"],
+    )
+    def test_one_call_per_shape_group(self, stack_shapes, miranda, shape, groups):
+        data = miranda(shape)
+        batch = compress(data, _pwe(data), chunk_shape=32, executor="batch")
+        assert sorted(stack_shapes) == groups
+        del stack_shapes[:]
+        serial = compress(data, _pwe(data), chunk_shape=32, executor="serial")
+        assert len(stack_shapes) == sum(g[0] for g in groups)
+        assert batch.payload == serial.payload

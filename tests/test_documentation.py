@@ -2,14 +2,17 @@
 
 Deliverable (e) requires doc comments on every public item; this test
 makes the requirement executable — each package's ``__all__`` symbols
-must carry docstrings, and the repo-level documents must exist and
-cross-reference each other.
+must carry docstrings, the repo-level documents must exist and
+cross-reference each other, and every repo path or ``repro.*`` name a
+document puts in backticks must still exist.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -109,8 +112,6 @@ def _magic_constants() -> dict[str, bytes]:
     bytes, or dicts/tuples of bytes (``_MAGIC_BY_VERSION``,
     ``LEGACY_MAGICS``).
     """
-    import pkgutil
-
     import repro
 
     found: dict[str, bytes] = {}
@@ -152,8 +153,6 @@ class TestFormatDocument:
         assert not missing, f"docs/file-format.md lacks magics {missing}"
 
     def test_every_codec_tag_is_documented(self):
-        import re
-
         from repro.core.adaptive import CODEC_NAMES
 
         for tag, name in CODEC_NAMES.items():
@@ -164,3 +163,76 @@ class TestFormatDocument:
 
     def test_no_second_format_document(self):
         assert not (ROOT / "docs" / "format.md").exists()
+
+
+#: Documents whose backticked references must resolve.
+#: ``perfbench/README.md`` is left out: it describes the benchmark and is
+#: edited only together with the benchmark's code, so it may lag the
+#: package it measures (its "Existing bench scripts" section, for one).
+REFERENCING_DOCS = (
+    "README.md",
+    "DESIGN.md",
+    *sorted(f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md")),
+    "benchmarks/README.md",
+    ".claude/skills/verify/SKILL.md",
+)
+
+_BACKTICKED = re.compile(r"`([^`\n]+)`")
+_REPO_PATH = re.compile(
+    r"(?<![\w./-])(?:src|tests|benchmarks|perfbench|docs|examples)/[\w./*{},<>-]*"
+)
+_DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.[\w{},]+)+")
+
+
+def _expand_braces(ref: str) -> list[str]:
+    """``docs/{a,b}.md`` -> ``["docs/a.md", "docs/b.md"]`` (nesting-free)."""
+    m = re.search(r"\{([^{}]*)\}", ref)
+    if m is None:
+        return [ref]
+    return [
+        out
+        for alt in m.group(1).split(",")
+        for out in _expand_braces(ref[: m.start()] + alt + ref[m.end() :])
+    ]
+
+
+def _path_exists(ref: str) -> bool:
+    # ``<name>`` placeholders and ``*`` globs match any existing file.
+    return any(ROOT.glob(re.sub(r"<[^>]*>", "*", ref).rstrip("/")))
+
+
+def _name_resolves(ref: str) -> bool:
+    try:
+        pkgutil.resolve_name(ref)  # import the module prefix, getattr the rest
+    except (ImportError, AttributeError, ValueError):
+        return False
+    return True
+
+
+def _references(doc: str) -> list[tuple[str, bool]]:
+    """Every backticked repo path / ``repro.*`` name in ``doc``, resolved."""
+    out = []
+    for span in _BACKTICKED.findall((ROOT / doc).read_text()):
+        for token in _REPO_PATH.findall(span):
+            out += [(ref, _path_exists(ref)) for ref in _expand_braces(token)]
+        for token in _DOTTED_NAME.findall(span):
+            out += [(ref, _name_resolves(ref)) for ref in _expand_braces(token)]
+    return out
+
+
+class TestReferencesResolve:
+    """Docs drift fails here: a moved file or renamed symbol breaks the
+    backticked reference that names it."""
+
+    @pytest.mark.parametrize("doc", REFERENCING_DOCS)
+    def test_backticked_references_resolve(self, doc):
+        stale = sorted({ref for ref, ok in _references(doc) if not ok})
+        assert not stale, f"{doc} names missing paths/symbols: {stale}"
+
+    def test_scan_sees_references(self):
+        # Guards the regexes: a scan that silently matches nothing would
+        # pass every document.
+        refs = [r for doc in REFERENCING_DOCS for r in _references(doc)]
+        assert len(refs) > 150
+        assert ("tests/test_documentation.py", True) in refs
+        assert ("repro.analysis.timing.STAGE_SPANS", True) in refs

@@ -444,3 +444,57 @@ def test_backend_auto_round_trip_property(data):
 @given(st.binary(max_size=600))
 def test_lz77_round_trip_property(data):
     assert lz77.decode(lz77.encode(data)) == data
+
+
+# Seeded micro inputs, each shaped to the data one method is for.
+def _runs(rng, n):
+    """Long runs of few byte values (RLE)."""
+    return np.repeat(rng.integers(0, 4, size=n // 64, dtype=np.uint8), 64)[:n]
+
+
+def _skewed(rng, n):
+    """Skewed iid bytes, ~3 bits/byte of entropy (Huffman, rANS)."""
+    return np.minimum(rng.geometric(0.25, size=n) - 1, 255).astype(np.uint8)
+
+
+def _repetitive(rng, n):
+    """Random 256-byte fragments drawn from a pool of 16 (LZ77)."""
+    pool = rng.integers(0, 256, size=(16, 256), dtype=np.uint8)
+    return pool[rng.integers(0, 16, size=n // 256 + 1)].reshape(-1)[:n]
+
+
+#: method -> (input generator, input bytes, pinned payload bytes).  The
+#: per-bit ``ac`` coder exists for stream compatibility and gets a
+#: smaller input.
+MICRO = {
+    "rle": (_runs, 1 << 20, 25171),
+    "huffman": (_skewed, 1 << 20, 434738),
+    "rle+huffman": (_runs, 1 << 20, 8419),
+    "lz77": (_repetitive, 1 << 20, 17375),
+    "ac": (_skewed, 1 << 16, 26622),
+    "rc": (_skewed, 1 << 20, 432502),
+}
+
+
+def _micro_input(method: str) -> bytes:
+    gen, size, _ = MICRO[method]
+    return gen(np.random.default_rng(42), size).tobytes()
+
+
+class TestMicroInputs:
+    @pytest.mark.parametrize("method", sorted(MICRO))
+    def test_payload_size_pinned(self, method):
+        # Encoding is deterministic: any size change is a format change.
+        payload = lossless.compress(_micro_input(method), method=method)
+        assert len(payload) == MICRO[method][2]
+
+    def test_lz77_encode_floor(self, best_of_3, at_least):
+        # No benchmark workload picks LZ77; 2.5 MB/s is half the floor
+        # the encoder was tuned to.
+        data = _micro_input("lz77")
+
+        def mbps():
+            (seconds,) = best_of_3(lambda: lossless.compress(data, method="lz77"))
+            return len(data) / 1e6 / seconds
+
+        at_least(mbps, 2.5, "LZ77 encode MB/s")
