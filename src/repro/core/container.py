@@ -55,11 +55,11 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-
-from functools import partial
 
 from .. import lossless, obs
 from ..errors import (
@@ -88,9 +88,11 @@ from .mask import (
     sanitize_array,
     tighten_pwe_for_dtype,
 )
+from ..wavelets import num_levels
 from .modes import PsnrMode, PweMode, SizeMode
 from .parallel import map_chunk_arrays, robust_chunk_map
 from .pipeline import ChunkReport, compress_stack, decompress_chunk, psnr_target_rmse
+from .progressive import truncate_chunk_stream
 
 __all__ = [
     "CompressionResult",
@@ -105,6 +107,9 @@ __all__ = [
     "MAX_TOTAL_POINTS",
     "compress",
     "decompress",
+    "coarse_depth",
+    "coarse_extent",
+    "decode_chunks",
     "decode_tagged_chunk",
     "parse_container",
     "build_container",
@@ -224,68 +229,189 @@ def _compress_baseline_job(
     return stream, _fast_tier_report(part.shape, tolerance, len(stream))
 
 
+def _axis_depth(n: int, levels_cap: int | None) -> int:
+    """Coarsening levels an ``n``-long axis supports: the wavelet
+    per-axis rule (:func:`~repro.wavelets.num_levels`), capped by
+    ``levels_cap``."""
+    depth = num_levels(n)
+    return depth if levels_cap is None else min(depth, levels_cap)
+
+
+def coarse_depth(shape: tuple[int, ...], levels_cap: int | None) -> int:
+    """Deepest coarsening level any axis of a ``shape`` chunk supports."""
+    return max(_axis_depth(n, levels_cap) for n in shape)
+
+
+def coarse_extent(n: int, level: int, levels_cap: int | None) -> int:
+    """Extent of an ``n``-long axis at coarse ``level``.
+
+    The axis halves (rounding up) once per level down to its own depth
+    and stays put below it — the same extent a wavelet low-pass box and
+    a ``[::2**k]`` decimation both produce, so sperr and non-sperr
+    coarse tiles assemble on one grid.
+    """
+    k = min(level, _axis_depth(n, levels_cap))
+    return (n + (1 << k) - 1) >> k
+
+
 def decode_tagged_chunk(
-    stream: bytes, tag: int, rank: int, expected_shape: tuple[int, ...]
+    stream: bytes,
+    tag: int,
+    rank: int,
+    expected_shape: tuple[int, ...],
+    *,
+    level: int = 0,
+    levels_cap: int | None = None,
+    fraction: float | None = None,
 ) -> np.ndarray:
     """Decode one chunk stream under its chunk-table codec tag.
 
-    Shared by the container decoder and the store reader so every decode
-    path dispatches identically on mixed-codec payloads.  Baseline tags
-    decode through the registry codec and must reproduce the table shape.
-    """
-    if tag == CODEC_SPERR:
-        with decode_guard("sperr"):
-            return decompress_chunk(
-                lossless.decompress(stream),
-                rank=rank,
-                expected_shape=expected_shape,
-            )
-    if tag == CODEC_SZX:
-        from ..compressors.szxlike.codec import decode_chunk as szx_decode
+    This is the one chunk decoder: :func:`decompress`, the store's
+    :meth:`~repro.store.CompressedArray.read_window` and
+    :func:`~repro.core.progressive.decompress_multires` all reach it
+    through :func:`decode_chunks`.  Baseline tags decode through the
+    registry codec; every tag must reproduce the table shape.
 
-        return szx_decode(stream, expected_shape=expected_shape)
-    if tag == CODEC_STORED:
-        return decode_stored_chunk(stream, expected_shape=expected_shape)
+    ``fraction < 1`` first cuts a sperr chunk's SPECK section to that
+    share of its bits (:func:`~repro.core.progressive.truncate_chunk_stream`);
+    the other tags have no embedded bitstream and decode whole.
+    ``level > 0`` returns the coarse box: sperr chunks skip the finest
+    inverse wavelet levels, the other tags keep every ``2**k``-th
+    sample, and each axis ends at :func:`coarse_extent` under
+    ``levels_cap``.  A ``level`` deeper than the chunk's deepest axis
+    raises :class:`~repro.errors.InvalidArgumentError`.
+    """
     name = CODEC_NAMES.get(tag)
-    if name in BASELINE_TAGS:
-        from ..compressors import ALL_COMPRESSORS
+    if name is None:
+        raise StreamFormatError(f"unknown chunk codec tag {tag}")
+    shape = tuple(expected_shape)
+    with decode_guard(name):
+        if tag == CODEC_SPERR:
+            raw = lossless.decompress(stream)
+            if fraction is not None and fraction < 1.0:
+                raw = truncate_chunk_stream(raw, fraction)
+            box = decompress_chunk(raw, rank=rank, expected_shape=shape, level=level)
+        else:
+            depth = coarse_depth(shape, levels_cap)
+            if level > depth:
+                raise InvalidArgumentError(
+                    f"a {shape} chunk supports at most {depth} coarsening levels"
+                )
+            if tag == CODEC_SZX:
+                from ..compressors.szxlike.codec import decode_chunk as szx_decode
 
-        with decode_guard(name):
-            out = ALL_COMPRESSORS[name]().decompress(stream)
-        if tuple(out.shape) != tuple(expected_shape):
-            raise StreamFormatError(
-                f"{name} chunk decodes to shape {tuple(out.shape)}, table "
-                f"says {tuple(expected_shape)}"
-            )
-        return out
-    raise StreamFormatError(f"unknown chunk codec tag {tag}")
+                box = szx_decode(stream, expected_shape=shape)
+            elif tag == CODEC_STORED:
+                box = decode_stored_chunk(stream, expected_shape=shape)
+            else:
+                from ..compressors import ALL_COMPRESSORS
+
+                box = ALL_COMPRESSORS[name]().decompress(stream)
+            if level:
+                steps = (1 << min(level, _axis_depth(n, levels_cap)) for n in shape)
+                box = box[tuple(slice(None, None, step) for step in steps)]
+    coarse = tuple(coarse_extent(n, level, levels_cap) for n in shape)
+    if box.shape != coarse:
+        raise StreamFormatError(
+            f"{name} chunk decodes to shape {box.shape}, table says "
+            f"{coarse} at level {level}"
+        )
+    return box
 
 
-def _decompress_chunk_job(
-    item: tuple[bytes, tuple[int, ...], int], rank: int
-) -> np.ndarray:
-    """Module-level chunk-decode job (picklable for the process executor)."""
-    stream, expected_shape, tag = item
-    return decode_tagged_chunk(stream, tag, rank, expected_shape)
+def _decode_chunk_job(
+    item: tuple[bytes, tuple[int, ...], int, int],
+    rank: int,
+    levels_cap: int | None,
+    fraction: float | None,
+    salvage: bool,
+    span: str | None,
+) -> np.ndarray | str:
+    """The chunk-decode job every read path maps (module-level, so the
+    process executor can pickle it).
 
-
-def _salvage_chunk_job(
-    item: tuple[bytes, tuple[int, ...], int | None, int], rank: int
-) -> tuple[str, np.ndarray | str]:
-    """Salvage-mode chunk job: never raises, returns ``(status, value)``.
-
-    ``value`` is the decoded array on success, or a one-line exception
-    summary on failure.  CRC verification happens here (inside the
-    executor) so a damaged chunk costs one checksum, not one traceback.
+    ``item`` is ``(stream, expected_shape, tag, level)``.  Salvage mode
+    only changes whether a failure propagates or comes back as a
+    one-line summary string.  ``span`` names an optional per-chunk span.
     """
-    stream, expected_shape, crc, tag = item
-    if crc is not None and zlib.crc32(stream) != crc:
-        return ("crc_mismatch", f"chunk CRC mismatch (stored {crc:#010x})")
+    stream, expected_shape, tag, level = item
+    scope = (
+        obs.span(span, nbytes=len(stream), level=level, codec=tag)
+        if span
+        else nullcontext()
+    )
     try:
-        out = decode_tagged_chunk(stream, tag, rank, expected_shape)
-        return ("ok", out)
+        with scope:
+            return decode_tagged_chunk(
+                stream,
+                tag,
+                rank,
+                expected_shape,
+                level=level,
+                levels_cap=levels_cap,
+                fraction=fraction,
+            )
     except Exception as exc:  # noqa: BLE001 - isolation boundary by design
-        return ("decode_error", f"{type(exc).__name__}: {exc}")
+        if not salvage:
+            raise
+        return f"{type(exc).__name__}: {exc}"
+
+
+def decode_chunks(
+    jobs: list[tuple[int, bytes, tuple[int, ...], int, int | None, int]],
+    rank: int,
+    *,
+    salvage: bool,
+    levels_cap: int | None = None,
+    fraction: float | None = None,
+    executor: str = "serial",
+    workers: int | None = None,
+    timeout: float | None = None,
+    span: str | None = None,
+) -> tuple[dict[int, np.ndarray], dict[int, tuple[str, str]], list[str]]:
+    """Verify, then decode, chunk streams through :func:`_decode_chunk_job`.
+
+    Each job is ``(index, stream, expected_shape, tag, crc, level)``
+    (``crc=None`` skips verification).  Every CRC is checked before any
+    decode work: raise mode raises
+    :class:`~repro.errors.IntegrityError` on the first mismatch, salvage
+    mode records it and skips the chunk.  Returns ``(parts, failures,
+    notes)``: decoded arrays and ``(status, error)`` pairs keyed by
+    index, plus the executor's degradation notes.
+    """
+    failures: dict[int, tuple[str, str]] = {}
+    with obs.span("container.verify", n_chunks=len(jobs)):
+        for index, stream, _shape, _tag, crc, _level in jobs:
+            if crc is not None and zlib.crc32(stream) != crc:
+                if not salvage:
+                    raise IntegrityError(f"chunk {index} CRC mismatch")
+                failures[index] = (
+                    "crc_mismatch",
+                    f"chunk CRC mismatch (stored {crc:#010x})",
+                )
+    todo = [job for job in jobs if job[0] not in failures]
+    work = partial(
+        _decode_chunk_job,
+        rank=rank,
+        levels_cap=levels_cap,
+        fraction=fraction,
+        salvage=salvage,
+        span=span,
+    )
+    results, notes = robust_chunk_map(
+        work,
+        [(stream, shape, tag, level) for _, stream, shape, tag, _, level in todo],
+        executor=executor,
+        workers=workers,
+        timeout=timeout,
+    )
+    parts: dict[int, np.ndarray] = {}
+    for job, value in zip(todo, results):
+        if isinstance(value, str):
+            failures[job[0]] = ("decode_error", value)
+        else:
+            parts[job[0]] = value
+    return parts, failures, notes
 
 
 def compress(
@@ -813,6 +939,25 @@ class DecodeReport:
     chunk_status: list[ChunkDecodeStatus] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
+    @classmethod
+    def from_failures(
+        cls,
+        format_version: int,
+        indices,
+        failures: dict[int, tuple[str, str]],
+        notes: list[str],
+    ) -> "DecodeReport":
+        """Report every index in ``indices``: ``failures`` maps a failed
+        one to its ``(status, error)``, the rest decoded."""
+        return cls(
+            format_version=format_version,
+            chunk_status=[
+                ChunkDecodeStatus(i, *failures.get(i, ("ok", None)))
+                for i in indices
+            ],
+            notes=list(notes),
+        )
+
     @property
     def n_chunks(self) -> int:
         return len(self.chunk_status)
@@ -902,61 +1047,39 @@ def decompress(
                 from .legacy import parse_legacy
 
                 parsed = parse_legacy(payload)
-        crcs: list[int | None]
-        if parsed.chunk_crcs is None:
-            crcs = [None] * len(parsed.streams)
-        else:
-            crcs = list(parsed.chunk_crcs)
-        tags = (
-            list(parsed.codec_tags)
-            if parsed.codec_tags is not None
-            else [CODEC_SPERR] * len(parsed.streams)
-        )
-
-        if on_error == "raise":
-            with obs.span("container.verify", n_chunks=len(parsed.streams)):
-                for i, (stream, crc) in enumerate(zip(parsed.streams, crcs)):
-                    if crc is not None and zlib.crc32(stream) != crc:
-                        raise IntegrityError(f"chunk {i} CRC mismatch")
-            work = partial(_decompress_chunk_job, rank=parsed.rank)
-            items = [
-                (s, c.shape, t)
-                for s, c, t in zip(parsed.streams, parsed.chunks, tags)
-            ]
-            parts, _notes = robust_chunk_map(
-                work, items, executor=executor, workers=workers, timeout=timeout
-            )
-            with obs.span("container.assemble"):
-                out = assemble(parsed.shape, parsed.chunks, parts)
-            out = out.astype(parsed.dtype, copy=False)
-            _restore_mask(out, parsed)
-            return out
-
-        report = DecodeReport(format_version=parsed.format_version)
-        work = partial(_salvage_chunk_job, rank=parsed.rank)
-        items = [
-            (s, c.shape, crc, t)
-            for s, c, crc, t in zip(parsed.streams, parsed.chunks, crcs, tags)
-        ]
-        results, notes = robust_chunk_map(
-            work, items, executor=executor, workers=workers, timeout=timeout
-        )
-        report.notes.extend(notes)
-        parts = []
-        for i, ((status, value), chunk) in enumerate(zip(results, parsed.chunks)):
-            if status == "ok":
-                report.chunk_status.append(ChunkDecodeStatus(index=i, status="ok"))
-                parts.append(value)
-            else:
-                report.chunk_status.append(
-                    ChunkDecodeStatus(index=i, status=status, error=str(value))
+        n = len(parsed.streams)
+        crcs = parsed.chunk_crcs or (None,) * n
+        tags = parsed.codec_tags or (CODEC_SPERR,) * n
+        salvage = on_error == "salvage"
+        parts, failures, notes = decode_chunks(
+            [
+                (i, stream, chunk.shape, tag, crc, 0)
+                for i, (stream, chunk, tag, crc) in enumerate(
+                    zip(parsed.streams, parsed.chunks, tags, crcs)
                 )
-                parts.append(np.full(chunk.shape, fill_value, dtype=np.float64))
+            ],
+            parsed.rank,
+            salvage=salvage,
+            executor=executor,
+            workers=workers,
+            timeout=timeout,
+        )
+        filled = [
+            parts[i]
+            if i in parts
+            else np.full(chunk.shape, fill_value, dtype=np.float64)
+            for i, chunk in enumerate(parsed.chunks)
+        ]
         with obs.span("container.assemble"):
-            out = assemble(parsed.shape, parsed.chunks, parts)
+            out = assemble(parsed.shape, parsed.chunks, filled)
         out = out.astype(parsed.dtype, copy=False)
+        report = None
+        if salvage:
+            report = DecodeReport.from_failures(
+                parsed.format_version, range(n), failures, notes
+            )
         _restore_mask(out, parsed, report)
-        return DecodeResult(data=out, report=report)
+        return out if report is None else DecodeResult(data=out, report=report)
 
 
 def _restore_mask(

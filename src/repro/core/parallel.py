@@ -52,7 +52,6 @@ from ..errors import InvalidArgumentError
 from ..obs import absorb_result, wrap_worker
 
 __all__ = [
-    "chunk_map",
     "map_chunk_arrays",
     "robust_chunk_map",
     "EXECUTORS",
@@ -78,7 +77,7 @@ def default_workers() -> int:
 def get_pool(kind: str, workers: int):
     """Persistent executor pool, created once per ``(kind, workers)``.
 
-    Pools outlive individual :func:`chunk_map` calls so process workers
+    Pools outlive individual map calls so process workers
     are forked (and modules imported) exactly once per session.
     """
     if kind not in ("thread", "process"):
@@ -125,42 +124,6 @@ def _pool_map(kind: str, workers: int, func, items) -> list:
         raise
 
 
-def chunk_map(
-    func: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    executor: str = "serial",
-    workers: int | None = None,
-) -> list[R]:
-    """Apply ``func`` to every chunk, preserving order.
-
-    Results are returned in input order regardless of completion order,
-    mirroring SPERR's deterministic concatenation of chunk bitstreams.
-    For the ``process`` executor ``func`` must be picklable (a
-    module-level callable, a bound method of a picklable object, or a
-    ``functools.partial`` of one).
-    """
-    if executor not in EXECUTORS:
-        raise InvalidArgumentError(
-            f"unknown executor {executor!r}; choose from {EXECUTORS}"
-        )
-    if workers is not None and workers < 1:
-        raise InvalidArgumentError("workers must be at least 1")
-    if executor in ("serial", "batch") or len(items) <= 1 or (workers or 2) == 1:
-        return [func(item) for item in items]
-    n = min(workers or default_workers(), len(items))
-    if executor == "process":
-        # Thread workers share the parent's tracer; process workers must
-        # collect spans locally and ship them back with each result.
-        wrapped = wrap_worker(func)
-        if wrapped is not func:
-            results = _pool_map(executor, n, wrapped, items)
-            return [
-                absorb_result(r, worker_item=i) for i, r in enumerate(results)
-            ]
-    return _pool_map(executor, n, func, items)
-
-
 def robust_chunk_map(
     func: Callable[[T], R],
     items: Sequence[T],
@@ -170,10 +133,14 @@ def robust_chunk_map(
     timeout: float | None = None,
     max_rounds: int = 2,
 ) -> tuple[list[R], list[str]]:
-    """Order-preserving map that degrades instead of failing.
+    """Apply ``func`` to every item, preserving order, degrading
+    instead of failing.
 
-    Semantics match :func:`chunk_map` — same executors, same ordering,
-    exceptions raised by ``func`` itself propagate unchanged — but
+    Results are returned in input order regardless of completion order,
+    mirroring SPERR's deterministic concatenation of chunk bitstreams.
+    For the ``process`` executor ``func`` must be picklable (a
+    module-level callable or a ``functools.partial`` of one).
+    Exceptions raised by ``func`` itself propagate unchanged, but
     *infrastructure* failures are absorbed: a task that exceeds
     ``timeout`` seconds or dies with its pool is retried on a fresh pool
     (up to ``max_rounds`` parallel attempts total) and finally re-run

@@ -31,7 +31,7 @@ from ..outlier import (
 )
 from ..speck import SpeckStats, decode_coefficients, encode_coefficients_batch
 from ..quant import calibrate_step
-from ..wavelets import inverse as dwt_inverse
+from ..wavelets import inverse as dwt_inverse, inverse_to_level
 from ..wavelets.dwt import forward_batch, inverse_batch
 from .modes import PsnrMode, PweMode, SizeMode
 from .plans import wavelet_plan
@@ -42,6 +42,7 @@ __all__ = [
     "compress_stack",
     "decompress_chunk",
     "psnr_target_rmse",
+    "split_chunk_stream",
 ]
 
 #: Size-mode quantization: q = max|coefficient| / 2**SIZE_MODE_PLANES, deep
@@ -251,20 +252,55 @@ def compress_stack(
     return out
 
 
+def split_chunk_stream(raw: bytes) -> tuple[ChunkHeader, ChunkParams, bytes, bytes]:
+    """Split a raw (lossless-decompressed) chunk stream into its parts.
+
+    Returns ``(header, params, speck_section, outlier_section)`` after
+    validating the section table against the actual byte count, the
+    declared bit counts against the section sizes, and the quantization
+    step — every check :func:`decompress_chunk` relies on before
+    trusting a stream.
+    """
+    header = ChunkHeader.unpack(raw)
+    params = ChunkParams.unpack(raw[HEADER_SIZE:])
+    body = raw[HEADER_SIZE + ChunkParams.SIZE :]
+    if len(body) < header.speck_nbytes + params.outlier_nbytes:
+        raise StreamFormatError("chunk stream shorter than its section table")
+    if params.speck_nbits > 8 * header.speck_nbytes:
+        raise StreamFormatError(
+            f"SPECK section declares {params.speck_nbits} bits in "
+            f"{header.speck_nbytes} bytes"
+        )
+    if params.outlier_nbits > 8 * params.outlier_nbytes:
+        raise StreamFormatError(
+            f"outlier section declares {params.outlier_nbits} bits in "
+            f"{params.outlier_nbytes} bytes"
+        )
+    if not np.isfinite(params.q) or params.q < 0:
+        raise StreamFormatError(f"invalid quantization step {params.q!r}")
+    speck = body[: header.speck_nbytes]
+    outliers = body[header.speck_nbytes : header.speck_nbytes + params.outlier_nbytes]
+    return header, params, speck, outliers
+
+
 def decompress_chunk(
     stream: bytes,
     rank: int | None = None,
     expected_shape: tuple[int, ...] | None = None,
+    level: int = 0,
 ) -> np.ndarray:
     """Decompress one chunk stream back to a float64 array.
 
     ``expected_shape`` cross-checks the untrusted header shape against
     what the caller's framing promised (the container's chunk bounds), so
     a forged or transplanted chunk stream is rejected instead of being
-    stitched into the wrong region of the output volume.
+    stitched into the wrong region of the output volume.  ``level > 0``
+    skips the finest ``level`` inverse wavelet levels and returns the
+    coarse box (:func:`~repro.wavelets.inverse_to_level`); outlier
+    corrections are point-wise at full resolution, so they apply only at
+    level 0.
     """
-    header = ChunkHeader.unpack(stream)
-    params = ChunkParams.unpack(stream[HEADER_SIZE:])
+    header, params, speck_stream, outlier_stream = split_chunk_stream(stream)
     if rank is None:
         rank = 3
         while rank > 1 and header.shape[rank - 1] == 1:
@@ -279,25 +315,6 @@ def decompress_chunk(
             f"chunk header shape {shape} does not match the container's "
             f"chunk bounds {tuple(expected_shape)}"
         )
-    if not np.isfinite(params.q) or params.q < 0:
-        raise StreamFormatError(f"invalid quantization step {params.q!r}")
-    body = stream[HEADER_SIZE + ChunkParams.SIZE :]
-    if len(body) < header.speck_nbytes + params.outlier_nbytes:
-        raise StreamFormatError("chunk stream shorter than its section table")
-    if params.speck_nbits > 8 * header.speck_nbytes:
-        raise StreamFormatError(
-            f"SPECK section declares {params.speck_nbits} bits in "
-            f"{header.speck_nbytes} bytes"
-        )
-    if params.outlier_nbits > 8 * params.outlier_nbytes:
-        raise StreamFormatError(
-            f"outlier section declares {params.outlier_nbits} bits in "
-            f"{params.outlier_nbytes} bytes"
-        )
-    speck_stream = body[: header.speck_nbytes]
-    outlier_stream = body[
-        header.speck_nbytes : header.speck_nbytes + params.outlier_nbytes
-    ]
 
     with span("chunk.decompress", shape=shape):
         coeffs = decode_coefficients(
@@ -305,6 +322,8 @@ def decompress_chunk(
         )
         plan = wavelet_plan(shape, wavelet=params.wavelet, levels=params.levels)
         with span("wavelet.inverse", wavelet=params.wavelet):
+            if level:
+                return inverse_to_level(coeffs, plan, level)
             recon = dwt_inverse(coeffs, plan)
         if header.has_outliers and outlier_stream:
             coder = OutlierCoder(int(np.prod(shape)), params.tolerance)

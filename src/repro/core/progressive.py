@@ -11,10 +11,9 @@ Two capabilities fall out of SPERR's wavelet + embedded-bitplane design:
   be reconstructed by skipping the finest inverse-transform levels.
 
 Both operate on standard containers produced by :func:`repro.compress`.
-The chunk-level primitives (:func:`split_chunk_stream`,
-:func:`truncate_chunk_stream`) are shared with the random-access store
-(:mod:`repro.store`), which applies the same truncation per chunk to
-serve windowed reads under a byte budget.
+The chunk-level primitive :func:`truncate_chunk_stream` is shared with
+:func:`~repro.core.container.decode_tagged_chunk`, which applies the same
+truncation per chunk when a store read runs under a byte budget.
 
 All payload parsing here runs behind the :func:`~repro.errors.decode_guard`
 / :func:`~repro.errors.checked_shape` trust boundary, matching every
@@ -28,55 +27,21 @@ from __future__ import annotations
 import numpy as np
 
 from .. import lossless
-from ..bitstream import HEADER_SIZE, ChunkHeader, ChunkParams
+from ..bitstream import ChunkHeader, ChunkParams
 from ..errors import (
     InvalidArgumentError,
-    StreamFormatError,
     UnsupportedModeError,
     checked_shape,
     decode_guard,
 )
-from ..speck import decode_coefficients
-from ..wavelets import inverse_to_level
-from .plans import wavelet_plan
+from .adaptive import CODEC_SPERR
+from .pipeline import split_chunk_stream
 
 __all__ = [
     "truncate",
     "decompress_multires",
-    "split_chunk_stream",
     "truncate_chunk_stream",
 ]
-
-
-def split_chunk_stream(raw: bytes) -> tuple[ChunkHeader, ChunkParams, bytes, bytes]:
-    """Split a raw (lossless-decompressed) chunk stream into its parts.
-
-    Returns ``(header, params, speck_section, outlier_section)`` after
-    validating the section table against the actual byte count and the
-    declared bit counts against the section sizes — the same checks
-    :func:`~repro.core.pipeline.decompress_chunk` applies before
-    trusting a stream.
-    """
-    header = ChunkHeader.unpack(raw)
-    params = ChunkParams.unpack(raw[HEADER_SIZE:])
-    body = raw[HEADER_SIZE + ChunkParams.SIZE :]
-    if len(body) < header.speck_nbytes + params.outlier_nbytes:
-        raise StreamFormatError("chunk stream shorter than its section table")
-    if params.speck_nbits > 8 * header.speck_nbytes:
-        raise StreamFormatError(
-            f"SPECK section declares {params.speck_nbits} bits in "
-            f"{header.speck_nbytes} bytes"
-        )
-    if params.outlier_nbits > 8 * params.outlier_nbytes:
-        raise StreamFormatError(
-            f"outlier section declares {params.outlier_nbits} bits in "
-            f"{params.outlier_nbytes} bytes"
-        )
-    if not np.isfinite(params.q) or params.q < 0:
-        raise StreamFormatError(f"invalid quantization step {params.q!r}")
-    speck = body[: header.speck_nbytes]
-    outliers = body[header.speck_nbytes : header.speck_nbytes + params.outlier_nbytes]
-    return header, params, speck, outliers
 
 
 def truncate_chunk_stream(raw: bytes, fraction: float) -> bytes:
@@ -123,9 +88,9 @@ def truncate(payload: bytes, fraction: float) -> bytes:
     reconstruction), so the result is a *size-mode* container: it decodes
     to a valid coarser reconstruction but no longer carries a PWE
     guarantee — exactly the trade-off of the streaming scenario in
-    Sec. VII.
+    Sec. VII.  The format version, codec tags and NaN/Inf mask section
+    carry over unchanged.
     """
-    from .adaptive import CODEC_SPERR
     from .container import build_container, parse_container
 
     if not 0.0 < fraction <= 1.0:
@@ -152,24 +117,29 @@ def truncate(payload: bytes, fraction: float) -> bytes:
         parsed.shape,
         parsed.chunks,
         new_streams,
-        version=parsed.format_version if parsed.codec_tags else 2,
+        version=parsed.format_version,
+        mask_blob=parsed.mask_blob,
         codec_tags=parsed.codec_tags,
     )
 
 
 def decompress_multires(payload: bytes, level: int) -> np.ndarray:
     """Reconstruct a coarsened view: skip the finest ``level`` inverse
-    wavelet levels (each skipped level roughly halves every axis).
+    wavelet levels (each skipped level halves every axis deep enough
+    for it, under the per-axis rule of
+    :func:`~repro.core.container.coarse_extent`).
 
     Requires a single-chunk container — coarse views of independently
     transformed chunks do not tile into one coherent coarse volume
     (:meth:`repro.store.CompressedArray.read_window` offers the
-    chunk-aligned equivalent for sharded stores).  ``level = 0`` is
-    equivalent to full decompression without outlier corrections applied
-    at coarser levels (corrections are point-wise at full resolution, so
-    they are applied only when ``level == 0``).
+    chunk-aligned equivalent for sharded stores).  The chunk decodes
+    through :func:`~repro.core.container.decode_chunks`, the path every
+    container and store read takes, so a one-chunk store read at
+    ``level`` returns the same bytes for every codec tag.  ``level = 0``
+    is full decompression; outlier corrections are point-wise at full
+    resolution, so they are applied only when ``level == 0``.
     """
-    from .container import parse_container
+    from .container import decode_chunks, decompress, parse_container
 
     if level < 0:
         raise InvalidArgumentError("level must be non-negative")
@@ -180,34 +150,11 @@ def decompress_multires(payload: bytes, level: int) -> np.ndarray:
             f"(this one has {len(parsed.streams)} chunks)"
         )
     if level == 0:
-        from .container import decompress
-
         return decompress(payload)
-
-    from .adaptive import CODEC_SPERR
-
+    shape = checked_shape(parsed.shape, "multires")
     tag = parsed.codec_tags[0] if parsed.codec_tags else CODEC_SPERR
-    if tag != CODEC_SPERR:
-        # non-sperr chunks carry no wavelet hierarchy; a coarse view is
-        # produced by full decode + per-level decimation, which matches
-        # the (n+1)//2-per-level extents of the wavelet path.
-        from .container import decode_tagged_chunk
-
-        shape = checked_shape(parsed.shape, "adaptive")
-        box = decode_tagged_chunk(parsed.streams[0], tag, parsed.rank, shape)
-        for _ in range(level):
-            box = box[tuple(slice(None, None, 2) for _ in range(box.ndim))]
-        return box.astype(parsed.dtype, copy=False)
-
-    shape = checked_shape(parsed.shape, "sperr")
-    with decode_guard("sperr"):
-        raw = lossless.decompress(parsed.streams[0])
-        _header, params, speck, _outliers = split_chunk_stream(raw)
-        coeffs = decode_coefficients(speck, shape, params.q, nbits=params.speck_nbits)
-        plan = wavelet_plan(shape, wavelet=params.wavelet, levels=params.levels)
-        if level > plan.total_levels:
-            raise InvalidArgumentError(
-                f"container supports at most {plan.total_levels} coarsening levels"
-            )
-        box = inverse_to_level(coeffs, plan, level)
-    return box.astype(parsed.dtype, copy=False)
+    crc = parsed.chunk_crcs[0] if parsed.chunk_crcs else None
+    parts, _failures, _notes = decode_chunks(
+        [(0, parsed.streams[0], shape, tag, crc, level)], parsed.rank, salvage=False
+    )
+    return parts[0].astype(parsed.dtype, copy=False)

@@ -5,10 +5,11 @@ decodes *only* the chunks a request actually touches:
 
 * :meth:`CompressedArray.read_window` takes a window (a tuple of slices
   and/or integer indices in index space), finds the intersecting chunks
-  through the per-axis grid index, decodes the cache misses (optionally
-  in parallel through :mod:`repro.core.parallel`), and assembles the
-  result with exact overlap cropping — byte-identical to slicing the
-  full decompression at level 0.
+  through the per-axis grid index, decodes the cache misses through
+  :func:`repro.core.container.decode_chunks` (the container's own chunk
+  decoder, optionally in parallel), and assembles the result with exact
+  overlap cropping — byte-identical to slicing the full decompression
+  at level 0.
 * ``level > 0`` serves a chunk-aligned coarse preview: every chunk
   covering the window is reconstructed at the requested wavelet level
   and the coarse tiles are assembled on the coarse grid.
@@ -35,33 +36,20 @@ chunks requested/decoded, and bytes read from disk vs. bytes served.
 from __future__ import annotations
 
 import os
-import zlib
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .. import lossless, obs
-from ..errors import (
-    IntegrityError,
-    InvalidArgumentError,
-    StreamFormatError,
-    decode_guard,
-)
-from ..core.adaptive import CODEC_SPERR
+from .. import obs
+from ..errors import InvalidArgumentError, StreamFormatError
 from ..core.container import (
-    ChunkDecodeStatus,
     DecodeReport,
     DecodeResult,
-    decode_tagged_chunk,
+    coarse_depth,
+    coarse_extent,
+    decode_chunks,
 )
 from ..core.mask import apply_mask, decode_mask, mask_summary
-from ..core.parallel import robust_chunk_map
-from ..core.pipeline import decompress_chunk
-from ..core.plans import wavelet_plan
-from ..core.progressive import split_chunk_stream, truncate_chunk_stream
-from ..speck import decode_coefficients
-from ..wavelets import inverse_to_level, num_levels
 from .cache import DEFAULT_CACHE_BYTES, DecodedChunkCache
 from .format import INDEX_NAME, SHARD_MAGIC, StoreIndex, parse_index, shard_name
 
@@ -70,120 +58,6 @@ __all__ = ["CompressedArray", "open_store"]
 #: The store's chunk streams use the container-v2 chunk framing; decode
 #: reports carry this so salvage reports read the same as container ones.
 _REPORT_FORMAT_VERSION = 2
-
-
-def _coarse_extent(n: int, level: int, levels_cap: int | None) -> int:
-    """Axis extent of an ``n``-long axis coarsened ``level`` times under
-    the store's wavelet level rule (capped by ``levels_cap``)."""
-    depth = num_levels(n)
-    if levels_cap is not None:
-        depth = min(depth, levels_cap)
-    for _ in range(min(level, depth)):
-        n = (n + 1) // 2
-    return n
-
-
-def _decode_multires(
-    raw: bytes,
-    expected_shape: tuple[int, ...],
-    level: int,
-    levels_cap: int | None,
-) -> np.ndarray:
-    """Decode one raw chunk stream to its level-``level`` coarse box."""
-    header, params, speck, _outliers = split_chunk_stream(raw)
-    rank = len(expected_shape)
-    shape = tuple(header.shape[:rank])
-    if any(n != 1 for n in header.shape[rank:]) or shape != tuple(expected_shape):
-        raise StreamFormatError(
-            f"chunk header shape {header.shape} does not match the store's "
-            f"chunk bounds {tuple(expected_shape)}"
-        )
-    coeffs = decode_coefficients(speck, shape, params.q, nbits=params.speck_nbits)
-    plan = wavelet_plan(shape, wavelet=params.wavelet, levels=params.levels)
-    box = inverse_to_level(coeffs, plan, min(level, plan.total_levels))
-    expected_box = tuple(_coarse_extent(n, level, levels_cap) for n in shape)
-    if box.shape != expected_box:
-        raise StreamFormatError(
-            f"chunk decodes to coarse shape {box.shape}, expected "
-            f"{expected_box} (stream parameters disagree with the index)"
-        )
-    return box
-
-
-def _decimate_to_level(
-    box: np.ndarray, level: int, levels_cap: int | None
-) -> np.ndarray:
-    """Coarsen a fully decoded chunk by ``[::2]`` decimation per level.
-
-    Non-sperr chunk streams (szx / stored) have no wavelet pyramid to
-    reconstruct partway, so coarse previews subsample the full decode.
-    The per-axis depth rule mirrors :func:`_coarse_extent` exactly —
-    ``[::2]`` on an ``n``-long axis yields ``(n + 1) // 2`` points — so
-    mixed-codec coarse tiles assemble on one grid.
-    """
-    for ax, n in enumerate(box.shape):
-        depth = num_levels(n)
-        if levels_cap is not None:
-            depth = min(depth, levels_cap)
-        for _ in range(min(level, depth)):
-            sel = [slice(None)] * box.ndim
-            sel[ax] = slice(None, None, 2)
-            box = box[tuple(sel)]
-    return box
-
-
-def _decode_store_chunk(
-    item: tuple[
-        bytes, tuple[int, ...], int, int, int | None, float | None, int
-    ],
-    rank: int,
-) -> np.ndarray:
-    """Module-level chunk-decode job (picklable for the process executor).
-
-    ``item`` is ``(stream, expected_shape, crc, level, levels_cap,
-    fraction, codec_tag)``; the CRC is verified here, inside the
-    executor, so a damaged chunk costs one checksum before any decode
-    work.
-    """
-    stream, expected_shape, crc, level, levels_cap, fraction, tag = item
-    with obs.span(
-        "store.chunk.decode", nbytes=len(stream), level=level, codec=tag
-    ):
-        if zlib.crc32(stream) != crc:
-            raise IntegrityError(f"chunk CRC mismatch (stored {crc:#010x})")
-        if tag != CODEC_SPERR:
-            # Fast-tier chunks decode whole: no embedded bitstream to
-            # budget-truncate and no pyramid, so previews decimate.
-            with decode_guard("store"):
-                box = decode_tagged_chunk(stream, tag, rank, expected_shape)
-            if level > 0:
-                box = _decimate_to_level(box, level, levels_cap)
-            return box
-        with decode_guard("store"):
-            raw = lossless.decompress(stream)
-            if fraction is not None and fraction < 1.0:
-                raw = truncate_chunk_stream(raw, fraction)
-            if level == 0:
-                return decompress_chunk(
-                    raw, rank=rank, expected_shape=expected_shape
-                )
-            return _decode_multires(raw, expected_shape, level, levels_cap)
-
-
-def _salvage_store_chunk(
-    item: tuple[
-        bytes, tuple[int, ...], int, int, int | None, float | None, int
-    ],
-    rank: int,
-) -> tuple[str, np.ndarray | str]:
-    """Salvage-mode decode job: never raises, returns ``(status, value)``."""
-    stream = item[0]
-    if zlib.crc32(stream) != item[2]:
-        return ("crc_mismatch", f"chunk CRC mismatch (stored {item[2]:#010x})")
-    try:
-        return ("ok", _decode_store_chunk(item, rank))
-    except Exception as exc:  # noqa: BLE001 - isolation boundary by design
-        return ("decode_error", f"{type(exc).__name__}: {exc}")
 
 
 def _normalize_window(
@@ -341,14 +215,10 @@ class CompressedArray:
             grid[pos] = i
         self._axis_runs = runs
         self._grid = grid
-        self._max_level = max(
-            max(
-                (min(num_levels(n), index.levels)
-                 if index.levels is not None else num_levels(n))
-                for n in chunk.shape
-            )
-            for chunk in index.chunks
-        )
+        self._chunk_depths = [
+            coarse_depth(chunk.shape, index.levels) for chunk in index.chunks
+        ]
+        self._max_level = max(self._chunk_depths)
 
     # -- reads ------------------------------------------------------------
 
@@ -465,7 +335,6 @@ class CompressedArray:
                     misses.append(i)
 
             salvage = on_error == "salvage"
-            report = DecodeReport(format_version=_REPORT_FORMAT_VERSION)
             failures: dict[int, tuple[str, str]] = {}
             streams = self._read_streams(frame, misses, failures, salvage)
             fraction = None
@@ -475,53 +344,36 @@ class CompressedArray:
                     fraction = budget / total
 
             entries = self._index.entries[frame]
-            readable = [i for i in misses if i in streams]
-            items = [
+            # A chunk shallower than ``level`` decodes at its own depth:
+            # its axes have stopped halving by then (``coarse_extent``).
+            jobs = [
                 (
+                    i,
                     streams[i],
                     self._index.chunks[i].shape,
-                    entries[i].crc32,
-                    level,
-                    self._index.levels,
-                    fraction,
                     self._index.codec_tag(frame, i),
+                    entries[i].crc32,
+                    min(level, self._chunk_depths[i]),
                 )
-                for i in readable
+                for i in misses
+                if i in streams
             ]
-            if salvage:
-                work = partial(_salvage_store_chunk, rank=self.rank)
-                results, notes = robust_chunk_map(
-                    work, items, executor=executor, workers=workers
-                )
-                report.notes.extend(notes)
-                for i, (status, value) in zip(readable, results):
-                    if status == "ok":
-                        parts[i] = value
-                        if use_cache:
-                            cache.put((frame, i, level), value)
-                    else:
-                        failures[i] = (status, str(value))
-            else:
-                work = partial(_decode_store_chunk, rank=self.rank)
-                decoded, _notes = robust_chunk_map(
-                    work, items, executor=executor, workers=workers
-                )
-                for i, arr in zip(readable, decoded):
-                    parts[i] = arr
-                    if use_cache:
-                        cache.put((frame, i, level), arr)
+            decoded, decode_failures, notes = decode_chunks(
+                jobs,
+                self.rank,
+                salvage=salvage,
+                levels_cap=self._index.levels,
+                fraction=fraction,
+                executor=executor,
+                workers=workers,
+                span="store.chunk.decode",
+            )
+            failures.update(decode_failures)
+            parts.update(decoded)
+            if use_cache:
+                for i, arr in decoded.items():
+                    cache.put((frame, i, level), arr)
             obs.add_counter("store.chunks.decoded", len(misses))
-
-            for i in chosen:
-                if i in failures:
-                    status, error = failures[i]
-                    report.chunk_status.append(
-                        ChunkDecodeStatus(index=i, status=status, error=error)
-                    )
-                else:
-                    report.chunk_status.append(
-                        ChunkDecodeStatus(index=i, status="ok")
-                    )
 
             if level == 0:
                 out = self._assemble_window(bounds, chosen, parts, fill_value)
@@ -545,6 +397,9 @@ class CompressedArray:
                 out = np.squeeze(out, axis=squeeze)
             obs.add_counter("store.bytes.served", out.nbytes)
         if salvage:
+            report = DecodeReport.from_failures(
+                _REPORT_FORMAT_VERSION, chosen, failures, notes
+            )
             return DecodeResult(data=out, report=report)
         return out
 
@@ -655,7 +510,7 @@ class CompressedArray:
         levels_cap = self._index.levels
         extents = [
             [
-                _coarse_extent(b - a, level, levels_cap)
+                coarse_extent(b - a, level, levels_cap)
                 for p in pos
                 for (a, b) in (self._axis_runs[ax][p],)
             ]

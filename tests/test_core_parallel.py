@@ -6,12 +6,7 @@ import time
 
 import pytest
 
-from repro.core.parallel import (
-    EXECUTORS,
-    chunk_map,
-    default_workers,
-    robust_chunk_map,
-)
+from repro.core.parallel import EXECUTORS, default_workers, robust_chunk_map
 from repro.errors import InvalidArgumentError
 
 
@@ -20,42 +15,47 @@ def _square(x: int) -> int:
 
 
 class TestChunkMap:
+    """The order-preserving map every chunk fan-out runs through."""
+
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_preserves_order(self, executor):
         items = list(range(20))
-        out = chunk_map(_square, items, executor=executor, workers=4)
+        out, _notes = robust_chunk_map(_square, items, executor=executor, workers=4)
         assert out == [x * x for x in items]
 
     def test_process_executor(self):
-        out = chunk_map(_square, [1, 2, 3], executor="process", workers=2)
+        out, _notes = robust_chunk_map(
+            _square, [1, 2, 3], executor="process", workers=2
+        )
         assert out == [1, 4, 9]
 
     def test_empty_input(self):
-        assert chunk_map(_square, []) == []
+        assert robust_chunk_map(_square, []) == ([], [])
 
     def test_single_item_stays_serial(self):
-        assert chunk_map(_square, [7], executor="thread", workers=8) == [49]
+        assert robust_chunk_map(_square, [7], executor="thread", workers=8) == ([49], [])
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            chunk_map(_square, [1], executor="openmp")
+            robust_chunk_map(_square, [1], executor="openmp")
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            chunk_map(_square, [1, 2], executor="thread", workers=0)
+            robust_chunk_map(_square, [1, 2], executor="thread", workers=0)
 
     def test_exceptions_propagate(self):
         def boom(x):
             raise ValueError("chunk failed")
 
         with pytest.raises(ValueError):
-            chunk_map(boom, [1, 2], executor="thread", workers=2)
+            robust_chunk_map(boom, [1, 2], executor="thread", workers=2)
 
     def test_executor_registry(self):
         assert set(EXECUTORS) == {"serial", "thread", "process", "batch"}
 
     def test_batch_degrades_to_serial_loop(self):
-        assert chunk_map(_square, [1, 2, 3], executor="batch") == [1, 4, 9]
+        out = robust_chunk_map(_square, [1, 2, 3], executor="batch")
+        assert out == ([1, 4, 9], [])
 
     def test_default_workers_leaves_headroom(self):
         """Sec. V-D: leave a few cores for system processes."""

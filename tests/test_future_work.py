@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import decompress_multires, truncate
+from repro.core import decompress_multires, parse_container, truncate
 from repro.datasets import miranda_density, spectral_field
 from repro.errors import InvalidArgumentError, UnsupportedModeError
 from repro.metrics import psnr
+from repro.store import open_store, write_store
 from repro.wavelets import WaveletPlan, forward, inverse_to_level, lowpass_dc_gain
 
 
@@ -92,6 +93,24 @@ class TestTruncate:
             with pytest.raises(InvalidArgumentError):
                 truncate(payload, frac)
 
+    @pytest.mark.parametrize("codec", ["quality", "adaptive"])
+    def test_mask_survives_truncation(self, codec):
+        """The NaN/Inf mask and the format version carry over, so masked
+        samples stay masked in the truncated container."""
+        x = spectral_field((32, 32), slope=2.0, seed=4)
+        x[3, 5] = np.nan
+        x[10, 10] = np.inf
+        payload = repro.compress(x, repro.PweMode(1e-3), codec=codec).payload
+        cut = truncate(payload, 0.5)
+        assert (
+            parse_container(cut).format_version
+            == parse_container(payload).format_version
+        )
+        out = repro.decompress(cut)
+        assert np.isnan(out[3, 5])
+        assert np.isposinf(out[10, 10])
+        assert np.isfinite(np.delete(out.ravel(), [3 * 32 + 5, 10 * 32 + 10])).all()
+
 
 class TestMultires:
     def test_half_resolution_matches_block_means(self, field, payload):
@@ -123,6 +142,44 @@ class TestMultires:
             decompress_multires(payload, 99)
         with pytest.raises(InvalidArgumentError):
             decompress_multires(payload, -1)
+
+
+#: A (64, 4) field: the long axis supports four coarsening levels, the
+#: short one none, so the per-axis level rule decides every coarse shape.
+_SIN_64x4 = np.sin(np.linspace(0.0, 24.0, 256)).reshape(64, 4)
+
+
+class TestMultiresStoreParity:
+    """``decompress_multires`` and a one-chunk store read share one chunk
+    decoder, so every codec tag gives the same coarse bytes and the same
+    level limit."""
+
+    @pytest.mark.parametrize("codec", ["quality", "fast"])
+    def test_store_read_matches_multires(self, codec, tmp_path):
+        mode = repro.PweMode(1e-3)
+        res = write_store(tmp_path / "s", _SIN_64x4, mode, codec=codec)
+        arr = open_store(tmp_path / "s")
+        assert arr.max_level == 4
+        for level in range(1, arr.max_level + 1):
+            coarse = decompress_multires(res.payload, level)
+            stored = arr.read(level=level)
+            assert coarse.shape == stored.shape == (64 >> level, 4)
+            assert coarse.dtype == stored.dtype
+            assert coarse.tobytes() == stored.tobytes()
+
+    def test_level_limit_is_the_same_for_every_codec(self):
+        rejected = {}
+        for codec in ("quality", "fast"):
+            payload = repro.compress(
+                _SIN_64x4, repro.PweMode(1e-3), codec=codec
+            ).payload
+            rejected[codec] = []
+            for level in range(1, 9):
+                try:
+                    decompress_multires(payload, level)
+                except InvalidArgumentError:
+                    rejected[codec].append(level)
+        assert rejected == {"quality": [5, 6, 7, 8], "fast": [5, 6, 7, 8]}
 
 
 class TestInverseToLevel:
@@ -197,7 +254,7 @@ class TestProgressiveHardening:
         from repro import lossless
         from repro.bitstream import HEADER_SIZE, ChunkParams
         from repro.core.container import parse_container
-        from repro.core.progressive import split_chunk_stream
+        from repro.core.pipeline import split_chunk_stream
         from repro.errors import StreamFormatError
 
         raw = lossless.decompress(parse_container(payload).streams[0])

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import lossless
 from repro.compressors import (
     MgardLikeCompressor,
     SperrCompressor,
@@ -27,7 +28,8 @@ from repro.compressors import (
     ZfpLikeCompressor,
 )
 from repro.compressors.base import PsnrMode
-from repro.core.container import parse_container
+from repro.core.adaptive import CODEC_SPERR
+from repro.core.container import decode_tagged_chunk, parse_container
 from repro.core.modes import PweMode
 from repro.core.pipeline import compress_chunk, decompress_chunk
 from repro.datasets import spectral_field
@@ -167,12 +169,30 @@ _FUZZ_CODECS = {
 #: coefficient and outlier decoders.
 _RAW_CHUNK = "sperr-chunk"
 _RAW_CHUNK_SHAPE = (32, 32, 32)
-_FUZZ_TARGETS = sorted([*_FUZZ_CODECS, _RAW_CHUNK])
+
+#: The same raw chunk through ``decode_tagged_chunk``'s coarse-level and
+#: byte-budget paths — the decodes store reads and ``decompress_multires``
+#: run.  The corrupted stream is wrapped in a ``stored`` lossless frame
+#: per case, so the damage lands in the chunk stream itself.
+_RAW_CHUNK_PATHS = {
+    "sperr-chunk-level1": {"level": 1},
+    "sperr-chunk-fraction": {"fraction": 0.5},
+}
+_FUZZ_TARGETS = sorted([*_FUZZ_CODECS, _RAW_CHUNK, *_RAW_CHUNK_PATHS])
+
+
+def _decode_raw_chunk(raw: bytes, **kwargs):
+    stream = lossless.compress(raw, method="stored")
+    return decode_tagged_chunk(
+        stream, CODEC_SPERR, len(_RAW_CHUNK_SHAPE), _RAW_CHUNK_SHAPE, **kwargs
+    )
 
 
 def _fuzz_decoder(target: str):
     if target == _RAW_CHUNK:
         return partial(decompress_chunk, expected_shape=_RAW_CHUNK_SHAPE)
+    if target in _RAW_CHUNK_PATHS:
+        return partial(_decode_raw_chunk, **_RAW_CHUNK_PATHS[target])
     return _FUZZ_CODECS[target][0].decompress
 
 
@@ -186,13 +206,15 @@ def fuzz_payloads(field):
     chunk = spectral_field(_RAW_CHUNK_SHAPE, slope=2.0, seed=12)
     stream, report = compress_chunk(chunk, PweMode(1e-3 * float(np.ptp(chunk))))
     assert report.n_outliers > 0
-    payloads[_RAW_CHUNK] = stream
+    for target in (_RAW_CHUNK, *_RAW_CHUNK_PATHS):
+        payloads[target] = stream
     return payloads
 
 
 class TestFaultInjectionMatrix:
-    """Every codec (and a raw SPERR chunk) × every fault operator ×
-    seeded corruption campaigns.
+    """Every codec (and a raw SPERR chunk, at full resolution, level 1
+    and half its SPECK bits) × every fault operator × seeded corruption
+    campaigns.
 
     The contract: a corrupted payload either decodes (to garbage or a
     salvage) or raises a ``ReproError`` subclass.  Raw ``struct.error`` /
