@@ -69,19 +69,32 @@ def compress_frames(
 
 
 def _frame_table(payload: bytes) -> list[tuple[int, int]]:
-    """(offset, length) of every frame payload."""
+    """(offset, length) of every frame payload.
+
+    The frame lengths must account for every byte after the table: a
+    short archive is truncated, a long one carries trailing garbage.
+    """
     if payload[:8] != _MAGIC:
         raise StreamFormatError("not a SPERR time-series archive")
+    if len(payload) < 12:
+        raise StreamFormatError("time-series archive truncated in its header")
     (n,) = struct.unpack_from("<I", payload, 8)
-    pos = 12
-    lengths = struct.unpack_from(f"<{n}Q", payload, pos)
-    pos += 8 * n
+    pos = 12 + 8 * n
+    if pos > len(payload):
+        raise StreamFormatError(
+            f"time-series archive declares {n} frames but its frame table "
+            "is truncated"
+        )
     table = []
-    for length in lengths:
-        table.append((pos, int(length)))
+    for (length,) in struct.iter_unpack("<Q", payload[12:pos]):
+        table.append((pos, length))
         pos += length
     if pos > len(payload):
         raise StreamFormatError("time-series archive truncated")
+    if pos < len(payload):
+        raise StreamFormatError(
+            f"{len(payload) - pos} trailing bytes after the last frame"
+        )
     return table
 
 

@@ -5,7 +5,8 @@ every reconstructed point whose error exceeds the PWE tolerance ``t``.  It
 is "SPECK-inspired" in the strongest sense: with correction values
 scattered into a dense 1-D array and quantized with step ``t``, the
 algorithm of Listings 1-3 *is* the 1-D binary-partition instance of the
-batched SPECK codec:
+SPECK codec (:func:`repro.speck.codec.encode` and
+:func:`~repro.speck.codec.decode_lsp`):
 
 * the threshold schedule ``thrd = 2^n * t`` (Listing 1, line 4-6) is the
   bitplane schedule on integer magnitudes ``floor(|corr| / t)``;
@@ -36,8 +37,7 @@ import numpy as np
 from ..errors import InvalidArgumentError
 from ..obs import span
 from ..quant import integerize
-from ..speck.codec import decode_lsp
-from ..speck.batched import encode_batch
+from ..speck.codec import decode_lsp, encode
 
 __all__ = [
     "OutlierCoder",
@@ -136,7 +136,8 @@ def encode_outliers_batch(
     n: int,
     tolerance: float,
 ) -> list[OutlierEncoding]:
-    """Encode the outliers of ``n_lanes`` length-``n`` domains in one pass.
+    """Encode the outliers of ``n_lanes`` length-``n`` domains, one SPECK
+    stream per lane.
 
     Outlier ``i`` sits at ``positions[i]`` of lane ``lanes[i]``; every
     lane gets a stream, including lanes without outliers.  Only the
@@ -151,7 +152,7 @@ def encode_outliers_batch(
         dense_neg = np.zeros((n_lanes, n), dtype=bool)
         dense_mags[lanes, positions] = mags
         dense_neg[lanes, positions] = negative
-        encoded = encode_batch(dense_mags, dense_neg)
+        encoded = [encode(m, s) for m, s in zip(dense_mags, dense_neg)]
     counts = np.bincount(lanes, minlength=n_lanes)
     return [
         OutlierEncoding(stream=stream, nbits=nbits, n_outliers=int(count))

@@ -11,18 +11,14 @@ import numpy as np
 
 from ..obs import span
 from ..quant import dequantize_batch, integerize_batch
-from .batched import BatchedSpeckEncoder, encode_batch
-from .codec import SpeckEncoder, SpeckStats, decode, decode_lsp, encode, scatter
+from .codec import SpeckStats, decode, decode_lsp, encode, scatter
 from .geometry import Geometry, MaxPyramid
 
 __all__ = [
-    "SpeckEncoder",
     "SpeckStats",
-    "BatchedSpeckEncoder",
     "Geometry",
     "MaxPyramid",
     "encode",
-    "encode_batch",
     "decode",
     "decode_lsp",
     "encode_coefficients",
@@ -53,15 +49,20 @@ def encode_coefficients(
 def encode_coefficients_batch(
     coeffs: np.ndarray, q, max_bits=None
 ) -> tuple[list[tuple[bytes, int, SpeckStats]], np.ndarray]:
-    """Stacked-lane SPECK encode of ``(lanes, *shape)`` coefficients.
+    """SPECK-encode the lanes of ``(lanes, *shape)`` coefficients.
 
-    ``q`` and ``max_bits`` are scalars or per-lane arrays.  Returns
-    ``(per_lane_results, reconstruction_stack)``: one ``(stream, nbits,
-    stats)`` triple per lane plus the stacked encoder reconstruction.
+    ``q`` and ``max_bits`` are scalars or per-lane arrays.  Quantization
+    runs once over the stack, then :func:`encode` codes lane by lane.
+    Returns ``(per_lane_results, reconstruction_stack)``: one ``(stream,
+    nbits, stats)`` triple per lane plus the stacked encoder
+    reconstruction.
     """
     with span("speck.encode", lanes=len(coeffs)) as sp:
         mags, negative = integerize_batch(coeffs, q)
-        encoded = encode_batch(mags, negative, max_bits=max_bits)
+        budgets = np.broadcast_to(np.asarray(max_bits, dtype=object), len(mags))
+        encoded = [
+            encode(m, s, max_bits=b) for m, s, b in zip(mags, negative, budgets)
+        ]
         recon = dequantize_batch(mags, negative, q)
         sp.set(nbits=sum(nbits for _, nbits, _ in encoded))
     return encoded, recon

@@ -1,9 +1,12 @@
-"""Batched SPECK encoder / decoder.
+"""SPECK encoder and decoder: one walk, run from either side.
 
 This implements the improved SPECK of the paper (Sec. III-B/III-C):
 bitplane-by-bitplane set-partitioning coding of quantized wavelet
 coefficients, generalized to arbitrary quantization steps ``q`` by running
 the integer machinery on pre-scaled magnitudes ``m = floor(|c| / q)``.
+:func:`encode` is the one encoder and :func:`decode_lsp` the one decoder,
+for coefficient and outlier streams alike; stacked callers run them lane
+by lane.
 
 Faithfulness and the one deliberate deviation
 ---------------------------------------------
@@ -12,7 +15,7 @@ a time while walking the recursion.  A pure-Python per-bit walk is three
 orders of magnitude too slow, so this implementation processes each batch
 of same-depth sets *together*: one vectorized significance gather emits
 (or consumes) the whole batch's bits consecutively, then sign bits for the
-batch's newly significant pixels, then recursion into the concatenated
+batch's newly significant pixels, then descent into the concatenated
 children of the batch's significant sets.  Both sides replay the identical
 deterministic traversal, so the stream stays prefix-decodable; truncating
 it anywhere still yields a valid (less accurate) reconstruction — the
@@ -24,18 +27,24 @@ where each pass is a sorting pass followed by a refinement pass
 (Listings 1–3 structure, shared with the outlier coder).  Magnitudes are
 uint64, so the header never exceeds 64 planes.
 
-Decoding
+The walk
 --------
-:func:`decode_lsp` is the one decoder, for coefficient and outlier
-streams alike.  It unpacks the stream once into a bool array and walks
-it with an integer cursor.  Per plane, the sorting pass runs each start
-depth's chain (test the batch, keep the insignificant sets for the next
-plane, descend into the children of the significant ones) in a plain
-loop down to single pixels.  Newly significant pixels are appended to
-preallocated arrays in LSP (discovery) order — position, integer
-magnitude, sign — so the refinement pass is one contiguous update of
-the first ``k`` magnitudes.  No volume-sized array is written until
-the caller scatters the result:
+Per plane, the sorting pass runs each start depth's chain, smallest
+sets first, in a plain loop: test the batch, keep its insignificant sets
+in the next plane's LIS, split the significant ones through
+``Geometry.child_table`` and retest the children, down to single pixels.
+Newly significant pixels are appended to a preallocated LSP in discovery
+order, so the refinement pass covers the first ``k_old`` entries (the
+pixels that predate the plane) in one step.
+
+The encoder answers each test with a gather from the max-magnitude
+pyramid, collects the emitted bit arrays in a list and packs them once
+at the end; a bit budget stops it after the first plane that reaches
+the budget.  The decoder unpacks the stream once into a bool array and
+reads the same tests back with an integer cursor.  Its LSP holds
+position, integer magnitude and sign, so refinement is one contiguous
+update of the first ``k_old`` magnitudes.  No volume-sized array is
+written until the caller scatters the result:
 :func:`repro.speck.decode_coefficients` applies the step and sign to
 the significant pixels and scatters once, and the outlier coder adds
 them at their positions as they come.
@@ -48,11 +57,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bitstream import BitWriter
 from ..errors import InvalidArgumentError, StreamFormatError
 from .geometry import Geometry, MaxPyramid
 
-__all__ = ["SpeckEncoder", "SpeckStats", "encode", "decode", "decode_lsp", "scatter"]
+__all__ = ["SpeckStats", "encode", "decode", "decode_lsp", "scatter"]
 
 
 def _shared_geometry(shape: tuple[int, ...]) -> Geometry:
@@ -79,121 +87,88 @@ class SpeckStats:
         return sum(self.sorting_bits) + sum(self.sign_bits) + sum(self.refinement_bits)
 
 
-class _Lists:
-    """Encoder LIS (per-depth) and LSP state."""
+def encode(
+    mags: np.ndarray,
+    negative: np.ndarray,
+    max_bits: int | None = None,
+) -> tuple[bytes, int, SpeckStats]:
+    """Encode integer magnitudes and signs; returns ``(stream, nbits, stats)``.
 
-    def __init__(self, geometry: Geometry) -> None:
-        self.geometry = geometry
-        d = geometry.max_depth
-        # LIS: per-depth list of index-array chunks (consolidated lazily).
-        self.lis: list[list[np.ndarray]] = [[] for _ in range(d + 1)]
-        self.lis[0].append(np.zeros(1, dtype=np.int64))
-        # LSP: pixels found significant, in discovery order.
-        self.lsp_idx: list[np.ndarray] = []
-        self.n_lsp_old = 0  # entries that predate the current pass
+    ``max_bits`` enables size-bounded termination: encoding stops after
+    the first plane that reaches the budget and the stream is cut to
+    exactly ``max_bits`` bits (any prefix of a SPECK stream decodes).
+    The budget must hold the 8-bit header.
+    """
+    if max_bits is not None and max_bits < 8:
+        raise InvalidArgumentError(
+            f"max_bits={max_bits} cannot hold the 8-bit SPECK header"
+        )
+    mags = np.asarray(mags, dtype=np.uint64)
+    geometry = _shared_geometry(mags.shape)
+    pyramid = MaxPyramid(geometry, mags)
+    levels = pyramid.levels
+    max_depth = geometry.max_depth
+    neg = np.zeros(geometry.padded_shape, dtype=np.bool_)
+    neg[tuple(slice(0, n) for n in mags.shape)] = negative
+    neg = neg.reshape(-1)
 
-    def lis_batch(self, depth: int) -> np.ndarray:
-        chunks = self.lis[depth]
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        batch = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        return batch
+    nplanes = pyramid.global_max.bit_length()
+    parts = [np.unpackbits(np.array([nplanes], dtype=np.uint8)).view(np.bool_)]
+    total = 8
+    stats = SpeckStats()
 
-    def lsp_count(self) -> int:
-        return sum(c.size for c in self.lsp_idx)
+    # LSP positions in discovery order: the first ``k`` slots are in use.
+    pos = np.empty(math.prod(geometry.padded_shape) if nplanes else 0, dtype=np.int64)
+    k = 0
 
-
-class SpeckEncoder:
-    """Encode integer magnitudes + signs into a SPECK bitstream."""
-
-    def __init__(self, mags: np.ndarray, negative: np.ndarray) -> None:
-        mags = np.asarray(mags, dtype=np.uint64)
-        self.geometry = _shared_geometry(mags.shape)
-        self.pyramid = MaxPyramid(self.geometry, mags)
-        padded = np.zeros(self.geometry.padded_shape, dtype=np.uint64)
-        padded[tuple(slice(0, n) for n in mags.shape)] = mags
-        self._mags_flat = padded.reshape(-1)
-        neg = np.zeros(self.geometry.padded_shape, dtype=bool)
-        neg[tuple(slice(0, n) for n in mags.shape)] = np.asarray(negative, dtype=bool)
-        self._neg_flat = neg.reshape(-1)
-        self.stats = SpeckStats()
-
-    def encode(self, max_bits: int | None = None) -> tuple[bytes, int]:
-        """Produce the bitstream; returns ``(packed_bytes, nbits)``.
-
-        ``max_bits`` enables size-bounded termination: encoding stops once
-        the budget is reached and the stream is truncated to exactly the
-        budget (any prefix of a SPECK stream is decodable).
-        """
-        writer = BitWriter()
-        gmax = self.pyramid.global_max
-        nmax = gmax.bit_length() - 1 if gmax > 0 else -1
-        writer.write_uint(nmax + 1, 8)
-        lists = _Lists(self.geometry)
-        budget_hit = False
-        for n in range(nmax, -1, -1):
-            s0 = writer.nbits
-            self._sorting_pass(writer, lists, n)
-            s1 = writer.nbits
-            self._refinement_pass(writer, lists, n)
-            s2 = writer.nbits
-            self.stats.planes.append(n)
-            self.stats.refinement_bits.append(s2 - s1)
-            if max_bits is not None and writer.nbits >= max_bits:
-                budget_hit = True
-                break
-        nbits = writer.nbits if not budget_hit else min(writer.nbits, max_bits)
-        return writer.getvalue(max_bits=max_bits), nbits
-
-    # -- passes ---------------------------------------------------------
-
-    def _sorting_pass(self, writer: BitWriter, lists: _Lists, n: int) -> None:
-        threshold = np.uint64(1) << np.uint64(n)
-        geometry = lists.geometry
-        new_lis: list[list[np.ndarray]] = [[] for _ in range(geometry.max_depth + 1)]
+    tables = [geometry.child_table(d) for d in range(max_depth)]
+    lis: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+    lis[0].append(np.zeros(1, dtype=np.int64))
+    for n in range(nplanes - 1, -1, -1):
+        threshold = np.uint64(1 << n)
+        k_old = k
         sort_bits = 0
-        sign_bits = 0
-        new_lsp: list[np.ndarray] = []
+        new_lis: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+        # Sorting pass, smallest sets first: each start depth's
+        # significant sets split and are retested down to single pixels.
+        for start in range(max_depth, -1, -1):
+            sets = lis[start]
+            if not sets:
+                continue
+            idx = sets[0] if len(sets) == 1 else np.concatenate(sets)
+            depth = start
+            while True:
+                sig = levels[depth].take(idx) >= threshold
+                parts.append(sig)
+                sort_bits += idx.size
+                nsig = np.count_nonzero(sig)
+                if nsig == 0:
+                    new_lis[depth].append(idx)
+                    break
+                if nsig < idx.size:
+                    new_lis[depth].append(idx.compress(~sig))
+                    idx = idx.compress(sig)
+                if depth == max_depth:
+                    parts.append(neg.take(idx))
+                    pos[k : k + idx.size] = idx
+                    k += idx.size
+                    break
+                idx = tables[depth].take(idx, axis=0).ravel()
+                depth += 1
+        lis = new_lis
+        # Refinement pass over the pixels that predate this plane.
+        parts.append((levels[max_depth].take(pos[:k_old]) & threshold) != 0)
+        stats.planes.append(n)
+        stats.sorting_bits.append(sort_bits)
+        stats.sign_bits.append(k - k_old)
+        stats.refinement_bits.append(k_old)
+        total += sort_bits + (k - k_old) + k_old
+        if max_bits is not None and total >= max_bits:
+            break
 
-        def process(depth: int, idx: np.ndarray) -> None:
-            nonlocal sort_bits, sign_bits
-            if idx.size == 0:
-                return
-            sig = self.pyramid.block_max(depth, idx) >= threshold
-            writer.write_bits(sig)
-            sort_bits += idx.size
-            insig = idx[~sig]
-            if insig.size:
-                new_lis[depth].append(insig)
-            sig_idx = idx[sig]
-            if sig_idx.size == 0:
-                return
-            if depth == geometry.max_depth:
-                writer.write_bits(self._neg_flat[sig_idx])
-                sign_bits += sig_idx.size
-                new_lsp.append(sig_idx)
-            else:
-                process(depth + 1, geometry.children(depth, sig_idx))
-
-        # Smallest sets first (paper: "in increasing order of their sizes").
-        for depth in range(geometry.max_depth, -1, -1):
-            process(depth, lists.lis_batch(depth))
-
-        lists.lis = new_lis
-        lists.n_lsp_old = lists.lsp_count()
-        lists.lsp_idx.extend(new_lsp)
-        self.stats.sorting_bits.append(sort_bits)
-        self.stats.sign_bits.append(sign_bits)
-
-    def _refinement_pass(self, writer: BitWriter, lists: _Lists, n: int) -> None:
-        if lists.lsp_idx:
-            # Consolidate so repeated passes stay cheap.
-            lists.lsp_idx = [np.concatenate(lists.lsp_idx)]
-        if lists.n_lsp_old == 0:
-            return
-        old = lists.lsp_idx[0][: lists.n_lsp_old]
-        bit = (self._mags_flat[old] & (np.uint64(1) << np.uint64(n))) != 0
-        writer.write_bits(bit)
+    nbits = total if max_bits is None else min(total, max_bits)
+    bits = np.concatenate(parts)[:nbits]
+    return np.packbits(bits).tobytes(), nbits, stats
 
 
 def decode_lsp(
@@ -313,17 +288,6 @@ def scatter(
     if geometry.padded_shape != geometry.shape:
         out = np.ascontiguousarray(out[tuple(slice(0, n) for n in geometry.shape)])
     return out
-
-
-def encode(
-    mags: np.ndarray,
-    negative: np.ndarray,
-    max_bits: int | None = None,
-) -> tuple[bytes, int, SpeckStats]:
-    """One-shot SPECK encode; see :class:`SpeckEncoder`."""
-    enc = SpeckEncoder(mags, negative)
-    data, nbits = enc.encode(max_bits=max_bits)
-    return data, nbits, enc.stats
 
 
 def decode(

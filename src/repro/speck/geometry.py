@@ -151,10 +151,6 @@ class MaxPyramid:
         #: flattened max array per depth, indexed by grid flat index
         self.levels: list[np.ndarray] = [lvl.reshape(-1) for lvl in levels]
 
-    def block_max(self, depth: int, flat_idx: np.ndarray) -> np.ndarray:
-        """Maximum magnitude within each queried block (vectorized gather)."""
-        return self.levels[depth][flat_idx]
-
     @property
     def global_max(self) -> int:
         return int(self.levels[0][0]) if self.levels[0].size == 1 else int(self.levels[0].max())

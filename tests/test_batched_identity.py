@@ -1,4 +1,4 @@
-"""Batched-vs-looped byte identity and masked-lane behaviour.
+"""Batched-vs-looped byte identity.
 
 The batch executor's contract (DESIGN + docs/architecture.md "Batched
 execution") is that stacking same-shaped chunks through the wavelet /
@@ -10,13 +10,13 @@ wall time.  These tests pin that contract three ways:
   chunk shapes and modes (PWE, size and PSNR), comparing
   ``executor="batch"`` against ``executor="serial"`` payloads byte for
   byte;
-* direct stacked-encoder checks — :class:`~repro.speck.batched.
-  BatchedSpeckEncoder` against the serial :func:`repro.speck.codec.
-  encode` — covering the masked-lane mechanics the end-to-end sweep
-  cannot isolate (per-lane budgets, lanes joining at later planes,
-  compaction after mass early exit);
+* stacked SZx encode against the one-chunk entry point;
 * obs counter equivalence: a traced batch compress accumulates the same
   counter totals as a traced serial compress.
+
+SPECK itself codes lane by lane; its bytes for budgets and lane shapes
+the pipeline never produces are pinned in
+``tests/test_speck_encode_golden.py``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PsnrMode, PweMode, SizeMode, compress, decompress
-from repro.speck.batched import BatchedSpeckEncoder, encode_batch
-from repro.speck.codec import encode as serial_encode
 from repro import obs
 
 
@@ -101,98 +99,6 @@ class TestBatchedExecutorIdentity:
         serial = compress(data, mode, chunk_shape=8, executor="serial")
         batch = compress(data, mode, chunk_shape=8, executor="batch")
         assert batch.payload == serial.payload
-
-
-# ---------------------------------------------------------------------------
-# Stacked SPECK lanes: identity + masked-lane early-exit mechanics.
-
-
-def _random_lanes(seed, n_lanes, shape, zero_lane=None, scale_spread=False):
-    rng = np.random.default_rng(seed)
-    mags = rng.integers(0, 1 << 12, size=(n_lanes, *shape)).astype(np.uint64)
-    if scale_spread:
-        # Wildly different magnitudes per lane => different nmax, so
-        # lanes join the stacked pass at different bitplanes.
-        shifts = rng.integers(0, 30, size=n_lanes).astype(np.uint64)
-        mags <<= shifts.reshape((-1,) + (1,) * len(shape))
-    if zero_lane is not None:
-        mags[zero_lane] = 0
-    neg = rng.random(size=(n_lanes, *shape)) < 0.5
-    return mags, neg
-
-
-def _assert_lanes_match_serial(mags, neg, max_bits):
-    batched = BatchedSpeckEncoder(mags, neg).encode(max_bits=max_bits)
-    n_lanes = mags.shape[0]
-    budgets = (
-        [None] * n_lanes
-        if max_bits is None
-        else [int(b) for b in np.broadcast_to(np.asarray(max_bits), (n_lanes,))]
-    )
-    for lane in range(n_lanes):
-        stream, nbits, stats = serial_encode(
-            mags[lane], neg[lane], max_bits=budgets[lane]
-        )
-        assert batched[lane][0] == stream, f"lane {lane} bytes diverge"
-        assert batched[lane][1] == nbits
-        assert batched[lane][2] == stats
-
-
-class TestStackedLaneIdentity:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        st.integers(0, 2**16),
-        st.integers(4, 9),
-        st.sampled_from([(8,), (16,), (4, 4), (8, 8), (3, 5), (4, 4, 4), (3, 3, 3)]),
-        st.sampled_from([None, 64, 300, "per-lane"]),
-    )
-    def test_random_lanes_budgets_match_serial(self, seed, n_lanes, shape, budget):
-        mags, neg = _random_lanes(seed, n_lanes, shape)
-        if budget == "per-lane":
-            budget = np.random.default_rng(seed + 1).integers(
-                32, 2000, size=n_lanes
-            )
-        _assert_lanes_match_serial(mags, neg, budget)
-
-    def test_lanes_join_at_different_planes(self):
-        # Masked-lane start: lanes with small nmax contribute nothing
-        # until the global plane descends to theirs.
-        mags, neg = _random_lanes(3, 6, (4, 4), scale_spread=True)
-        _assert_lanes_match_serial(mags, neg, None)
-
-    def test_all_zero_lane_alongside_live_lanes(self):
-        mags, neg = _random_lanes(4, 5, (4, 4), zero_lane=2)
-        _assert_lanes_match_serial(mags, neg, None)
-
-    def test_budget_exhaustion_stops_lane_early(self):
-        # One starved lane must stop exactly where the serial encoder
-        # stops (budget checked after each refinement pass), while the
-        # other lanes keep coding to the last plane.
-        mags, neg = _random_lanes(5, 4, (8, 8))
-        budgets = np.array([96, 100_000, 100_000, 100_000])
-        batched = BatchedSpeckEncoder(mags, neg).encode(max_bits=budgets)
-        _assert_lanes_match_serial(mags, neg, budgets)
-        assert batched[0][1] <= 96
-        assert batched[1][1] > batched[0][1]
-
-    def test_mass_early_exit_triggers_compaction(self):
-        # All lanes but one starve: live slots fall below the compaction
-        # fraction, the stacked arrays re-base, and the surviving lane
-        # must still finish byte-identically.
-        mags, neg = _random_lanes(6, 8, (8, 8))
-        budgets = np.full(8, 80, dtype=np.int64)
-        budgets[5] = 10**9
-        _assert_lanes_match_serial(mags, neg, budgets)
-
-    def test_encode_batch_routes_large_lanes_serially(self):
-        # Lanes above the stacking pixel cap take the per-lane reference
-        # path inside encode_batch; identity must hold either way.
-        mags, neg = _random_lanes(7, 4, (16, 16, 16))  # 4096 px > cap
-        out = encode_batch(mags, neg, max_bits=None)
-        for lane in range(4):
-            stream, nbits, stats = serial_encode(mags[lane], neg[lane])
-            assert out[lane][0] == stream
-            assert out[lane][1] == nbits
 
 
 # ---------------------------------------------------------------------------

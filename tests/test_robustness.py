@@ -32,6 +32,7 @@ from repro.core.adaptive import CODEC_SPERR
 from repro.core.container import decode_tagged_chunk, parse_container
 from repro.core.modes import PweMode
 from repro.core.pipeline import compress_chunk, decompress_chunk
+from repro.core.timeseries import compress_frames, decompress_frames
 from repro.datasets import spectral_field
 from repro.errors import IntegrityError, InvalidArgumentError, ReproError
 from repro.testing.faults import FAULT_OPERATORS, corrupt, fuzz_decoder
@@ -178,7 +179,11 @@ _RAW_CHUNK_PATHS = {
     "sperr-chunk-level1": {"level": 1},
     "sperr-chunk-fraction": {"fraction": 0.5},
 }
-_FUZZ_TARGETS = sorted([*_FUZZ_CODECS, _RAW_CHUNK, *_RAW_CHUNK_PATHS])
+
+#: A two-frame ``SPRRTS1`` time-series archive through ``decompress_frames``:
+#: corruption lands in its frame table as well as in the containers.
+_TIMESERIES = "sprrts1"
+_FUZZ_TARGETS = sorted([*_FUZZ_CODECS, _RAW_CHUNK, *_RAW_CHUNK_PATHS, _TIMESERIES])
 
 
 def _decode_raw_chunk(raw: bytes, **kwargs):
@@ -193,6 +198,8 @@ def _fuzz_decoder(target: str):
         return partial(decompress_chunk, expected_shape=_RAW_CHUNK_SHAPE)
     if target in _RAW_CHUNK_PATHS:
         return partial(_decode_raw_chunk, **_RAW_CHUNK_PATHS[target])
+    if target == _TIMESERIES:
+        return decompress_frames
     return _FUZZ_CODECS[target][0].decompress
 
 
@@ -208,6 +215,8 @@ def fuzz_payloads(field):
     assert report.n_outliers > 0
     for target in (_RAW_CHUNK, *_RAW_CHUNK_PATHS):
         payloads[target] = stream
+    frames = [field[:8, :8, :8], field[8:, 8:, :8]]
+    payloads[_TIMESERIES], _ = compress_frames(frames, PweMode(1e-3))
     return payloads
 
 

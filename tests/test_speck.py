@@ -141,6 +141,21 @@ class TestCodecIntegers:
         rec, _ = decode(stream, (32, 32), nbits=nbits)  # must not raise
         assert rec.shape == (32, 32)
 
+    @pytest.mark.parametrize("budget", [-1, 0, 4, 7])
+    def test_budget_below_header_rejected(self, budget, rng):
+        # Every stream the encoder returns must decode; one shorter than
+        # the 8-bit header cannot.
+        mags = rng.integers(0, 64, size=(8, 8)).astype(np.uint64)
+        with pytest.raises(InvalidArgumentError, match="header"):
+            encode(mags, np.zeros((8, 8), dtype=bool), max_bits=budget)
+
+    def test_budget_of_one_header_decodes(self, rng):
+        mags = rng.integers(0, 64, size=(8, 8)).astype(np.uint64)
+        stream, nbits, _ = encode(mags, np.zeros((8, 8), dtype=bool), max_bits=8)
+        assert nbits == 8
+        rec, _ = decode(stream, (8, 8), nbits=nbits)
+        assert not rec.any()
+
 
 class TestCodecCoefficients:
     def test_error_bounded_by_q(self, smooth_field):

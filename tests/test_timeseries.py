@@ -119,3 +119,18 @@ class TestTimeSeriesArchive:
             frame_count(b"NOTANARCHIVE")
         with pytest.raises(StreamFormatError):
             frame_count(payload[: len(payload) // 2])
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p[:10],
+            lambda p: p[:15],
+            lambda p: p[:8] + b"\xff\xff\xff\xff" + p[12:],
+            lambda p: p + b"junk",
+        ],
+        ids=["10-bytes", "15-bytes", "u32-max-frames", "trailing-bytes"],
+    )
+    def test_malformed_frame_table_rejected(self, frames, damage):
+        payload, _ = compress_frames(frames[:2], repro.PweMode(1.0))
+        with pytest.raises(StreamFormatError):
+            frame_count(damage(payload))
