@@ -8,6 +8,11 @@ in 20 bytes (quantization step ``q``, tolerance ``t``) travel in the
 variable-size :class:`ChunkParams` record immediately after, exactly as
 real SPERR carries its "conditioner" block.
 
+The header's version byte names the wavelet coefficient layout of the
+stream: version 2 (written) is the dyadic decomposition, version 1
+(read-only) the tensor-product layout of older streams; see
+:mod:`repro.wavelets.dwt`.
+
 The multi-chunk *container* format used by :func:`repro.compress` is
 described in :mod:`repro.core.container`.
 """
@@ -25,11 +30,15 @@ __all__ = [
     "HEADER_SIZE",
     "MAGIC",
     "MAX_CHUNK_POINTS",
+    "READABLE_VERSIONS",
     "VERSION",
 ]
 
 MAGIC = b"SP"
-VERSION = 1
+#: Version every writer stamps: dyadic wavelet layout.
+VERSION = 2
+#: Versions the decoder accepts; 1 (tensor-product layout) is read-only.
+READABLE_VERSIONS = (1, 2)
 
 #: Fixed header size in bytes, matching the paper's stated 20-byte header.
 HEADER_SIZE = 20
@@ -65,6 +74,10 @@ class ChunkHeader:
         Format flags (input precision, termination criterion, whether an
         outlier-correction section is present, whether the payload went
         through the lossless backend).
+    version:
+        Wavelet layout of the coefficients (:data:`READABLE_VERSIONS`).
+        New streams take :data:`VERSION`; a rewrite of an existing
+        stream keeps the version it read.
     """
 
     shape: tuple[int, int, int]
@@ -73,6 +86,7 @@ class ChunkHeader:
     pwe_mode: bool = True
     has_outliers: bool = False
     lossless: bool = False
+    version: int = VERSION
 
     def pack(self) -> bytes:
         """Serialize to exactly :data:`HEADER_SIZE` bytes."""
@@ -83,7 +97,7 @@ class ChunkHeader:
             | (_FLAG_LOSSLESS if self.lossless else 0)
         )
         nx, ny, nz = self.shape
-        return struct.pack(_HEADER_FMT, MAGIC, VERSION, flags, nx, ny, nz, self.speck_nbytes)
+        return struct.pack(_HEADER_FMT, MAGIC, self.version, flags, nx, ny, nz, self.speck_nbytes)
 
     @classmethod
     def unpack(cls, data: bytes) -> "ChunkHeader":
@@ -97,7 +111,7 @@ class ChunkHeader:
         )
         if magic != MAGIC:
             raise StreamFormatError(f"bad magic {magic!r}; not a SPERR stream")
-        if version != VERSION:
+        if version not in READABLE_VERSIONS:
             raise StreamFormatError(f"unsupported stream version {version}")
         if nx < 1 or ny < 1 or nz < 1:
             raise StreamFormatError(f"invalid chunk shape ({nx}, {ny}, {nz})")
@@ -113,6 +127,7 @@ class ChunkHeader:
             pwe_mode=bool(flags & _FLAG_PWE_MODE),
             has_outliers=bool(flags & _FLAG_HAS_OUTLIERS),
             lossless=bool(flags & _FLAG_LOSSLESS),
+            version=version,
         )
 
 

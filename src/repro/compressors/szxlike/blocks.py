@@ -26,8 +26,9 @@ Quantized residuals are *bitshuffled*: the ``width`` bit planes of a
 block's 256 zigzag codes are emitted plane-major (one 32-byte row per
 plane), the SZx trick that groups same-significance bits for any
 downstream lossless pass.  The small side tables (2-bit block types,
-5-bit plane widths) go through the :mod:`repro.lossless.bitpack`
-kernels; the planes themselves pack with ``np.packbits``.
+5-bit plane widths) are fixed-width MSB-first fields; they and the
+planes pack with ``np.packbits``, and the decoder reads the tables back
+with the :mod:`repro.lossless.bitpack` kernels.
 
 The encoder is *lane-based*: :func:`encode_lanes` concatenates many
 chunks' block tables into one matrix, runs every kernel once, and slices
@@ -43,7 +44,7 @@ import struct
 import numpy as np
 
 from ...errors import InvalidArgumentError, StreamFormatError
-from ...lossless.bitpack import byte_windows, extract_msb, pack_msb
+from ...lossless.bitpack import byte_windows, extract_msb
 
 __all__ = [
     "BLOCK",
@@ -92,22 +93,42 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
 def _pad_lanes(
     arrays: list[np.ndarray],
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Flatten each lane, pad to whole blocks (edge value), and stack."""
-    mats = []
+    """Stack every lane, flattened and padded to whole blocks with its
+    last sample, into one ``(n_blocks, BLOCK)`` float64 matrix.
+
+    Each lane is copied once, straight from its (possibly strided or
+    float32) view into its rows of the matrix.
+    """
     lanes = []
     for a in arrays:
-        flat = np.ascontiguousarray(a, dtype=np.float64).ravel()
-        n = flat.size
+        n = int(np.size(a))
         if n == 0:
             raise InvalidArgumentError("cannot encode an empty array")
-        nb = -(-n // BLOCK)
-        padded = np.empty(nb * BLOCK, dtype=np.float64)
-        padded[:n] = flat
-        padded[n:] = flat[-1]
-        mats.append(padded.reshape(nb, BLOCK))
-        lanes.append((n, nb))
-    stacked = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)
+        lanes.append((n, -(-n // BLOCK)))
+    stacked = np.empty((sum(nb for _, nb in lanes), BLOCK), dtype=np.float64)
+    flat = stacked.reshape(-1)
+    pos = 0
+    for a, (n, nb) in zip(arrays, lanes):
+        dst = flat[pos : pos + n]
+        np.copyto(dst.reshape(np.shape(a)), a)
+        flat[pos + n : pos + nb * BLOCK] = dst[-1]
+        pos += nb * BLOCK
     return stacked, lanes
+
+
+def _absmax(a: np.ndarray) -> np.ndarray:
+    """``np.abs(a).max(axis=1)`` without materializing ``np.abs(a)``."""
+    return np.maximum(a.max(axis=1), -a.min(axis=1))
+
+
+def _pack_fixed(values: np.ndarray, bits: int) -> bytes:
+    """Pack small non-negative ints as ``bits``-wide fields, MSB first
+    (the bytes :func:`~repro.lossless.bitpack.pack_msb` gives for one
+    fixed width)."""
+    if values.size == 0:
+        return b""
+    fields = np.unpackbits(values.astype(np.uint8)[:, None], axis=1)[:, 8 - bits :]
+    return np.packbits(fields).tobytes()
 
 
 def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
@@ -127,16 +148,22 @@ def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     q = 2.0 * tolerance
 
     # -- classification (whole-matrix reductions) -------------------------
+    # Full-size temporaries live in three reused buffers: fresh
+    # (n_blocks, BLOCK) arrays cost a page-faulting allocation each.
     bmin = x.min(axis=1)
     bmax = x.max(axis=1)
     mid = 0.5 * (bmin + bmax)
     mean = x.mean(axis=1)
-    slope = (x * _IC).sum(axis=1) / _VAR_IC
+    res_lin = np.multiply(x, _IC)
+    slope = res_lin.sum(axis=1) / _VAR_IC
 
-    res_lin = x - mean[:, None] - slope[:, None] * _IC
-    res_den = x - mid[:, None]
-    rmax_lin = np.abs(res_lin).max(axis=1)
-    rmax_den = np.abs(res_den).max(axis=1)
+    tmp = np.empty_like(x)
+    np.subtract(x, mean[:, None], out=res_lin)
+    np.multiply(slope[:, None], _IC, out=tmp)
+    res_lin -= tmp
+    res_sel = np.subtract(x, mid[:, None])
+    rmax_lin = _absmax(res_lin)
+    rmax_den = _absmax(res_sel)
 
     # Cost model in bytes: params + one 32-byte row per plane.  Width is
     # estimated from the zigzag bound 2*|res|max/q (within one plane of
@@ -153,11 +180,15 @@ def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     cost_den = 8.0 + w_den_est * _PLANE_BYTES
 
     types = np.full(nb_total, T_DENSE, dtype=np.int64)
-    types[cost_lin < cost_den] = T_LINEAR
-    res_sel = np.where((types == T_LINEAR)[:, None], res_lin, res_den)
+    lin = cost_lin < cost_den
+    types[lin] = T_LINEAR
+    # res_sel holds the dense residual; linear blocks take theirs.
+    res_sel[lin] = res_lin[lin]
+    codes = res_lin
     with np.errstate(invalid="ignore"):
-        codes = np.rint(res_sel / q)
-    amax = np.abs(codes).max(axis=1)
+        np.divide(res_sel, q, out=codes)
+        np.rint(codes, out=codes)
+    amax = _absmax(codes)
     # Overflow guard: zigzag codes must fit MAX_WIDTH bit planes.
     types[~np.isfinite(amax) | (amax > 2.0 ** (MAX_WIDTH - 1) - 1)] = T_RAW
     types[(bmax - bmin) <= q] = T_CONST
@@ -165,7 +196,9 @@ def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     # -- PWE verification (demote floating-point corners to raw) ----------
     coded = (types == T_LINEAR) | (types == T_DENSE)
     if np.any(coded):
-        err = np.abs(res_sel - codes * q).max(axis=1)
+        np.multiply(codes, q, out=tmp)
+        np.subtract(res_sel, tmp, out=tmp)
+        err = _absmax(tmp)
         types[coded & (err > tolerance)] = T_RAW
         coded = (types == T_LINEAR) | (types == T_DENSE)
     cmask = types == T_CONST
@@ -174,12 +207,15 @@ def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
         cmask = types == T_CONST
 
     # -- exact widths and zigzag codes for coded blocks -------------------
-    u = np.zeros((nb_total, BLOCK), dtype=np.uint32)
-    if np.any(coded):
-        c = codes[coded].astype(np.int32)
-        u[coded] = ((c << 1) ^ (c >> 31)).astype(np.uint32)
-    widths = np.zeros(nb_total, dtype=np.int64)
-    widths[coded] = _bit_length(u[coded].max(axis=1))
+    # Every row is cast (const and raw rows may hold NaN or huge codes)
+    # and then zeroed, which beats gathering and scattering the coded ones.
+    with np.errstate(invalid="ignore"):
+        c = codes.astype(np.int32)
+    u = np.left_shift(c, 1)
+    u ^= c >> 31
+    u = u.view(np.uint32)
+    u[~coded] = 0
+    widths = _bit_length(u.max(axis=1))
 
     # -- parameter table (scatter by per-block offsets) -------------------
     counts = _PARAM_COUNTS[types]
@@ -206,11 +242,15 @@ def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
         # whose stack is still that deep, so no (total_planes, BLOCK)
         # gather is ever materialized.
         rows = np.flatnonzero(pw)
+        src = u if rows.size == nb_total else u[rows]
         row_off = plane_off[:-1]
         for k in range(int(widths.max())):
             if k:
-                rows = rows[pw[rows] > k]
-            bits = ((u[rows] >> np.uint32(k)) & np.uint32(1)).astype(np.uint8)
+                keep = pw[rows] > k
+                if not keep.all():
+                    rows = rows[keep]
+                    src = u[rows]
+            bits = (src & np.uint32(1 << k)) != 0
             planes[row_off[rows] + k] = np.packbits(bits, axis=1)
     else:
         planes = np.zeros((0, _PLANE_BYTES), dtype=np.uint8)
@@ -224,12 +264,8 @@ def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
         w_lane = widths[start:end][
             (t_lane == T_LINEAR) | (t_lane == T_DENSE)
         ]
-        type_bytes, _ = pack_msb(
-            t_lane.astype(np.uint64), np.full(nb, 2, dtype=np.int64)
-        )
-        width_bytes, _ = pack_msb(
-            w_lane.astype(np.uint64), np.full(w_lane.size, 5, dtype=np.int64)
-        )
+        type_bytes = _pack_fixed(t_lane, 2)
+        width_bytes = _pack_fixed(w_lane, 5)
         body = bytearray()
         body += _LANE_HEAD.pack(n, nb)
         body += type_bytes

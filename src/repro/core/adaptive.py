@@ -123,6 +123,56 @@ STORED_MAGIC = b"RAW1"
 _STORED_HEAD = struct.Struct("<4sBBH")
 
 
+def _sample(data: np.ndarray) -> np.ndarray:
+    """The proxies' sample of one chunk as float64 rows: the whole
+    flattened chunk when it is small, else :data:`_SAMPLE_RUNS` evenly
+    spread runs of :data:`_RUN_LEN` contiguous points.  Only the sampled
+    points are read."""
+    data = np.asarray(data)
+    n = data.size
+    if n == 0:
+        raise InvalidArgumentError("cannot sample an empty chunk")
+    if n <= _SAMPLE_RUNS * _RUN_LEN:
+        return np.asarray(data, dtype=np.float64).reshape(1, n)
+    starts = np.linspace(0, n - _RUN_LEN, _SAMPLE_RUNS, dtype=np.int64)
+    flat_idx = starts[:, None] + np.arange(_RUN_LEN)
+    return data[np.unravel_index(flat_idx, data.shape)].astype(np.float64)
+
+
+def _diff_widths(samples: list[np.ndarray], tolerance: float) -> list[int]:
+    """First-difference width proxy of every sample.
+
+    Samples of one shape share one stacked percentile call; each row's
+    result is the value a per-sample call returns.
+    """
+    if not np.isfinite(tolerance) or tolerance <= 0.0:
+        raise InvalidArgumentError(f"tolerance must be positive, got {tolerance}")
+    scales = np.zeros(len(samples))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, sample in enumerate(samples):
+        groups.setdefault(sample.shape, []).append(i)
+    for shape, members in groups.items():
+        if shape[-1] < 2:
+            continue  # a single point has no first difference
+        diffs = np.abs(np.diff(np.stack([samples[i] for i in members]), axis=-1))
+        scales[members] = np.percentile(
+            diffs.reshape(len(members), -1), 95.0, axis=1
+        )
+    widths = []
+    with np.errstate(over="ignore"):
+        steps = scales / (2.0 * tolerance)
+    for step in steps:
+        if not np.isfinite(step):
+            widths.append(_STORED_WIDTH)
+        else:
+            widths.append(int(max(0.0, np.ceil(step))).bit_length())
+    return widths
+
+
+def _unique_density(sample: np.ndarray) -> float:
+    return float(np.unique(sample).size) / sample.size
+
+
 def chunk_proxies(data: np.ndarray, tolerance: float) -> tuple[int, float]:
     """Cheap smoothness/entropy proxies for one finite chunk.
 
@@ -131,31 +181,8 @@ def chunk_proxies(data: np.ndarray, tolerance: float) -> tuple[int, float]:
     the fraction of distinct values in the sample.  Cost is O(sample),
     not O(chunk): at most ~4096 points are touched.
     """
-    if not np.isfinite(tolerance) or tolerance <= 0.0:
-        raise InvalidArgumentError(f"tolerance must be positive, got {tolerance}")
-    flat = np.asarray(data, dtype=np.float64).ravel()
-    if flat.size == 0:
-        raise InvalidArgumentError("cannot sample an empty chunk")
-    if flat.size <= _SAMPLE_RUNS * _RUN_LEN:
-        runs = flat[None, :]
-    else:
-        starts = np.linspace(
-            0, flat.size - _RUN_LEN, _SAMPLE_RUNS, dtype=np.int64
-        )
-        runs = flat[starts[:, None] + np.arange(_RUN_LEN)]
-    diffs = np.abs(np.diff(runs, axis=-1))
-    if diffs.size:
-        scale = float(np.percentile(diffs, 95.0))
-    else:
-        scale = 0.0
-    steps = scale / (2.0 * tolerance)
-    if not np.isfinite(steps):
-        width = _STORED_WIDTH
-    else:
-        width = int(max(0.0, np.ceil(steps))).bit_length()
-    sample = runs.ravel()
-    density = float(np.unique(sample).size) / sample.size
-    return width, density
+    sample = _sample(data)
+    return _diff_widths([sample], tolerance)[0], _unique_density(sample)
 
 
 def choose_codecs(
@@ -171,6 +198,10 @@ def choose_codecs(
     need a PWE bound — szx has no rate-targeting mode — so any other
     mode is rejected.  A baseline name (:data:`BASELINE_TAGS`) tags
     every chunk with that codec; the codec checks the mode itself.
+
+    The width proxy of every chunk comes from one pass over the
+    samples; the unique-value density is computed only for the
+    ``adaptive`` chunks whose width alone does not decide the route.
 
     Returns a ``uint8`` array of tags, one per chunk, and records one
     ``adaptive.route.<codec>`` counter per sampled decision on the
@@ -192,13 +223,14 @@ def choose_codecs(
             f"got {type(mode).__name__}"
         )
     with obs.span("adaptive.dispatch", policy=policy, n_chunks=len(chunks)):
-        for i, chunk in enumerate(chunks):
-            width, density = chunk_proxies(chunk, mode.tolerance)
-            if policy == "fast":
-                tag = CODEC_STORED if width >= _STORED_WIDTH else CODEC_SZX
-            elif width >= _STORED_WIDTH:
+        samples = [_sample(chunk) for chunk in chunks]
+        widths = _diff_widths(samples, mode.tolerance)
+        for i, (sample, width) in enumerate(zip(samples, widths)):
+            if width >= _STORED_WIDTH:
                 tag = CODEC_STORED
-            elif width <= _SZX_WIDTH or density <= _LOW_UNIQUE_DENSITY:
+            elif policy == "fast" or width <= _SZX_WIDTH:
+                tag = CODEC_SZX
+            elif _unique_density(sample) <= _LOW_UNIQUE_DENSITY:
                 tag = CODEC_SZX
             else:
                 tag = CODEC_SPERR

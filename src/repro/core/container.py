@@ -634,10 +634,8 @@ def _compress_parts(
     if szx_idx:
         from ..compressors.szxlike.codec import encode_chunks as szx_encode
 
-        views = [
-            np.ascontiguousarray(data[chunks[i].slices()], dtype=np.float64)
-            for i in szx_idx
-        ]
+        # encode_chunks copies each view once, into its block matrix.
+        views = [data[chunks[i].slices()] for i in szx_idx]
         with obs.span("szx.encode", n_chunks=len(szx_idx)):
             streams = szx_encode(views, mode.tolerance)
         for i, stream, view in zip(szx_idx, streams, views):

@@ -305,9 +305,15 @@ def sanitize_array(
     input, constant fields, and denormal-heavy data.
     """
     notes: list[DegradationNote] = []
-    codes = classify_nonfinite(data)
+    codes = None
     clean = data
-    if codes is not None:
+    lo = hi = 0.0
+    if data.size:
+        # NaN propagates through min and max, and an infinity is one of
+        # them, so two reductions tell whether any sample is non-finite.
+        lo, hi = float(data.min()), float(data.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        codes = classify_nonfinite(data)
         counts = mask_summary(codes)
         notes.append(
             DegradationNote(
@@ -322,10 +328,9 @@ def sanitize_array(
         # Round the fill back to the input's precision so the values the
         # codec sees are exactly the values a same-dtype decode returns.
         clean = filled.astype(data.dtype) if data.dtype == np.float32 else filled
+        lo, hi = float(clean.min()), float(clean.max())
 
     if clean.size:
-        lo = float(clean.min())
-        hi = float(clean.max())
         if hi == lo:
             notes.append(
                 DegradationNote(
@@ -335,18 +340,21 @@ def sanitize_array(
                 )
             )
         tiny = float(np.finfo(data.dtype if data.dtype == np.float32 else np.float64).tiny)
-        magnitudes = np.abs(np.asarray(clean, dtype=np.float64))
-        nonzero = magnitudes > 0.0
-        n_nonzero = int(np.count_nonzero(nonzero))
-        if n_nonzero:
-            n_denormal = int(np.count_nonzero(nonzero & (magnitudes < tiny)))
-            if n_denormal / n_nonzero > _DENORMAL_NOTE_FRACTION:
-                notes.append(
-                    DegradationNote(
-                        "denormal_heavy",
-                        f"{n_denormal}/{n_nonzero} nonzero samples are "
-                        "denormal; absolute tolerances near the subnormal "
-                        "range lose precision",
+        # A field whose range stays clear of (-tiny, tiny) has no
+        # denormal sample; only a range that reaches it needs the count.
+        if lo < tiny and hi > -tiny:
+            magnitudes = np.abs(np.asarray(clean, dtype=np.float64))
+            nonzero = magnitudes > 0.0
+            n_nonzero = int(np.count_nonzero(nonzero))
+            if n_nonzero:
+                n_denormal = int(np.count_nonzero(nonzero & (magnitudes < tiny)))
+                if n_denormal / n_nonzero > _DENORMAL_NOTE_FRACTION:
+                    notes.append(
+                        DegradationNote(
+                            "denormal_heavy",
+                            f"{n_denormal}/{n_nonzero} nonzero samples are "
+                            "denormal; absolute tolerances near the subnormal "
+                            "range lose precision",
+                        )
                     )
-                )
     return clean, codes, notes

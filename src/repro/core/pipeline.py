@@ -32,7 +32,7 @@ from ..outlier import (
 from ..speck import SpeckStats, decode_coefficients, encode_coefficients_batch
 from ..quant import calibrate_step
 from ..wavelets import inverse as dwt_inverse, inverse_to_level
-from ..wavelets.dwt import forward_batch, inverse_batch
+from ..wavelets.dwt import forward_batch, inverse_batch, inverse_tensor
 from .modes import PsnrMode, PweMode, SizeMode
 from .plans import wavelet_plan
 
@@ -322,9 +322,14 @@ def decompress_chunk(
         )
         plan = wavelet_plan(shape, wavelet=params.wavelet, levels=params.levels)
         with span("wavelet.inverse", wavelet=params.wavelet):
+            if header.version == 1:
+                recon = inverse_tensor(coeffs, plan, level)
+            elif level:
+                recon = inverse_to_level(coeffs, plan, level)
+            else:
+                recon = dwt_inverse(coeffs, plan)
             if level:
-                return inverse_to_level(coeffs, plan, level)
-            recon = dwt_inverse(coeffs, plan)
+                return recon
         if header.has_outliers and outlier_stream:
             coder = OutlierCoder(int(np.prod(shape)), params.tolerance)
             coder.apply(recon, outlier_stream, nbits=params.outlier_nbits)

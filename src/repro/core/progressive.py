@@ -24,10 +24,12 @@ exception, and declared shapes are capped before sizing an allocation.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .. import lossless
-from ..bitstream import ChunkHeader, ChunkParams
+from ..bitstream import ChunkParams
 from ..errors import (
     InvalidArgumentError,
     UnsupportedModeError,
@@ -61,12 +63,10 @@ def truncate_chunk_stream(raw: bytes, fraction: float) -> bytes:
     new_nbits = max(16, int(params.speck_nbits * fraction))
     new_nbits = min(new_nbits, params.speck_nbits)
     new_speck = speck[: (new_nbits + 7) // 8]
-    new_header = ChunkHeader(
-        shape=header.shape,
-        speck_nbytes=len(new_speck),
-        is_double=header.is_double,
-        pwe_mode=False,
-        has_outliers=False,
+    # replace() keeps the header's version: a version-1 body must stay
+    # marked as the layout it was written in.
+    new_header = dataclasses.replace(
+        header, speck_nbytes=len(new_speck), pwe_mode=False, has_outliers=False
     )
     new_params = ChunkParams(
         q=params.q,

@@ -1,14 +1,26 @@
-"""Separable multi-level n-D discrete wavelet transform.
+"""Separable multi-level n-D discrete wavelet transform, dyadic layout.
 
-Implements SPERR's transform strategy (paper Sec. III-A):
+What runs (SPERR's transform, paper Sec. III-A):
 
-* transforms are applied separately along each axis (separable),
-* the recursion depth per axis follows ``min(6, floor(log2 N) - 2)``,
-* each level transforms only the low-pass box produced by the previous
-  level (Mallat / dyadic decomposition, falling back to wavelet-packet
-  style when axes have unequal depths), and
-* arbitrary (non power-of-two, odd) extents are supported through the
+* every pass is a 1-D lifting transform along one axis (separable);
+* each axis gets ``min(6, floor(log2 N) - 2)`` levels (:func:`num_levels`);
+* level ``k`` transforms only the low-pass box ``plan.low_lengths[k]``
+  left by level ``k - 1``: every axis, not just the transform axis, is
+  cut to that box (Mallat / dyadic decomposition).  An axis past its
+  own depth is not transformed again and keeps its final low-pass
+  extent, so one rule covers equal and unequal depths;
+* within a level the axes run in order (the inverse runs levels and
+  axes in reverse);
+* arbitrary (non power-of-two, odd) extents go through the
   symmetric-extension lifting in :mod:`repro.wavelets.lifting`.
+
+Chunk streams with header version 1 hold a tensor-product layout
+instead: each level cut only the transform axis to its low-pass length
+and ran over the full extent of every other axis.  :func:`inverse_tensor`
+inverts that layout, fully or to a coarse level, for reading those
+streams; nothing writes it.  The level-``k`` low-pass box of the
+forward transform is the same under both layouts, so a coarse view has
+the same shape and scale whichever layout the coefficients are in.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ __all__ = [
     "forward_batch",
     "inverse",
     "inverse_batch",
+    "inverse_tensor",
     "inverse_to_level",
     "lowpass_dc_gain",
 ]
@@ -50,10 +63,10 @@ def num_levels(n: int, max_levels: int = MAX_LEVELS) -> int:
 class WaveletPlan:
     """Precomputed decomposition schedule for one array shape.
 
-    ``low_lengths[level][axis]`` is the low-pass extent of each axis
-    *before* applying level ``level`` (level 0 sees the full array).
-    Axes whose per-axis depth is smaller than ``level`` keep their full
-    current extent and are not transformed at that level.
+    ``low_lengths[level]`` is the low-pass box *before* applying level
+    ``level`` (level 0 sees the full array); that level transforms only
+    inside it.  Axes whose per-axis depth is at most ``level`` keep
+    their final low-pass extent and are not transformed at that level.
     """
 
     shape: tuple[int, ...]
@@ -156,14 +169,21 @@ _BLOCK_BYTES = 1 << 17
 
 
 def _lift(
-    stack: np.ndarray, plan: WaveletPlan, backward: bool, stop: int = 0
+    stack: np.ndarray,
+    plan: WaveletPlan,
+    backward: bool,
+    stop: int = 0,
+    tensor: bool = False,
 ) -> np.ndarray:
     """Run the lifting schedule over a ``(lanes, *shape)`` stack.
 
     The forward transform walks levels and axes in order; the inverse
     (``backward``) walks both in reverse and stops before level
     ``stop`` (``stop > 0`` leaves the finest levels untransformed, see
-    :func:`inverse_to_level`).
+    :func:`inverse_to_level`).  Each level works on its low-pass box
+    ``plan.low_lengths[level]``; ``tensor`` instead cuts only the
+    transform axis and runs over the full extent of the others (the
+    version-1 layout, see :func:`inverse_tensor`).
     The lifting steps are pure elementwise slice arithmetic broadcast
     over every non-transform axis, so each lane's result is independent
     of its neighbours.  Lanes are processed in L2-sized blocks (see
@@ -186,14 +206,23 @@ def _lift(
         steps = [
             (level, ax) for level in range(plan.total_levels) for ax in range(rank)
         ]
+    steps = [
+        (level, ax)
+        for level, ax in steps
+        if level < plan.axis_levels[ax] and plan.low_lengths[level][ax] >= 2
+    ]
+    boxes = [
+        (slice(None),) + tuple(slice(0, n) for n in lows)
+        for lows in plan.low_lengths
+    ]
     out = stack.copy()
     block = max(1, _BLOCK_BYTES // max(1, int(np.prod(plan.shape)) * 8))
     for b0 in range(0, out.shape[0], block):
         sub = out[b0 : b0 + block]
         for level, ax in steps:
+            box = sub if tensor else sub[boxes[level]]
             length = plan.low_lengths[level][ax]
-            if level < plan.axis_levels[ax] and length >= 2:
-                _axis_apply(sub, ax + 1, length, inv if backward else fwd)
+            _axis_apply(box, ax + 1, length, inv if backward else fwd)
     return out
 
 
@@ -205,6 +234,18 @@ def forward_batch(stack: np.ndarray, plan: WaveletPlan) -> np.ndarray:
 def inverse_batch(stack: np.ndarray, plan: WaveletPlan) -> np.ndarray:
     """Inverse of :func:`forward_batch`."""
     return _lift(stack, plan, backward=True)
+
+
+def inverse_tensor(
+    coeffs: np.ndarray, plan: WaveletPlan, level: int = 0
+) -> np.ndarray:
+    """:func:`inverse_to_level` for the tensor-product layout of
+    version-1 chunk streams (``level = 0`` is the full inverse).
+
+    Read-only: the decoder calls this for chunk headers of version 1,
+    and no writer produces the layout any more.
+    """
+    return _to_level(coeffs, plan, level, tensor=True)
 
 
 _DC_GAIN_CACHE: dict[str, float] = {}
@@ -238,11 +279,19 @@ def inverse_to_level(
     the wavelet hierarchy makes every coarsened level a usable preview of
     the data, decoded from the same stream.
     """
+    return _to_level(coeffs, plan, level, tensor=False)
+
+
+def _to_level(
+    coeffs: np.ndarray, plan: WaveletPlan, level: int, tensor: bool
+) -> np.ndarray:
     if level < 0 or level > plan.total_levels:
         raise InvalidArgumentError(
             f"level must be in [0, {plan.total_levels}], got {level}"
         )
-    data = _lift(np.asarray(coeffs)[None], plan, backward=True, stop=level)[0]
+    data = _lift(
+        np.asarray(coeffs)[None], plan, backward=True, stop=level, tensor=tensor
+    )[0]
     box_lengths = list(plan.shape)
     for lv in range(level):
         for ax in range(len(box_lengths)):
@@ -255,4 +304,3 @@ def inverse_to_level(
         if skipped:
             box /= gain**skipped
     return box
-

@@ -2,20 +2,26 @@
 
 Each case compresses a deterministic input (integer-seeded PCG64 draws
 and cumulative sums only, so the input is bit-stable across platforms)
-and compares the payload with ``tests/data/encode_<case>.sperr`` under
+and compares the payload with ``tests/data/v2/encode_<case>.sperr`` under
 every executor.  The cases cover the SPERR tier's modes and chunk
 layouts — PWE and size mode over stacked groups, single-chunk PSNR,
 ragged 1-D/2-D/3-D grids whose edge chunks form singleton shape groups,
-the adaptive router, and a float32 input carrying NaN/Inf samples — so
-any change to the stage kernels that moves a byte fails here.
+the adaptive router, a float32 input carrying NaN/Inf samples, and
+single 32³ and (32, 32, 16) chunks with three wavelet levels — so any
+change to the stage kernels that moves a byte fails here.
+
+``tests/data/encode_<case>.sperr`` are the same cases as written with
+chunk header version 1 (tensor-product wavelet layout).  Nothing writes
+that version any more; those files are decode-only oracles, pinned by
+``tests/test_decode_golden.py`` and ``tests/test_chunk_versions.py``.
 
 Regenerate (only after an intentional format change) with::
 
     PYTHONPATH=src python - <<'PY'
     import sys; sys.path.insert(0, "tests")
-    from test_encode_golden import CASES, DATA, encode_case
+    from test_encode_golden import CASES, GOLDEN, encode_case
     for name in CASES:
-        (DATA / f"encode_{name}.sperr").write_bytes(encode_case(name, "serial"))
+        (GOLDEN / f"encode_{name}.sperr").write_bytes(encode_case(name, "serial"))
     PY
 """
 
@@ -30,6 +36,8 @@ import repro
 from repro.core import PsnrMode, PweMode, SizeMode
 
 DATA = Path(__file__).parent / "data"
+#: Goldens of the current writer (chunk header version 2).
+GOLDEN = DATA / "v2"
 
 EXECUTORS = ["serial", "thread", "process", "batch"]
 
@@ -70,6 +78,14 @@ CASES = {
         PweMode(0.25),
         {"chunk_shape": 8},
     ),
+    # one 32³ chunk: 3 wavelet levels on every axis
+    "cube32": (lambda: _smooth((32, 32, 32), 9), PweMode(0.5), {"chunk_shape": 32}),
+    # one (32, 32, 16) chunk: axis depths 3, 3, 2
+    "slab": (
+        lambda: _smooth((32, 32, 16), 10),
+        PweMode(0.4),
+        {"chunk_shape": (32, 32, 16)},
+    ),
 }
 
 
@@ -83,15 +99,14 @@ def encode_case(name: str, executor: str) -> bytes:
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_payload_matches_golden(name, executor):
-    golden = (DATA / f"encode_{name}.sperr").read_bytes()
+    golden = (GOLDEN / f"encode_{name}.sperr").read_bytes()
     assert encode_case(name, executor) == golden
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_decodes_within_bound(name):
+def _check_within_bound(name: str, payload: bytes) -> None:
     make, mode, _ = CASES[name]
     data = make()
-    recon = repro.decompress((DATA / f"encode_{name}.sperr").read_bytes())
+    recon = repro.decompress(payload)
     assert recon.dtype == data.dtype and recon.shape == data.shape
     finite = np.isfinite(data)
     np.testing.assert_array_equal(np.isnan(recon), np.isnan(data))
@@ -99,3 +114,13 @@ def test_golden_decodes_within_bound(name):
     if isinstance(mode, PweMode):
         err = np.abs(recon[finite].astype(np.float64) - data[finite])
         assert err.max() <= mode.tolerance
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_decodes_within_bound(name):
+    _check_within_bound(name, (GOLDEN / f"encode_{name}.sperr").read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_version1_golden_decodes_within_bound(name):
+    _check_within_bound(name, (DATA / f"encode_{name}.sperr").read_bytes())

@@ -46,7 +46,7 @@ class TestDeterministicRegeneration:
         assert HEADER_SIZE == 20
         assert ChunkParams.SIZE == 42
         assert stream[:2] == b"SP"
-        assert stream[2] == 1  # version
+        assert stream[2] == 2  # version: dyadic wavelet layout
 
     def test_container_magic_and_layout(self, field):
         t = repro.tolerance_from_idx(field, 12)
