@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..compressors.base import psnr_target_for_idx
-from ..core.adaptive import CODEC_NAMES, CODEC_SPERR
+from ..core.adaptive import CODEC_NAMES
 from ..core.container import compress, decompress, parse_container
 from ..core.modes import PsnrMode, PweMode
 from ..datasets.scenarios import SCENARIOS, Scenario
@@ -151,8 +151,7 @@ def _roundtrip_frame(
     codec, chunk = _ROWS[name]
     result = compress(frame, mode, chunk_shape=chunk, codec=codec)
     if name == "adaptive":
-        tags = parse_container(result.payload).codec_tags
-        for tag in tags or (CODEC_SPERR,) * len(result.reports):
+        for tag in parse_container(result.payload).codec_tags:
             key = CODEC_NAMES[tag]
             routing[key] = routing.get(key, 0) + 1
     return decompress(result.payload), result.nbytes, result.notes

@@ -340,12 +340,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"dtype:    {parsed.dtype}")
     print(f"mode:     {_MODE_NAMES.get(parsed.mode_code, f'code {parsed.mode_code}')}")
     print(f"chunks:   {len(parsed.chunks)}")
-    if parsed.codec_tags:
-        counts = {n: 0 for n in CODEC_NAMES.values()}
-        for t in parsed.codec_tags:
-            counts[CODEC_NAMES[t]] += 1
-        routed = ", ".join(f"{n}={c}" for n, c in counts.items() if c)
-        print(f"codecs:   {routed}")
+    counts = {n: 0 for n in CODEC_NAMES.values()}
+    for t in parsed.codec_tags:
+        counts[CODEC_NAMES[t]] += 1
+    routed = ", ".join(f"{n}={c}" for n, c in counts.items() if c)
+    print(f"codecs:   {routed}")
     print(f"size:     {len(payload)} bytes ({8.0 * len(payload) / npoints:.3f} bpp)")
     if parsed.mask_blob is not None:
         counts = mask_summary(decode_mask(parsed.mask_blob, npoints))
@@ -530,11 +529,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
     print(f"chunks:    {info['n_chunks']} per frame (max level {info['max_level']})")
     print(f"shards:    {info['n_shards']}")
     print(f"payload:   {info['payload_bytes']} bytes")
-    if info.get("codec_counts"):
-        routed = ", ".join(
-            f"{n}={c}" for n, c in info["codec_counts"].items() if c
-        )
-        print(f"codecs:    {routed}")
+    routed = ", ".join(f"{n}={c}" for n, c in info["codec_counts"].items() if c)
+    print(f"codecs:    {routed}")
     if info.get("masked_frames"):
         print(
             f"masks:     frames {info['masked_frames']} carry non-finite "

@@ -190,8 +190,8 @@ def choose_codecs(
 ) -> np.ndarray:
     """Pick a codec tag for every chunk under the given policy.
 
-    ``quality`` routes everything to sperr (byte-identical to the
-    pre-adaptive pipeline); ``fast`` routes everything to szx except
+    ``quality`` routes everything to sperr (chunk streams byte-identical
+    to the pre-adaptive pipeline); ``fast`` routes everything to szx except
     chunks so rough that szx's raw-block escape would fire, which store
     verbatim; ``adaptive`` samples each chunk and picks the cheapest
     tier whose ratio cost is acceptable.  ``fast`` and ``adaptive``

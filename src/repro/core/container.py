@@ -1,8 +1,9 @@
 """Multi-chunk container format and the top-level compress/decompress.
 
-Layout of a version-2 ``.sperr`` container::
+Every payload :func:`compress` and :func:`build_container` write is a
+version-4 ``.sperr`` container::
 
-    magic "SPRRPY2\\0"                      8 bytes
+    magic "SPRRPY4\\0"                      8 bytes
     rank                 u8
     dtype code           u8  (0=float32, 1=float64)
     mode code            u8  (0=PWE, 1=size, 2=PSNR)
@@ -13,28 +14,26 @@ Layout of a version-2 ``.sperr`` container::
     per-chunk bounds     n_chunks * rank * 2 * u64
     per-chunk byte size  n_chunks * u64
     per-chunk CRC32      n_chunks * u32
-    chunk payloads       (each optionally lossless-compressed)
+    per-chunk codec tag  n_chunks * u8 (:mod:`repro.core.adaptive`)
+    mask nbytes          u64 (0 for finite inputs)
+    mask CRC32           u32
+    mask blob            the RLE-coded NaN/Inf mask (:mod:`repro.core.mask`)
+    chunk streams        one per chunk, decoded by its tag
 
-Version 1 (magic ``SPRRPY1\\0``) lacks the two CRC layers; v1 payloads
-remain readable and decode bit-identically (`parse_container` reports
-``format_version``).  Version 3 (magic ``SPRRPY3\\0``) appends a
-non-finite mask field to the chunk table — ``mask nbytes u64`` and
-``mask CRC32 u32`` after the per-chunk CRCs, with the RLE-coded mask
-blob (:mod:`repro.core.mask`) placed between the header and the first
-chunk payload.  v3 is written only when the input carries NaN/Inf
-samples; finite inputs keep producing byte-identical v2 payloads.
+Each chunk stream is self-contained under its tag's decoder — the
+lossless-wrapped SPERR stream, a raw ``SZX1`` stream, verbatim
+``RAW1`` bytes, or a baseline registry codec's own payload (tags 3–6).
+The tag column and the mask field are written even when every chunk is
+sperr and the input is finite, so one layout serves every input.
 
-Version 4 (magic ``SPRRPY4\\0``) is the *adaptive* layout: a per-chunk
-codec tag column (``n_chunks * u8``, values from
-:mod:`repro.core.adaptive`) sits between the per-chunk CRCs and the
-mask field, and the mask nbytes/CRC pair is always present (zero for
-finite inputs).  Each chunk stream is then self-contained under its
-tag's decoder — the lossless-wrapped SPERR stream, a raw ``SZX1``
-stream, verbatim ``RAW1`` bytes, or a baseline registry codec's own
-payload (tags 3–6) — so mixed-codec payloads are self-describing.  v4
-is written only when at least one chunk is not a sperr chunk; all-sperr
-output (including everything produced by ``codec="quality"``, the
-default) keeps its exact v2/v3 bytes.
+Versions 1-3 are read-only.  v1 (``SPRRPY1\\0``) has no CRCs, no tags
+and no mask field; v2 (``SPRRPY2\\0``) adds the header and chunk CRCs;
+v3 (``SPRRPY3\\0``) adds the mask field after the chunk CRCs.
+:func:`parse_container` reads them through the version checks of
+``_parse_container_body`` and reports every chunk of them as sperr.
+They are not moved into :mod:`repro.core.legacy`: they share this
+header and chunk-table reader, and a second copy of it would add more
+code than it removes.
 
 Every reader takes the chunk table through
 :func:`~repro.core.chunking.read_chunk_table`, which rejects tables
@@ -102,8 +101,6 @@ __all__ = [
     "DecodeResult",
     "DegradationNote",
     "CONTAINER_VERSION",
-    "MASKED_CONTAINER_VERSION",
-    "ADAPTIVE_CONTAINER_VERSION",
     "MAX_TOTAL_POINTS",
     "compress",
     "decompress",
@@ -115,25 +112,17 @@ __all__ = [
     "build_container",
 ]
 
-_MAGIC_V1 = b"SPRRPY1\x00"
-_MAGIC_V2 = b"SPRRPY2\x00"
-_MAGIC_V3 = b"SPRRPY3\x00"
-_MAGIC_V4 = b"SPRRPY4\x00"
-_MAGIC_BY_VERSION = {1: _MAGIC_V1, 2: _MAGIC_V2, 3: _MAGIC_V3, 4: _MAGIC_V4}
+_MAGIC_BY_VERSION = {
+    1: b"SPRRPY1\x00",
+    2: b"SPRRPY2\x00",
+    3: b"SPRRPY3\x00",
+    4: b"SPRRPY4\x00",
+}
 _VERSION_BY_MAGIC = {m: v for v, m in _MAGIC_BY_VERSION.items()}
 
-#: Container format version written by :func:`build_container` by default.
-#: Version 3 adds the non-finite mask section and is only emitted for
-#: inputs that actually carry NaN/Inf samples, so fully-finite payloads
-#: stay byte-identical to version 2.
-CONTAINER_VERSION = 2
-
-#: Container version carrying a non-finite sample mask (see layout above).
-MASKED_CONTAINER_VERSION = 3
-
-#: Container version carrying per-chunk codec tags (see layout above);
-#: written only when the adaptive dispatcher routed a chunk off sperr.
-ADAPTIVE_CONTAINER_VERSION = 4
+#: The one container version :func:`build_container` writes; versions
+#: 1-3 are read-only (see the module docstring).
+CONTAINER_VERSION = 4
 
 #: Hard cap on the number of points a container may declare before the
 #: decoder allocates the output volume.  Untrusted shape fields beyond
@@ -144,7 +133,7 @@ MAX_TOTAL_POINTS = 1 << 31
 _DTYPES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _DTYPE_BY_CODE = {v: k for k, v in _DTYPES.items()}
 
-#: byte offset of the v2 header-CRC field (after magic + 4 meta bytes)
+#: byte offset of the header-CRC field, v2 on (after magic + 4 meta bytes)
 _HEADER_CRC_OFFSET = 12
 
 
@@ -441,8 +430,8 @@ def compress(
 
     ``codec`` selects the compression tier per chunk
     (:mod:`repro.core.adaptive`): ``"quality"`` (default) runs every
-    chunk through the SPERR pipeline and is byte-identical to the
-    pre-adaptive behaviour; ``"fast"`` routes every chunk to the
+    chunk through the SPERR pipeline, with chunk streams byte-identical
+    to the pre-adaptive ones; ``"fast"`` routes every chunk to the
     SZx-style block codec; ``"adaptive"`` samples each chunk and picks
     szx / sperr / stored per its smoothness.  ``fast`` and ``adaptive``
     require a :class:`~repro.core.modes.PweMode` bound, which every
@@ -508,8 +497,8 @@ def _compress_impl(
     mode = tighten_pwe_for_dtype(mode, data)
 
     chunks = plan_chunks(data.shape, chunk_shape)
-    # ``quality`` skips the sampling pass entirely, so the default path
-    # stays byte-identical (and cycle-identical) to the legacy pipeline.
+    # ``quality`` skips the sampling pass (and its ``adaptive.dispatch``
+    # span) entirely: every chunk is sperr.
     if codec == "quality":
         tags = np.zeros(len(chunks), dtype=np.uint8)
     else:
@@ -540,13 +529,6 @@ def _compress_impl(
 
         mode_code = 0 if isinstance(mode, PweMode) else (2 if isinstance(mode, PsnrMode) else 1)
         with obs.span("container.build", n_chunks=len(chunks)):
-            mask_blob = None if mask_codes is None else encode_mask(mask_codes)
-            if tags.any():
-                version = ADAPTIVE_CONTAINER_VERSION
-            elif mask_blob is not None:
-                version = MASKED_CONTAINER_VERSION
-            else:
-                version = CONTAINER_VERSION
             payload = build_container(
                 data.ndim,
                 np.dtype(data.dtype),
@@ -554,9 +536,8 @@ def _compress_impl(
                 data.shape,
                 chunks,
                 streams,
-                mask_blob=mask_blob,
-                version=version,
-                codec_tags=tags if tags.any() else None,
+                codec_tags=tags,
+                mask_blob=None if mask_codes is None else encode_mask(mask_codes),
             )
         obs.add_counter("container.bytes", len(payload))
     return CompressionResult(payload=payload, reports=reports, notes=notes)
@@ -680,16 +661,14 @@ class ParsedContainer:
     """Structural view of a container payload (headers decoded, chunk
     streams still lossless-compressed).
 
-    ``format_version`` is 1 for legacy payloads, 2 for CRC-protected
-    ones, 3 for CRC-protected payloads carrying a non-finite sample
-    mask, and 4 for adaptive payloads with per-chunk codec tags;
-    ``chunk_crcs`` is ``None`` on v1 payloads.  ``mask_blob`` is
-    the raw (still lossless-compressed) mask section of a v3/v4 payload —
-    its stored CRC is in ``mask_crc`` and is verified by
+    ``format_version`` is the version the payload was written in (1-4,
+    see the module docstring); ``chunk_crcs`` is ``None`` on v1
+    payloads, which have none.  ``codec_tags`` holds one
+    :data:`~repro.core.adaptive.CODEC_NAMES` key per chunk; v1-v3
+    payloads report every chunk as sperr.  ``mask_blob`` is the raw
+    (still lossless-compressed) mask section, ``None`` when the input was
+    finite — its stored CRC is in ``mask_crc`` and is verified by
     :func:`decompress`, not here, so salvage can survive mask damage.
-    ``codec_tags`` is the per-chunk codec column of a v4 payload (keys
-    of :data:`~repro.core.adaptive.CODEC_NAMES`), ``None`` below v4
-    (every chunk is sperr).
     """
 
     rank: int
@@ -698,11 +677,11 @@ class ParsedContainer:
     shape: tuple[int, ...]
     chunks: list[Chunk]
     streams: list[bytes]
+    codec_tags: tuple[int, ...]
     format_version: int = CONTAINER_VERSION
     chunk_crcs: tuple[int, ...] | None = None
     mask_blob: bytes | None = None
     mask_crc: int | None = None
-    codec_tags: tuple[int, ...] | None = None
 
 
 def parse_container(payload: bytes) -> ParsedContainer:
@@ -723,6 +702,8 @@ def parse_container(payload: bytes) -> ParsedContainer:
 
 
 def _parse_container_body(payload: bytes, version: int) -> ParsedContainer:
+    """The one container reader; its ``version`` checks are the whole
+    read path of the read-only v1-v3 layouts."""
     pos = 8
     rank, dtype_code, mode_code, _lossless_flag = struct.unpack_from("<BBBB", payload, pos)
     pos += 4
@@ -742,7 +723,7 @@ def _parse_container_body(payload: bytes, version: int) -> ParsedContainer:
     chunk_crcs: tuple[int, ...] | None = None
     mask_nbytes = 0
     mask_crc: int | None = None
-    codec_tags: tuple[int, ...] | None = None
+    codec_tags = (CODEC_SPERR,) * n_chunks
     if version >= 2:
         chunk_crcs = struct.unpack_from(f"<{n_chunks}I", payload, pos)
         pos += 4 * n_chunks
@@ -854,43 +835,27 @@ def build_container(
     chunks: list[Chunk],
     streams: list[bytes],
     *,
-    version: int = CONTAINER_VERSION,
-    mask_blob: bytes | None = None,
     codec_tags: "np.ndarray | tuple[int, ...] | None" = None,
+    mask_blob: bytes | None = None,
 ) -> bytes:
-    """Assemble a container payload from its parts (inverse of parsing).
+    """Assemble a :data:`CONTAINER_VERSION` payload from its parts
+    (inverse of parsing).
 
-    ``version=2`` (default) writes the CRC-protected layout; ``version=1``
-    reproduces the legacy byte layout for compatibility testing.
-    ``mask_blob`` (an :func:`repro.core.mask.encode_mask` record)
-    requires ``version>=3``; a ``codec_tags`` column (any chunk routed
-    off sperr) requires ``version=4``.
+    ``codec_tags`` defaults to every chunk sperr and ``mask_blob`` (an
+    :func:`repro.core.mask.encode_mask` record) to no mask; both fields
+    are written either way.
     """
-    if version not in _MAGIC_BY_VERSION:
-        raise InvalidArgumentError(f"unknown container version {version}")
-    if mask_blob is not None and version < 3:
-        raise InvalidArgumentError(
-            f"a non-finite mask needs container version 3, got {version}"
-        )
-    tags = None if codec_tags is None else [int(t) for t in codec_tags]
-    if tags is not None and any(t != CODEC_SPERR for t in tags) and version < 4:
-        raise InvalidArgumentError(
-            f"per-chunk codec tags need container version 4, got {version}"
-        )
-    if version >= 4:
-        if tags is None:
-            tags = [CODEC_SPERR] * len(chunks)
-        if len(tags) != len(chunks):
-            raise InvalidArgumentError(
-                f"{len(tags)} codec tags for {len(chunks)} chunks"
-            )
-        if any(t not in CODEC_NAMES for t in tags):
-            raise InvalidArgumentError(f"unknown codec tag in {tags}")
-    head = bytearray()
-    head += _MAGIC_BY_VERSION[version]
+    if codec_tags is None:
+        codec_tags = [CODEC_SPERR] * len(chunks)
+    tags = [int(t) for t in codec_tags]
+    if len(tags) != len(chunks):
+        raise InvalidArgumentError(f"{len(tags)} codec tags for {len(chunks)} chunks")
+    if any(t not in CODEC_NAMES for t in tags):
+        raise InvalidArgumentError(f"unknown codec tag in {tags}")
+    mask = mask_blob or b""
+    head = bytearray(_MAGIC_BY_VERSION[CONTAINER_VERSION])
     head += struct.pack("<BBBB", rank, _DTYPES[np.dtype(dtype)], mode_code, 1)
-    if version >= 2:
-        head += b"\x00\x00\x00\x00"  # header CRC, patched below
+    head += b"\x00\x00\x00\x00"  # header CRC, patched below
     head += struct.pack(f"<{rank}Q", *shape)
     head += struct.pack("<I", len(chunks))
     for chunk in chunks:
@@ -898,15 +863,11 @@ def build_container(
             head += struct.pack("<QQ", a, b)
     for s in streams:
         head += struct.pack("<Q", len(s))
-    mask = mask_blob or b""
-    if version >= 2:
-        for s in streams:
-            head += struct.pack("<I", zlib.crc32(s))
-        if version >= 4:
-            head += struct.pack(f"<{len(tags)}B", *tags)
-        if version >= 3:
-            head += struct.pack("<QI", len(mask), zlib.crc32(mask))
-        struct.pack_into("<I", head, _HEADER_CRC_OFFSET, zlib.crc32(bytes(head)))
+    for s in streams:
+        head += struct.pack("<I", zlib.crc32(s))
+    head += struct.pack(f"<{len(tags)}B", *tags)
+    head += struct.pack("<QI", len(mask), zlib.crc32(mask))
+    struct.pack_into("<I", head, _HEADER_CRC_OFFSET, zlib.crc32(bytes(head)))
     return bytes(head) + mask + b"".join(streams)
 
 
@@ -1022,7 +983,7 @@ def decompress(
 ) -> np.ndarray | DecodeResult:
     """Decompress a container produced by :func:`compress`.
 
-    ``on_error="raise"`` (default) verifies every chunk CRC (v2) and
+    ``on_error="raise"`` (default) verifies every chunk CRC (v2 on) and
     raises on the first damaged chunk, returning the bare array on
     success.  ``on_error="salvage"`` decodes every intact chunk, fills
     damaged ones with ``fill_value`` (default NaN), and returns a
@@ -1047,13 +1008,12 @@ def decompress(
                 parsed = parse_legacy(payload)
         n = len(parsed.streams)
         crcs = parsed.chunk_crcs or (None,) * n
-        tags = parsed.codec_tags or (CODEC_SPERR,) * n
         salvage = on_error == "salvage"
         parts, failures, notes = decode_chunks(
             [
                 (i, stream, chunk.shape, tag, crc, 0)
                 for i, (stream, chunk, tag, crc) in enumerate(
-                    zip(parsed.streams, parsed.chunks, tags, crcs)
+                    zip(parsed.streams, parsed.chunks, parsed.codec_tags, crcs)
                 )
             ],
             parsed.rank,
@@ -1083,7 +1043,7 @@ def decompress(
 def _restore_mask(
     out: np.ndarray, parsed: ParsedContainer, report: DecodeReport | None = None
 ) -> None:
-    """Re-impose a v3 payload's NaN/±Inf pattern onto the decoded volume.
+    """Re-impose a payload's NaN/±Inf pattern onto the decoded volume.
 
     In strict mode (``report=None``) a damaged mask raises; in salvage
     mode the damage is recorded as a report note and the decode proceeds

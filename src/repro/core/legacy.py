@@ -26,6 +26,11 @@ Tiles that are baseline payloads keep their bytes under tags 3-6; tiles
 that are ``SZXF`` frames or single-chunk SPERR containers are unwrapped
 to their inner ``SZX1`` / sperr chunk stream, whose own CRC then guards
 the decode.
+
+The read-only container versions 1-3 (``SPRRPY1``-``SPRRPY3``) are not
+read here but by the version checks of
+:func:`~repro.core.container.parse_container`: they share its header
+and chunk-table reader, which this module would otherwise have to copy.
 """
 
 from __future__ import annotations
@@ -231,8 +236,7 @@ def _unwrap_tagged(
         ):
             return None
         crc = parsed.chunk_crcs[0] if parsed.chunk_crcs else None
-        inner_tag = parsed.codec_tags[0] if parsed.codec_tags else CODEC_SPERR
-        return inner_tag, parsed.streams[0], crc, parsed.shape
+        return parsed.codec_tags[0], parsed.streams[0], crc, parsed.shape
     if tag is not None:
         return tag, stream, None, _peek_shape(stream, None)
     return None

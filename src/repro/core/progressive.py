@@ -88,17 +88,17 @@ def truncate(payload: bytes, fraction: float) -> bytes:
     reconstruction), so the result is a *size-mode* container: it decodes
     to a valid coarser reconstruction but no longer carries a PWE
     guarantee — exactly the trade-off of the streaming scenario in
-    Sec. VII.  The format version, codec tags and NaN/Inf mask section
-    carry over unchanged.
+    Sec. VII.  The codec tags and NaN/Inf mask section carry over
+    unchanged; the result is written in the current container version
+    whatever version ``payload`` was read from.
     """
     from .container import build_container, parse_container
 
     if not 0.0 < fraction <= 1.0:
         raise InvalidArgumentError("fraction must be in (0, 1]")
     parsed = parse_container(payload)
-    tags = parsed.codec_tags or (CODEC_SPERR,) * len(parsed.streams)
     new_streams: list[bytes] = []
-    for stream, tag in zip(parsed.streams, tags):
+    for stream, tag in zip(parsed.streams, parsed.codec_tags):
         if tag != CODEC_SPERR:
             # non-sperr chunks have no embedded-bitplane structure to
             # cut; they pass through whole (szx and stored are the cheap
@@ -117,9 +117,8 @@ def truncate(payload: bytes, fraction: float) -> bytes:
         parsed.shape,
         parsed.chunks,
         new_streams,
-        version=parsed.format_version,
-        mask_blob=parsed.mask_blob,
         codec_tags=parsed.codec_tags,
+        mask_blob=parsed.mask_blob,
     )
 
 
@@ -152,9 +151,10 @@ def decompress_multires(payload: bytes, level: int) -> np.ndarray:
     if level == 0:
         return decompress(payload)
     shape = checked_shape(parsed.shape, "multires")
-    tag = parsed.codec_tags[0] if parsed.codec_tags else CODEC_SPERR
     crc = parsed.chunk_crcs[0] if parsed.chunk_crcs else None
     parts, _failures, _notes = decode_chunks(
-        [(0, parsed.streams[0], shape, tag, crc, level)], parsed.rank, salvage=False
+        [(0, parsed.streams[0], shape, parsed.codec_tags[0], crc, level)],
+        parsed.rank,
+        salvage=False,
     )
     return parts[0].astype(parsed.dtype, copy=False)

@@ -14,9 +14,9 @@ A *store* is a directory holding two kinds of files:
   ``(shard, offset, length, CRC32)``.  The chunk grid doubles as the
   bounding box in index space for every chunk of every frame.
 
-Index layout (little-endian)::
+Every index :func:`pack_index` writes has this layout (little-endian)::
 
-    magic "SPRRIDX1"         8 bytes
+    magic "SPRRIDX3"         8 bytes
     rank        u8
     dtype code  u8  (0=float32, 1=float64)
     mode code   u8  (0=PWE, 1=size, 2=PSNR)
@@ -31,27 +31,20 @@ Index layout (little-endian)::
     n_frames    u32
     n_shards    u32
     entries     n_frames * n_chunks * (u32 shard, u64 offset, u64 length, u32 crc)
-
-``SPRRIDX2`` extends the layout with a per-frame non-finite mask table
-(see :mod:`repro.core.mask`) appended after the entries::
-
+    codec tags  n_frames * n_chunks * u8 (:mod:`repro.core.adaptive` tags)
     mask table  n_frames * (u64 mask_nbytes, u32 mask_crc)
     mask blobs  concatenated RLE mask blobs (mask_nbytes == 0 -> no mask)
 
-The v2 magic is written only when at least one frame actually carries
-NaN/Inf samples, so stores of finite data keep the v1 bytes.
+The tag table and the mask table are written even for all-sperr stores
+of finite data, so one layout serves every store.
 
-``SPRRIDX3`` is the adaptive layout: a per-``(frame, chunk)`` codec tag
-table (:mod:`repro.core.adaptive` tags, ``n_frames * n_chunks * u8``)
-sits between the entries and the mask table, and the mask table is
-always present (zero rows for finite frames)::
-
-    codec tags  n_frames * n_chunks * u8
-    mask table  n_frames * (u64 mask_nbytes, u32 mask_crc)
-    mask blobs  concatenated RLE mask blobs
-
-v3 is written only when some chunk of some frame routed away from
-sperr, so quality-tier stores keep their v1/v2 bytes.
+``SPRRIDX1`` and ``SPRRIDX2`` are read-only.  v1 ends after the
+entries; v2 adds the mask table and blobs but no tag table.
+:func:`parse_index` reads them through the version checks of
+``_parse_index_body`` and reports every chunk of them as sperr.  They
+are not moved into :mod:`repro.core.legacy`: they share this header and
+entry reader, and a second copy of it would add more code than it
+removes.
 
 The index is untrusted input: :func:`parse_index` verifies the CRC
 before trusting any field and runs every shape/count through the
@@ -76,6 +69,7 @@ from ..errors import (
     checked_shape,
     decode_guard,
 )
+from ..core.adaptive import BASELINE_TAGS, CODEC_NAMES, CODEC_SPERR
 from ..core.chunking import Chunk, read_chunk_table
 from ..core.container import MAX_TOTAL_POINTS, _DTYPE_BY_CODE, _DTYPES
 
@@ -98,6 +92,13 @@ INDEX_MAGIC = b"SPRRIDX1"
 INDEX_MAGIC_V2 = b"SPRRIDX2"
 INDEX_MAGIC_V3 = b"SPRRIDX3"
 SHARD_MAGIC = b"SPRRSHD1"
+
+_INDEX_VERSION = {INDEX_MAGIC: 1, INDEX_MAGIC_V2: 2, INDEX_MAGIC_V3: 3}
+
+#: Codec tags a store may hold: those the ``codec=`` policies
+#: (:data:`~repro.core.adaptive.CODEC_POLICIES`) route to.  Baseline
+#: tags are chosen by registry name, which the store writer does not take.
+_STORE_TAGS = frozenset(CODEC_NAMES) - frozenset(BASELINE_TAGS.values())
 
 #: File name of the footer index inside a store directory.
 INDEX_NAME = "index.bin"
@@ -128,8 +129,8 @@ class ChunkEntry:
 
     ``offset`` is measured from the start of the shard file (the 8-byte
     shard magic counts, so offsets are directly seekable); ``crc32`` is
-    the CRC of the ``length`` payload bytes — the same per-chunk CRC a
-    v2 container would carry, so salvage semantics match.
+    the CRC of the ``length`` payload bytes — the same per-chunk CRC the
+    container carries, so salvage semantics match.
     """
 
     shard: int
@@ -146,10 +147,9 @@ class StoreIndex:
     one tuple of :class:`ChunkEntry` per frame, in chunk-grid order.
     ``levels`` is ``None`` when the writer used the paper's automatic
     per-axis level rule.  ``frame_masks`` holds one RLE non-finite mask
-    blob (or ``None``) per frame; all-``None`` stores serialize as v1.
-    ``frame_codecs`` holds one tuple of per-chunk codec tags
-    (:mod:`repro.core.adaptive`) per frame; empty means every chunk is
-    sperr, and all-sperr stores serialize without the v3 tag table.
+    blob (or ``None``) per frame.  ``frame_codecs`` holds one tuple of
+    per-chunk codec tags (:mod:`repro.core.adaptive`) per frame; v1/v2
+    indexes parse with every tag sperr.
     """
 
     rank: int
@@ -161,14 +161,8 @@ class StoreIndex:
     levels: int | None
     n_shards: int
     entries: tuple[tuple[ChunkEntry, ...], ...]
-    frame_masks: tuple[bytes | None, ...] = ()
-    frame_codecs: tuple[tuple[int, ...], ...] = ()
-
-    def codec_tag(self, frame: int, chunk: int) -> int:
-        """Codec tag of one stored chunk (sperr when no tag table)."""
-        if not self.frame_codecs:
-            return 0
-        return self.frame_codecs[frame][chunk]
+    frame_masks: tuple[bytes | None, ...]
+    frame_codecs: tuple[tuple[int, ...], ...]
 
     @property
     def n_frames(self) -> int:
@@ -187,34 +181,18 @@ class StoreIndex:
 
 
 def pack_index(index: StoreIndex) -> bytes:
-    """Serialize a :class:`StoreIndex` (inverse of :func:`parse_index`).
-
-    Emits the v2 magic (with the per-frame mask table) only when some
-    frame actually has a mask, so finite-data stores keep the v1 bytes.
-    """
+    """Serialize a :class:`StoreIndex` as ``SPRRIDX3`` (inverse of
+    :func:`parse_index`)."""
     if index.rank != len(index.shape):
         raise InvalidArgumentError("index rank does not match its shape")
     if index.wavelet not in WAVELET_IDS:
         raise InvalidArgumentError(f"unknown wavelet {index.wavelet!r}")
-    masks: tuple[bytes | None, ...] = index.frame_masks or (None,) * index.n_frames
-    if len(masks) != index.n_frames:
+    if not len(index.frame_masks) == len(index.frame_codecs) == index.n_frames:
         raise InvalidArgumentError(
-            f"frame_masks has {len(masks)} entries for {index.n_frames} frames"
+            f"{len(index.frame_masks)} frame masks and {len(index.frame_codecs)} "
+            f"frame tag rows for {index.n_frames} frames"
         )
-    codecs = index.frame_codecs
-    if codecs and len(codecs) != index.n_frames:
-        raise InvalidArgumentError(
-            f"frame_codecs has {len(codecs)} entries for {index.n_frames} frames"
-        )
-    v3 = any(any(t != 0 for t in frame) for frame in codecs)
-    v2 = any(m is not None for m in masks)
-    out = bytearray()
-    if v3:
-        out += INDEX_MAGIC_V3
-    elif v2:
-        out += INDEX_MAGIC_V2
-    else:
-        out += INDEX_MAGIC
+    out = bytearray(INDEX_MAGIC_V3)
     out += struct.pack(
         "<BBBB", index.rank, _DTYPES[np.dtype(index.dtype)], index.mode_code, 0
     )
@@ -236,46 +214,39 @@ def pack_index(index: StoreIndex) -> bytes:
             raise InvalidArgumentError("frame entry count does not match the grid")
         for e in frame:
             out += struct.pack(_ENTRY_FMT, e.shard, e.offset, e.length, e.crc32)
-    if v3:
-        for frame_tags in codecs:
-            if len(frame_tags) != len(index.chunks):
-                raise InvalidArgumentError(
-                    "frame codec tag count does not match the grid"
-                )
-            if any(t not in (0, 1, 2) for t in frame_tags):
-                raise InvalidArgumentError(f"unknown codec tag in {frame_tags}")
-            out += struct.pack(f"<{len(frame_tags)}B", *frame_tags)
-    if v2 or v3:
-        for m in masks:
-            blob = m if m is not None else b""
-            out += struct.pack("<QI", len(blob), zlib.crc32(blob))
-        for m in masks:
-            if m is not None:
-                out += m
+    for frame_tags in index.frame_codecs:
+        if len(frame_tags) != len(index.chunks):
+            raise InvalidArgumentError("frame codec tag count does not match the grid")
+        if not _STORE_TAGS.issuperset(frame_tags):
+            raise InvalidArgumentError(f"unknown codec tag in {frame_tags}")
+        out += struct.pack(f"<{len(frame_tags)}B", *frame_tags)
+    for m in index.frame_masks:
+        blob = m if m is not None else b""
+        out += struct.pack("<QI", len(blob), zlib.crc32(blob))
+    for m in index.frame_masks:
+        if m is not None:
+            out += m
     struct.pack_into("<I", out, _INDEX_CRC_OFFSET, zlib.crc32(bytes(out)))
     return bytes(out)
 
 
 def parse_index(payload: bytes) -> StoreIndex:
-    """Decode and validate an ``index.bin`` payload.
+    """Decode and validate an ``index.bin`` payload of any version.
 
     The CRC over the whole index is verified before any field is
     trusted; malformed framing surfaces as
     :class:`~repro.errors.StreamFormatError` via the decode guard.
     """
-    if payload[:8] == INDEX_MAGIC:
-        version = 1
-    elif payload[:8] == INDEX_MAGIC_V2:
-        version = 2
-    elif payload[:8] == INDEX_MAGIC_V3:
-        version = 3
-    else:
+    version = _INDEX_VERSION.get(bytes(payload[:8]))
+    if version is None:
         raise StreamFormatError("not a store index (bad magic)")
     with decode_guard("store"):
         return _parse_index_body(payload, version)
 
 
 def _parse_index_body(payload: bytes, version: int) -> StoreIndex:
+    """The one index reader; its ``version`` checks are the whole read
+    path of the read-only v1/v2 layouts."""
     pos = 8
     rank, dtype_code, mode_code, _flags = struct.unpack_from("<BBBB", payload, pos)
     pos += 4
@@ -346,13 +317,13 @@ def _parse_index_body(payload: bytes, version: int) -> StoreIndex:
                 )
             )
         entries.append(tuple(frame))
-    frame_codecs: tuple[tuple[int, ...], ...] = ()
+    frame_codecs = ((CODEC_SPERR,) * n_chunks,) * n_frames
     if version >= 3:
         tags = []
         for _ in range(n_frames):
             frame_tags = struct.unpack_from(f"<{n_chunks}B", payload, pos)
             pos += n_chunks
-            if any(t > 2 for t in frame_tags):
+            if not _STORE_TAGS.issuperset(frame_tags):
                 raise StreamFormatError(
                     "store index carries an unknown codec tag"
                 )

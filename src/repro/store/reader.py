@@ -43,21 +43,26 @@ import numpy as np
 from .. import obs
 from ..errors import InvalidArgumentError, StreamFormatError
 from ..core.container import (
+    CONTAINER_VERSION,
     DecodeReport,
     DecodeResult,
     coarse_depth,
     coarse_extent,
     decode_chunks,
 )
+from ..core.adaptive import CODEC_NAMES
 from ..core.mask import apply_mask, decode_mask, mask_summary
 from .cache import DEFAULT_CACHE_BYTES, DecodedChunkCache
-from .format import INDEX_NAME, SHARD_MAGIC, StoreIndex, parse_index, shard_name
+from .format import (
+    _STORE_TAGS,
+    INDEX_NAME,
+    SHARD_MAGIC,
+    StoreIndex,
+    parse_index,
+    shard_name,
+)
 
 __all__ = ["CompressedArray", "open_store"]
-
-#: The store's chunk streams use the container-v2 chunk framing; decode
-#: reports carry this so salvage reports read the same as container ones.
-_REPORT_FORMAT_VERSION = 2
 
 
 def _normalize_window(
@@ -351,7 +356,7 @@ class CompressedArray:
                     i,
                     streams[i],
                     self._index.chunks[i].shape,
-                    self._index.codec_tag(frame, i),
+                    self._index.frame_codecs[frame][i],
                     entries[i].crc32,
                     min(level, self._chunk_depths[i]),
                 )
@@ -398,20 +403,20 @@ class CompressedArray:
             obs.add_counter("store.bytes.served", out.nbytes)
         if salvage:
             report = DecodeReport.from_failures(
-                _REPORT_FORMAT_VERSION, chosen, failures, notes
+                CONTAINER_VERSION, chosen, failures, notes
             )
             return DecodeResult(data=out, report=report)
         return out
 
     def _frame_mask_codes(self, frame: int) -> np.ndarray | None:
         """Decoded (and cached) shaped mask-code array of ``frame``."""
-        masks = self._index.frame_masks
-        if not masks or masks[frame] is None:
+        blob = self._index.frame_masks[frame]
+        if blob is None:
             return None
         codes = self._mask_codes.get(frame)
         if codes is None:
             npoints = int(np.prod([int(s) for s in self.shape], dtype=np.int64))
-            codes = decode_mask(masks[frame], npoints).reshape(self.shape)
+            codes = decode_mask(blob, npoints).reshape(self.shape)
             self._mask_codes[frame] = codes
         return codes
 
@@ -547,11 +552,7 @@ class CompressedArray:
         for s in range(index.n_shards):
             p = self.path / shard_name(s)
             shard_sizes.append(p.stat().st_size if p.exists() else None)
-        masked_frames = [
-            f
-            for f, m in enumerate(index.frame_masks or ())
-            if m is not None
-        ]
+        masked_frames = [f for f, m in enumerate(index.frame_masks) if m is not None]
         info = {
             "path": str(self.path),
             "shape": index.shape,
@@ -568,14 +569,11 @@ class CompressedArray:
             "masked_frames": masked_frames,
             "cache": self.cache.stats(),
         }
-        if index.frame_codecs:
-            counts = {0: 0, 1: 0, 2: 0}
-            for frame_tags in index.frame_codecs:
-                for t in frame_tags:
-                    counts[t] += 1
-            info["codec_counts"] = {
-                "sperr": counts[0], "szx": counts[1], "stored": counts[2]
-            }
+        counts = {CODEC_NAMES[t]: 0 for t in sorted(_STORE_TAGS)}
+        for frame_tags in index.frame_codecs:
+            for t in frame_tags:
+                counts[CODEC_NAMES[t]] += 1
+        info["codec_counts"] = counts
         if masked_frames:
             info["mask_bytes"] = sum(
                 len(m) for m in index.frame_masks if m is not None

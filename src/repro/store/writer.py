@@ -145,13 +145,12 @@ class StoreWriter:
                     f"frame dtype {parsed.dtype} does not match the store's "
                     f"{self._meta['dtype']}"
                 )
-        crcs = parsed.chunk_crcs or ()
         with obs.span(
             "store.write_frame", frame=len(self._entries), n_chunks=len(parsed.streams)
         ):
             frame_entries = tuple(
                 self._write_stream(stream, crc)
-                for stream, crc in zip(parsed.streams, crcs)
+                for stream, crc in zip(parsed.streams, parsed.chunk_crcs)
             )
             obs.add_counter(
                 "store.bytes.written", sum(e.length for e in frame_entries)
@@ -161,9 +160,7 @@ class StoreWriter:
         # index (per-frame table), not in the shards — the chunk streams
         # themselves stay mask-free and byte-identical to container ones.
         self._frame_masks.append(parsed.mask_blob)
-        self._frame_codecs.append(
-            parsed.codec_tags or (0,) * len(parsed.streams)
-        )
+        self._frame_codecs.append(parsed.codec_tags)
         return result
 
     def _write_stream(self, stream: bytes, crc: int) -> ChunkEntry:
@@ -215,11 +212,7 @@ class StoreWriter:
             n_shards=self._shard_id + 1,
             entries=tuple(self._entries),
             frame_masks=tuple(self._frame_masks),
-            frame_codecs=(
-                tuple(self._frame_codecs)
-                if any(any(t != 0 for t in f) for f in self._frame_codecs)
-                else ()
-            ),
+            frame_codecs=tuple(self._frame_codecs),
         )
         # Durable, atomic index publication: the temp file is fsynced
         # before the rename and the directory after it, so a crash at

@@ -211,11 +211,7 @@ class TestStoreTags:
 
         path, rough, t = mixed_store
         arr = open_store(path)
-        tags = {
-            arr.index.codec_tag(f, c)
-            for f in range(len(arr.index.frame_codecs) or 1)
-            for c in range(len(arr.index.frame_codecs[f]) if arr.index.frame_codecs else 0)
-        }
+        tags = {t for frame in arr.index.frame_codecs for t in frame}
         assert len(tags) > 1
 
     def test_full_and_window_reads_honor_bound(self, mixed_store):

@@ -1,8 +1,9 @@
-"""Chunk header versions: writers stamp version 2, version 1 stays readable.
+"""Format versions: every writer emits one layout, older ones stay readable.
 
-Version 2 streams hold the dyadic wavelet layout, version 1 streams the
-tensor-product layout (see :mod:`repro.wavelets.dwt`).  The version-1
-oracle is the set of files written before the layout changed:
+Chunk headers: writers stamp version 2 (dyadic wavelet layout); version
+1 streams hold the tensor-product layout (see :mod:`repro.wavelets.dwt`).
+The version-1 oracle is the set of files written before the layout
+changed:
 
 * ``tests/data/encode_<case>.sperr`` for every case of
   ``tests/test_encode_golden.py`` (decode digests in
@@ -13,6 +14,18 @@ oracle is the set of files written before the layout changed:
   and ``deep_v1_digests.json``: the sha256 of
   ``decompress_multires`` at levels 1-3 and of the decode after
   ``progressive.truncate(payload, 0.5)``.
+
+Containers: every write is ``SPRRPY4``.  The read-only versions are
+pinned by fixtures written before their writers went:
+``tests/data/container_v1.sperr`` (``SPRRPY1``, see
+``tests/test_robustness.py``), and ``tests/data/encode_<case>.sperr``,
+which are ``SPRRPY2`` — or ``SPRRPY3`` for ``masked_f32`` — and decode
+to ``decode_digests.json``.
+
+Store indexes: every write is ``SPRRIDX3``.  ``store_v1_<case>/`` are
+``SPRRIDX1``; ``store_v2_masked/`` is a one-frame float32 store with
+NaN/±Inf samples (``SPRRIDX2``) and its decoded array
+``store_v2_masked.npy``.
 
 Every entry point must decode those bytes exactly as they decoded when
 they were written.
@@ -38,6 +51,7 @@ from repro.core.progressive import (
 )
 from repro.errors import StreamFormatError
 from repro.store import open_store, write_store
+from repro.store.format import INDEX_NAME
 
 DATA = Path(__file__).parent / "data"
 DEEP = ("cube32", "slab")
@@ -60,6 +74,15 @@ def _versions(payload: bytes) -> list[int]:
     return [
         lossless.decompress(s)[2] for s in parse_container(payload).streams
     ]
+
+
+def _masked(shape: tuple[int, ...], rng) -> np.ndarray:
+    x = np.cumsum(rng.standard_normal(shape), axis=0).astype(np.float32)
+    flat = x.reshape(-1)
+    flat[::29] = np.nan
+    flat[3::53] = np.inf
+    flat[7::61] = -np.inf
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +169,57 @@ class TestWriters:
     def test_version_1_header_round_trips(self):
         h = ChunkHeader(shape=(4, 4, 1), speck_nbytes=3, version=1)
         assert ChunkHeader.unpack(h.pack()) == h
+
+
+class TestOneLayoutPerArtifact:
+    """``repro.compress`` picks no layout from its input or policy (the
+    store index counterpart is ``tests/test_store_robustness.py``)."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("codec", ["quality", "fast", "adaptive", "sz-like"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process", "batch"])
+    def test_compress_writes_v4(self, rng, executor, codec, masked):
+        x = _masked((16, 12, 10), rng)
+        if not masked:
+            x = np.nan_to_num(x, nan=0.0, posinf=1.0, neginf=-1.0)
+        payload = repro.compress(
+            x, repro.PweMode(0.05), chunk_shape=8, executor=executor, codec=codec
+        ).payload
+        assert payload[:8] == b"SPRRPY4\x00"
+        assert (parse_container(payload).mask_blob is not None) == masked
+
+
+class TestStoreIndexVersion2:
+    """``store_v2_masked/``: the one ``SPRRIDX2`` fixture."""
+
+    WINDOWS = [
+        (slice(None),) * 3,
+        (slice(2, 15), slice(3, 18), slice(1, 9)),
+        (3, slice(None), slice(4, 12)),
+        (slice(9, 13), slice(0, 6), 7),
+        (slice(17, 20), slice(15, 18), slice(10, 12)),
+    ]
+
+    @pytest.fixture(scope="class")
+    def want(self) -> np.ndarray:
+        return np.load(DATA / "store_v2_masked.npy")
+
+    def test_fixture_is_index_version_2(self, want):
+        assert (DATA / "store_v2_masked" / INDEX_NAME).read_bytes()[:8] == b"SPRRIDX2"
+        assert want.dtype == np.float32
+        assert np.isnan(want).any() and np.isposinf(want).any()
+        assert np.isneginf(want).any()
+
+    def test_full_read_matches(self, want):
+        arr = open_store(DATA / "store_v2_masked")
+        got = arr.read()
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert arr.index.frame_codecs == ((0,) * arr.index.n_chunks,)
+        assert arr.info()["masked_frames"] == [0]
+
+    def test_window_reads_match(self, want):
+        arr = open_store(DATA / "store_v2_masked", cache_bytes=0)
+        for window in self.WINDOWS:
+            got = arr.read_window(window)
+            assert got.tobytes() == np.ascontiguousarray(want[window]).tobytes()

@@ -79,7 +79,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["info", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "v2" in printed and "CRC-protected" in printed
+        assert "v4" in printed and "CRC-protected" in printed
 
     def test_error_path_returns_bad_args(self, npy_field, tmp_path, capsys):
         path, _ = npy_field

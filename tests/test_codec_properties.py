@@ -93,15 +93,17 @@ def test_psnr_mode_roundtrip(data, psnr):
     assert np.all(np.isfinite(out))
 
 
-@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("codec", ["quality", "fast"])
+@settings(max_examples=25, deadline=None)
 @given(data=arrays(), tol=tolerances)
-def test_container_reparse_identity(data, tol):
-    """parse -> build reproduces the container payload byte for byte."""
-    payload = compress(data, PweMode(tol)).payload
+def test_container_reparse_identity(codec, data, tol):
+    """parse -> build reproduces the container payload byte for byte,
+    codec tags and mask field included."""
+    payload = compress(data, PweMode(tol), codec=codec).payload
     p = parse_container(payload)
     rebuilt = build_container(
         p.rank, p.dtype, p.mode_code, p.shape, p.chunks, p.streams,
-        version=p.format_version,
+        codec_tags=p.codec_tags, mask_blob=p.mask_blob,
     )
     assert rebuilt == payload
 
@@ -204,19 +206,6 @@ def test_codec_policies_hold_pwe_bound(codec, data, tol):
         )
     )
     assert worst <= tol * _SLACK
-
-
-@settings(max_examples=20, deadline=None)
-@given(data=arrays(), tol=tolerances)
-def test_fast_container_reparse_identity(data, tol):
-    """v4 containers rebuild byte-identically, codec tags included."""
-    payload = compress(data, PweMode(tol), codec="fast").payload
-    p = parse_container(payload)
-    rebuilt = build_container(
-        p.rank, p.dtype, p.mode_code, p.shape, p.chunks, p.streams,
-        version=p.format_version, codec_tags=p.codec_tags,
-    )
-    assert rebuilt == payload
 
 
 @settings(max_examples=20, deadline=None)

@@ -184,8 +184,8 @@ class TestCodecTags:
         parsed = parse_container(_compress("sz-like", smooth_field))
         args = (3, parsed.dtype, 0, parsed.shape, parsed.chunks, parsed.streams)
         with pytest.raises(InvalidArgumentError, match="unknown codec tag"):
-            build_container(*args, version=4, codec_tags=[7] * 8)
-        good = build_container(*args, version=4, codec_tags=[3] * 8)
+            build_container(*args, codec_tags=[7] * 8)
+        good = build_container(*args, codec_tags=[3] * 8)
         np.testing.assert_array_equal(
             repro.decompress(good), repro.decompress(_compress("sz-like", smooth_field))
         )
@@ -208,7 +208,7 @@ class TestCodecTags:
         streams[0], streams[j] = streams[j], streams[0]
         forged = build_container(
             3, parsed.dtype, 0, parsed.shape, parsed.chunks, streams,
-            version=4, codec_tags=parsed.codec_tags,
+            codec_tags=parsed.codec_tags,
         )
         with pytest.raises(StreamFormatError, match="table says"):
             repro.decompress(forged)

@@ -161,6 +161,37 @@ class TestFormatDocument:
         rows = re.findall(r"^\| (\d+) \| `", self.TEXT, re.M)
         assert sorted(map(int, rows)) == sorted(CODEC_NAMES)
 
+    def test_one_written_layout_per_artifact(self, tmp_path):
+        """The magic table marks exactly one container row and one store
+        index row ``written``, and those are the magics the writers emit."""
+        import numpy as np
+
+        import repro
+        from repro.store import write_store
+
+        rows = re.findall(
+            r"^\| `([^`]+)` \| (container|store index) v\d[^|]*\| ([^|]+?) \|",
+            self.TEXT,
+            re.M,
+        )
+        assert len(rows) == 7, rows  # four container and three index versions
+        written = {
+            artifact: [m for m, a, status in rows if (a, status) == (artifact, "written")]
+            for artifact in ("container", "store index")
+        }
+
+        def as_doc(magic: bytes) -> str:
+            return magic.decode("ascii").replace("\0", "\\0")
+
+        data = np.linspace(0.0, 1.0, 4096).reshape(16, 16, 16)
+        payload = repro.compress(data, repro.PweMode(1e-3)).payload
+        write_store(tmp_path / "s", data, repro.PweMode(1e-3))
+        index = (tmp_path / "s" / "index.bin").read_bytes()
+        assert written == {
+            "container": [as_doc(payload[:8])],
+            "store index": [as_doc(index[:8])],
+        }
+
     def test_no_second_format_document(self):
         assert not (ROOT / "docs" / "format.md").exists()
 

@@ -51,7 +51,7 @@ class TestDeterministicRegeneration:
     def test_container_magic_and_layout(self, field):
         t = repro.tolerance_from_idx(field, 12)
         payload = repro.compress(field, PweMode(t)).payload
-        assert payload[:8] == b"SPRRPY2\x00"
+        assert payload[:8] == b"SPRRPY4\x00"
         assert payload[8] == 3  # rank
         assert payload[9] == 1  # float64
         assert payload[10] == 0  # PWE mode
@@ -60,7 +60,9 @@ class TestDeterministicRegeneration:
 
         stored = int.from_bytes(payload[12:16], "little")
         parsed = repro.core.parse_container(payload)
-        head_len = 16 + 8 * 3 + 4 + len(parsed.chunks) * (3 * 16 + 8 + 4)
+        # chunk table: bounds, size, CRC and codec tag per chunk, then
+        # the mask nbytes/CRC pair
+        head_len = 16 + 8 * 3 + 4 + len(parsed.chunks) * (3 * 16 + 8 + 4 + 1) + 12
         header = bytearray(payload[:head_len])
         header[12:16] = b"\x00\x00\x00\x00"
         assert zlib.crc32(bytes(header)) == stored
@@ -68,7 +70,7 @@ class TestDeterministicRegeneration:
     def test_container_version_surfaced(self, field):
         t = repro.tolerance_from_idx(field, 12)
         payload = repro.compress(field, PweMode(t)).payload
-        assert repro.core.parse_container(payload).format_version == 2
+        assert repro.core.parse_container(payload).format_version == 4
 
     def test_size_mode_container_flag(self, field):
         payload = repro.compress(field, SizeMode(bpp=2.0)).payload

@@ -35,6 +35,7 @@ from repro.core.pipeline import compress_chunk, decompress_chunk
 from repro.core.timeseries import compress_frames, decompress_frames
 from repro.datasets import spectral_field
 from repro.errors import IntegrityError, InvalidArgumentError, ReproError
+from repro.store.format import parse_index
 from repro.testing.faults import FAULT_OPERATORS, corrupt, fuzz_decoder
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -183,7 +184,20 @@ _RAW_CHUNK_PATHS = {
 #: A two-frame ``SPRRTS1`` time-series archive through ``decompress_frames``:
 #: corruption lands in its frame table as well as in the containers.
 _TIMESERIES = "sprrts1"
-_FUZZ_TARGETS = sorted([*_FUZZ_CODECS, _RAW_CHUNK, *_RAW_CHUNK_PATHS, _TIMESERIES])
+
+#: The read-only layouts, from their committed fixtures: container v1
+#: (no CRCs) and v3 (mask, no tags) through ``repro.decompress``, store
+#: indexes v1 and v2 through ``parse_index``.  No fresh write reaches
+#: their parse paths, so only these targets fuzz them.
+_READ_ONLY = {
+    "sprrpy1": ("container_v1.sperr", repro.decompress),
+    "sprrpy3": ("encode_masked_f32.sperr", repro.decompress),
+    "sprridx1": ("store_v1_cube32/index.bin", parse_index),
+    "sprridx2": ("store_v2_masked/index.bin", parse_index),
+}
+_FUZZ_TARGETS = sorted(
+    [*_FUZZ_CODECS, _RAW_CHUNK, *_RAW_CHUNK_PATHS, _TIMESERIES, *_READ_ONLY]
+)
 
 
 def _decode_raw_chunk(raw: bytes, **kwargs):
@@ -200,6 +214,8 @@ def _fuzz_decoder(target: str):
         return partial(_decode_raw_chunk, **_RAW_CHUNK_PATHS[target])
     if target == _TIMESERIES:
         return decompress_frames
+    if target in _READ_ONLY:
+        return _READ_ONLY[target][1]
     return _FUZZ_CODECS[target][0].decompress
 
 
@@ -217,13 +233,16 @@ def fuzz_payloads(field):
         payloads[target] = stream
     frames = [field[:8, :8, :8], field[8:, 8:, :8]]
     payloads[_TIMESERIES], _ = compress_frames(frames, PweMode(1e-3))
+    for target, (name, _decode) in _READ_ONLY.items():
+        payloads[target] = (DATA_DIR / name).read_bytes()
     return payloads
 
 
 class TestFaultInjectionMatrix:
     """Every codec (and a raw SPERR chunk, at full resolution, level 1
-    and half its SPECK bits) × every fault operator × seeded corruption
-    campaigns.
+    and half its SPECK bits, a time-series archive and the read-only
+    container and index layouts) × every fault operator × seeded
+    corruption campaigns.
 
     The contract: a corrupted payload either decodes (to garbage or a
     salvage) or raises a ``ReproError`` subclass.  Raw ``struct.error`` /

@@ -135,15 +135,18 @@ class TestMaskedFrames:
         assert info["mask_summary"][0]["neg_inf"] == 1
         assert info["mask_bytes"] > 0
 
-    def test_unmasked_store_index_is_v1(self, tmp_path, masked_frame):
-        # Finite inputs keep the legacy index magic byte-for-byte so
-        # golden stores stay stable.
+    @pytest.mark.parametrize("codec", ["quality", "fast", "adaptive"])
+    def test_every_store_index_is_v3(self, tmp_path, masked_frame, codec):
+        # One index layout whatever the content: finite or masked frames,
+        # all-sperr or szx-routed chunks.
         finite = np.nan_to_num(masked_frame, posinf=1.0, neginf=-1.0)
-        write_store(tmp_path / "s", finite, PweMode(TOL))
-        payload = (tmp_path / "s" / INDEX_NAME).read_bytes()
-        assert payload.startswith(b"SPRRIDX1")
-        info = open_store(tmp_path / "s").info()
-        assert info["masked_frames"] == []
+        for name, frame in (("finite", finite), ("masked", masked_frame)):
+            path = tmp_path / name
+            write_store(path, frame, PweMode(TOL), codec=codec)
+            assert (path / INDEX_NAME).read_bytes()[:8] == b"SPRRIDX3"
+            info = open_store(path).info()
+            assert (info["masked_frames"] == []) == (name == "finite")
+            assert sum(info["codec_counts"].values()) == info["n_chunks"]
 
 
 class TestIndexChunkTable:
@@ -163,3 +166,32 @@ class TestIndexChunkTable:
         (tmp_path / "s" / INDEX_NAME).write_bytes(payload)
         with pytest.raises(ReproError, match="chunk table"):
             open_store(tmp_path / "s")
+
+
+class TestIndexCodecTags:
+    def test_baseline_tag_rejected_by_pack_and_parse(self, tmp_path):
+        """Store tags are the ones the ``codec=`` policies route to; a
+        baseline tag (3, sz-like) is refused on both sides of the index."""
+        import dataclasses
+        import struct
+        import zlib
+
+        from repro.errors import InvalidArgumentError, StreamFormatError
+        from repro.store import pack_index
+
+        x = np.linspace(0.0, 1.0, 64)
+        write_store(tmp_path / "s", x, PweMode(TOL), chunk_shape=32)
+        payload = (tmp_path / "s" / INDEX_NAME).read_bytes()
+        index = parse_index(payload)
+        forged = dataclasses.replace(index, frame_codecs=((0, 3),))
+        with pytest.raises(InvalidArgumentError, match="unknown codec tag"):
+            pack_index(forged)
+        # Finite one-frame index: the two tag bytes precede the 12-byte
+        # mask row.  Re-tag one and fix the index CRC.
+        bad = bytearray(payload)
+        assert bad[-14:-12] == b"\x00\x00"
+        bad[-13] = 3
+        bad[12:16] = b"\x00" * 4
+        struct.pack_into("<I", bad, 12, zlib.crc32(bytes(bad)))
+        with pytest.raises(StreamFormatError, match="unknown codec tag"):
+            parse_index(bytes(bad))
