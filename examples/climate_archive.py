@@ -45,7 +45,7 @@ def main() -> None:
         data = gen(SHAPE)
         tolerance = repro.tolerance_from_idx(data, idx)
         result = repro.compress(
-            data, repro.PweMode(tolerance), chunk_shape=CHUNK, executor="thread"
+            data, repro.PweMode(tolerance), chunk_shape=CHUNK, workers=2
         )
         recon = repro.decompress(result.payload)
         err = max_pwe(data, recon)

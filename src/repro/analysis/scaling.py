@@ -1,4 +1,4 @@
-"""Strong-scaling study (Fig. 7) on the chunk-parallel executor.
+"""Strong-scaling study (Fig. 7) of the chunk-parallel compressor.
 
 The paper measures OpenMP speedups on a 128-core node.  This container
 exposes a single core, so — per the documented substitution in DESIGN.md
@@ -12,8 +12,8 @@ exposes a single core, so — per the documented substitution in DESIGN.md
 This reproduces exactly the phenomenology of Fig. 7: near-linear scaling
 while chunks >> workers, a bend as the chunk count stops dividing
 evenly, and a plateau at the chunk-count limit that the paper's
-Sec. III-D concedes.  A real thread-pool measurement is also available
-for machines with more cores.
+Sec. III-D concedes.  On a machine with more cores, real process-pool
+timings come from ``repro.compress(..., workers=P)``.
 """
 
 from __future__ import annotations

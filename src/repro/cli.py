@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument(
         "--workers", type=int, default=None,
-        help="parallel workers (threads) for chunked compression",
+        help="worker processes for chunked compression (default: in-process)",
     )
     c.add_argument("--verbose", action="store_true", help="print a cost summary")
     c.add_argument(
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sb.add_argument(
         "--workers", type=int, default=None,
-        help="parallel workers (threads) for chunked compression",
+        help="worker processes for chunked compression (default: in-process)",
     )
 
     sg = st_sub.add_parser(
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sg.add_argument(
         "--workers", type=int, default=None,
-        help="parallel workers (threads) for chunk decoding",
+        help="worker processes for chunk decoding (default: in-process)",
     )
     sg.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -282,7 +282,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             mode,
             chunk_shape=args.chunk,
             wavelet=args.wavelet,
-            executor="thread" if args.workers else "serial",
             workers=args.workers,
             codec=args.mode,
         )
@@ -473,7 +472,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
             mode,
             chunk_shape=args.chunk,
             wavelet=args.wavelet,
-            executor="thread" if args.workers else "serial",
             workers=args.workers,
             codec=args.mode,
             **kwargs,
@@ -491,11 +489,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command == "get":
         if args.fill_value is not None and not args.salvage:
             raise InvalidArgumentError("--fill-value requires --salvage")
-        arr = open_store(
-            args.store,
-            executor="thread" if args.workers else "serial",
-            workers=args.workers,
-        )
+        arr = open_store(args.store, workers=args.workers)
         window = _parse_window(args.window)
         kwargs = {
             "frame": args.frame,

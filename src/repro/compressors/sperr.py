@@ -24,13 +24,11 @@ class SperrCompressor(Compressor):
         chunk_shape: int | tuple[int, ...] | None = None,
         wavelet: str = "cdf97",
         lossless_method: str = "auto",
-        executor: str = "batch",
         workers: int | None = None,
     ) -> None:
         self.chunk_shape = chunk_shape
         self.wavelet = wavelet
         self.lossless_method = lossless_method
-        self.executor = executor
         self.workers = workers
         #: per-chunk reports from the most recent :meth:`compress` call
         self.last_reports = []
@@ -46,7 +44,6 @@ class SperrCompressor(Compressor):
             chunk_shape=self.chunk_shape,
             wavelet=self.wavelet,
             lossless_method=self.lossless_method,
-            executor=self.executor,
             workers=self.workers,
         )
         self.last_reports = result.reports
@@ -55,6 +52,4 @@ class SperrCompressor(Compressor):
 
     def decompress(self, payload: bytes) -> np.ndarray:
         """Decompress a SPERR container."""
-        return core_decompress(
-            payload, executor=self.executor, workers=self.workers
-        )
+        return core_decompress(payload, workers=self.workers)

@@ -181,7 +181,7 @@ def _compress_stack_job(
 ) -> list[tuple[bytes, ChunkReport]]:
     """Compress a ``(lanes, *shape)`` stack of sperr chunks and pack each.
 
-    The lossless final pass runs here — inside the executor — so chunked
+    The lossless final pass runs here — inside the worker — so chunked
     compression parallelizes the entropy-coding stage along with the
     transform/SPECK stages instead of serializing it in the parent.
     """
@@ -197,14 +197,14 @@ def _compress_stack_job(
 
 def _compress_chunk_job(part: np.ndarray, *args) -> tuple[bytes, ChunkReport]:
     """One chunk as a stack of one (module-level, picklable for the
-    process executor)."""
+    process pool)."""
     return _compress_stack_job(part[None], *args)[0]
 
 
 def _compress_baseline_job(
     part: np.ndarray, name: str, mode: PweMode | SizeMode | PsnrMode
 ) -> tuple[bytes, ChunkReport]:
-    """Module-level baseline chunk job (picklable for the process executor).
+    """Module-level baseline chunk job (picklable for the process pool).
 
     The chunk stream is the default-constructed registry codec's payload
     for the float64 chunk, so each baseline keeps its own stream format
@@ -317,7 +317,7 @@ def _decode_chunk_job(
     span: str | None,
 ) -> np.ndarray | str:
     """The chunk-decode job every read path maps (module-level, so the
-    process executor can pickle it).
+    process pool can pickle it).
 
     ``item`` is ``(stream, expected_shape, tag, level)``.  Salvage mode
     only changes whether a failure propagates or comes back as a
@@ -353,7 +353,6 @@ def decode_chunks(
     salvage: bool,
     levels_cap: int | None = None,
     fraction: float | None = None,
-    executor: str = "serial",
     workers: int | None = None,
     timeout: float | None = None,
     span: str | None = None,
@@ -366,7 +365,7 @@ def decode_chunks(
     :class:`~repro.errors.IntegrityError` on the first mismatch, salvage
     mode records it and skips the chunk.  Returns ``(parts, failures,
     notes)``: decoded arrays and ``(status, error)`` pairs keyed by
-    index, plus the executor's degradation notes.
+    index, plus the process pool's degradation notes.
     """
     failures: dict[int, tuple[str, str]] = {}
     with obs.span("container.verify", n_chunks=len(jobs)):
@@ -390,7 +389,6 @@ def decode_chunks(
     results, notes = robust_chunk_map(
         work,
         [(stream, shape, tag, level) for _, stream, shape, tag, _, level in todo],
-        executor=executor,
         workers=workers,
         timeout=timeout,
     )
@@ -411,7 +409,6 @@ def compress(
     wavelet: str = "cdf97",
     levels: int | None = None,
     lossless_method: str = "auto",
-    executor: str = "batch",
     workers: int | None = None,
     trace: bool = False,
     codec: str = "quality",
@@ -420,9 +417,11 @@ def compress(
 
     ``chunk_shape=None`` compresses the volume as a single chunk;
     an int or tuple tiles it for parallel execution (Sec. III-D).
-    The default ``batch`` executor runs same-shaped chunks through
-    stacked numpy kernels in-process (byte-identical to ``serial``);
-    ``thread``/``process`` fan chunks out across workers instead.
+    ``workers=None`` (or 1) runs same-shaped chunks through stacked
+    numpy kernels in-process; ``workers >= 2`` fans the chunks out over
+    a persistent pool of that many processes, byte-identically.  A
+    broken or unavailable pool degrades to in-process execution and is
+    recorded in ``result.notes``.
     ``trace=True`` collects a per-stage span trace for this call and
     attaches it as ``result.trace``; when an ambient
     :class:`~repro.obs.trace` is already active, spans flow to it
@@ -450,7 +449,6 @@ def compress(
                 wavelet=wavelet,
                 levels=levels,
                 lossless_method=lossless_method,
-                executor=executor,
                 workers=workers,
                 codec=codec,
             )
@@ -463,7 +461,6 @@ def compress(
         wavelet=wavelet,
         levels=levels,
         lossless_method=lossless_method,
-        executor=executor,
         workers=workers,
         codec=codec,
     )
@@ -477,7 +474,6 @@ def _compress_impl(
     wavelet: str,
     levels: int | None,
     lossless_method: str,
-    executor: str,
     workers: int | None,
     codec: str = "quality",
 ) -> CompressionResult:
@@ -490,9 +486,9 @@ def _compress_impl(
             raise InvalidArgumentError(f"unsupported dtype {data.dtype}")
     if data.ndim < 1 or data.ndim > 3:
         raise InvalidArgumentError("only 1-D, 2-D, and 3-D arrays are supported")
-    # Input hardening happens once, before any executor dispatch, so the
-    # batch / serial / thread / process paths all see the same finite
-    # field and stay byte-identical on masked inputs.
+    # Input hardening happens once, before any chunk dispatch, so the
+    # in-process and pooled paths see the same finite field and stay
+    # byte-identical on masked inputs.
     data, mask_codes, notes = sanitize_array(data)
     mode = tighten_pwe_for_dtype(mode, data)
 
@@ -510,10 +506,10 @@ def _compress_impl(
         "sperr.compress",
         shape=data.shape,
         chunks=len(chunks),
-        executor=executor,
+        workers=workers,
         codec=codec,
     ):
-        results = _compress_parts(
+        results, pool_notes = _compress_parts(
             data,
             chunks,
             tags,
@@ -521,9 +517,9 @@ def _compress_impl(
             wavelet=wavelet,
             levels=levels,
             lossless_method=lossless_method,
-            executor=executor,
             workers=workers,
         )
+        notes += [DegradationNote("pool_fallback", note) for note in pool_notes]
         streams = [packed for packed, _ in results]
         reports = [report for _, report in results]
 
@@ -567,46 +563,42 @@ def _compress_parts(
     wavelet: str,
     levels: int | None,
     lossless_method: str,
-    executor: str,
     workers: int | None,
-) -> list[tuple[bytes, ChunkReport]]:
-    """Compress every chunk under its codec tag; results in chunk order.
+) -> tuple[list[tuple[bytes, ChunkReport]], list[str]]:
+    """Compress every chunk under its codec tag; results in chunk order,
+    plus the process pool's degradation notes.
 
-    sperr-tagged chunks run through :func:`compress_stack`: one call per
-    shape group under ``batch``, one stack of one per chunk under the
-    other executors, which fan the chunks out.  The PSNR target is
-    resolved once from the whole field.  szx-tagged
-    chunks run through one stacked :func:`encode_chunks` kernel call
-    (which is byte-identical chunk-by-chunk to serial encoding); stored
-    chunks are framed verbatim; baseline-tagged chunks fan out through
-    the executor (``batch`` degrades to serial).
+    sperr-tagged chunks run through :func:`compress_stack`: in-process,
+    one call per shape group; with ``workers >= 2``, one stack of one
+    per chunk on the process pool.  The PSNR target is resolved once
+    from the whole field.  szx-tagged chunks run through one stacked
+    :func:`encode_chunks` kernel call (which is byte-identical
+    chunk-by-chunk to serial encoding); stored chunks are framed
+    verbatim; baseline-tagged chunks run one job per chunk, on the pool
+    when there is one.
     """
     results: list[tuple[bytes, ChunkReport] | None] = [None] * len(chunks)
     sperr_idx = [i for i, t in enumerate(tags) if t == CODEC_SPERR]
     szx_idx = [i for i, t in enumerate(tags) if t == CODEC_SZX]
     stored_idx = [i for i, t in enumerate(tags) if t == CODEC_STORED]
+    notes: list[str] = []
 
     if sperr_idx:
         sub = [chunks[i] for i in sperr_idx]
         args = (mode, wavelet, levels, lossless_method, psnr_target_rmse(mode, data))
-        if executor == "batch":
+        if workers is None or workers == 1:
             # Same-shaped chunks traverse each stage as one stacked call.
             for _, members in group_by_shape(sub):
                 stack = np.stack([data[sub[j].slices()] for j in members])
                 for j, pair in zip(members, _compress_stack_job(stack, *args)):
                     results[sperr_idx[j]] = pair
         else:
-            # Chunks are sliced inside the executor: the process path
-            # ships the volume through shared memory once instead of
-            # pickling every chunk.
-            pairs = map_chunk_arrays(
-                _compress_chunk_job,
-                data,
-                sub,
-                args=args,
-                executor=executor,
-                workers=workers,
+            # Chunks are sliced inside the workers: the volume travels
+            # through shared memory once instead of pickling every chunk.
+            pairs, sperr_notes = map_chunk_arrays(
+                _compress_chunk_job, data, sub, args=args, workers=workers
             )
+            notes += sperr_notes
             for i, pair in zip(sperr_idx, pairs):
                 results[i] = pair
 
@@ -642,18 +634,18 @@ def _compress_parts(
         from ..compressors import ALL_COMPRESSORS
 
         ALL_COMPRESSORS[name]().check_mode(mode)
-        pairs = map_chunk_arrays(
+        pairs, baseline_notes = map_chunk_arrays(
             _compress_baseline_job,
             data,
             [chunks[i] for i in idx],
             args=(name, mode),
-            executor=executor,
             workers=workers,
         )
+        notes += baseline_notes
         for i, pair in zip(idx, pairs):
             results[i] = pair
 
-    return results  # type: ignore[return-value]
+    return results, notes  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -890,7 +882,7 @@ class DecodeReport:
     """Structured account of one container decode.
 
     Produced by salvage-mode :func:`decompress`; lists per-chunk status,
-    which chunks failed CRC verification, and any executor degradations
+    which chunks failed CRC verification, and any process-pool degradations
     (timeouts, broken pools) that were absorbed along the way.
     """
 
@@ -975,7 +967,6 @@ class DecodeResult:
 def decompress(
     payload: bytes,
     *,
-    executor: str = "serial",
     workers: int | None = None,
     on_error: str = "raise",
     fill_value: float = float("nan"),
@@ -991,8 +982,9 @@ def decompress(
     per-chunk independence as a fault-isolation boundary.  ``timeout``
     bounds each parallel chunk task in seconds; an expired or broken pool
     degrades to serial for the affected chunks and is recorded in the
-    report rather than raised.  The retired baseline wrapper framings
-    decode here too, through :mod:`repro.core.legacy`.
+    report rather than raised.  ``workers`` works as in :func:`compress`.
+    The retired baseline wrapper framings decode here too, through
+    :mod:`repro.core.legacy`.
     """
     if on_error not in ("raise", "salvage"):
         raise InvalidArgumentError(
@@ -1018,7 +1010,6 @@ def decompress(
             ],
             parsed.rank,
             salvage=salvage,
-            executor=executor,
             workers=workers,
             timeout=timeout,
         )

@@ -42,7 +42,7 @@ def compress_frames(
     ``mode`` may be a single mode (applied to every frame) or one mode
     per frame (e.g. tighter tolerances for scientifically interesting
     epochs).  Extra keyword arguments pass through to
-    :func:`repro.core.compress` (chunking, wavelet, executor, ...).
+    :func:`repro.core.compress` (chunking, wavelet, workers, ...).
 
     Returns ``(payload, per_frame_results)``.
     """

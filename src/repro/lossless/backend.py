@@ -9,10 +9,9 @@ SPECK output, a larger one on structured sections such as code books).
 
 The one-byte method tag at the front makes every payload self-describing.
 Tags 0–5 are the legacy formats and stay decodable forever; tag 6 is the
-vectorized static range coder that replaced the per-bit adaptive coder on
-the encode side (``method="ac"`` still encodes tag 5 for compatibility
-experiments, but ``auto`` never picks it).  docs/lossless.md documents the
-formats and the selection policy.
+vectorized static range coder that replaced the per-bit adaptive coder
+(tag 5, now decode-only: no method encodes it).  docs/lossless.md
+documents the formats and the selection policy.
 
 ``auto`` prices candidates cheapest-first and hands each coder the current
 best size as an abort budget, so losing candidates stop early instead of
@@ -48,7 +47,7 @@ _TAG_LZ77 = 4
 _TAG_AC = 5
 _TAG_RC = 6
 
-METHODS = ("stored", "rle", "huffman", "rle+huffman", "lz77", "ac", "rc", "auto")
+METHODS = ("stored", "rle", "huffman", "rle+huffman", "lz77", "rc", "auto")
 
 #: ``auto`` hands payloads up to this size to the LZ77 probe (the
 #: vectorized matcher runs ~1 MiB in well under a second; the old
@@ -172,8 +171,6 @@ def _compress_explicit(data: bytes, method: str) -> bytes:
         return bytes([tag]) + _huffman_pack(data, arr, freqs, code)
     if method == "lz77":
         return bytes([_TAG_LZ77]) + lz77.encode(data)
-    if method == "ac":
-        return bytes([_TAG_AC]) + arith.encode(data)
     assert method == "rc"
     return bytes([_TAG_RC]) + rc.encode(data)
 

@@ -65,8 +65,8 @@ class Geometry:
         # Partition tables: per-depth (n_blocks, n_children) child-index
         # arrays, built lazily on first use.  A geometry instance is shared
         # across chunks via the plan cache, so each table amortizes over
-        # every same-shaped chunk; the lock keeps the lazy build safe under
-        # the thread executor.
+        # every same-shaped chunk; the lock keeps the lazy build safe when
+        # service request threads share a geometry.
         self._child_tables: list[np.ndarray | None] = [None] * self.max_depth
         self._table_lock = threading.Lock()
 

@@ -130,7 +130,6 @@ class CompressedArray:
         path: str | os.PathLike,
         *,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        executor: str = "serial",
         workers: int | None = None,
     ) -> None:
         self.path = Path(path)
@@ -139,7 +138,6 @@ class CompressedArray:
             raise StreamFormatError(f"{self.path} has no store index ({INDEX_NAME})")
         self._index = parse_index(index_path.read_bytes())
         self.cache = DecodedChunkCache(cache_bytes)
-        self.executor = executor
         self.workers = workers
         self._mask_codes: dict[int, np.ndarray] = {}
         self._build_grid()
@@ -245,6 +243,10 @@ class CompressedArray:
                 f"frame {frame} out of range for {self.n_frames} stored frames"
             )
         bounds, _squeeze = _normalize_window(self.shape, window)
+        return self._intersecting(bounds)
+
+    def _intersecting(self, bounds: tuple[tuple[int, int], ...]) -> list[int]:
+        """Ids of the chunks overlapping the index-space box ``bounds``."""
         return [
             i
             for i, chunk in enumerate(self._index.chunks)
@@ -263,7 +265,6 @@ class CompressedArray:
         budget: int | None = None,
         on_error: str = "raise",
         fill_value: float = float("nan"),
-        executor: str | None = None,
         workers: int | None = None,
         cache=None,
     ) -> np.ndarray | DecodeResult:
@@ -280,7 +281,8 @@ class CompressedArray:
         budgeted chunks bypass the cache.  ``on_error="salvage"``
         returns a :class:`~repro.core.container.DecodeResult` whose
         report lists damaged chunks; only their window intersection is
-        filled with ``fill_value``.  ``cache`` overrides the store's
+        filled with ``fill_value``.  ``workers`` overrides the store's
+        default decode parallelism for this read.  ``cache`` overrides the store's
         shared decoded-chunk cache for this read (anything with the
         :class:`~repro.store.cache.DecodedChunkCache` ``get``/``put``
         surface, e.g. a :class:`~repro.store.TenantCacheView`) — the
@@ -308,7 +310,6 @@ class CompressedArray:
             raise InvalidArgumentError(
                 "integer indices are not supported for coarse (level > 0) reads"
             )
-        executor = self.executor if executor is None else executor
         workers = self.workers if workers is None else workers
         cache = self.cache if cache is None else cache
 
@@ -318,14 +319,7 @@ class CompressedArray:
             level=level,
             window=str(tuple(bounds)),
         ):
-            chosen = [
-                i
-                for i, chunk in enumerate(self._index.chunks)
-                if all(
-                    a < hi and lo < b
-                    for (a, b), (lo, hi) in zip(chunk.bounds, bounds)
-                )
-            ]
+            chosen = self._intersecting(bounds)
             obs.add_counter("store.chunks.requested", len(chosen))
             use_cache = budget is None
             parts: dict[int, np.ndarray] = {}
@@ -369,7 +363,6 @@ class CompressedArray:
                 salvage=salvage,
                 levels_cap=self._index.levels,
                 fraction=fraction,
-                executor=executor,
                 workers=workers,
                 span="store.chunk.decode",
             )
@@ -588,15 +581,12 @@ def open_store(
     path: str | os.PathLike,
     *,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
-    executor: str = "serial",
     workers: int | None = None,
 ) -> CompressedArray:
     """Open a store directory as a lazy :class:`CompressedArray`.
 
     ``cache_bytes`` budgets the decoded-chunk LRU cache (0 disables
-    caching); ``executor``/``workers`` set the default parallelism for
-    cache-miss decoding (overridable per read).
+    caching); ``workers`` sets the default parallelism for cache-miss
+    decoding (overridable per read), as in :func:`repro.core.compress`.
     """
-    return CompressedArray(
-        path, cache_bytes=cache_bytes, executor=executor, workers=workers
-    )
+    return CompressedArray(path, cache_bytes=cache_bytes, workers=workers)

@@ -56,7 +56,6 @@ class StoreWriter:
         levels: int | None = None,
         lossless_method: str = "auto",
         shard_bytes: int = DEFAULT_SHARD_BYTES,
-        executor: str = "serial",
         workers: int | None = None,
         codec: str = "quality",
     ) -> None:
@@ -78,7 +77,6 @@ class StoreWriter:
         self.levels = levels
         self.lossless_method = lossless_method
         self.shard_bytes = int(shard_bytes)
-        self.executor = executor
         self.workers = workers
         self.codec = codec
         self.path.mkdir(parents=True, exist_ok=True)
@@ -121,7 +119,6 @@ class StoreWriter:
             wavelet=self.wavelet,
             levels=self.levels,
             lossless_method=self.lossless_method,
-            executor=self.executor,
             workers=self.workers,
             codec=self.codec,
         )

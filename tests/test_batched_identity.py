@@ -1,18 +1,20 @@
 """Batched-vs-looped byte identity.
 
-The batch executor's contract (DESIGN + docs/architecture.md "Batched
-execution") is that stacking same-shaped chunks through the wavelet /
-quant / SPECK / outlier stages changes *nothing* observable: the same
-bitstreams, the same container bytes, the same obs counters — only the
-wall time.  These tests pin that contract three ways:
+In-process compress stacks same-shaped chunks through the wavelet /
+quant / SPECK / outlier stages (DESIGN + docs/architecture.md "Batched
+execution"); a process pool runs one chunk per job.  The contract is
+that the stacking changes *nothing* observable: the same bitstreams,
+the same container bytes, the same obs counters — only the wall time.
+These tests pin that contract three ways:
 
 * a Hypothesis sweep over random shapes (prime dimensions included),
-  chunk shapes and modes (PWE, size and PSNR), comparing
-  ``executor="batch"`` against ``executor="serial"`` payloads byte for
-  byte;
+  chunk shapes and modes (PWE, size and PSNR), comparing the grouped
+  in-process payload (``workers=None``) against one chunk per process
+  job (``workers=2``) byte for byte;
 * stacked SZx encode against the one-chunk entry point;
-* obs counter equivalence: a traced batch compress accumulates the same
-  counter totals as a traced serial compress.
+* obs counter equivalence: a traced in-process compress accumulates the
+  same counter totals as a traced pooled one, whose worker counters
+  are merged into the parent trace.
 
 SPECK itself codes lane by lane; its bytes for budgets and lane shapes
 the pipeline never produces are pinned in
@@ -40,7 +42,7 @@ def _field(shape: tuple[int, ...], seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: batch executor == serial executor, byte for byte.
+# End-to-end: grouped in-process == one chunk per process job, byte for byte.
 
 
 @st.composite
@@ -75,11 +77,11 @@ class TestBatchedExecutorIdentity:
     def test_batch_matches_serial_payload(self, case):
         shape, chunk, mode, seed = case
         data = _field(shape, seed)
-        serial = compress(data, mode, chunk_shape=chunk, executor="serial")
-        batch = compress(data, mode, chunk_shape=chunk, executor="batch")
-        assert batch.payload == serial.payload
+        pooled = compress(data, mode, chunk_shape=chunk, workers=2)
+        batch = compress(data, mode, chunk_shape=chunk)
+        assert batch.payload == pooled.payload
         np.testing.assert_array_equal(
-            decompress(batch.payload), decompress(serial.payload)
+            decompress(batch.payload), decompress(pooled.payload)
         )
 
     def test_singleton_groups_match_serial(self):
@@ -87,18 +89,18 @@ class TestBatchedExecutorIdentity:
         # group runs every group as a one-lane stack; still byte-identical.
         data = _field((13, 13), seed=5)
         mode = PweMode(1e-3)
-        serial = compress(data, mode, chunk_shape=13, executor="serial")
-        batch = compress(data, mode, chunk_shape=13, executor="batch")
-        assert batch.payload == serial.payload
+        pooled = compress(data, mode, chunk_shape=13, workers=2)
+        batch = compress(data, mode, chunk_shape=13)
+        assert batch.payload == pooled.payload
 
     def test_ragged_edge_chunks_mix_groups(self):
         # 23 = 8 + 8 + 7: interior chunks batch together, edge chunks
         # form their own shape groups (some singleton).
         data = _field((23, 23), seed=9)
         mode = PweMode(1e-3)
-        serial = compress(data, mode, chunk_shape=8, executor="serial")
-        batch = compress(data, mode, chunk_shape=8, executor="batch")
-        assert batch.payload == serial.payload
+        pooled = compress(data, mode, chunk_shape=8, workers=2)
+        batch = compress(data, mode, chunk_shape=8)
+        assert batch.payload == pooled.payload
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +111,7 @@ class TestSzxLaneIdentity:
     """The szx tier reuses the stacked-lane contract: encoding many
     chunks through one kernel pass must produce exactly the streams the
     one-chunk entry point produces, so mixed-codec containers are
-    reproducible whichever executor built them."""
+    reproducible whatever ``workers`` built them."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -139,11 +141,11 @@ class TestSzxLaneIdentity:
     def test_fast_payloads_identical_across_executors(self, codec):
         data = _field((23, 23), seed=17)
         mode = PweMode(1e-3)
-        serial = compress(data, mode, chunk_shape=8, executor="serial", codec=codec)
-        batch = compress(data, mode, chunk_shape=8, executor="batch", codec=codec)
-        assert batch.payload == serial.payload
+        pooled = compress(data, mode, chunk_shape=8, workers=2, codec=codec)
+        batch = compress(data, mode, chunk_shape=8, codec=codec)
+        assert batch.payload == pooled.payload
         np.testing.assert_array_equal(
-            decompress(batch.payload), decompress(serial.payload)
+            decompress(batch.payload), decompress(pooled.payload)
         )
 
 
@@ -159,12 +161,12 @@ class TestObsCounterEquivalence:
     )
     def test_counters_match_serial(self, mode):
         data = _field((16, 16, 16), seed=11)
-        with obs.trace("serial") as tracer:
-            compress(data, mode, chunk_shape=8, executor="serial")
-        serial_counters = tracer.report().counters
+        with obs.trace("pooled") as tracer:
+            compress(data, mode, chunk_shape=8, workers=2)
+        pooled_counters = tracer.report().counters
         with obs.trace("batch") as tracer:
-            compress(data, mode, chunk_shape=8, executor="batch")
+            compress(data, mode, chunk_shape=8)
         batch_counters = tracer.report().counters
-        assert batch_counters == serial_counters
+        assert batch_counters == pooled_counters
         # The totals are not vacuous: SPECK coded real bits.
-        assert serial_counters.get("speck.bits", 0) > 0
+        assert pooled_counters.get("speck.bits", 0) > 0

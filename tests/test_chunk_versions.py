@@ -56,6 +56,9 @@ from repro.store.format import INDEX_NAME
 DATA = Path(__file__).parent / "data"
 DEEP = ("cube32", "slab")
 
+#: ``workers`` settings by the execution they select.
+WORKERS = [pytest.param(None, id="serial"), pytest.param(2, id="process")]
+
 #: Windows read from the stores: interior boxes, an integer index and a
 #: window touching the chunk's last samples.
 WINDOWS = [
@@ -146,11 +149,11 @@ class TestWriters:
         assert VERSION == 2
         assert ChunkHeader(shape=(1, 1, 1), speck_nbytes=0).pack()[2] == 2
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "batch"])
-    def test_compress_writes_version_2(self, rng, executor):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_compress_writes_version_2(self, rng, workers):
         x = np.cumsum(rng.standard_normal((24, 24, 24)), axis=1)
         payload = repro.compress(
-            x, repro.PweMode(0.05), chunk_shape=12, executor=executor
+            x, repro.PweMode(0.05), chunk_shape=12, workers=workers
         ).payload
         assert set(_versions(payload)) == {VERSION}
 
@@ -177,13 +180,13 @@ class TestOneLayoutPerArtifact:
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("codec", ["quality", "fast", "adaptive", "sz-like"])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process", "batch"])
-    def test_compress_writes_v4(self, rng, executor, codec, masked):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_compress_writes_v4(self, rng, workers, codec, masked):
         x = _masked((16, 12, 10), rng)
         if not masked:
             x = np.nan_to_num(x, nan=0.0, posinf=1.0, neginf=-1.0)
         payload = repro.compress(
-            x, repro.PweMode(0.05), chunk_shape=8, executor=executor, codec=codec
+            x, repro.PweMode(0.05), chunk_shape=8, workers=workers, codec=codec
         ).payload
         assert payload[:8] == b"SPRRPY4\x00"
         assert (parse_container(payload).mask_blob is not None) == masked

@@ -3,7 +3,7 @@
 ``repro.compress(data, mode, codec=<baseline>, chunk_shape=...)`` tiles
 the volume, encodes every chunk with the registry codec and frames the
 chunk streams in the container, so chunking, CRCs, salvage and
-executors are the container's own.
+worker pools are the container's own.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class TestChunkedCompressor:
     def test_threaded_matches_serial(self, smooth_field):
         for name in BASELINES:
             serial = _compress(name, smooth_field)
-            threaded = _compress(name, smooth_field, executor="thread", workers=4)
-            assert serial == threaded, name
+            pooled = _compress(name, smooth_field, workers=2)
+            assert serial == pooled, name
 
     def test_psnr_inner(self, smooth_field):
         payload = repro.compress(
@@ -250,7 +250,7 @@ class TestSmokeScenarios:
             )
             serial = repro.compress(data, mode, codec=name, chunk_shape=16).payload
             pooled = repro.compress(
-                data, mode, codec=name, chunk_shape=16, executor="process", workers=2
+                data, mode, codec=name, chunk_shape=16, workers=2
             ).payload
             assert pooled == serial, (scenario, name)
             out = repro.decompress(serial)

@@ -10,6 +10,9 @@ from repro.core import compress, decompress
 from repro.core.modes import PweMode, SizeMode
 from repro.errors import InvalidArgumentError, StreamFormatError
 
+#: ``workers`` settings by the execution they select.
+WORKERS = [pytest.param(None, id="serial"), pytest.param(2, id="process")]
+
 
 class TestContainer:
     def test_round_trip_float64(self, smooth_field):
@@ -68,13 +71,11 @@ class TestContainer:
 
     def test_executors_agree(self, smooth_field):
         t = repro.tolerance_from_idx(smooth_field, 10)
-        serial = compress(smooth_field, PweMode(t), chunk_shape=12, executor="serial")
-        threaded = compress(
-            smooth_field, PweMode(t), chunk_shape=12, executor="thread", workers=3
-        )
-        assert serial.payload == threaded.payload  # deterministic output
+        serial = compress(smooth_field, PweMode(t), chunk_shape=12)
+        pooled = compress(smooth_field, PweMode(t), chunk_shape=12, workers=3)
+        assert serial.payload == pooled.payload  # deterministic output
         np.testing.assert_array_equal(
-            decompress(serial.payload), decompress(threaded.payload, executor="thread", workers=2)
+            decompress(serial.payload), decompress(pooled.payload, workers=2)
         )
 
     def test_lossless_method_stored(self, smooth_field):
@@ -120,15 +121,15 @@ class TestChunkedPsnr:
         return {"smooth": smooth, "flat_half": flat_half}
 
     @pytest.mark.parametrize("field", ["smooth", "flat_half"])
-    @pytest.mark.parametrize("executor", ["serial", "batch"])
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("chunk", [16, 8])
-    def test_chunked_psnr_reaches_target(self, field, executor, chunk):
+    def test_chunked_psnr_reaches_target(self, field, workers, chunk):
         from repro.metrics import psnr
 
         data = self._fields()[field]
         target = 40.0
         payload = compress(
-            data, repro.PsnrMode(target), chunk_shape=chunk, executor=executor
+            data, repro.PsnrMode(target), chunk_shape=chunk, workers=workers
         ).payload
         assert psnr(data, decompress(payload)) >= target - 0.5
 
@@ -169,8 +170,9 @@ class TestIntegrityOverhead:
 
 
 class TestBatchExecutor:
-    """``executor="batch"`` stacks each group of same-shaped chunks into
-    one ``compress_stack`` call; the bytes match the serial executor."""
+    """In-process compress stacks each group of same-shaped chunks into
+    one ``compress_stack`` call; the bytes match one chunk per process
+    job."""
 
     @pytest.fixture
     def stack_shapes(self, monkeypatch):
@@ -196,9 +198,7 @@ class TestBatchExecutor:
     )
     def test_one_call_per_shape_group(self, stack_shapes, miranda, shape, groups):
         data = miranda(shape)
-        batch = compress(data, _pwe(data), chunk_shape=32, executor="batch")
+        batch = compress(data, _pwe(data), chunk_shape=32)
         assert sorted(stack_shapes) == groups
-        del stack_shapes[:]
-        serial = compress(data, _pwe(data), chunk_shape=32, executor="serial")
-        assert len(stack_shapes) == sum(g[0] for g in groups)
-        assert batch.payload == serial.payload
+        pooled = compress(data, _pwe(data), chunk_shape=32, workers=2)
+        assert batch.payload == pooled.payload

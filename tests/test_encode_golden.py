@@ -2,8 +2,8 @@
 
 Each case compresses a deterministic input (integer-seeded PCG64 draws
 and cumulative sums only, so the input is bit-stable across platforms)
-and compares the payload with ``tests/data/v2/encode_<case>.sperr`` under
-every executor.  The cases cover the SPERR tier's modes and chunk
+and compares the payload with ``tests/data/v2/encode_<case>.sperr``
+in-process (``workers=None``) and on a two-process pool.  The cases cover the SPERR tier's modes and chunk
 layouts — PWE and size mode over stacked groups, single-chunk PSNR,
 ragged 1-D/2-D/3-D grids whose edge chunks form singleton shape groups,
 the adaptive router, a float32 input carrying NaN/Inf samples, and
@@ -21,7 +21,7 @@ Regenerate (only after an intentional format change) with::
     import sys; sys.path.insert(0, "tests")
     from test_encode_golden import CASES, GOLDEN, encode_case
     for name in CASES:
-        (GOLDEN / f"encode_{name}.sperr").write_bytes(encode_case(name, "serial"))
+        (GOLDEN / f"encode_{name}.sperr").write_bytes(encode_case(name, None))
     PY
 """
 
@@ -39,7 +39,8 @@ DATA = Path(__file__).parent / "data"
 #: Goldens of the current writer (chunk header version 2).
 GOLDEN = DATA / "v2"
 
-EXECUTORS = ["serial", "thread", "process", "batch"]
+#: ``workers`` settings by the execution they select.
+WORKERS = [pytest.param(None, id="serial"), pytest.param(2, id="process")]
 
 
 def _smooth(shape: tuple[int, ...], seed: int) -> np.ndarray:
@@ -89,18 +90,16 @@ CASES = {
 }
 
 
-def encode_case(name: str, executor: str) -> bytes:
+def encode_case(name: str, workers: int | None) -> bytes:
     make, mode, kwargs = CASES[name]
-    return repro.compress(
-        make(), mode, executor=executor, workers=2, **kwargs
-    ).payload
+    return repro.compress(make(), mode, workers=workers, **kwargs).payload
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_payload_matches_golden(name, executor):
+def test_payload_matches_golden(name, workers):
     golden = (GOLDEN / f"encode_{name}.sperr").read_bytes()
-    assert encode_case(name, executor) == golden
+    assert encode_case(name, workers) == golden
 
 
 def _check_within_bound(name: str, payload: bytes) -> None:

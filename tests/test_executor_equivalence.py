@@ -1,4 +1,5 @@
-"""Executor byte-identity: serial, thread, and process produce the same bits.
+"""Worker byte-identity: in-process and process-pool runs produce the
+same bits.
 
 Paper Sec. III-D: chunk parallelism must not change the bitstream — the
 chunks are independent and results are concatenated deterministically.
@@ -17,7 +18,8 @@ from repro.core.parallel import map_chunk_arrays
 from repro.compressors import PsnrMode
 from repro.core.adaptive import BASELINE_TAGS
 
-EXECUTORS = ["serial", "thread", "process", "batch"]
+#: ``workers`` settings by the execution they select.
+WORKERS = [pytest.param(None, id="serial"), pytest.param(2, id="process")]
 
 
 @pytest.fixture(scope="module")
@@ -29,34 +31,30 @@ def volume():
 
 
 class TestSperrContainerEquivalence:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_payload_and_reconstruction_match_serial(self, volume, executor):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_payload_and_reconstruction_match_serial(self, volume, workers):
         mode = PweMode(1e-3)
-        serial = compress(volume, mode, chunk_shape=20, executor="serial")
-        other = compress(volume, mode, chunk_shape=20, executor=executor, workers=2)
+        serial = compress(volume, mode, chunk_shape=20)
+        other = compress(volume, mode, chunk_shape=20, workers=workers)
         assert other.payload == serial.payload
-        rec_serial = decompress(serial.payload, executor="serial")
-        rec_other = decompress(other.payload, executor=executor, workers=2)
+        rec_serial = decompress(serial.payload)
+        rec_other = decompress(other.payload, workers=workers)
         np.testing.assert_array_equal(rec_other, rec_serial)
         assert np.max(np.abs(rec_serial - volume)) <= mode.tolerance
 
 
 class TestBaselineEquivalence:
-    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("codec", sorted(BASELINE_TAGS))
-    def test_matches_serial(self, volume, codec, executor):
+    def test_matches_serial(self, volume, codec, workers):
         mode = PsnrMode(60.0) if codec == "tthresh-like" else PweMode(1e-2)
-        serial = compress(
-            volume, mode, codec=codec, chunk_shape=20, executor="serial"
-        ).payload
+        serial = compress(volume, mode, codec=codec, chunk_shape=20).payload
         other = compress(
-            volume, mode, codec=codec, chunk_shape=20, executor=executor,
-            workers=2,
+            volume, mode, codec=codec, chunk_shape=20, workers=workers
         ).payload
         assert other == serial
         np.testing.assert_array_equal(
-            decompress(other, executor=executor, workers=2),
-            decompress(serial, executor="serial"),
+            decompress(other, workers=workers), decompress(serial)
         )
 
 
@@ -68,12 +66,9 @@ def _chunk_checksum(part: np.ndarray, scale: float) -> bytes:
 class TestSharedMemoryPath:
     def test_process_workers_see_exact_chunk_bytes(self, volume):
         chunks = plan_chunks(volume.shape, 20)
-        serial = map_chunk_arrays(
-            _chunk_checksum, volume, chunks, args=(1.0,), executor="serial"
-        )
+        serial = map_chunk_arrays(_chunk_checksum, volume, chunks, args=(1.0,))
         via_shm = map_chunk_arrays(
-            _chunk_checksum, volume, chunks, args=(1.0,),
-            executor="process", workers=2,
+            _chunk_checksum, volume, chunks, args=(1.0,), workers=2
         )
         assert via_shm == serial
 
@@ -81,11 +76,8 @@ class TestSharedMemoryPath:
         base = np.arange(2 * 24 * 24 * 24, dtype=np.float64).reshape(2, 24, 24, 24)
         view = base[1]  # non-owning slice of a larger allocation
         chunks = plan_chunks(view.shape, 12)
-        serial = map_chunk_arrays(
-            _chunk_checksum, view, chunks, args=(2.0,), executor="serial"
-        )
+        serial = map_chunk_arrays(_chunk_checksum, view, chunks, args=(2.0,))
         via_shm = map_chunk_arrays(
-            _chunk_checksum, view, chunks, args=(2.0,),
-            executor="process", workers=2,
+            _chunk_checksum, view, chunks, args=(2.0,), workers=2
         )
         assert via_shm == serial

@@ -48,7 +48,7 @@ def test_decodes_bit_for_bit(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_salvage_mode_decodes_bit_for_bit(name):
     payload, expected = _fixture(name)
-    result = repro.decompress(payload, on_error="salvage", executor="thread")
+    result = repro.decompress(payload, on_error="salvage", workers=2)
     assert result.report.ok, result.report.summary()
     assert result.data.tobytes() == expected.tobytes()
 

@@ -390,7 +390,7 @@ class TestRangeCoder:
 class TestBackend:
     @pytest.mark.parametrize(
         "method",
-        ["stored", "rle", "huffman", "rle+huffman", "lz77", "ac", "rc", "auto"],
+        ["stored", "rle", "huffman", "rle+huffman", "lz77", "rc", "auto"],
     )
     def test_round_trip_all_methods(self, method, rng):
         data = bytes(rng.integers(0, 8, size=3000).astype(np.uint8))
@@ -463,15 +463,12 @@ def _repetitive(rng, n):
     return pool[rng.integers(0, 16, size=n // 256 + 1)].reshape(-1)[:n]
 
 
-#: method -> (input generator, input bytes, pinned payload bytes).  The
-#: per-bit ``ac`` coder exists for stream compatibility and gets a
-#: smaller input.
+#: method -> (input generator, input bytes, pinned payload bytes).
 MICRO = {
     "rle": (_runs, 1 << 20, 25171),
     "huffman": (_skewed, 1 << 20, 434738),
     "rle+huffman": (_runs, 1 << 20, 8419),
     "lz77": (_repetitive, 1 << 20, 17375),
-    "ac": (_skewed, 1 << 16, 26622),
     "rc": (_skewed, 1 << 20, 432502),
 }
 

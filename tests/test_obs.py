@@ -182,19 +182,11 @@ class TestPipelineCounters:
 
 
 class TestWorkerMerge:
-    def test_thread_workers_share_collector(self, volume):
-        with obs.trace("t") as tracer:
-            compress(volume, PweMode(1e-2), chunk_shape=8, executor="thread", workers=2)
-        report = tracer.report()
-        assert len(report.find("chunk.compress")) == 8
-        assert all(s.pid == os.getpid() for s in report.spans)
-
     def test_process_worker_merge_is_deterministic(self, volume):
         def run():
             with obs.trace("t") as tracer:
                 result = compress(
-                    volume, PweMode(1e-2), chunk_shape=8,
-                    executor="process", workers=2,
+                    volume, PweMode(1e-2), chunk_shape=8, workers=2
                 )
             report = tracer.report()
             key = [

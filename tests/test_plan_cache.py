@@ -105,9 +105,11 @@ class TestCachedPipeline:
     def test_same_shaped_chunks_hit_cache(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(32, 32, 32))
-        # The serial loop looks the plans up once per chunk; the batch
-        # executor fetches them once per shape *group* (see below).
-        compress(data, PweMode(1e-2), chunk_shape=16, executor="serial")
+        # The decoder looks the plans up once per chunk; compress
+        # fetches them once per shape *group* (see below).
+        payload = compress(data, PweMode(1e-2), chunk_shape=16).payload
+        clear_plan_caches()
+        decompress(payload)
         stats = cache_stats()
         # 8 chunks of one shape: 1 miss, 7 hits per plan cache.
         assert stats["wavelet_plans"]["misses"] == 1
@@ -118,7 +120,7 @@ class TestCachedPipeline:
     def test_batch_executor_fetches_plans_once_per_group(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(32, 32, 32))
-        compress(data, PweMode(1e-2), chunk_shape=16, executor="batch")
+        compress(data, PweMode(1e-2), chunk_shape=16)
         stats = cache_stats()
         assert stats["wavelet_plans"]["misses"] == 1
         assert stats["speck_geometries"]["misses"] >= 1

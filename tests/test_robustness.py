@@ -295,9 +295,10 @@ class TestFaultInjectionMatrix:
 
 # --- lossless-layer fault injection -----------------------------------------
 
-#: Every lossless stream tag the backend can emit (or still decode),
+#: Every lossless stream tag the backend can emit or still decode,
 #: fuzzed directly against the tag-dispatch decoder rather than through
 #: the container, so corruption always lands inside the codec payloads.
+#: ``ac`` (tag 5) is decode-only; its clean payload is the golden fixture.
 _LOSSLESS_METHODS = ("stored", "rle", "huffman", "rle+huffman", "lz77", "ac", "rc")
 
 
@@ -307,7 +308,11 @@ def lossless_payloads(field):
     from repro import lossless
 
     raw = field.astype(np.float32).tobytes()[: 1 << 14]
-    return {m: lossless.compress(raw, method=m) for m in _LOSSLESS_METHODS}
+    payloads = {
+        m: lossless.compress(raw, method=m) for m in _LOSSLESS_METHODS if m != "ac"
+    }
+    payloads["ac"] = (DATA_DIR / "lossless_ac.bin").read_bytes()
+    return payloads
 
 
 class TestLosslessFaultInjection:
