@@ -23,12 +23,10 @@ class SperrCompressor(Compressor):
         self,
         chunk_shape: int | tuple[int, ...] | None = None,
         wavelet: str = "cdf97",
-        lossless_method: str = "auto",
         workers: int | None = None,
     ) -> None:
         self.chunk_shape = chunk_shape
         self.wavelet = wavelet
-        self.lossless_method = lossless_method
         self.workers = workers
         #: per-chunk reports from the most recent :meth:`compress` call
         self.last_reports = []
@@ -43,7 +41,6 @@ class SperrCompressor(Compressor):
             mode,  # type: ignore[arg-type]
             chunk_shape=self.chunk_shape,
             wavelet=self.wavelet,
-            lossless_method=self.lossless_method,
             workers=self.workers,
         )
         self.last_reports = result.reports

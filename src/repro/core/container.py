@@ -175,21 +175,17 @@ def _compress_stack_job(
     stack: np.ndarray,
     mode: PweMode | SizeMode | PsnrMode,
     wavelet: str,
-    levels: int | None,
-    lossless_method: str,
     target_rmse: float | None,
 ) -> list[tuple[bytes, ChunkReport]]:
     """Compress a ``(lanes, *shape)`` stack of sperr chunks and pack each.
 
-    The lossless final pass runs here — inside the worker — so chunked
-    compression parallelizes the entropy-coding stage along with the
-    transform/SPECK stages instead of serializing it in the parent.
+    The lossless final pass (``auto``) runs here — inside the worker — so
+    chunked compression parallelizes the entropy-coding stage along with
+    the transform/SPECK stages instead of serializing it in the parent.
     """
-    out = compress_stack(
-        stack, mode, wavelet=wavelet, levels=levels, target_rmse=target_rmse
-    )
+    out = compress_stack(stack, mode, wavelet=wavelet, target_rmse=target_rmse)
     for lane, (raw, report) in enumerate(out):
-        packed = lossless.compress(raw, method=lossless_method)
+        packed = lossless.compress(raw)
         report.total_nbytes = len(packed)
         out[lane] = (packed, report)
     return out
@@ -407,8 +403,6 @@ def compress(
     *,
     chunk_shape: int | tuple[int, ...] | None = None,
     wavelet: str = "cdf97",
-    levels: int | None = None,
-    lossless_method: str = "auto",
     workers: int | None = None,
     trace: bool = False,
     codec: str = "quality",
@@ -447,8 +441,6 @@ def compress(
                 mode,
                 chunk_shape=chunk_shape,
                 wavelet=wavelet,
-                levels=levels,
-                lossless_method=lossless_method,
                 workers=workers,
                 codec=codec,
             )
@@ -459,8 +451,6 @@ def compress(
         mode,
         chunk_shape=chunk_shape,
         wavelet=wavelet,
-        levels=levels,
-        lossless_method=lossless_method,
         workers=workers,
         codec=codec,
     )
@@ -472,8 +462,6 @@ def _compress_impl(
     *,
     chunk_shape: int | tuple[int, ...] | None,
     wavelet: str,
-    levels: int | None,
-    lossless_method: str,
     workers: int | None,
     codec: str = "quality",
 ) -> CompressionResult:
@@ -515,8 +503,6 @@ def _compress_impl(
             tags,
             mode,
             wavelet=wavelet,
-            levels=levels,
-            lossless_method=lossless_method,
             workers=workers,
         )
         notes += [DegradationNote("pool_fallback", note) for note in pool_notes]
@@ -561,8 +547,6 @@ def _compress_parts(
     mode: PweMode | SizeMode | PsnrMode,
     *,
     wavelet: str,
-    levels: int | None,
-    lossless_method: str,
     workers: int | None,
 ) -> tuple[list[tuple[bytes, ChunkReport]], list[str]]:
     """Compress every chunk under its codec tag; results in chunk order,
@@ -585,7 +569,7 @@ def _compress_parts(
 
     if sperr_idx:
         sub = [chunks[i] for i in sperr_idx]
-        args = (mode, wavelet, levels, lossless_method, psnr_target_rmse(mode, data))
+        args = (mode, wavelet, psnr_target_rmse(mode, data))
         if workers is None or workers == 1:
             # Same-shaped chunks traverse each stage as one stacked call.
             for _, members in group_by_shape(sub):

@@ -121,7 +121,6 @@ def compress_chunk(
     mode: PweMode | SizeMode | PsnrMode,
     *,
     wavelet: str = "cdf97",
-    levels: int | None = None,
 ) -> tuple[bytes, ChunkReport]:
     """Compress one chunk; returns ``(stream, report)``.
 
@@ -130,7 +129,7 @@ def compress_chunk(
     :func:`compress_stack` on a stack of one.
     """
     data = np.asarray(data, dtype=np.float64)
-    return compress_stack(data[None], mode, wavelet=wavelet, levels=levels)[0]
+    return compress_stack(data[None], mode, wavelet=wavelet)[0]
 
 
 def compress_stack(
@@ -138,14 +137,16 @@ def compress_stack(
     mode: PweMode | SizeMode | PsnrMode,
     *,
     wavelet: str = "cdf97",
-    levels: int | None = None,
     target_rmse: float | None = None,
 ) -> list[tuple[bytes, ChunkReport]]:
     """Compress a ``(lanes, *shape)`` stack of same-shaped chunks.
 
     Every stage runs once over the whole stack; lane ``l`` of the result
     is the self-contained stream of chunk ``stack[l]``, independent of
-    the other lanes.  In PSNR mode every lane is calibrated against
+    the other lanes.  Every lane takes the full dyadic depth of the
+    paper's per-axis rule (the header records ``LEVELS_AUTO``; decoders
+    still honour an explicit depth from older streams).  In PSNR mode
+    every lane is calibrated against
     ``target_rmse`` (default: resolved from the whole stack, see
     :func:`psnr_target_rmse`).
     """
@@ -161,7 +162,7 @@ def compress_stack(
     with span("chunk.compress", shape=shape, lanes=n_lanes):
         t0 = time.perf_counter()
         with span("wavelet.forward", wavelet=wavelet, lanes=n_lanes):
-            plan = wavelet_plan(shape, wavelet=wavelet, levels=levels)
+            plan = wavelet_plan(shape, wavelet=wavelet)
             coeffs = forward_batch(stack, plan)
         t1 = time.perf_counter()
 
@@ -230,7 +231,6 @@ def compress_stack(
                 outlier_nbits=outlier.nbits,
                 outlier_nbytes=len(outlier.stream),
                 wavelet=wavelet,
-                levels=levels,
             )
             stream = header.pack() + params.pack() + speck_stream + outlier.stream
             add_counter("speck.bits", speck_nbits)

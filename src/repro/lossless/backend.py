@@ -9,18 +9,21 @@ SPECK output, a larger one on structured sections such as code books).
 
 The one-byte method tag at the front makes every payload self-describing.
 Tags 0–5 are the legacy formats and stay decodable forever; tag 6 is the
-vectorized static range coder that replaced the per-bit adaptive coder
-(tag 5, now decode-only: no method encodes it).  docs/lossless.md
-documents the formats and the selection policy.
+vectorized static range coder that replaced the per-bit adaptive coder.
+Tags 3 (RLE then Huffman) and 5 (the adaptive coder) are decode-only:
+``auto`` never chose either on any measured traffic, so no method
+encodes them.  docs/lossless.md documents the formats and the selection
+policy.
 
-``auto`` prices candidates cheapest-first and hands each coder the current
-best size as an abort budget, so losing candidates stop early instead of
-finishing a payload that will be thrown away:
+``auto`` prices stored, rle, huffman, rc and lz77 cheapest-first and
+hands each coder the current best size as an abort budget, so losing
+candidates stop early instead of finishing a payload that will be
+thrown away:
 
 1. ``stored`` is the floor.
 2. ``rle`` is priced exactly from the run histogram before encoding.
-3. ``huffman`` / ``rle+huffman`` are priced exactly from the byte
-   histogram and the code-length table; only a winner is packed.
+3. ``huffman`` is priced exactly from the byte histogram and the
+   code-length table; only a winner is packed.
 4. ``rc`` is skipped when the order-0 entropy bound already loses, and
    aborts mid-stream past the budget.
 5. ``lz77`` runs under the entropy gate below (dictionary matching is
@@ -47,7 +50,7 @@ _TAG_LZ77 = 4
 _TAG_AC = 5
 _TAG_RC = 6
 
-METHODS = ("stored", "rle", "huffman", "rle+huffman", "lz77", "rc", "auto")
+METHODS = ("stored", "rle", "huffman", "lz77", "rc", "auto")
 
 #: ``auto`` hands payloads up to this size to the LZ77 probe (the
 #: vectorized matcher runs ~1 MiB in well under a second; the old
@@ -83,11 +86,10 @@ _HUFFMAN_INDEX_FLAG = 1 << 63
 _HUFFMAN_INDEX_MIN = 1 << 15
 
 
-def _huffman_pack(data: bytes, arr: np.ndarray, freqs: np.ndarray,
-                  code: huffman.HuffmanCode) -> bytes:
+def _huffman_pack(arr: np.ndarray, code: huffman.HuffmanCode) -> bytes:
     payload, nbits = huffman.encode(arr, code)
     book = huffman.serialize_code(code)
-    n = len(data)
+    n = len(arr)
     if n >= _HUFFMAN_INDEX_MIN:
         index = huffman.segment_bits(arr, code)[:-1].astype("<u2").tobytes()
         header = struct.pack("<QQ", n | _HUFFMAN_INDEX_FLAG, nbits)
@@ -145,9 +147,9 @@ def _huffman_unpack(data: bytes) -> bytes:
 def compress(data: bytes, method: str = "auto") -> bytes:
     """Losslessly compress ``data`` with the chosen method.
 
-    ``auto`` prices stored, RLE, Huffman, RLE+Huffman and the range coder
-    (plus LZ77 when the data is small or its byte entropy suggests real
-    redundancy) and keeps the smallest result.
+    ``auto`` prices stored, RLE, Huffman and the range coder (plus LZ77
+    when the data is small or its byte entropy suggests real redundancy)
+    and keeps the smallest result.
     """
     with span("lossless.encode", method=method) as sp:
         out = _compress_body(data, method)
@@ -160,15 +162,10 @@ def _compress_explicit(data: bytes, method: str) -> bytes:
     """Encode with one specific method (returned even if larger)."""
     if method == "rle":
         return bytes([_TAG_RLE]) + rle.encode(data)
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if method in ("huffman", "rle+huffman"):
-        tag = _TAG_HUFFMAN if method == "huffman" else _TAG_RLE_HUFFMAN
-        if method == "rle+huffman":
-            data = rle.encode(data)
-            arr = np.frombuffer(data, dtype=np.uint8)
-        freqs = np.bincount(arr, minlength=256)
-        code = huffman.build_code(freqs)
-        return bytes([tag]) + _huffman_pack(data, arr, freqs, code)
+    if method == "huffman":
+        arr = np.frombuffer(data, dtype=np.uint8)
+        code = huffman.build_code(np.bincount(arr, minlength=256))
+        return bytes([_TAG_HUFFMAN]) + _huffman_pack(arr, code)
     if method == "lz77":
         return bytes([_TAG_LZ77]) + lz77.encode(data)
     assert method == "rc"
@@ -194,33 +191,15 @@ def _compress_body(data: bytes, method: str) -> bytes:
     bounds = np.concatenate(([0], changes, [n]))
     runs = np.diff(bounds)
     n_pairs = int((-(-runs // 255)).sum())
-    rle_size = 1 + 8 + 2 * n_pairs
-    rle_data: bytes | None = None
-    if rle_size < len(best):
-        rle_data = rle.encode(data)
-        best = bytes([_TAG_RLE]) + rle_data
+    if 1 + 8 + 2 * n_pairs < len(best):
+        best = bytes([_TAG_RLE]) + rle.encode(data)
 
-    # Huffman over the raw bytes and over the RLE'd bytes: exact sizes
-    # from histogram x code-length tables; pack only what wins.
+    # Huffman: exact size from histogram x code-length table; pack only
+    # if it wins.
     freqs = np.bincount(arr, minlength=256)
     code = huffman.build_code(freqs)
     if 1 + _huffman_packed_size(n, freqs, code) < len(best):
-        best = bytes([_TAG_HUFFMAN]) + _huffman_pack(data, arr, freqs, code)
-    rle_nbytes = 8 + 2 * n_pairs
-    if rle_data is None and 21 + (rle_nbytes >> 3) < len(best):
-        # The RLE+Huffman probe needs the actual RLE bytes.  Huffman
-        # spends at least one bit per input byte plus ~21 bytes of tag,
-        # header and minimal code book, so when even that floor loses
-        # there is no point materializing the RLE form.
-        rle_data = rle.encode(data)
-    if rle_data is not None:
-        rarr = np.frombuffer(rle_data, dtype=np.uint8)
-        rfreqs = np.bincount(rarr, minlength=256)
-        rcode = huffman.build_code(rfreqs)
-        if 1 + _huffman_packed_size(len(rle_data), rfreqs, rcode) < len(best):
-            best = bytes([_TAG_RLE_HUFFMAN]) + _huffman_pack(
-                rle_data, rarr, rfreqs, rcode
-            )
+        best = bytes([_TAG_HUFFMAN]) + _huffman_pack(arr, code)
 
     # Range coder: its payload cannot beat the order-0 entropy bound plus
     # its fixed header, so skip it when that bound already loses.

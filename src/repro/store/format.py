@@ -146,8 +146,10 @@ class StoreIndex:
     ``chunks`` is the chunk grid shared by every frame; ``entries`` is
     one tuple of :class:`ChunkEntry` per frame, in chunk-grid order.
     ``levels`` is ``None`` when the writer used the paper's automatic
-    per-axis level rule.  ``frame_masks`` holds one RLE non-finite mask
-    blob (or ``None``) per frame.  ``frame_codecs`` holds one tuple of
+    per-axis level rule, as every current writer does; an explicit depth
+    comes only from stores written before the option went, and readers
+    still cap coarse reads by it.  ``frame_masks`` holds one RLE
+    non-finite mask blob (or ``None``) per frame.  ``frame_codecs`` holds one tuple of
     per-chunk codec tags (:mod:`repro.core.adaptive`) per frame; v1/v2
     indexes parse with every tag sperr.
     """

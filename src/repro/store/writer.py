@@ -53,8 +53,6 @@ class StoreWriter:
         *,
         chunk_shape: int | tuple[int, ...] | None = None,
         wavelet: str = "cdf97",
-        levels: int | None = None,
-        lossless_method: str = "auto",
         shard_bytes: int = DEFAULT_SHARD_BYTES,
         workers: int | None = None,
         codec: str = "quality",
@@ -74,8 +72,6 @@ class StoreWriter:
         self.mode = mode
         self.chunk_shape = chunk_shape
         self.wavelet = wavelet
-        self.levels = levels
-        self.lossless_method = lossless_method
         self.shard_bytes = int(shard_bytes)
         self.workers = workers
         self.codec = codec
@@ -117,8 +113,6 @@ class StoreWriter:
             self.mode,
             chunk_shape=self.chunk_shape,
             wavelet=self.wavelet,
-            levels=self.levels,
-            lossless_method=self.lossless_method,
             workers=self.workers,
             codec=self.codec,
         )
@@ -205,7 +199,7 @@ class StoreWriter:
             shape=self._meta["shape"],
             chunks=self._meta["chunks"],
             wavelet=self.wavelet,
-            levels=self.levels,
+            levels=None,  # every chunk takes the full dyadic depth
             n_shards=self._shard_id + 1,
             entries=tuple(self._entries),
             frame_masks=tuple(self._frame_masks),

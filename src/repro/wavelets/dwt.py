@@ -88,8 +88,9 @@ class WaveletPlan:
     ) -> "WaveletPlan":
         """Build the schedule for ``shape``.
 
-        ``levels`` forcibly caps the number of levels on every axis (used
-        by the chunk-size ablation); ``None`` applies the paper's rule.
+        ``levels`` caps the number of levels on every axis (the explicit
+        depth of chunk streams written before every writer took the full
+        depth); ``None`` applies the paper's rule.
         """
         if wavelet not in FILTERS:
             raise InvalidArgumentError(

@@ -27,6 +27,15 @@ Store indexes: every write is ``SPRRIDX3``.  ``store_v1_<case>/`` are
 NaN/±Inf samples (``SPRRIDX2``) and its decoded array
 ``store_v2_masked.npy``.
 
+Explicit wavelet depth: writers always take the full dyadic depth
+(``LEVELS_AUTO`` in chunk headers and store indexes).  Payloads written
+while ``levels=`` was a write option carry an explicit depth, pinned by
+``levels1.sperr`` (one (32, 24, 20) chunk written with ``levels=1``,
+decoded array ``levels1.npy``) and ``store_levels1/`` (a one-frame
+float32 (40, 32, 12) store in (20, 16, 12) chunks written with
+``StoreWriter(..., levels=1)``, decoded array ``store_levels1.npy``);
+``levels1_digests.json`` holds the sha256 of their level-1 decodes.
+
 Every entry point must decode those bytes exactly as they decoded when
 they were written.
 """
@@ -49,8 +58,10 @@ from repro.core.progressive import (
     truncate,
     truncate_chunk_stream,
 )
-from repro.errors import StreamFormatError
-from repro.store import open_store, write_store
+from repro.bitstream.header import ChunkParams
+from repro.compressors import SperrCompressor
+from repro.errors import InvalidArgumentError, StreamFormatError
+from repro.store import StoreWriter, open_store, write_store
 from repro.store.format import INDEX_NAME
 
 DATA = Path(__file__).parent / "data"
@@ -226,3 +237,76 @@ class TestStoreIndexVersion2:
         for window in self.WINDOWS:
             got = arr.read_window(window)
             assert got.tobytes() == np.ascontiguousarray(want[window]).tobytes()
+
+
+class TestExplicitDepthFixtures:
+    """``levels1.sperr`` and ``store_levels1/``: the explicit-depth
+    payloads written before ``levels=`` left the writers."""
+
+    WINDOWS = [
+        (slice(None),) * 3,
+        (slice(5, 33), slice(9, 27), slice(2, 11)),
+        (19, slice(None), slice(0, 12)),
+        (slice(38, 40), slice(30, 32), 11),
+    ]
+
+    @pytest.fixture(scope="class")
+    def level1(self) -> dict:
+        return json.loads((DATA / "levels1_digests.json").read_text())
+
+    def test_fixtures_record_depth_1(self):
+        payload = (DATA / "levels1.sperr").read_bytes()
+        (stream,) = parse_container(payload).streams
+        raw = lossless.decompress(stream)
+        assert ChunkParams.unpack(raw[HEADER_SIZE:]).levels == 1
+        assert open_store(DATA / "store_levels1").index.levels == 1
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_container_decodes(self, workers, level1):
+        payload = (DATA / "levels1.sperr").read_bytes()
+        want = np.load(DATA / "levels1.npy")
+        assert repro.decompress(payload, workers=workers).tobytes() == want.tobytes()
+        coarse = decompress_multires(payload, 1)
+        pin = level1["levels1.sperr"]["multires_1"]
+        assert list(coarse.shape) == pin["shape"]
+        assert _sha(coarse) == pin["sha256"]
+        with pytest.raises(InvalidArgumentError):
+            decompress_multires(payload, 2)
+
+    def test_store_reads(self, level1):
+        want = np.load(DATA / "store_levels1.npy")
+        arr = open_store(DATA / "store_levels1", cache_bytes=0)
+        assert arr.read().tobytes() == want.tobytes()
+        for window in self.WINDOWS:
+            got = arr.read_window(window)
+            assert got.tobytes() == np.ascontiguousarray(want[window]).tobytes()
+        coarse = arr.read(level=1)
+        pin = level1["store_levels1"]["level_1"]
+        assert list(coarse.shape) == pin["shape"]
+        assert _sha(coarse) == pin["sha256"]
+        with pytest.raises(InvalidArgumentError):
+            arr.read(level=2)
+
+
+class TestWritersTakeFullDepth:
+    """``levels`` and ``lossless_method`` are not write options: every
+    writer takes the full dyadic depth and the ``auto`` final pass."""
+
+    @pytest.mark.parametrize("option", ["levels", "lossless_method"])
+    def test_options_rejected(self, option, tmp_path):
+        x = np.zeros((8, 8))
+        value = 1 if option == "levels" else "stored"
+        with pytest.raises(TypeError):
+            repro.compress(x, repro.PweMode(0.1), **{option: value})
+        with pytest.raises(TypeError):
+            StoreWriter(tmp_path / "s", repro.PweMode(0.1), **{option: value})
+        with pytest.raises(TypeError):
+            SperrCompressor(**{option: value})
+
+    def test_writes_record_auto_depth(self, rng, tmp_path):
+        x = np.cumsum(rng.standard_normal((32, 16, 12)), axis=0)
+        res = write_store(tmp_path / "s", x, repro.PweMode(0.05), chunk_shape=16)
+        assert open_store(tmp_path / "s").index.levels is None
+        for stream in parse_container(res.payload).streams:
+            raw = lossless.decompress(stream)
+            assert ChunkParams.unpack(raw[HEADER_SIZE:]).levels is None

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import compress, decompress
+from repro import lossless
+from repro.core import compress, decompress, parse_container
+from repro.core.container import build_container
 from repro.core.modes import PweMode, SizeMode
 from repro.errors import InvalidArgumentError, StreamFormatError
 
@@ -79,9 +81,26 @@ class TestContainer:
         )
 
     def test_lossless_method_stored(self, smooth_field):
+        """Sections framed ``stored`` (tag 0), as writers that offered a
+        lossless method choice could write them, decode like ``auto``'s."""
         t = repro.tolerance_from_idx(smooth_field, 10)
-        result = compress(smooth_field, PweMode(t), lossless_method="stored")
-        recon = decompress(result.payload)
+        payload = compress(smooth_field, PweMode(t), chunk_shape=12).payload
+        parsed = parse_container(payload)
+        stored = [
+            lossless.compress(lossless.decompress(s), method="stored")
+            for s in parsed.streams
+        ]
+        rebuilt = build_container(
+            parsed.rank,
+            parsed.dtype,
+            parsed.mode_code,
+            parsed.shape,
+            parsed.chunks,
+            stored,
+            codec_tags=parsed.codec_tags,
+        )
+        recon = decompress(rebuilt)
+        assert recon.tobytes() == decompress(payload).tobytes()
         assert np.abs(recon - smooth_field).max() <= t
 
     def test_bad_magic_rejected(self):

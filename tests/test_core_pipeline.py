@@ -91,12 +91,6 @@ class TestCompressChunk:
             recon = decompress_chunk(stream, rank=3)
             assert np.abs(recon - smooth_field).max() <= t
 
-    def test_forced_levels_round_trip(self, smooth_field):
-        t = (smooth_field.max() - smooth_field.min()) / 2**10
-        stream, _ = compress_chunk(smooth_field, PweMode(t), levels=1)
-        recon = decompress_chunk(stream, rank=3)
-        assert np.abs(recon - smooth_field).max() <= t
-
     def test_nan_rejected(self):
         data = np.zeros((8, 8))
         data[0, 0] = np.nan

@@ -196,6 +196,26 @@ class TestFormatDocument:
         assert not (ROOT / "docs" / "format.md").exists()
 
 
+class TestLosslessDocument:
+    """``docs/lossless.md``'s tag table must track the encoders."""
+
+    TEXT = (ROOT / "docs" / "lossless.md").read_text()
+
+    def test_decode_only_rows_are_the_tags_nothing_emits(self):
+        from repro import lossless
+
+        rows = re.findall(r"^\| (\d+) +\| `[^`]+` +\| ([^|]+?) +\|", self.TEXT, re.M)
+        assert sorted(int(tag) for tag, _ in rows) == list(range(7))
+        decode_only = {int(tag) for tag, by in rows if by.startswith("decode only")}
+        data = bytes(range(256)) * 4 + b"\0" * 2048
+        emitted = {
+            lossless.compress(data, method=m)[0]
+            for m in lossless.METHODS
+            if m != "auto"
+        }
+        assert decode_only == set(range(7)) - emitted == {3, 5}
+
+
 #: Documents whose backticked references must resolve.
 #: ``perfbench/README.md`` is left out: it describes the benchmark and is
 #: edited only together with the benchmark's code, so it may lag the

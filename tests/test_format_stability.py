@@ -92,7 +92,7 @@ class TestGoldenHashes:
         from repro.datasets import spectral_field
         f = spectral_field((16,16,16), slope=3.0, seed=123)
         t = repro.tolerance_from_idx(f, 12)
-        p = repro.compress(f, PweMode(t), lossless_method="stored").payload
+        p = repro.compress(f, PweMode(t)).payload
         print(hashlib.sha256(p).hexdigest()[:16], len(p))
         PY
     """
@@ -100,7 +100,7 @@ class TestGoldenHashes:
     def test_payload_reproducible_within_session(self, field):
         t = repro.tolerance_from_idx(field, 12)
         payloads = {
-            _sha(repro.compress(field, PweMode(t), lossless_method="stored").payload)
+            _sha(repro.compress(field, PweMode(t)).payload)
             for _ in range(3)
         }
         assert len(payloads) == 1

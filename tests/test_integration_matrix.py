@@ -1,7 +1,7 @@
 """Integration matrix: the PWE guarantee across every configuration axis.
 
 Each axis of the public API is exercised in combination — wavelet
-choice, rank, chunking, workers, lossless method, q-factor — on small
+choice, rank, chunking, workers, lossless section coding, q-factor — on small
 inputs, asserting the one invariant that defines SPERR.
 """
 
@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro import lossless
+from repro.core import parse_container
+from repro.core.container import build_container
 from repro.core.modes import PweMode
 from repro.datasets import spectral_field
 
@@ -30,12 +33,31 @@ def test_wavelet_rank_matrix(wavelet, rank):
     assert np.abs(recon - data).max() <= t
 
 
-@pytest.mark.parametrize("lossless_method", ["auto", "stored", "huffman", "rc"])
+@pytest.mark.parametrize(
+    "lossless_method", [m for m in lossless.METHODS if m != "auto"] + ["auto"]
+)
 def test_lossless_method_matrix(lossless_method):
+    """Every section coding ``auto`` can choose decodes inside a
+    container: the sections are re-framed with one method each."""
     data = _field(2)
     t = repro.tolerance_from_idx(data, 13)
-    res = repro.compress(data, PweMode(t), lossless_method=lossless_method)
-    recon = repro.decompress(res.payload)
+    payload = repro.compress(data, PweMode(t), chunk_shape=(9, 7)).payload
+    parsed = parse_container(payload)
+    streams = [
+        lossless.compress(lossless.decompress(s), method=lossless_method)
+        for s in parsed.streams
+    ]
+    rebuilt = build_container(
+        parsed.rank,
+        parsed.dtype,
+        parsed.mode_code,
+        parsed.shape,
+        parsed.chunks,
+        streams,
+        codec_tags=parsed.codec_tags,
+    )
+    recon = repro.decompress(rebuilt)
+    assert recon.tobytes() == repro.decompress(payload).tobytes()
     assert np.abs(recon - data).max() <= t
 
 
@@ -52,11 +74,10 @@ def test_chunk_executor_matrix(workers, chunk):
 
 
 @pytest.mark.parametrize("q_factor", [1.0, 1.5, 2.5])
-@pytest.mark.parametrize("levels", [None, 1])
-def test_q_levels_matrix(q_factor, levels):
+def test_q_factor_matrix(q_factor):
     data = _field(3)
     t = repro.tolerance_from_idx(data, 13)
-    res = repro.compress(data, PweMode(t, q_factor=q_factor), levels=levels)
+    res = repro.compress(data, PweMode(t, q_factor=q_factor))
     recon = repro.decompress(res.payload)
     assert np.abs(recon - data).max() <= t
 

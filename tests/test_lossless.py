@@ -390,7 +390,7 @@ class TestRangeCoder:
 class TestBackend:
     @pytest.mark.parametrize(
         "method",
-        ["stored", "rle", "huffman", "rle+huffman", "lz77", "rc", "auto"],
+        ["stored", "rle", "huffman", "lz77", "rc", "auto"],
     )
     def test_round_trip_all_methods(self, method, rng):
         data = bytes(rng.integers(0, 8, size=3000).astype(np.uint8))
@@ -467,7 +467,6 @@ def _repetitive(rng, n):
 MICRO = {
     "rle": (_runs, 1 << 20, 25171),
     "huffman": (_skewed, 1 << 20, 434738),
-    "rle+huffman": (_runs, 1 << 20, 8419),
     "lz77": (_repetitive, 1 << 20, 17375),
     "rc": (_skewed, 1 << 20, 432502),
 }

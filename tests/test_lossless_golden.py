@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import lossless
+from repro.errors import InvalidArgumentError
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,5 +77,14 @@ class TestGoldenStreams:
 
     def test_auto_never_emits_legacy_ac(self, golden_input):
         """``auto`` output stays within the supported-encoder tag set:
-        the per-bit adaptive coder (tag 5) is decode-only now."""
-        assert lossless.compress(golden_input, method="auto")[0] != 5
+        RLE+Huffman (tag 3) and the per-bit adaptive coder (tag 5) are
+        decode-only now.  ``runs`` (runs of 64 over four values) is an
+        input tag 3 used to win on."""
+        runs = bytes(b for b in bytes(range(4)) * 16 for _ in range(64))
+        for data in (golden_input, runs):
+            assert lossless.compress(data, method="auto")[0] not in (3, 5)
+
+    def test_rle_huffman_is_decode_only(self, golden_input):
+        assert "rle+huffman" not in lossless.METHODS
+        with pytest.raises(InvalidArgumentError):
+            lossless.compress(golden_input, method="rle+huffman")

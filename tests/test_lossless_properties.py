@@ -11,7 +11,7 @@ from repro import lossless
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.binary(max_size=800), st.sampled_from(["stored", "rle", "huffman", "rle+huffman"]))
+@given(st.binary(max_size=800), st.sampled_from(["stored", "rle", "huffman", "lz77", "rc"]))
 def test_every_method_round_trips_property(data, method):
     assert lossless.decompress(lossless.compress(data, method=method)) == data
 
@@ -22,7 +22,7 @@ def test_auto_is_min_of_candidates(data):
     """`auto` output is never larger than any specifically requested
     method's output."""
     auto = len(lossless.compress(data, method="auto"))
-    for method in ("stored", "rle", "huffman", "rle+huffman"):
+    for method in lossless.METHODS:
         assert auto <= len(lossless.compress(data, method=method))
 
 
@@ -46,12 +46,20 @@ class TestBackendSizeAccounting:
         assert len(stored) == len(data) + 1
 
     def test_compressible_payload_shrinks_through_sperr_pipeline(self):
-        """End to end: a structured chunk stream benefits from the pass."""
+        """End to end: every container section is ``auto``'s coding of
+        its chunk stream, never larger than stored, and the structured
+        streams of the all-zero chunks shrink."""
         import repro
+        from repro.core import parse_container
         from repro.datasets import spectral_field
 
-        f = spectral_field((16, 16), slope=4.0, seed=3)
-        t = repro.tolerance_from_idx(f, 6)  # loose: sparse SPECK stream
-        auto = repro.compress(f, repro.PweMode(t), lossless_method="auto")
-        stored = repro.compress(f, repro.PweMode(t), lossless_method="stored")
-        assert auto.nbytes <= stored.nbytes
+        f = spectral_field((16, 16, 16), slope=4.0, seed=3)
+        f[:8] = 0.0
+        t = repro.tolerance_from_idx(f, 10)
+        payload = repro.compress(f, repro.PweMode(t), chunk_shape=8).payload
+        streams = parse_container(payload).streams
+        raws = [lossless.decompress(s) for s in streams]
+        for stream, raw in zip(streams, raws):
+            assert stream == lossless.compress(raw)
+            assert len(stream) <= len(raw) + 1
+        assert sum(map(len, streams)) < sum(map(len, raws))

@@ -32,6 +32,7 @@ from repro.core.adaptive import CODEC_SPERR
 from repro.core.container import decode_tagged_chunk, parse_container
 from repro.core.modes import PweMode
 from repro.core.pipeline import compress_chunk, decompress_chunk
+from repro.core.progressive import decompress_multires
 from repro.core.timeseries import compress_frames, decompress_frames
 from repro.datasets import spectral_field
 from repro.errors import IntegrityError, InvalidArgumentError, ReproError
@@ -187,13 +188,17 @@ _TIMESERIES = "sprrts1"
 
 #: The read-only layouts, from their committed fixtures: container v1
 #: (no CRCs) and v3 (mask, no tags) through ``repro.decompress``, store
-#: indexes v1 and v2 through ``parse_index``.  No fresh write reaches
-#: their parse paths, so only these targets fuzz them.
+#: indexes v1 and v2 through ``parse_index``, and the explicit wavelet
+#: depth of a chunk header (through a level-1 decode) and of a store
+#: index.  No fresh write reaches these paths, so only these targets
+#: fuzz them.
 _READ_ONLY = {
     "sprrpy1": ("container_v1.sperr", repro.decompress),
     "sprrpy3": ("encode_masked_f32.sperr", repro.decompress),
     "sprridx1": ("store_v1_cube32/index.bin", parse_index),
     "sprridx2": ("store_v2_masked/index.bin", parse_index),
+    "levels1-sperr": ("levels1.sperr", partial(decompress_multires, level=1)),
+    "levels1-index": ("store_levels1/index.bin", parse_index),
 }
 _FUZZ_TARGETS = sorted(
     [*_FUZZ_CODECS, _RAW_CHUNK, *_RAW_CHUNK_PATHS, _TIMESERIES, *_READ_ONLY]
@@ -298,8 +303,13 @@ class TestFaultInjectionMatrix:
 #: Every lossless stream tag the backend can emit or still decode,
 #: fuzzed directly against the tag-dispatch decoder rather than through
 #: the container, so corruption always lands inside the codec payloads.
-#: ``ac`` (tag 5) is decode-only; its clean payload is the golden fixture.
+#: ``rle+huffman`` (tag 3) and ``ac`` (tag 5) are decode-only; their
+#: clean payloads are the golden fixtures.
 _LOSSLESS_METHODS = ("stored", "rle", "huffman", "rle+huffman", "lz77", "ac", "rc")
+_DECODE_ONLY_FIXTURES = {
+    "rle+huffman": "lossless_rle_huffman.bin",
+    "ac": "lossless_ac.bin",
+}
 
 
 @pytest.fixture(scope="module")
@@ -309,9 +319,12 @@ def lossless_payloads(field):
 
     raw = field.astype(np.float32).tobytes()[: 1 << 14]
     payloads = {
-        m: lossless.compress(raw, method=m) for m in _LOSSLESS_METHODS if m != "ac"
+        m: lossless.compress(raw, method=m)
+        for m in _LOSSLESS_METHODS
+        if m not in _DECODE_ONLY_FIXTURES
     }
-    payloads["ac"] = (DATA_DIR / "lossless_ac.bin").read_bytes()
+    for m, name in _DECODE_ONLY_FIXTURES.items():
+        payloads[m] = (DATA_DIR / name).read_bytes()
     return payloads
 
 

@@ -90,7 +90,7 @@ def test_size_mode_respects_budget(seed, bpp):
     """Size-bounded termination: output never exceeds the requested rate
     (plus the fixed container header amortized over the chunk)."""
     data = _field(seed, (16, 16, 16), 1.0, 1.0)
-    result = repro.compress(data, SizeMode(bpp=bpp), lossless_method="stored")
+    result = repro.compress(data, SizeMode(bpp=bpp))
     container_overhead_bits = 8.0 * 120 / data.size
     assert result.bpp <= bpp + container_overhead_bits + 0.05
     recon = repro.decompress(result.payload)
