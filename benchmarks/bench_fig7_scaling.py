@@ -3,7 +3,9 @@ workers, three tolerance levels.
 
 The paper measures OpenMP threads on a 128-core node; this container has
 one core, so the speedup curve is modelled from measured per-chunk serial
-times with an LPT schedule (substitution documented in DESIGN.md).  The
+times (the median of nine timings per chunk, since the tail is set by
+the slowest chunk) with an LPT schedule (substitution documented in
+DESIGN.md).  The
 model preserves the figure's phenomenology: near-linear speedup while
 workers << chunks, sub-linear growth as the schedule loses balance, and
 a plateau at the chunk-count limit conceded in Sec. III-D.

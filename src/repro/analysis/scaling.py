@@ -4,7 +4,9 @@ The paper measures OpenMP speedups on a 128-core node.  This container
 exposes a single core, so — per the documented substitution in DESIGN.md
 — the speedup curve is *modelled* from measured per-chunk serial times:
 
-* each chunk's compression time is measured individually (serial);
+* each chunk's compression time is measured individually (serial), as
+  the median of several timings taken in round-robin passes over the
+  chunks, so one slow timing cannot set the curve's tail;
 * a P-worker schedule is simulated with longest-processing-time-first
   assignment (what a work-stealing OpenMP loop approximates);
 * speedup(P) = serial_total / (makespan(P) + serial_overhead).
@@ -43,12 +45,20 @@ class ScalingStudy:
     speedups: tuple[float, ...]
 
 
+#: Timings per chunk; :func:`measure_chunk_times` keeps their median.
+REPEATS = 9
+
+
 def measure_chunk_times(
     data: np.ndarray,
     idx: int,
     chunk_shape: int | tuple[int, ...],
 ) -> tuple[list[float], float]:
-    """Per-chunk serial compression times and the serial setup overhead."""
+    """Per-chunk serial compression times and the serial setup overhead.
+
+    Every chunk is compressed :data:`REPEATS` times, one pass over all
+    chunks per repeat, and its time is the median of those timings.
+    """
     data = np.asarray(data, dtype=np.float64)
     rng = float(data.max() - data.min())
     mode = PweMode(rng / float(2**idx))
@@ -56,12 +66,13 @@ def measure_chunk_times(
     chunks = plan_chunks(data.shape, chunk_shape)
     parts = split(data, chunks)
     overhead = time.perf_counter() - t0
-    times = []
-    for part in parts:
-        t1 = time.perf_counter()
-        compress_chunk(part, mode)
-        times.append(time.perf_counter() - t1)
-    return times, overhead
+    timings = np.empty((REPEATS, len(parts)))
+    for r in range(REPEATS):
+        for i, part in enumerate(parts):
+            t1 = time.perf_counter()
+            compress_chunk(part, mode)
+            timings[r, i] = time.perf_counter() - t1
+    return np.median(timings, axis=0).tolist(), overhead
 
 
 def lpt_makespan(times: list[float], workers: int) -> float:

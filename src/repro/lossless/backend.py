@@ -86,9 +86,9 @@ _HUFFMAN_INDEX_FLAG = 1 << 63
 _HUFFMAN_INDEX_MIN = 1 << 15
 
 
-def _huffman_pack(arr: np.ndarray, code: huffman.HuffmanCode) -> bytes:
+def _huffman_pack(arr: np.ndarray, code: huffman.HuffmanCode, book: bytes) -> bytes:
+    """Huffman section of ``arr``; ``book`` is ``serialize_code(code)``."""
     payload, nbits = huffman.encode(arr, code)
-    book = huffman.serialize_code(code)
     n = len(arr)
     if n >= _HUFFMAN_INDEX_MIN:
         index = huffman.segment_bits(arr, code)[:-1].astype("<u2").tobytes()
@@ -97,14 +97,15 @@ def _huffman_pack(arr: np.ndarray, code: huffman.HuffmanCode) -> bytes:
     return struct.pack("<QQ", n, nbits) + book + payload
 
 
-def _huffman_packed_size(n: int, freqs: np.ndarray, code: huffman.HuffmanCode) -> int:
+def _huffman_packed_size(
+    n: int, freqs: np.ndarray, code: huffman.HuffmanCode, book: bytes
+) -> int:
     """Exact byte size :func:`_huffman_pack` would produce, without packing."""
     nbits = huffman.encoded_nbits(freqs, code)
-    book = len(huffman.serialize_code(code))
     index = 0
     if n >= _HUFFMAN_INDEX_MIN:
         index = 2 * (-(-n // huffman.SEGMENT_SYMBOLS) - 1)
-    return 16 + book + index + ((nbits + 7) >> 3)
+    return 16 + len(book) + index + ((nbits + 7) >> 3)
 
 
 def _huffman_unpack(data: bytes) -> bytes:
@@ -165,7 +166,8 @@ def _compress_explicit(data: bytes, method: str) -> bytes:
     if method == "huffman":
         arr = np.frombuffer(data, dtype=np.uint8)
         code = huffman.build_code(np.bincount(arr, minlength=256))
-        return bytes([_TAG_HUFFMAN]) + _huffman_pack(arr, code)
+        book = huffman.serialize_code(code)
+        return bytes([_TAG_HUFFMAN]) + _huffman_pack(arr, code, book)
     if method == "lz77":
         return bytes([_TAG_LZ77]) + lz77.encode(data)
     assert method == "rc"
@@ -195,11 +197,12 @@ def _compress_body(data: bytes, method: str) -> bytes:
         best = bytes([_TAG_RLE]) + rle.encode(data)
 
     # Huffman: exact size from histogram x code-length table; pack only
-    # if it wins.
+    # if it wins.  The serialized code book serves both.
     freqs = np.bincount(arr, minlength=256)
     code = huffman.build_code(freqs)
-    if 1 + _huffman_packed_size(n, freqs, code) < len(best):
-        best = bytes([_TAG_HUFFMAN]) + _huffman_pack(arr, code)
+    book = huffman.serialize_code(code)
+    if 1 + _huffman_packed_size(n, freqs, code, book) < len(best):
+        best = bytes([_TAG_HUFFMAN]) + _huffman_pack(arr, code, book)
 
     # Range coder: its payload cannot beat the order-0 entropy bound plus
     # its fixed header, so skip it when that bound already loses.

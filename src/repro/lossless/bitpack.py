@@ -7,11 +7,13 @@ bit fields, MSB-first within each byte — the layout
 field at a time costs a Python-level loop per symbol; these kernels do
 it in O(1) numpy passes:
 
-* :func:`pack_msb` scatters every field's bytes with ``np.bincount``.
-  Each field of width ``w`` at bit offset ``p`` touches at most five
-  output bytes; because fields never share bits, per-byte contributions
-  can be *summed* instead of OR'd, and a weighted bincount per byte
-  lane is exact (sums stay below 256).
+* :func:`pack_msb` scatters every field into 32-bit words with
+  ``np.bincount``.  A field of width ``w <= 32`` at bit offset ``p``
+  sits in the 64-bit window of words ``p // 32`` and ``p // 32 + 1``;
+  because fields never share bits, per-word contributions can be
+  *summed* instead of OR'd, and one weighted bincount per word lane
+  (window high half, low half) is exact: each word sums to less than
+  2**32, far inside the 2**53 a ``float64`` weight holds exactly.
 * :func:`byte_windows` precomputes the 32-bit big-endian window at
   every byte offset, after which :func:`extract_msb` reads a field at
   any bit position with two shifts — the decode-side mirror.
@@ -30,8 +32,8 @@ from ..errors import InvalidArgumentError
 
 __all__ = ["pack_msb", "byte_windows", "extract_msb", "bit_windows", "MAX_FIELD_BITS"]
 
-#: Widest field :func:`pack_msb` accepts.  A 32-bit field at bit offset
-#: 7 spans 39 bits — five byte lanes — which bounds the lane loop.
+#: Widest field :func:`pack_msb` accepts.  A 32-bit field at word
+#: offset 31 spans 63 bits, so every field fits the two-word window.
 MAX_FIELD_BITS = 32
 
 #: Widest field :func:`extract_msb` can read from a 32-bit window
@@ -64,18 +66,25 @@ def pack_msb(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     offsets = ends - lengths
     nbytes = (total + 7) >> 3
 
-    values = values & ((np.uint64(1) << lengths.astype(np.uint64)) - np.uint64(1))
-    # Align each field inside a 64-bit big-endian window that starts at
-    # its first output byte: bits [r, r+len) of the window, r = offset&7.
-    shift = (np.uint64(64) - (offsets & 7).astype(np.uint64) - lengths.astype(np.uint64))
-    aligned = values << shift
-    byte0 = offsets >> 3
-
-    acc = np.zeros(nbytes + 5, dtype=np.float64)
-    for k in range(5):
-        lane = ((aligned >> np.uint64(56 - 8 * k)) & np.uint64(0xFF)).astype(np.float64)
-        acc += np.bincount(byte0 + k, weights=lane, minlength=nbytes + 5)
-    return acc[:nbytes].astype(np.uint8).tobytes(), total
+    lens = lengths.astype(np.uint64)
+    values = values & ((np.uint64(1) << lens) - np.uint64(1))
+    # Align each field inside a 64-bit window that starts at its first
+    # 32-bit output word: bits [r, r+len) of the window, r = offset&31.
+    aligned = values << (np.uint64(64) - (offsets & 31).astype(np.uint64) - lens)
+    word0 = offsets >> 5
+    nwords = (total + 31) >> 5
+    # A trailing zero-width field on a word boundary indexes word
+    # ``nwords``, its low lane one further; both contribute zero.
+    size = nwords + 2
+    acc = np.bincount(
+        word0, weights=(aligned >> np.uint64(32)).astype(np.float64), minlength=size
+    )
+    acc += np.bincount(
+        word0 + 1,
+        weights=(aligned & np.uint64(0xFFFFFFFF)).astype(np.float64),
+        minlength=size,
+    )
+    return acc[:nwords].astype(">u4").tobytes()[:nbytes], total
 
 
 def byte_windows(data: bytes | np.ndarray) -> np.ndarray:

@@ -72,7 +72,8 @@ class HuffmanCode:
 def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
     """Compute Huffman code lengths from symbol frequencies.
 
-    Uses the standard heap construction; lengths are then limited to
+    Uses the two-queue construction (the same merges as the standard
+    heap one, see below); lengths are then limited to
     :data:`_MAX_CODE_LEN` by the simple "push down" adjustment, preserving
     Kraft validity.
     """
@@ -97,24 +98,28 @@ def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
     n_leaves = len(leaf_freqs)
     node_freqs: list[int] = []
     parent = [0] * (2 * n_leaves - 1)
-    li = mi = 0
-
-    def _take() -> tuple[int, int]:
-        nonlocal li, mi
-        if mi >= len(node_freqs) or (
-            li < n_leaves and leaf_freqs[li] <= node_freqs[mi]
-        ):
+    li = 0
+    mi = 0
+    for k in range(n_leaves - 1):
+        # ``k`` merged nodes exist so far; take the two smallest fronts.
+        if mi >= k or (li < n_leaves and leaf_freqs[li] <= node_freqs[mi]):
+            fa = leaf_freqs[li]
+            a = li
             li += 1
-            return leaf_freqs[li - 1], li - 1
-        mi += 1
-        return node_freqs[mi - 1], n_leaves + mi - 1
-
-    for _ in range(n_leaves - 1):
-        fa, a = _take()
-        fb, b = _take()
-        node = n_leaves + len(node_freqs)
-        parent[a] = node
-        parent[b] = node
+        else:
+            fa = node_freqs[mi]
+            a = n_leaves + mi
+            mi += 1
+        if mi >= k or (li < n_leaves and leaf_freqs[li] <= node_freqs[mi]):
+            fb = leaf_freqs[li]
+            b = li
+            li += 1
+        else:
+            fb = node_freqs[mi]
+            b = n_leaves + mi
+            mi += 1
+        parent[a] = n_leaves + k
+        parent[b] = n_leaves + k
         node_freqs.append(fa + fb)
 
     # Depth of each node = 1 + depth of its parent; parents always have

@@ -77,8 +77,8 @@ def dequantize_batch(mags: np.ndarray, negative: np.ndarray, q) -> np.ndarray:
     out = mags.astype(np.float64)
     out += 0.5
     out *= qb
-    out[mags == 0] = 0.0
-    out[np.asarray(negative, dtype=bool)] *= -1.0
+    np.copyto(out, 0.0, where=mags == 0)
+    np.negative(out, out=out, where=np.asarray(negative, dtype=bool))
     return out
 
 

@@ -9,7 +9,8 @@ significance tests we:
   can never test significant, so the decoder stays in lock-step),
 * precompute, for every partition depth ``d``, the maximum magnitude of
   every block at that depth (:class:`MaxPyramid`), turning a set
-  significance test into a single gather, and
+  significance test into a single gather; each coarser level is one
+  ``np.maximum`` of the even and odd strided halves per split axis, and
 * represent the lists of insignificant sets as flat-index arrays per
   depth so whole batches are tested/split with numpy arithmetic.
 
@@ -143,10 +144,9 @@ class MaxPyramid:
             split = geometry._splits[d]
             for ax in range(geometry.ndim):
                 if split[ax]:
-                    shape = list(cur.shape)
-                    shape[ax] //= 2
-                    shape.insert(ax + 1, 2)
-                    cur = cur.reshape(shape).max(axis=ax + 1)
+                    lead = (slice(None),) * ax
+                    even, odd = lead + (slice(0, None, 2),), lead + (slice(1, None, 2),)
+                    cur = np.maximum(cur[even], cur[odd])
             levels[d] = cur
         #: flattened max array per depth, indexed by grid flat index
         self.levels: list[np.ndarray] = [lvl.reshape(-1) for lvl in levels]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import os
 import struct
 
@@ -51,6 +52,39 @@ class TestHuffman:
         code = huffman.build_code(freqs)
         lengths = code.lengths
         assert lengths[0] <= lengths[1] <= lengths[2]
+
+    def test_code_lengths_match_heap_construction(self, rng):
+        """The two-queue merge picks the same nodes as a heap of
+        ``(freq, tiebreak)`` nodes, leaves breaking ties by symbol and
+        merged nodes by creation order, so the code lengths agree."""
+
+        def heap_lengths(freqs):
+            lengths = np.zeros(freqs.size, dtype=np.int64)
+            heap = [(int(f), s, [s]) for s, f in enumerate(freqs) if f > 0]
+            if len(heap) == 1:
+                lengths[heap[0][2]] = 1
+            heapq.heapify(heap)
+            tiebreak = freqs.size
+            while len(heap) > 1:
+                fa, _, a = heapq.heappop(heap)
+                fb, _, b = heapq.heappop(heap)
+                lengths[a + b] += 1
+                heapq.heappush(heap, (fa + fb, tiebreak, a + b))
+                tiebreak += 1
+            return lengths
+
+        for trial in range(200):
+            size = int(rng.integers(1, 300))
+            if trial % 3 == 0:  # many equal frequencies: tie-breaks decide
+                freqs = rng.integers(0, 4, size=size)
+            elif trial % 3 == 1:
+                freqs = rng.geometric(0.05, size=size)
+            else:
+                freqs = rng.integers(1, 10**6, size=size)
+                freqs[rng.random(size) < 0.4] = 0
+            expected = heap_lengths(freqs)
+            assert expected.max() <= 24  # below the clamp: raw lengths compare
+            np.testing.assert_array_equal(huffman.build_code(freqs).lengths, expected)
 
     def test_symbol_without_code_rejected(self):
         code = huffman.build_code(np.array([5, 5, 0]))
@@ -305,6 +339,62 @@ class TestBitpack:
         packed, nbits = bitpack.pack_msb(values, lengths)
         assert nbits == 9
         assert packed == bytes([0b10111101, 0b00000000])
+
+    @staticmethod
+    def _bitstring_oracle(values, lengths) -> tuple[bytes, int]:
+        """Each field's low ``width`` bits, MSB-first, via ``np.unpackbits``."""
+        bits = [
+            np.unpackbits(np.array([v], dtype=">u8").view(np.uint8))[64 - w :]
+            for v, w in zip(values.tolist(), lengths.tolist())
+        ]
+        flat = np.concatenate(bits) if bits else np.zeros(0, dtype=np.uint8)
+        return np.packbits(flat).tobytes(), int(flat.size)
+
+    def test_pack_matches_bitstring_oracle_every_width_and_offset(self, rng):
+        """Widths 0-32 at every bit offset mod 32, with junk above each
+        field's width, after a lead field that sets the offset."""
+        for width in range(33):
+            for offset in range(32):
+                lengths = np.array([offset, width, 7], dtype=np.int64)
+                values = rng.integers(0, 1 << 63, size=3, dtype=np.uint64)
+                packed, nbits = bitpack.pack_msb(values, lengths)
+                assert (packed, nbits) == self._bitstring_oracle(values, lengths), (
+                    width,
+                    offset,
+                )
+
+    def test_pack_matches_bitstring_oracle_random_streams(self, rng):
+        for size in (1, 2, 31, 32, 33, 500):
+            lengths = rng.integers(0, 33, size=size).astype(np.int64)
+            values = rng.integers(0, 1 << 63, size=size, dtype=np.uint64)
+            assert bitpack.pack_msb(values, lengths) == self._bitstring_oracle(
+                values, lengths
+            )
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [31, 32],  # a 32-bit field at bit offset 31 spans two words
+            [31, 32, 1],
+            [32, 0],  # trailing zero-width field one word past the end
+            [20, 12, 0],
+            [32, 32, 0, 0],
+            [5, 0, 27, 0],
+        ],
+        ids=lambda lengths: "-".join(map(str, lengths)),
+    )
+    def test_pack_edge_cases(self, lengths):
+        lengths = np.array(lengths, dtype=np.int64)
+        values = np.full(lengths.size, 0xFFFF_FFFF_FFFF_FFFF, dtype=np.uint64)
+        values[::2] = 0xA5A5_A5A5_A5A5_A5A5
+        packed, nbits = bitpack.pack_msb(values, lengths)
+        assert (packed, nbits) == self._bitstring_oracle(values, lengths)
+        assert len(packed) == (nbits + 7) >> 3
+
+    def test_pack_all_zero_widths(self):
+        values = np.array([1, 2, 3], dtype=np.uint64)
+        lengths = np.zeros(3, dtype=np.int64)
+        assert bitpack.pack_msb(values, lengths) == (b"", 0)
 
     def test_empty_pack(self):
         packed, nbits = bitpack.pack_msb(

@@ -12,6 +12,7 @@ from repro.quant import (
     MAX_INT_MAGNITUDE,
     calibrate_step,
     dequantize,
+    dequantize_batch,
     integerize,
     quantize_error_bound,
 )
@@ -74,6 +75,25 @@ class TestDequantize:
         coded = mags > 0
         assert err[coded].max() <= q / 2 + 1e-12
         assert err.max() <= quantize_error_bound(q) + 1e-12
+
+
+    def test_batch_matches_fancy_index_formula(self, rng):
+        """Masked writes give the bytes of ``out[mags == 0] = 0`` then
+        ``out[neg] *= -1``, including ``-0.0`` for negative dead-zone
+        coefficients."""
+        mags = rng.integers(0, 50, size=(3, 40)).astype(np.uint64)
+        mags[:, :10] = 0
+        neg = rng.random((3, 40)) < 0.5
+        neg[:, :5] = True
+        for q in (0.37, np.array([0.5, 1e-3, 7.0])):
+            expected = mags.astype(np.float64)
+            expected += 0.5
+            expected *= np.asarray(q).reshape((-1, 1)) if np.ndim(q) else q
+            expected[mags == 0] = 0.0
+            expected[neg] *= -1.0
+            out = dequantize_batch(mags, neg, q)
+            assert out.tobytes() == expected.tobytes()
+        assert np.signbit(dequantize_batch(mags, neg, 1.0)[:, :5]).all()
 
 
 class TestCalibrateStep:

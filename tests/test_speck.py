@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidArgumentError
+from repro.quant import MAX_INT_MAGNITUDE
 from repro.speck import (
     Geometry,
     MaxPyramid,
@@ -91,6 +92,36 @@ class TestMaxPyramid:
         g = Geometry((4, 4))
         with pytest.raises(InvalidArgumentError):
             MaxPyramid(g, np.zeros((4, 5), dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (5,), (32768,), (7, 12), (13, 9, 20), (32, 32, 32)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_every_level_is_the_block_maximum(self, shape, rng):
+        """Each level entry equals the maximum over its block, found by
+        slicing the zero-padded magnitudes at that depth's block extent."""
+        top = int(MAX_INT_MAGNITUDE)
+        mags = rng.integers(0, top, size=shape, dtype=np.uint64, endpoint=True)
+        # Sparse large values on a zero background, as outlier lanes look.
+        mags[rng.random(shape) < 0.7] = 0
+        mags.reshape(-1)[0] = top
+        g = Geometry(shape)
+        p = MaxPyramid(g, mags)
+        padded = np.zeros(g.padded_shape, dtype=np.uint64)
+        padded[tuple(slice(0, n) for n in shape)] = mags
+        assert len(p.levels) == g.max_depth + 1
+        assert p.global_max == int(mags.max())
+        for d, grid in enumerate(g.grids):
+            extent = [2 ** max(e - d, 0) for e in g.exponents]
+            expected = np.empty(grid, dtype=np.uint64)
+            for cell in np.ndindex(*grid):
+                block = tuple(
+                    slice(c * w, (c + 1) * w) for c, w in zip(cell, extent)
+                )
+                expected[cell] = padded[block].max()
+            assert p.levels[d].dtype == np.uint64
+            np.testing.assert_array_equal(p.levels[d], expected.reshape(-1))
 
 
 class TestCodecIntegers:
