@@ -27,7 +27,6 @@ records on the compression result instead of being raised.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,11 +252,6 @@ def mask_summary(codes: np.ndarray) -> dict[str, int]:
         "pos_inf": int(np.count_nonzero(flat == MASK_POSINF)),
         "neg_inf": int(np.count_nonzero(flat == MASK_NEGINF)),
     }
-
-
-def mask_crc(blob: bytes) -> int:
-    """CRC32 of a mask blob (stored next to it in container framing)."""
-    return zlib.crc32(blob)
 
 
 def tighten_pwe_for_dtype(mode, data: np.ndarray):

@@ -385,18 +385,18 @@ def decode_segmented(
 def serialize_code(code: HuffmanCode) -> bytes:
     """Serialize a code book as (nsymbols: u32, lengths: u8 array, RLE'd)."""
     lengths = code.lengths.astype(np.uint8)
-    # Simple zero-run compression of the length table: pairs (len, run).
-    parts = [struct.pack("<I", lengths.size)]
-    i = 0
-    arr = lengths.tolist()
-    n = len(arr)
-    while i < n:
-        j = i
-        while j < n and arr[j] == arr[i] and j - i < 255:
-            j += 1
-        parts.append(bytes([arr[i], j - i]))
-        i = j
-    return b"".join(parts)
+    head = struct.pack("<I", lengths.size)
+    if not lengths.size:
+        return head
+    # Run-length the length table as (len, run) pairs, each run split
+    # into pieces of at most 255 symbols.
+    starts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])
+    runs = np.diff(np.r_[starts, lengths.size])
+    pieces = (runs + 254) // 255
+    pairs = np.full((int(pieces.sum()), 2), 255, dtype=np.uint8)
+    pairs[:, 0] = np.repeat(lengths[starts], pieces)
+    pairs[np.cumsum(pieces) - 1, 1] = runs - 255 * (pieces - 1)
+    return head + pairs.tobytes()
 
 
 def deserialize_code(data: bytes) -> tuple[HuffmanCode, int]:

@@ -10,8 +10,9 @@ stateless compress/decompress, with
   chunk decode it once per batch),
 * **admission control** and explicit backpressure errors instead of
   unbounded queues,
-* a **multi-tenant** decoded-chunk cache budget
-  (:class:`~repro.store.TenantCacheBudget`),
+* a **multi-tenant** decoded-chunk cache (one
+  :class:`~repro.store.DecodedChunkCache` with a uniform per-tenant
+  quota under a global ceiling),
 * request-level telemetry threaded through :mod:`repro.obs`.
 
 Clients: :class:`ServiceClient` (blocking) and

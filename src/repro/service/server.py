@@ -15,17 +15,18 @@ Three service-tier mechanisms sit between the socket and the store:
 * **Request batching.**  Concurrent window reads drain into one batch;
   within a batch every distinct ``(frame, chunk, level)`` is decoded
   once and fanned back out to every request that touches it (a
-  batch-local overlay in front of the tenant caches), so N clients
+  batch-local overlay in front of the tenant's cache), so N clients
   hammering the same region cost one decode per chunk, not N.
 * **Admission control.**  Per-tenant in-flight caps and a global
   pending cap; a request over either limit is answered immediately with
   a structured ``backpressure`` error (plus a ``retry_after_ms`` hint)
   instead of being queued without bound — peak memory stays a function
   of the caps, not of client enthusiasm.
-* **Multi-tenant caching.**  Decoded chunks live in a shared
-  :class:`~repro.store.TenantCacheBudget` (per-tenant byte quotas under
-  a global ceiling) routed through ``read_window``'s per-call cache
-  override, so one tenant's scan cannot evict another tenant's hot set.
+* **Multi-tenant caching.**  Decoded chunks live in one
+  :class:`~repro.store.DecodedChunkCache` (one LRU per tenant under a
+  uniform byte quota and a global ceiling) routed through
+  ``read_window``'s per-call cache override, so one tenant's scan cannot
+  evict another tenant's within-quota hot set.
 
 Every request is tagged with a trace id and, when a :mod:`repro.obs`
 trace is active, the worker-side spans (``service.compress``,
@@ -42,7 +43,7 @@ import itertools
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
 from ..core import CODEC_POLICIES, PsnrMode, PweMode, SizeMode, compress, decompress
@@ -52,7 +53,7 @@ from ..errors import (
     ReproError,
     StreamFormatError,
 )
-from ..store import DEFAULT_CACHE_BYTES, TenantCacheBudget, open_store
+from ..store import DEFAULT_CACHE_BYTES, DecodedChunkCache, open_store
 from .protocol import (
     DEFAULT_MAX_PAYLOAD,
     ERR_BACKPRESSURE,
@@ -109,10 +110,8 @@ class ServiceConfig:
     batch_hold_s: float = 0.0
     #: Global ceiling of the tenant-partitioned decoded-chunk cache.
     cache_bytes: int = DEFAULT_CACHE_BYTES
-    #: Per-tenant quota (None = the global ceiling, i.e. no partition).
+    #: Quota of every tenant (None = the global ceiling, i.e. no partition).
     tenant_quota_bytes: int | None = None
-    #: Per-tenant quota overrides by tenant name.
-    tenant_quotas: dict = field(default_factory=dict)
     #: Worker threads shared by compress/decompress/batch jobs.
     workers: int = 4
     #: Seconds a peer may take to deliver a frame body after its
@@ -125,19 +124,26 @@ class ServiceConfig:
 
 
 class _BatchOverlay:
-    """Batch-local decode dedup in front of one tenant's cache view.
+    """Batch-local decode dedup in front of one tenant's cache slice.
 
     ``get`` serves chunks already decoded by an earlier request in the
     same batch (the coalescing fan-out); ``put`` publishes a fresh
-    decode to both the batch and the tenant's slice of the shared
-    budget.  Not thread-safe — each batch runs on one worker thread.
+    decode to both the batch and ``tenant``'s slice of the service's
+    cache.  Not thread-safe — each batch runs on one worker thread.
     """
 
-    __slots__ = ("shared", "view", "service")
+    __slots__ = ("shared", "cache", "tenant", "service")
 
-    def __init__(self, shared: dict, view, service: "CompressionService") -> None:
+    def __init__(
+        self,
+        shared: dict,
+        cache: DecodedChunkCache,
+        tenant: str,
+        service: "CompressionService",
+    ) -> None:
         self.shared = shared
-        self.view = view
+        self.cache = cache
+        self.tenant = tenant
         self.service = service
 
     def get(self, key):
@@ -146,13 +152,13 @@ class _BatchOverlay:
             self.service._count("coalesced_chunk_hits")
             obs.add_counter("service.chunk.coalesced")
             return arr
-        return self.view.get(key)
+        return self.cache.get(key, self.tenant)
 
     def put(self, key, arr) -> bool:
         self.shared[key] = arr
         self.service._count("chunk_decodes")
         obs.add_counter("service.chunk.decodes")
-        return self.view.put(key, arr)
+        return self.cache.put(key, arr, self.tenant)
 
 
 @dataclass
@@ -186,15 +192,12 @@ class CompressionService:
         if self.config.max_batch < 1:
             raise InvalidArgumentError("max_batch must be >= 1")
         # The store's own cache is disabled: all caching goes through
-        # the tenant budget so residency is accounted per tenant.
+        # the service's cache so residency is accounted per tenant.
         self._arr = (
             open_store(store_path, cache_bytes=0) if store_path is not None else None
         )
-        quota = self.config.tenant_quota_bytes
-        self.budget = TenantCacheBudget(
-            self.config.cache_bytes,
-            default_quota=quota,
-            quotas=dict(self.config.tenant_quotas),
+        self.cache = DecodedChunkCache(
+            self.config.cache_bytes, tenant_quota=self.config.tenant_quota_bytes
         )
         self._server: asyncio.base_events.Server | None = None
         self._pool: ThreadPoolExecutor | None = None
@@ -313,7 +316,7 @@ class CompressionService:
         return {
             "counters": self.counters(),
             "latency": self.latency_percentiles(),
-            "cache": self.budget.stats(),
+            "cache": self.cache.stats(),
             "inflight": self._inflight_total,
             "has_store": self._arr is not None,
             "limits": {
@@ -677,9 +680,7 @@ class CompressionService:
                     tenant=req.tenant,
                     batch_size=len(batch),
                 ):
-                    overlay = _BatchOverlay(
-                        shared, self.budget.view(req.tenant), self
-                    )
+                    overlay = _BatchOverlay(shared, self.cache, req.tenant, self)
                     arr = self._arr.read_window(
                         req.window,
                         frame=req.frame,

@@ -15,17 +15,14 @@ path, and the progressive truncation primitives apply unchanged.
   whose :meth:`~CompressedArray.read_window` decodes only the chunks
   intersecting the requested window, optionally at a coarser multires
   level or under a per-request byte budget, with repeat traffic served
-  from a thread-safe memory-budgeted LRU (:class:`DecodedChunkCache`).
+  from a thread-safe memory-budgeted LRU (:class:`DecodedChunkCache`,
+  which also keeps the service tier's per-tenant slices under one
+  ceiling).
 
 See ``docs/store.md`` for the on-disk format and cache semantics.
 """
 
-from .cache import (
-    DEFAULT_CACHE_BYTES,
-    DecodedChunkCache,
-    TenantCacheBudget,
-    TenantCacheView,
-)
+from .cache import DEFAULT_CACHE_BYTES, DecodedChunkCache
 from .format import (
     DEFAULT_SHARD_BYTES,
     INDEX_NAME,
@@ -44,8 +41,6 @@ __all__ = [
     "open_store",
     "CompressedArray",
     "DecodedChunkCache",
-    "TenantCacheBudget",
-    "TenantCacheView",
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_SHARD_BYTES",
     "StoreIndex",

@@ -7,16 +7,19 @@ keeps recently decoded chunk arrays (keyed by ``(frame, chunk, level)``)
 under a byte budget, evicting least-recently-used entries, so warm
 window reads skip the SPECK/wavelet pipeline entirely.
 
+Entries belong to a *tenant* (``"default"`` unless the caller names
+one).  Each tenant keeps its own LRU under one uniform byte quota, and
+all tenants share the global ceiling, so the service tier can give one
+cache to many clients without one client's scan flushing another's hot
+set (see ``docs/service.md`` for the tenancy model).  A store reading
+on its own uses only the default tenant, whose quota is the ceiling:
+a plain byte-budgeted LRU.
+
 The cache is shared by every thread reading through one
 :class:`~repro.store.CompressedArray`: all bookkeeping happens under a
 single lock, and cached arrays are marked read-only so a hit can be
 served zero-copy without risking cache poisoning through an aliased
 mutation.
-
-:class:`TenantCacheBudget` layers multi-tenancy on the same idea for
-the service tier: one LRU per tenant under a per-tenant byte quota,
-plus a global ceiling, so one tenant's traffic cannot evict another
-tenant's working set (see ``docs/service.md`` for the tenancy model).
 """
 
 from __future__ import annotations
@@ -29,40 +32,60 @@ import numpy as np
 
 from ..errors import InvalidArgumentError
 
-__all__ = [
-    "DecodedChunkCache",
-    "DEFAULT_CACHE_BYTES",
-    "TenantCacheBudget",
-    "TenantCacheView",
-]
+__all__ = ["DecodedChunkCache", "DEFAULT_CACHE_BYTES"]
 
 #: Default decoded-chunk cache budget per open store (64 MiB).
 DEFAULT_CACHE_BYTES = 64 << 20
 
 
+class _Tenant:
+    """One tenant's LRU slice of a :class:`DecodedChunkCache`."""
+
+    __slots__ = ("entries", "nbytes", "hits", "misses", "evictions")
+
+    def __init__(self) -> None:
+        self.entries: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+
 class DecodedChunkCache:
     """Thread-safe LRU of decoded chunk arrays under a byte budget.
 
-    ``max_bytes=0`` disables the cache (every :meth:`get` misses and
-    :meth:`put` is a no-op), which is the reference behaviour the
-    equivalence tests compare against.
+    ``max_bytes`` is the ceiling over all tenants; ``tenant_quota``
+    (default: the ceiling) caps each tenant's resident bytes.  An insert
+    first evicts the inserting tenant's own LRU entries while it is over
+    its quota, then the globally least-recently-used entries while the
+    ceiling is exceeded.  When the quota times the number of active
+    tenants fits under the ceiling, a tenant is therefore never evicted
+    by another tenant's traffic.
+
+    ``max_bytes=0`` (or ``tenant_quota=0``) disables the cache: every
+    :meth:`get` misses and :meth:`put` is a no-op, which is the
+    reference behaviour the equivalence tests compare against.
     """
 
-    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
+    def __init__(
+        self, max_bytes: int = DEFAULT_CACHE_BYTES, *, tenant_quota: int | None = None
+    ) -> None:
         if max_bytes < 0:
             raise InvalidArgumentError("cache budget must be non-negative")
         self.max_bytes = int(max_bytes)
+        self.tenant_quota = self.max_bytes if tenant_quota is None else int(tenant_quota)
+        if self.tenant_quota < 0:
+            raise InvalidArgumentError("tenant quota must be non-negative")
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
+        self._tenants: dict[str, _Tenant] = {}
+        # Recency across tenants, oldest first: (tenant, key) -> None.
+        self._order: "OrderedDict[tuple[str, Hashable], None]" = OrderedDict()
         self._nbytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     @property
     def enabled(self) -> bool:
-        """True when the cache has a non-zero budget."""
-        return self.max_bytes > 0
+        """True when the ceiling and the tenant quota are both non-zero."""
+        return min(self.max_bytes, self.tenant_quota) > 0
 
     @property
     def nbytes(self) -> int:
@@ -72,284 +95,95 @@ class DecodedChunkCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._order)
 
-    def get(self, key: Hashable) -> np.ndarray | None:
-        """Look up a decoded chunk; a hit moves the entry to MRU.
+    def _tenant(self, tenant: str) -> _Tenant:
+        state = self._tenants.get(tenant)
+        if state is None:
+            state = self._tenants[tenant] = _Tenant()
+        return state
+
+    def get(self, key: Hashable, tenant: str = "default") -> np.ndarray | None:
+        """Look up a decoded chunk of ``tenant``; a hit moves it to MRU.
 
         Returns the cached (read-only) array or ``None`` on a miss.
         """
         with self._lock:
-            arr = self._entries.get(key)
+            state = self._tenant(tenant)
+            arr = state.entries.get(key)
             if arr is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return arr
-
-    def put(self, key: Hashable, arr: np.ndarray) -> bool:
-        """Insert a decoded chunk, evicting LRU entries over budget.
-
-        Arrays larger than the whole budget are not cached (they would
-        evict everything and then be evicted themselves on the next
-        insert).  The stored array is marked read-only; callers must
-        treat hits as immutable.  Returns True when the entry resides in
-        the cache on return.
-        """
-        if not self.enabled or arr.nbytes > self.max_bytes:
-            return False
-        arr.setflags(write=False)
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._nbytes -= old.nbytes
-            self._entries[key] = arr
-            self._nbytes += arr.nbytes
-            while self._nbytes > self.max_bytes and self._entries:
-                _, victim = self._entries.popitem(last=False)
-                self._nbytes -= victim.nbytes
-                self._evictions += 1
-            return key in self._entries
-
-    def clear(self) -> None:
-        """Drop every entry (budget and counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-            self._nbytes = 0
-
-    def stats(self) -> dict[str, int]:
-        """Snapshot of hit/miss/eviction counters and residency."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "entries": len(self._entries),
-                "nbytes": self._nbytes,
-                "max_bytes": self.max_bytes,
-            }
-
-
-class _TenantState:
-    """Per-tenant bookkeeping inside a :class:`TenantCacheBudget`."""
-
-    __slots__ = ("entries", "nbytes", "hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.entries: "OrderedDict[Hashable, tuple[np.ndarray, int]]" = OrderedDict()
-        self.nbytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
-class TenantCacheBudget:
-    """Multi-tenant decoded-chunk cache: per-tenant quotas + global ceiling.
-
-    :class:`DecodedChunkCache` budgets one anonymous consumer; a service
-    front door shares one cache between tenants with very different
-    traffic, and a single hot tenant must not be able to evict another
-    tenant's working set.  This policy keeps one LRU per tenant with a
-    byte *quota* and enforces a global byte *ceiling* across tenants:
-
-    * an insert first evicts the inserting tenant's own LRU entries
-      while that tenant is over its quota;
-    * if the global ceiling is still exceeded, eviction victims are
-      drawn from tenants *over their quota* first (oldest entry first);
-      only when every tenant is within quota — i.e. the quotas
-      oversubscribe the ceiling — does eviction fall back to the
-      globally least-recently-used entry.
-
-    When the per-tenant quotas sum to at most ``max_bytes``, a tenant
-    within its quota is therefore never evicted by another tenant's
-    traffic.  All bookkeeping happens under one lock; cached arrays are
-    marked read-only, exactly like :class:`DecodedChunkCache`.
-    """
-
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_CACHE_BYTES,
-        *,
-        default_quota: int | None = None,
-        quotas: dict[str, int] | None = None,
-    ) -> None:
-        if max_bytes < 0:
-            raise InvalidArgumentError("cache ceiling must be non-negative")
-        self.max_bytes = int(max_bytes)
-        self.default_quota = (
-            self.max_bytes if default_quota is None else int(default_quota)
-        )
-        if self.default_quota < 0:
-            raise InvalidArgumentError("default quota must be non-negative")
-        self.quotas = {str(k): int(v) for k, v in (quotas or {}).items()}
-        if any(v < 0 for v in self.quotas.values()):
-            raise InvalidArgumentError("tenant quotas must be non-negative")
-        self._lock = threading.Lock()
-        self._tenants: dict[str, _TenantState] = {}
-        self._nbytes = 0
-        self._stamp = 0
-
-    def quota(self, tenant: str) -> int:
-        """The byte quota in force for ``tenant``."""
-        return self.quotas.get(tenant, self.default_quota)
-
-    def view(self, tenant: str) -> "TenantCacheView":
-        """A cache handle with ``tenant`` baked in (get/put compatible
-        with :class:`DecodedChunkCache`, usable as a ``read_window``
-        cache override)."""
-        return TenantCacheView(self, tenant)
-
-    def _state(self, tenant: str) -> _TenantState:
-        state = self._tenants.get(tenant)
-        if state is None:
-            state = self._tenants[tenant] = _TenantState()
-        return state
-
-    def get(self, tenant: str, key: Hashable) -> np.ndarray | None:
-        """Look up ``key`` in ``tenant``'s LRU; a hit refreshes recency."""
-        with self._lock:
-            state = self._state(tenant)
-            hit = state.entries.get(key)
-            if hit is None:
                 state.misses += 1
                 return None
-            arr, _ = hit
-            self._stamp += 1
-            state.entries[key] = (arr, self._stamp)
             state.entries.move_to_end(key)
+            self._order.move_to_end((tenant, key))
             state.hits += 1
             return arr
 
-    def _evict_lru(self, state: _TenantState) -> None:
-        _, (victim, _) = state.entries.popitem(last=False)
-        state.nbytes -= victim.nbytes
-        self._nbytes -= victim.nbytes
-        state.evictions += 1
+    def _drop(self, tenant: str, key: Hashable) -> _Tenant:
+        state = self._tenants[tenant]
+        arr = state.entries.pop(key)
+        del self._order[(tenant, key)]
+        state.nbytes -= arr.nbytes
+        self._nbytes -= arr.nbytes
+        return state
 
-    def _pick_victim(self) -> _TenantState | None:
-        """The tenant to evict from while over the global ceiling."""
-        over = [
-            s
-            for t, s in self._tenants.items()
-            if s.entries and s.nbytes > self.quota(t)
-        ]
-        pool = over or [s for s in self._tenants.values() if s.entries]
-        if not pool:
-            return None
-        # Oldest (smallest stamp) front entry loses.
-        return min(pool, key=lambda s: next(iter(s.entries.values()))[1])
+    def put(self, key: Hashable, arr: np.ndarray, tenant: str = "default") -> bool:
+        """Insert a decoded chunk for ``tenant``, evicting LRU entries.
 
-    def put(self, tenant: str, key: Hashable, arr: np.ndarray) -> bool:
-        """Insert under ``tenant``'s quota and the global ceiling.
-
-        Arrays larger than the tenant's quota (or the ceiling) are not
-        cached.  Returns True when the entry resides in the cache on
-        return.
+        Arrays larger than the tenant quota or the ceiling are not
+        cached (they would evict everything and then be evicted
+        themselves on the next insert).  The stored array is marked
+        read-only; callers must treat hits as immutable.  Returns True
+        when the entry resides in the cache on return.
         """
-        quota = self.quota(tenant)
-        if arr.nbytes > quota or arr.nbytes > self.max_bytes:
+        if not self.enabled or arr.nbytes > min(self.max_bytes, self.tenant_quota):
             return False
         arr.setflags(write=False)
         with self._lock:
-            state = self._state(tenant)
-            old = state.entries.pop(key, None)
-            if old is not None:
-                state.nbytes -= old[0].nbytes
-                self._nbytes -= old[0].nbytes
-            self._stamp += 1
-            state.entries[key] = (arr, self._stamp)
+            state = self._tenant(tenant)
+            if key in state.entries:
+                self._drop(tenant, key)
+            state.entries[key] = arr
+            self._order[(tenant, key)] = None
             state.nbytes += arr.nbytes
             self._nbytes += arr.nbytes
-            while state.nbytes > quota and state.entries:
-                self._evict_lru(state)
+            while state.nbytes > self.tenant_quota:
+                self._drop(tenant, next(iter(state.entries))).evictions += 1
             while self._nbytes > self.max_bytes:
-                victim = self._pick_victim()
-                if victim is None:
-                    break
-                self._evict_lru(victim)
-            return key in state.entries
+                self._drop(*next(iter(self._order))).evictions += 1
+            return True
 
     def clear(self) -> None:
-        """Drop every tenant's entries (quotas and counters are kept)."""
+        """Drop every entry (budget, quota and counters are kept)."""
         with self._lock:
             for state in self._tenants.values():
                 state.entries.clear()
                 state.nbytes = 0
+            self._order.clear()
             self._nbytes = 0
 
-    @property
-    def nbytes(self) -> int:
-        """Total resident bytes across tenants (``<= max_bytes``)."""
-        with self._lock:
-            return self._nbytes
-
     def stats(self) -> dict:
-        """Global counters plus a per-tenant breakdown."""
+        """Global hit/miss/eviction counters and residency, plus a
+        per-tenant breakdown under ``"tenants"``."""
         with self._lock:
             tenants = {
                 t: {
                     "entries": len(s.entries),
                     "nbytes": s.nbytes,
-                    "quota": self.quota(t),
                     "hits": s.hits,
                     "misses": s.misses,
                     "evictions": s.evictions,
                 }
                 for t, s in self._tenants.items()
             }
-            return {
-                "nbytes": self._nbytes,
-                "max_bytes": self.max_bytes,
-                "default_quota": self.default_quota,
-                "hits": sum(s.hits for s in self._tenants.values()),
-                "misses": sum(s.misses for s in self._tenants.values()),
-                "evictions": sum(s.evictions for s in self._tenants.values()),
-                "entries": sum(len(s.entries) for s in self._tenants.values()),
-                "tenants": tenants,
-            }
-
-
-class TenantCacheView:
-    """One tenant's handle on a shared :class:`TenantCacheBudget`.
-
-    Implements the :class:`DecodedChunkCache` ``get``/``put``/``stats``
-    surface, so a :meth:`~repro.store.CompressedArray.read_window` call
-    can be pointed at a tenant's slice of the shared budget via its
-    ``cache=`` override.
-    """
-
-    __slots__ = ("budget", "tenant")
-
-    def __init__(self, budget: TenantCacheBudget, tenant: str) -> None:
-        self.budget = budget
-        self.tenant = str(tenant)
-
-    @property
-    def enabled(self) -> bool:
-        """True when this tenant can cache anything at all."""
-        return self.budget.max_bytes > 0 and self.budget.quota(self.tenant) > 0
-
-    def get(self, key: Hashable) -> np.ndarray | None:
-        """Tenant-scoped :meth:`TenantCacheBudget.get`."""
-        return self.budget.get(self.tenant, key)
-
-    def put(self, key: Hashable, arr: np.ndarray) -> bool:
-        """Tenant-scoped :meth:`TenantCacheBudget.put`."""
-        return self.budget.put(self.tenant, key, arr)
-
-    def stats(self) -> dict:
-        """This tenant's slice of the shared budget's stats."""
-        stats = self.budget.stats()
-        mine = stats["tenants"].get(self.tenant)
-        if mine is None:
-            mine = {
-                "entries": 0,
-                "nbytes": 0,
-                "quota": self.budget.quota(self.tenant),
-                "hits": 0,
-                "misses": 0,
-                "evictions": 0,
-            }
-        mine["max_bytes"] = self.budget.max_bytes
-        return mine
+            nbytes = self._nbytes
+        return {
+            "hits": sum(t["hits"] for t in tenants.values()),
+            "misses": sum(t["misses"] for t in tenants.values()),
+            "evictions": sum(t["evictions"] for t in tenants.values()),
+            "entries": sum(t["entries"] for t in tenants.values()),
+            "nbytes": nbytes,
+            "max_bytes": self.max_bytes,
+            "tenant_quota": self.tenant_quota,
+            "tenants": tenants,
+        }

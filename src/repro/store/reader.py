@@ -139,7 +139,9 @@ class CompressedArray:
         self._index = parse_index(index_path.read_bytes())
         self.cache = DecodedChunkCache(cache_bytes)
         self.workers = workers
-        self._mask_codes: dict[int, np.ndarray] = {}
+        # Only the last decoded frame's mask codes are kept: a shape-size
+        # uint8 array per masked frame would grow outside ``cache_bytes``.
+        self._mask_codes: tuple[int, np.ndarray] | None = None
         self._build_grid()
 
     # -- geometry ---------------------------------------------------------
@@ -283,11 +285,11 @@ class CompressedArray:
         report lists damaged chunks; only their window intersection is
         filled with ``fill_value``.  ``workers`` overrides the store's
         default decode parallelism for this read.  ``cache`` overrides the store's
-        shared decoded-chunk cache for this read (anything with the
-        :class:`~repro.store.cache.DecodedChunkCache` ``get``/``put``
-        surface, e.g. a :class:`~repro.store.TenantCacheView`) — the
-        service tier uses this to route each request through its
-        tenant's slice of a shared budget.
+        shared decoded-chunk cache for this read (anything with
+        ``get(key)``/``put(key, arr)``, e.g. another
+        :class:`~repro.store.DecodedChunkCache`) — the service tier
+        uses this to route each request through its batch overlay and
+        its tenant's slice of the service's cache.
         """
         if not 0 <= frame < self.n_frames:
             raise InvalidArgumentError(
@@ -402,15 +404,16 @@ class CompressedArray:
         return out
 
     def _frame_mask_codes(self, frame: int) -> np.ndarray | None:
-        """Decoded (and cached) shaped mask-code array of ``frame``."""
+        """Decoded shaped mask-code array of ``frame`` (last one memoised)."""
         blob = self._index.frame_masks[frame]
         if blob is None:
             return None
-        codes = self._mask_codes.get(frame)
-        if codes is None:
-            npoints = int(np.prod([int(s) for s in self.shape], dtype=np.int64))
-            codes = decode_mask(blob, npoints).reshape(self.shape)
-            self._mask_codes[frame] = codes
+        memo = self._mask_codes
+        if memo is not None and memo[0] == frame:
+            return memo[1]
+        npoints = int(np.prod([int(s) for s in self.shape], dtype=np.int64))
+        codes = decode_mask(blob, npoints).reshape(self.shape)
+        self._mask_codes = (frame, codes)
         return codes
 
     def _read_streams(

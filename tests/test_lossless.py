@@ -100,6 +100,40 @@ class TestHuffman:
         assert np.array_equal(restored.lengths, code.lengths)
         assert np.array_equal(restored.codes, code.codes)
 
+    @staticmethod
+    def _serialize_code_loop(lengths):
+        """The per-run loop ``serialize_code`` replaced, kept as oracle."""
+        parts = [struct.pack("<I", lengths.size)]
+        arr = lengths.astype(np.uint8).tolist()
+        i, n = 0, len(arr)
+        while i < n:
+            j = i
+            while j < n and arr[j] == arr[i] and j - i < 255:
+                j += 1
+            parts.append(bytes([arr[i], j - i]))
+            i = j
+        return b"".join(parts)
+
+    def test_codebook_serialization_matches_run_loop(self):
+        rng = np.random.default_rng(25)
+        tables = [np.zeros(0, dtype=np.uint8), np.full(255, 3, np.uint8),
+                  np.full(256, 0, np.uint8), np.full(1021, 7, np.uint8)]
+        for _ in range(200):
+            # Runs drawn around the 255 cap mixed with short ones.
+            n_runs = int(rng.integers(1, 40))
+            runs = np.where(
+                rng.random(n_runs) < 0.3,
+                rng.choice([254, 255, 256, 510, 511, 766], n_runs),
+                rng.integers(1, 12, n_runs),
+            )
+            vals = rng.integers(0, 4, n_runs) * rng.integers(0, 9, n_runs)
+            tables.append(np.repeat(vals, runs).astype(np.uint8))
+        for lengths in tables:
+            code = huffman.HuffmanCode(lengths, lengths.astype(np.uint32))
+            assert huffman.serialize_code(code) == self._serialize_code_loop(
+                lengths
+            )
+
     def test_truncated_codebook_rejected(self):
         with pytest.raises(StreamFormatError):
             huffman.deserialize_code(b"\x01")

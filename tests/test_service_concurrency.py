@@ -13,8 +13,8 @@ concurrent clients against an in-process server:
   backpressure errors instead of queueing it, and the server stays
   healthy afterwards;
 * one tenant flooding the cache cannot evict another tenant's
-  within-quota working set (the end-to-end version of the
-  ``TenantCacheBudget`` unit tests).
+  within-quota working set (the end-to-end version of the tenant
+  tests of ``DecodedChunkCache`` in ``test_store_cache.py``).
 """
 
 from __future__ import annotations

@@ -8,11 +8,17 @@ Pins the two properties the store's warm path rests on:
   cache hit or a miss, and every miss is decoded exactly once per read
   (``hits + misses == requested`` and ``misses == decoded``), under
   concurrency included.
+
+The same class keeps the service tier's tenants apart: one LRU per
+tenant under a uniform quota and the shared ceiling.  With one tenant it
+must behave exactly like a plain byte-budgeted LRU (checked against a
+model), and with several no tenant may exceed its quota.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -66,7 +72,8 @@ class TestLruSemantics:
         cache = DecodedChunkCache(0)
         assert not cache.enabled
         assert not cache.put("a", _arr(256, 0))
-        assert cache.get("a") is None
+        assert not cache.put("empty", np.empty(0))
+        assert cache.get("a") is None and len(cache) == 0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -172,160 +179,209 @@ class TestConcurrentReaders:
 
 
 class TestTenantCacheBudget:
-    """Per-tenant quotas, eviction order, and the isolation guarantee."""
-
-    def _budget(self, **kw):
-        from repro.store import TenantCacheBudget
-
-        return TenantCacheBudget(**kw)
+    """Per-tenant quotas of one cache: eviction order and isolation."""
 
     def test_tenants_do_not_share_keys(self):
-        budget = self._budget(max_bytes=4096)
+        cache = DecodedChunkCache(4096)
         a, b = _arr(256, 1.0), _arr(256, 2.0)
-        assert budget.put("t1", "k", a)
-        assert budget.put("t2", "k", b)
-        assert budget.get("t1", "k") is a
-        assert budget.get("t2", "k") is b
-        assert budget.nbytes == 512
+        assert cache.put("k", a, "t1")
+        assert cache.put("k", b, "t2")
+        assert cache.get("k", "t1") is a
+        assert cache.get("k", "t2") is b
+        assert cache.get("k") is None  # the default tenant is a third one
+        assert cache.nbytes == 512
 
     def test_quota_evicts_own_lru_first(self):
-        budget = self._budget(max_bytes=4096, default_quota=512)
-        budget.put("t", "a", _arr(256, 0))
-        budget.put("t", "b", _arr(256, 0))
-        budget.get("t", "a")  # refresh: "b" becomes this tenant's LRU
-        budget.put("t", "c", _arr(256, 0))
-        assert budget.get("t", "b") is None
-        assert budget.get("t", "a") is not None
-        assert budget.get("t", "c") is not None
-        assert budget.stats()["tenants"]["t"]["evictions"] == 1
+        cache = DecodedChunkCache(4096, tenant_quota=512)
+        cache.put("a", _arr(256, 0), "t")
+        cache.put("b", _arr(256, 0), "t")
+        cache.get("a", "t")  # refresh: "b" becomes this tenant's LRU
+        cache.put("c", _arr(256, 0), "t")
+        assert cache.get("b", "t") is None
+        assert cache.get("a", "t") is not None
+        assert cache.get("c", "t") is not None
+        assert cache.stats()["tenants"]["t"]["evictions"] == 1
 
     def test_oversized_entry_not_cached(self):
-        budget = self._budget(max_bytes=4096, default_quota=256)
-        assert not budget.put("t", "big", _arr(512, 0))
-        assert budget.get("t", "big") is None
-        assert budget.nbytes == 0
+        cache = DecodedChunkCache(4096, tenant_quota=256)
+        assert not cache.put("big", _arr(512, 0), "t")
+        assert cache.get("big", "t") is None
+        assert cache.nbytes == 0
 
     def test_replace_same_key_reaccounts_bytes(self):
-        budget = self._budget(max_bytes=4096, default_quota=1024)
-        budget.put("t", "k", _arr(256, 0))
-        budget.put("t", "k", _arr(512, 0))
-        stats = budget.stats()["tenants"]["t"]
+        cache = DecodedChunkCache(4096, tenant_quota=1024)
+        cache.put("k", _arr(256, 0), "t")
+        cache.put("k", _arr(512, 0), "t")
+        stats = cache.stats()["tenants"]["t"]
         assert stats["entries"] == 1 and stats["nbytes"] == 512
 
     def test_within_quota_tenant_survives_anothers_flood(self):
-        # Quotas sum to the ceiling: the protective guarantee must hold.
-        budget = self._budget(max_bytes=1024, default_quota=512)
+        # Two tenants' quotas sum to the ceiling: the guarantee must hold.
+        cache = DecodedChunkCache(1024, tenant_quota=512)
         for key in ("a1", "a2"):  # tenant A fills its quota exactly
-            budget.put("alice", key, _arr(256, 1.0))
+            cache.put(key, _arr(256, 1.0), "alice")
         for i in range(20):  # tenant B floods far past its own quota
-            budget.put("bob", f"b{i}", _arr(256, 2.0))
-        assert budget.get("alice", "a1") is not None
-        assert budget.get("alice", "a2") is not None
-        stats = budget.stats()["tenants"]
+            cache.put(f"b{i}", _arr(256, 2.0), "bob")
+        assert cache.get("a1", "alice") is not None
+        assert cache.get("a2", "alice") is not None
+        stats = cache.stats()["tenants"]
         assert stats["alice"]["evictions"] == 0
         assert stats["bob"]["evictions"] > 0
         assert stats["bob"]["nbytes"] <= 512
-        assert budget.nbytes <= 1024
-
-    def test_ceiling_evicts_over_quota_tenants_first(self):
-        # Quotas oversubscribe the ceiling; "greedy" is over quota while
-        # "modest" is within its own -- greedy must lose first.
-        budget = self._budget(
-            max_bytes=1024, quotas={"modest": 512, "greedy": 768}
-        )
-        budget.put("modest", "m1", _arr(256, 0))
-        budget.put("greedy", "g1", _arr(256, 0))
-        budget.put("greedy", "g2", _arr(256, 0))
-        budget.put("greedy", "g3", _arr(256, 0))  # greedy: 768 == quota
-        # Ceiling now binds (1024 resident + 256 incoming): greedy goes
-        # over quota with this insert and must evict its own oldest.
-        budget.put("greedy", "g4", _arr(256, 0))
-        assert budget.get("modest", "m1") is not None
-        assert budget.get("greedy", "g1") is None
-        assert budget.nbytes <= 1024
+        assert cache.nbytes <= 1024
 
     def test_ceiling_falls_back_to_global_lru_when_all_within_quota(self):
         # Both tenants within quota but the ceiling is oversubscribed:
         # the globally oldest entry loses, whoever owns it.
-        budget = self._budget(max_bytes=512, default_quota=512)
-        budget.put("t1", "old", _arr(256, 0))
-        budget.put("t2", "mid", _arr(256, 0))
-        budget.put("t1", "new", _arr(256, 0))
-        assert budget.get("t1", "old") is None  # globally oldest evicted
-        assert budget.get("t2", "mid") is not None
-        assert budget.get("t1", "new") is not None
+        cache = DecodedChunkCache(512, tenant_quota=512)
+        cache.put("old", _arr(256, 0), "t1")
+        cache.put("mid", _arr(256, 0), "t2")
+        cache.put("new", _arr(256, 0), "t1")
+        assert cache.get("old", "t1") is None  # globally oldest evicted
+        assert cache.get("mid", "t2") is not None
+        assert cache.get("new", "t1") is not None
 
     def test_hit_refreshes_against_global_lru(self):
-        budget = self._budget(max_bytes=512, default_quota=512)
-        budget.put("t1", "a", _arr(256, 0))
-        budget.put("t2", "b", _arr(256, 0))
-        budget.get("t1", "a")  # refresh: t2's entry is now globally LRU
-        budget.put("t1", "c", _arr(256, 0))
-        assert budget.get("t2", "b") is None
-        assert budget.get("t1", "a") is not None
+        cache = DecodedChunkCache(512, tenant_quota=512)
+        cache.put("a", _arr(256, 0), "t1")
+        cache.put("b", _arr(256, 0), "t2")
+        cache.get("a", "t1")  # refresh: t2's entry is now globally LRU
+        cache.put("c", _arr(256, 0), "t1")
+        assert cache.get("b", "t2") is None
+        assert cache.get("a", "t1") is not None
 
-    def test_zero_quota_disables_one_tenant_only(self):
-        budget = self._budget(max_bytes=4096, quotas={"cold": 0})
-        assert not budget.put("cold", "k", _arr(256, 0))
-        assert budget.put("warm", "k", _arr(256, 0))
-        assert not budget.view("cold").enabled
-        assert budget.view("warm").enabled
+    def test_zero_quota_disables_every_tenant(self):
+        cache = DecodedChunkCache(4096, tenant_quota=0)
+        assert not cache.enabled
+        assert not cache.put("k", _arr(256, 0), "t")
+        assert not cache.put("k", _arr(256, 0))
+        assert cache.nbytes == 0
 
     def test_invalid_configuration_rejected(self):
-        from repro.store import TenantCacheBudget
-
         with pytest.raises(InvalidArgumentError):
-            TenantCacheBudget(-1)
+            DecodedChunkCache(-1)
         with pytest.raises(InvalidArgumentError):
-            TenantCacheBudget(1024, default_quota=-1)
-        with pytest.raises(InvalidArgumentError):
-            TenantCacheBudget(1024, quotas={"t": -5})
+            DecodedChunkCache(1024, tenant_quota=-1)
 
     def test_clear_keeps_quotas_and_counters(self):
-        budget = self._budget(max_bytes=4096, quotas={"t": 512})
-        budget.put("t", "k", _arr(256, 0))
-        budget.get("t", "k")
-        budget.clear()
-        assert budget.nbytes == 0
-        assert budget.get("t", "k") is None
-        stats = budget.stats()["tenants"]["t"]
-        assert stats["hits"] == 1 and stats["quota"] == 512
+        cache = DecodedChunkCache(4096, tenant_quota=512)
+        cache.put("k", _arr(256, 0), "t")
+        cache.get("k", "t")
+        cache.clear()
+        assert cache.nbytes == 0 and len(cache) == 0
+        assert cache.get("k", "t") is None
+        stats = cache.stats()
+        assert stats["tenants"]["t"]["hits"] == 1
+        assert stats["tenant_quota"] == 512
+
+    def test_hits_are_readonly_and_stats_aggregate_tenants(self):
+        cache = DecodedChunkCache(4096, tenant_quota=1024)
+        arr = _arr(256, 3.0)
+        assert cache.put("k", arr, "t1")
+        cache.put("k", _arr(512, 4.0), "t2")
+        hit = cache.get("k", "t1")
+        assert hit is arr and not hit.flags.writeable
+        cache.get("missing", "t2")
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert (stats["entries"], stats["nbytes"]) == (2, 768)
+        assert stats["tenants"]["t2"] == {
+            "entries": 1, "nbytes": 512, "hits": 0, "misses": 1, "evictions": 0
+        }
 
 
-class TestTenantCacheView:
-    def test_view_is_cache_override_compatible(self, small_store):
-        """A TenantCacheView plugged into read_window behaves as a cache."""
-        from repro.store import TenantCacheBudget
-
+class TestCacheOverride:
+    def test_second_cache_is_override_compatible(self, small_store):
+        """Another DecodedChunkCache plugged into read_window serves hits."""
         path, full = small_store
         arr = open_store(path, cache_bytes=0)
-        budget = TenantCacheBudget(1 << 20)
-        view = budget.view("tenant")
+        other = DecodedChunkCache(1 << 20)
         window = (slice(0, 16),) * 3
         with obs.trace("t") as tracer:
-            first = arr.read_window(window, cache=view)
-            second = arr.read_window(window, cache=view)
+            first = arr.read_window(window, cache=other)
+            second = arr.read_window(window, cache=other)
         assert np.array_equal(first, full[window])
         assert np.array_equal(second, full[window])
         c = tracer.report().counters
         assert c["store.chunks.decoded"] == c["store.cache.misses"]
-        assert c.get("store.cache.hits", 0) > 0  # warm pass hit the view
-        assert budget.stats()["tenants"]["tenant"]["entries"] > 0
+        assert c.get("store.cache.hits", 0) > 0  # warm pass hit the override
+        assert other.stats()["tenants"]["default"]["entries"] > 0
+        assert len(arr.cache) == 0  # the store's own cache was bypassed
 
-    def test_view_arrays_are_readonly(self):
-        from repro.store import TenantCacheBudget
 
-        view = TenantCacheBudget(4096).view("t")
-        arr = _arr(256, 3.0)
-        assert view.put("k", arr)
-        hit = view.get("k")
-        assert hit is arr and not hit.flags.writeable
-        stats = view.stats()
-        assert stats["entries"] == 1 and stats["max_bytes"] == 4096
+class _LruModel:
+    """Reference single-consumer byte-budgeted LRU."""
 
-    def test_empty_view_stats(self):
-        from repro.store import TenantCacheBudget
+    def __init__(self, max_bytes):
+        self.max_bytes = max_bytes
+        self.entries = OrderedDict()
+        self.nbytes = self.hits = self.misses = self.evictions = 0
 
-        view = TenantCacheBudget(4096, quotas={"q": 128}).view("q")
-        stats = view.stats()
-        assert stats["entries"] == 0 and stats["quota"] == 128
+    def get(self, key):
+        if key not in self.entries:
+            self.misses += 1
+            return None
+        self.entries.move_to_end(key)
+        self.hits += 1
+        return self.entries[key]
+
+    def put(self, key, arr):
+        if self.max_bytes == 0 or arr.nbytes > self.max_bytes:
+            return False
+        if key in self.entries:
+            self.nbytes -= self.entries.pop(key).nbytes
+        self.entries[key] = arr
+        self.nbytes += arr.nbytes
+        while self.nbytes > self.max_bytes:
+            self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+            self.evictions += 1
+        return True
+
+
+class TestCacheProperties:
+    SIZES = (0, 8, 64, 128, 256, 512)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_tenant_matches_lru_model(self, seed):
+        rng = np.random.default_rng(seed)
+        max_bytes = int(rng.choice([0, 256, 512, 1024, 1536]))
+        cache, model = DecodedChunkCache(max_bytes), _LruModel(max_bytes)
+        for _ in range(400):
+            key = int(rng.integers(0, 12))
+            if rng.random() < 0.5:
+                got, want = cache.get(key), model.get(key)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got is want
+            else:
+                arr = _arr(int(rng.choice(self.SIZES)), 0)
+                assert cache.put(key, arr) == model.put(key, arr)
+            stats = cache.stats()
+            assert (stats["hits"], stats["misses"], stats["evictions"]) == (
+                model.hits, model.misses, model.evictions
+            )
+            assert stats["nbytes"] == model.nbytes
+            assert stats["entries"] == len(model.entries)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_many_tenants_stay_within_quota_and_ceiling(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        max_bytes = int(rng.choice([0, 512, 1024, 1536]))
+        quota = int(rng.choice([0, 256, 512, 1024, 2048]))
+        cache = DecodedChunkCache(max_bytes, tenant_quota=quota)
+        tenants = [f"t{i}" for i in range(int(rng.integers(1, 5)))]
+        for _ in range(400):
+            tenant = tenants[int(rng.integers(0, len(tenants)))]
+            key = int(rng.integers(0, 8))
+            if rng.random() < 0.4:
+                cache.get(key, tenant)
+            else:
+                cache.put(key, _arr(int(rng.choice(self.SIZES)), 0), tenant)
+            stats = cache.stats()
+            assert all(
+                t["nbytes"] <= quota for t in stats["tenants"].values()
+            )
+            assert stats["nbytes"] == sum(
+                t["nbytes"] for t in stats["tenants"].values()
+            )
+            assert stats["nbytes"] <= max_bytes

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import decompress
 from repro.core.modes import PweMode
 from repro.errors import ReproError
 from repro.store import (
@@ -116,6 +117,25 @@ class TestMaskedFrames:
         window = (slice(2, 10), slice(0, 8))
         out = arr.read_window(window)
         assert np.array_equal(np.isnan(out), np.isnan(masked_frame[window]))
+
+    def test_mask_codes_memo_holds_one_frame(self, tmp_path, masked_frame):
+        frames = [masked_frame, masked_frame[::-1].copy(), masked_frame.T.copy()]
+        with StoreWriter(tmp_path / "s", PweMode(TOL)) as writer:
+            full = [decompress(writer.append(f).payload) for f in frames]
+        arr = open_store(tmp_path / "s")
+        window = (slice(0, 12), slice(3, 20))
+        for frame in (0, 1, 2, 0):
+            out = arr.read_window(window, frame=frame)
+            assert np.array_equal(out, full[frame][window], equal_nan=True)
+            # Shape-size code arrays held by the store, one level deep.
+            held = []
+            for value in vars(arr).values():
+                if isinstance(value, dict):
+                    value = list(value.values())
+                for item in value if isinstance(value, (tuple, list)) else [value]:
+                    if isinstance(item, np.ndarray) and item.shape == arr.shape:
+                        held.append(item)
+            assert len(held) <= 1
 
     def test_coarse_preview_stays_finite(self, tmp_path, masked_frame):
         # Coarse levels aggregate valid and masked fine samples; there
