@@ -131,18 +131,44 @@ def _pack_fixed(values: np.ndarray, bits: int) -> bytes:
     return np.packbits(fields).tobytes()
 
 
+#: Blocks one stacked pass of :func:`encode_lanes` takes at most (unless
+#: a single lane is larger).  The classification streams its
+#: ``(blocks, BLOCK)`` matrix ~15 times, so a batch should stay
+#: L2-resident: batches of 256 blocks (two 32³ lanes, 512 KiB of
+#: samples) encoded eight 32³ Miranda lanes in 5.8–8.6 ms against
+#: 9.3–13.0 ms for all of them in one pass, and 64 16³ lanes in
+#: 8.5–8.8 ms against 12.0–13.1 ms; 128 and 512 blocks were slower.
+_BATCH_BLOCKS = 256
+
+
 def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     """Encode one lane body per input array, through shared stacked kernels.
 
     Every lane's stream is a pure function of its own samples and the
     tolerance — the classification, quantization, and packing of lane
     ``i`` never look at lane ``j`` — so calling this with one array or
-    with a batch produces byte-identical per-lane streams.
+    with a batch produces byte-identical per-lane streams.  Consecutive
+    lanes are stacked up to :data:`_BATCH_BLOCKS` blocks per pass.
     """
     if not np.isfinite(tolerance) or tolerance <= 0.0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tolerance}")
-    if not arrays:
-        return []
+    out: list[bytes] = []
+    batch: list[np.ndarray] = []
+    blocks = 0
+    for a in arrays:
+        nb = -(-int(np.size(a)) // BLOCK)
+        if batch and blocks + nb > _BATCH_BLOCKS:
+            out += _encode_batch(batch, tolerance)
+            batch, blocks = [], 0
+        batch.append(a)
+        blocks += nb
+    if batch:
+        out += _encode_batch(batch, tolerance)
+    return out
+
+
+def _encode_batch(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
+    """:func:`encode_lanes` of one stacked batch of lanes."""
     x, lanes = _pad_lanes(arrays)
     nb_total = x.shape[0]
     q = 2.0 * tolerance
@@ -162,8 +188,14 @@ def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     np.multiply(slope[:, None], _IC, out=tmp)
     res_lin -= tmp
     res_sel = np.subtract(x, mid[:, None])
-    rmax_lin = _absmax(res_lin)
-    rmax_den = _absmax(res_sel)
+    lin_hi = res_lin.max(axis=1)
+    lin_lo = res_lin.min(axis=1)
+    rmax_lin = np.maximum(lin_hi, -lin_lo)
+    # Rounded subtraction of one value is monotone, so the extremes of
+    # ``x - mid`` are the row extremes shifted: no pass over res_sel.
+    den_hi = bmax - mid
+    den_lo = bmin - mid
+    rmax_den = np.maximum(den_hi, -den_lo)
 
     # Cost model in bytes: params + one 32-byte row per plane.  Width is
     # estimated from the zigzag bound 2*|res|max/q (within one plane of
@@ -188,7 +220,12 @@ def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     with np.errstate(invalid="ignore"):
         np.divide(res_sel, q, out=codes)
         np.rint(codes, out=codes)
-    amax = _absmax(codes)
+        # ``rint(r / q)`` is monotone in ``r`` too: the code extremes
+        # are the residual extremes, divided and rounded.
+        amax = np.maximum(
+            np.rint(np.where(lin, lin_hi, den_hi) / q),
+            -np.rint(np.where(lin, lin_lo, den_lo) / q),
+        )
     # Overflow guard: zigzag codes must fit MAX_WIDTH bit planes.
     types[~np.isfinite(amax) | (amax > 2.0 ** (MAX_WIDTH - 1) - 1)] = T_RAW
     types[(bmax - bmin) <= q] = T_CONST

@@ -78,7 +78,11 @@ def dequantize_batch(mags: np.ndarray, negative: np.ndarray, q) -> np.ndarray:
     out += 0.5
     out *= qb
     np.copyto(out, 0.0, where=mags == 0)
-    np.negative(out, out=out, where=np.asarray(negative, dtype=bool))
+    # Every value is +0.0 or positive here, so negation is setting the
+    # sign bit (dead-zone negatives become -0.0, as under np.negative).
+    sign = np.asarray(negative, dtype=bool).astype(np.uint64)
+    sign <<= np.uint64(63)
+    out.view(np.uint64)[...] |= sign
     return out
 
 

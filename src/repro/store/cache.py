@@ -81,6 +81,9 @@ class DecodedChunkCache:
         # Recency across tenants, oldest first: (tenant, key) -> None.
         self._order: "OrderedDict[tuple[str, Hashable], None]" = OrderedDict()
         self._nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     @property
     def enabled(self) -> bool:
@@ -97,35 +100,41 @@ class DecodedChunkCache:
         with self._lock:
             return len(self._order)
 
-    def _tenant(self, tenant: str) -> _Tenant:
-        state = self._tenants.get(tenant)
-        if state is None:
-            state = self._tenants[tenant] = _Tenant()
-        return state
-
     def get(self, key: Hashable, tenant: str = "default") -> np.ndarray | None:
         """Look up a decoded chunk of ``tenant``; a hit moves it to MRU.
 
-        Returns the cached (read-only) array or ``None`` on a miss.
+        Returns the cached (read-only) array or ``None`` on a miss.  A
+        lookup never creates a tenant record: a tenant with nothing
+        resident has none, whatever names the callers send.
         """
         with self._lock:
-            state = self._tenant(tenant)
-            arr = state.entries.get(key)
+            state = self._tenants.get(tenant)
+            arr = None if state is None else state.entries.get(key)
             if arr is None:
-                state.misses += 1
+                self.misses += 1
+                if state is not None:
+                    state.misses += 1
                 return None
             state.entries.move_to_end(key)
             self._order.move_to_end((tenant, key))
+            self.hits += 1
             state.hits += 1
             return arr
 
-    def _drop(self, tenant: str, key: Hashable) -> _Tenant:
-        state = self._tenants[tenant]
+    def _unlink(self, state: _Tenant, tenant: str, key: Hashable) -> None:
         arr = state.entries.pop(key)
         del self._order[(tenant, key)]
         state.nbytes -= arr.nbytes
         self._nbytes -= arr.nbytes
-        return state
+
+    def _evict(self, tenant: str, key: Hashable) -> None:
+        """Evict one entry; a tenant's record goes with its last entry."""
+        state = self._tenants[tenant]
+        self._unlink(state, tenant, key)
+        state.evictions += 1
+        self.evictions += 1
+        if not state.entries:
+            del self._tenants[tenant]
 
     def put(self, key: Hashable, arr: np.ndarray, tenant: str = "default") -> bool:
         """Insert a decoded chunk for ``tenant``, evicting LRU entries.
@@ -140,31 +149,33 @@ class DecodedChunkCache:
             return False
         arr.setflags(write=False)
         with self._lock:
-            state = self._tenant(tenant)
-            if key in state.entries:
-                self._drop(tenant, key)
+            state = self._tenants.get(tenant)
+            if state is None:
+                state = self._tenants[tenant] = _Tenant()
+            elif key in state.entries:
+                self._unlink(state, tenant, key)
             state.entries[key] = arr
             self._order[(tenant, key)] = None
             state.nbytes += arr.nbytes
             self._nbytes += arr.nbytes
             while state.nbytes > self.tenant_quota:
-                self._drop(tenant, next(iter(state.entries))).evictions += 1
+                self._evict(tenant, next(iter(state.entries)))
             while self._nbytes > self.max_bytes:
-                self._drop(*next(iter(self._order))).evictions += 1
+                self._evict(*next(iter(self._order)))
             return True
 
     def clear(self) -> None:
-        """Drop every entry (budget, quota and counters are kept)."""
+        """Drop every entry and tenant record (budget, quota and the
+        global counters are kept)."""
         with self._lock:
-            for state in self._tenants.values():
-                state.entries.clear()
-                state.nbytes = 0
+            self._tenants.clear()
             self._order.clear()
             self._nbytes = 0
 
     def stats(self) -> dict:
         """Global hit/miss/eviction counters and residency, plus a
-        per-tenant breakdown under ``"tenants"``."""
+        breakdown under ``"tenants"`` of every tenant with resident
+        entries (its counters start when its record does)."""
         with self._lock:
             tenants = {
                 t: {
@@ -176,13 +187,15 @@ class DecodedChunkCache:
                 }
                 for t, s in self._tenants.items()
             }
-            nbytes = self._nbytes
+            counters = {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "entries": len(self._order),
+                "nbytes": self._nbytes,
+            }
         return {
-            "hits": sum(t["hits"] for t in tenants.values()),
-            "misses": sum(t["misses"] for t in tenants.values()),
-            "evictions": sum(t["evictions"] for t in tenants.values()),
-            "entries": sum(t["entries"] for t in tenants.values()),
-            "nbytes": nbytes,
+            **counters,
             "max_bytes": self.max_bytes,
             "tenant_quota": self.tenant_quota,
             "tenants": tenants,

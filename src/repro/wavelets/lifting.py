@@ -6,9 +6,15 @@ transforms:
 
 * use whole-sample symmetric boundary extension (QccPack convention),
 * handle arbitrary (even or odd, non power-of-two) lengths,
-* are vectorized along every other axis (the transform axis is moved last
-  and the lifting steps are pure slice arithmetic), and
+* lift in place along any axis of a float64 view: the kernel copies out
+  the even and odd samples along that axis, runs the lifting steps as
+  slice arithmetic along the same axis (vectorized over every other
+  axis), and writes the Mallat halves back into the view, and
 * achieve perfect reconstruction to floating-point round-off.
+
+:data:`FILTERS` holds the ``(forward, inverse)`` kernels; the exported
+1-D functions (:func:`forward_97`, ...) run the same kernels on a copy
+of their input along its last axis.
 
 The 9/7 scaling constants are chosen so that the synthesis basis functions
 have approximately unit L2 norm ("near orthogonality"), which is the
@@ -17,6 +23,8 @@ errors.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -43,200 +51,202 @@ _K = 1.230174104914001
 _S_LOW = np.sqrt(2.0) / _K
 _S_HIGH = _K / np.sqrt(2.0)
 
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Copy even/odd samples of the last axis into separate arrays.
-
-    Always copies: the lifting steps mutate these in place and must never
-    alias the caller's array (a strided slice can be a view when it has a
-    single element).
-    """
-    return x[..., 0::2].astype(np.float64), x[..., 1::2].astype(np.float64)
-
-
-def _even_neighbors(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s[i], s[i+1]) pairs seen by odd samples, with symmetric extension."""
-    if n % 2 == 0:
-        right = np.concatenate([s[..., 1:], s[..., -1:]], axis=-1)
-        return s, right
-    return s[..., :-1], s[..., 1:]
-
-
-def _odd_neighbors(d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(d[i-1], d[i]) pairs seen by even samples, with symmetric extension."""
-    left = np.concatenate([d[..., :1], d[..., :-1]], axis=-1)
-    if n % 2 == 0:
-        return left, d
-    left = np.concatenate([d[..., :1], d], axis=-1)
-    right = np.concatenate([d, d[..., -1:]], axis=-1)
-    return left, right
-
-
-def _even_sum(s: np.ndarray, n: int, out: np.ndarray) -> None:
-    """``sl + sr`` of :func:`_even_neighbors` written into ``out``.
-
-    Same elementwise sums as the concat-based helper (so results are
-    bit-identical) without allocating the shifted copies.
-    """
-    if n % 2 == 0:
-        np.add(s[..., :-1], s[..., 1:], out=out[..., :-1])
-        np.add(s[..., -1], s[..., -1], out=out[..., -1])
-    else:
-        np.add(s[..., :-1], s[..., 1:], out=out)
-
-
-def _odd_sum(d: np.ndarray, n: int, out: np.ndarray) -> None:
-    """``dl + dr`` of :func:`_odd_neighbors` written into ``out``."""
-    if n % 2 == 0:
-        np.add(d[..., :-1], d[..., 1:], out=out[..., 1:])
-        np.add(d[..., 0], d[..., 0], out=out[..., 0])
-    else:
-        np.add(d[..., :-1], d[..., 1:], out=out[..., 1:-1])
-        np.add(d[..., 0], d[..., 0], out=out[..., 0])
-        np.add(d[..., -1], d[..., -1], out=out[..., -1])
-
-
-def forward_97(x: np.ndarray) -> np.ndarray:
-    """One CDF 9/7 analysis pass along the last axis.
-
-    Returns the coefficients in Mallat layout: ``[lowpass | highpass]``
-    concatenated along the last axis (lowpass length is ``ceil(n/2)``).
-    The lifting steps stage each neighbor sum in a reused scratch buffer;
-    the arithmetic (add, scale, accumulate) matches the textbook form
-    operation for operation, so outputs are bit-identical to it.
-    """
-    n = x.shape[-1]
-    if n < 2:
-        raise InvalidArgumentError("transform length must be at least 2")
-    s, d = _split(x.astype(np.float64, copy=False))
-    t_d = np.empty_like(d)
-    t_s = np.empty_like(s)
-    _even_sum(s, n, t_d)
-    t_d *= _ALPHA
-    d += t_d
-    _odd_sum(d, n, t_s)
-    t_s *= _BETA
-    s += t_s
-    _even_sum(s, n, t_d)
-    t_d *= _GAMMA
-    d += t_d
-    _odd_sum(d, n, t_s)
-    t_s *= _DELTA
-    s += t_s
-    s *= _S_LOW
-    d *= _S_HIGH
-    return np.concatenate([s, d], axis=-1)
-
-
-def inverse_97(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`forward_97` (Mallat-layout input)."""
-    n = c.shape[-1]
-    half = (n + 1) // 2
-    s = c[..., :half].astype(np.float64, copy=True)
-    d = c[..., half:].astype(np.float64, copy=True)
-    s /= _S_LOW
-    d /= _S_HIGH
-    t_d = np.empty_like(d)
-    t_s = np.empty_like(s)
-    _odd_sum(d, n, t_s)
-    t_s *= _DELTA
-    s -= t_s
-    _even_sum(s, n, t_d)
-    t_d *= _GAMMA
-    d -= t_d
-    _odd_sum(d, n, t_s)
-    t_s *= _BETA
-    s -= t_s
-    _even_sum(s, n, t_d)
-    t_d *= _ALPHA
-    d -= t_d
-    out = np.empty_like(c, dtype=np.float64)
-    out[..., 0::2] = s
-    out[..., 1::2] = d
-    return out
-
-
-# CDF 5/3 (LeGall) lifting, used by the wavelet-choice ablation.  The
+# CDF 5/3 (LeGall) lifting, used by the wavelet-choice ablation:
+# ``d -= (s[i] + s[i+1]) / 2``, ``s += (d[i-1] + d[i]) / 4``.  The
 # scalings below were calibrated numerically so the synthesis basis
 # functions have mean unit L2 norm (5/3 is only loosely orthogonal).
 _S53_LOW = 1.2260616233132038
 _S53_HIGH = np.sqrt(2.0) / 2.0 * 1.1987347890132365
 
 
-def forward_53(x: np.ndarray) -> np.ndarray:
-    """One CDF 5/3 analysis pass along the last axis (Mallat layout)."""
-    n = x.shape[-1]
+def _cut(v: np.ndarray, axis: int):
+    """Validate a kernel's view; returns ``(n, cut)``.
+
+    ``n`` is the view's length along ``axis``; ``cut(start, stop, step)``
+    is the index tuple slicing only that axis.
+    """
+    if v.dtype != np.float64:
+        raise InvalidArgumentError("lifting kernels run on float64 views")
+    axis = axis % max(v.ndim, 1)
+    n = v.shape[axis] if v.ndim else 0
     if n < 2:
         raise InvalidArgumentError("transform length must be at least 2")
-    s, d = _split(x.astype(np.float64, copy=False))
-    sl, sr = _even_neighbors(s, n)
-    d -= 0.5 * (sl + sr)
-    dl, dr = _odd_neighbors(d, n)
-    s += 0.25 * (dl + dr)
-    s *= _S53_LOW
-    d *= _S53_HIGH
-    return np.concatenate([s, d], axis=-1)
+    lead = (slice(None),) * axis
+    return n, lambda *bounds: lead + (slice(*bounds),)
 
 
-def inverse_53(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`forward_53`."""
-    n = c.shape[-1]
+def _even_sum(s: np.ndarray, n: int, out: np.ndarray, cut) -> None:
+    """``s[i] + s[i+1]`` (symmetric extension at the end) into ``out``:
+    the even-sample neighbour sums each odd sample sees."""
+    if n % 2 == 0:
+        np.add(s[cut(None, -1)], s[cut(1, None)], out=out[cut(None, -1)])
+        last = cut(-1, None)
+        np.add(s[last], s[last], out=out[last])
+    else:
+        np.add(s[cut(None, -1)], s[cut(1, None)], out=out)
+
+
+def _odd_sum(d: np.ndarray, n: int, out: np.ndarray, cut) -> None:
+    """``d[i-1] + d[i]`` (symmetric extension at both ends) into ``out``:
+    the odd-sample neighbour sums each even sample sees."""
+    first = cut(0, 1)
+    if n % 2 == 0:
+        np.add(d[cut(None, -1)], d[cut(1, None)], out=out[cut(1, None)])
+        np.add(d[first], d[first], out=out[first])
+    else:
+        np.add(d[cut(None, -1)], d[cut(1, None)], out=out[cut(1, -1)])
+        np.add(d[first], d[first], out=out[first])
+        last = cut(-1, None)
+        np.add(d[last], d[last], out=out[last])
+
+
+def _forward_lifting(
+    v: np.ndarray, axis: int = -1, *, coeffs: tuple, low: float, high: float
+) -> np.ndarray:
+    """Lifting analysis of ``v`` along ``axis``, in place; returns ``v``.
+
+    ``coeffs`` alternate predict and update steps: the even-indexed ones
+    add ``coeff * (s[i] + s[i+1])`` to the odd samples ``d``, the
+    odd-indexed ones add ``coeff * (d[i-1] + d[i])`` to the even samples
+    ``s``.  The halves are then scaled by ``low``/``high`` and written
+    back in Mallat layout along ``axis``: ``[lowpass | highpass]``
+    (lowpass length ``ceil(n/2)``).  Each neighbour sum is staged in a
+    reused scratch buffer; the arithmetic (add, scale, accumulate)
+    matches the textbook form operation for operation, so the result is
+    bit-identical to it.
+    """
+    n, cut = _cut(v, axis)
+    s = v[cut(0, None, 2)].copy()
+    d = v[cut(1, None, 2)].copy()
+    t_d = np.empty_like(d)
+    t_s = np.empty_like(s)
+    for i, coeff in enumerate(coeffs):
+        if i % 2 == 0:
+            _even_sum(s, n, t_d, cut)
+            t_d *= coeff
+            d += t_d
+        else:
+            _odd_sum(d, n, t_s, cut)
+            t_s *= coeff
+            s += t_s
     half = (n + 1) // 2
-    s = c[..., :half].astype(np.float64, copy=True)
-    d = c[..., half:].astype(np.float64, copy=True)
-    s /= _S53_LOW
-    d /= _S53_HIGH
-    dl, dr = _odd_neighbors(d, n)
-    s -= 0.25 * (dl + dr)
-    sl, sr = _even_neighbors(s, n)
-    d += 0.5 * (sl + sr)
-    out = np.empty_like(c, dtype=np.float64)
-    out[..., 0::2] = s
-    out[..., 1::2] = d
-    return out
+    np.multiply(s, low, out=v[cut(0, half)])
+    np.multiply(d, high, out=v[cut(half, None)])
+    return v
+
+
+def _inverse_lifting(
+    v: np.ndarray, axis: int = -1, *, coeffs: tuple, low: float, high: float
+) -> np.ndarray:
+    """Inverse of :func:`_forward_lifting`: unscale, then undo the steps
+    in reverse order."""
+    n, cut = _cut(v, axis)
+    half = (n + 1) // 2
+    s = v[cut(0, half)] / low
+    d = v[cut(half, None)] / high
+    t_d = np.empty_like(d)
+    t_s = np.empty_like(s)
+    for i in range(len(coeffs) - 1, -1, -1):
+        if i % 2 == 0:
+            _even_sum(s, n, t_d, cut)
+            t_d *= coeffs[i]
+            d -= t_d
+        else:
+            _odd_sum(d, n, t_s, cut)
+            t_s *= coeffs[i]
+            s -= t_s
+    v[cut(0, None, 2)] = s
+    v[cut(1, None, 2)] = d
+    return v
+
+
+def _lifting_pair(coeffs: tuple, low: float, high: float) -> tuple:
+    """The ``(forward, inverse)`` kernels of one lifting factorization."""
+    step = dict(coeffs=coeffs, low=low, high=high)
+    return partial(_forward_lifting, **step), partial(_inverse_lifting, **step)
 
 
 _SQRT2 = np.sqrt(2.0)
 
 
+def _forward_haar(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Orthonormal Haar analysis of ``v`` along ``axis``, in place; an
+    odd tail sample passes through between the halves."""
+    n, cut = _cut(v, axis)
+    m = n // 2
+    a = v[cut(0, 2 * m, 2)]
+    b = v[cut(1, 2 * m, 2)]
+    s = a + b
+    s /= _SQRT2
+    d = a - b
+    d /= _SQRT2
+    v[cut(0, m)] = s
+    if n % 2:
+        np.multiply(v[cut(n - 1, n)], 1.0, out=v[cut(m, m + 1)])
+    v[cut(n - m, None)] = d
+    return v
+
+
+def _inverse_haar(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Inverse of :func:`_forward_haar`."""
+    n, cut = _cut(v, axis)
+    m = n // 2
+    s = v[cut(0, m)]
+    d = v[cut(n - m, None)]
+    a = s + d
+    a /= _SQRT2
+    b = s - d
+    b /= _SQRT2
+    if n % 2:
+        v[cut(n - 1, n)] = v[cut(m, m + 1)]
+    v[cut(0, 2 * m, 2)] = a
+    v[cut(1, 2 * m, 2)] = b
+    return v
+
+
+#: Registry of in-place ``(forward, inverse)`` kernels by wavelet name.
+#: Each kernel is ``kernel(view, axis=-1) -> view``: it transforms a
+#: float64 view along ``axis`` (Mallat layout) and returns the view.
+FILTERS: dict[str, tuple] = {
+    "cdf97": _lifting_pair((_ALPHA, _BETA, _GAMMA, _DELTA), _S_LOW, _S_HIGH),
+    "cdf53": _lifting_pair((-0.5, 0.25), _S53_LOW, _S53_HIGH),
+    "haar": (_forward_haar, _inverse_haar),
+}
+
+
+def _last_axis(name: str, direction: int, x: np.ndarray) -> np.ndarray:
+    return FILTERS[name][direction](np.array(x, dtype=np.float64), -1)
+
+
+def forward_97(x: np.ndarray) -> np.ndarray:
+    """One CDF 9/7 analysis pass along the last axis of a copy of ``x``.
+
+    Returns the coefficients in Mallat layout: ``[lowpass | highpass]``
+    along the last axis (lowpass length is ``ceil(n/2)``).
+    """
+    return _last_axis("cdf97", 0, x)
+
+
+def inverse_97(c: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`forward_97` (Mallat-layout input)."""
+    return _last_axis("cdf97", 1, c)
+
+
+def forward_53(x: np.ndarray) -> np.ndarray:
+    """One CDF 5/3 analysis pass along the last axis (Mallat layout)."""
+    return _last_axis("cdf53", 0, x)
+
+
+def inverse_53(c: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`forward_53`."""
+    return _last_axis("cdf53", 1, c)
+
+
 def forward_haar(x: np.ndarray) -> np.ndarray:
     """Orthonormal Haar analysis pass (odd tail sample passed through)."""
-    n = x.shape[-1]
-    if n < 2:
-        raise InvalidArgumentError("transform length must be at least 2")
-    x = x.astype(np.float64, copy=False)
-    m = n // 2
-    a = x[..., 0 : 2 * m : 2]
-    b = x[..., 1 : 2 * m : 2]
-    s = (a + b) / _SQRT2
-    d = (a - b) / _SQRT2
-    if n % 2:
-        tail = x[..., -1:] * 1.0
-        return np.concatenate([s, tail, d], axis=-1)
-    return np.concatenate([s, d], axis=-1)
+    return _last_axis("haar", 0, x)
 
 
 def inverse_haar(c: np.ndarray) -> np.ndarray:
     """Inverse of :func:`forward_haar`."""
-    n = c.shape[-1]
-    half = (n + 1) // 2
-    s = c[..., :half]
-    d = c[..., half:]
-    out = np.empty_like(c, dtype=np.float64)
-    if n % 2:
-        out[..., -1] = s[..., -1]
-        s = s[..., :-1]
-    a = (s + d) / _SQRT2
-    b = (s - d) / _SQRT2
-    m = n // 2
-    out[..., 0 : 2 * m : 2] = a
-    out[..., 1 : 2 * m : 2] = b
-    return out
-
-
-#: Registry of (forward, inverse) axis transforms by wavelet name.
-FILTERS: dict[str, tuple] = {
-    "cdf97": (forward_97, inverse_97),
-    "cdf53": (forward_53, inverse_53),
-    "haar": (forward_haar, inverse_haar),
-}
+    return _last_axis("haar", 1, c)

@@ -95,6 +95,30 @@ class TestDequantize:
             assert out.tobytes() == expected.tobytes()
         assert np.signbit(dequantize_batch(mags, neg, 1.0)[:, :5]).all()
 
+    def test_sign_bit_matches_masked_negation(self, rng):
+        """Setting the sign bit gives the bit patterns of the masked
+        ``np.negative`` pass it replaces: dead-zone negatives become
+        ``-0.0``, under a scalar and a per-lane step."""
+
+        def masked_negation(mags, neg, q):
+            out = mags.astype(np.float64)
+            out += 0.5
+            out *= np.asarray(q).reshape((-1, 1, 1)) if np.ndim(q) else q
+            np.copyto(out, 0.0, where=mags == 0)
+            np.negative(out, out=out, where=neg)
+            return out
+
+        mags = rng.integers(0, 1 << 40, size=(4, 6, 50)).astype(np.uint64)
+        mags[:, :, :12] = 0
+        mags[:, 0, 12:20] = rng.integers(1, 4, size=8).astype(np.uint64)
+        neg = rng.random(mags.shape) < 0.5
+        neg[:, :, :6] = True  # dead-zone negatives
+        for q in (0.37, 1e-300, np.array([0.5, 1e-3, 7.0, 1e200])):
+            got = dequantize_batch(mags, neg, q).view(np.uint64)
+            want = masked_negation(mags, neg, q).view(np.uint64)
+            np.testing.assert_array_equal(got, want)
+        assert (got[:, :, :6] == np.uint64(1) << np.uint64(63)).all()
+
 
 class TestCalibrateStep:
     def test_unreachable_target_stays_integerizable(self):

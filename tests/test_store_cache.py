@@ -271,8 +271,23 @@ class TestTenantCacheBudget:
         assert cache.nbytes == 0 and len(cache) == 0
         assert cache.get("k", "t") is None
         stats = cache.stats()
-        assert stats["tenants"]["t"]["hits"] == 1
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert stats["tenants"] == {}  # the emptied tenant's record went too
         assert stats["tenant_quota"] == 512
+
+    def test_lookups_create_no_tenant_records(self):
+        """A client cycling tenant names cannot grow the cache: misses
+        leave no record behind, and a record goes with its last entry."""
+        cache = DecodedChunkCache(1024)
+        for i in range(5000):
+            assert cache.get("k", f"tenant-{i}") is None
+        stats = cache.stats()
+        assert stats["tenants"] == {} and not cache._tenants
+        assert (stats["hits"], stats["misses"]) == (0, 5000)
+        for i in range(8):  # each insert evicts the previous tenant's entry
+            cache.put("k", _arr(1024, i), f"tenant-{i}")
+        assert list(cache.stats()["tenants"]) == ["tenant-7"]
+        assert cache.stats()["evictions"] == 7
 
     def test_hits_are_readonly_and_stats_aggregate_tenants(self):
         cache = DecodedChunkCache(4096, tenant_quota=1024)

@@ -1,8 +1,8 @@
 """Golden SZx fast-tier output pinned on disk.
 
-``tests/data/szx_encode_digests.json`` holds, for three 64³ stand-in
-fields (Miranda density, S3D temperature, Nyx dark-matter density) cut
-into eight 32³ chunks, at four PWE tolerances:
+``tests/data/szx_encode_digests.json`` holds, for three 64³ synthetic
+fields (a smooth field on a ramp, plateaus with steep fronts, and
+heavy-tailed clumps) cut into eight 32³ chunks, at four PWE tolerances:
 
 * the sha256 of every lane body
   :func:`~repro.compressors.szxlike.blocks.encode_lanes` returns for the
@@ -14,9 +14,12 @@ into eight 32³ chunks, at four PWE tolerances:
   chunks under the ``fast`` and ``adaptive`` policies.
 
 The encoder and the router must reproduce these exactly.  The inputs
-come from the spectral field generators, so each field's own digest is
-recorded too: an input drift shows up as such rather than as an
-encoder mismatch.
+are built from host-stable arithmetic only (seeded uniform draws,
+``+ - * /``, ``clip`` and cumulative sums): numpy's ``exp``, ``log``,
+``tanh`` and ``power`` loops give different bits depending on the SIMD
+extensions the host offers, and the spectral stand-in fields use them.
+Each field's own digest is recorded too: an input drift shows up as
+such rather than as an encoder mismatch.
 
 Regenerate (only after an intentional fast-tier format change) with::
 
@@ -39,12 +42,11 @@ import pytest
 from repro.compressors.szxlike.blocks import BLOCK, encode_lanes
 from repro.core.adaptive import choose_codecs
 from repro.core.modes import PweMode
-from repro.datasets.fields import get_field
 from repro.lossless.bitpack import byte_windows, extract_msb
 
 DIGESTS = Path(__file__).parent / "data" / "szx_encode_digests.json"
 
-FIELDS = ("miranda_density", "s3d_temperature", "nyx_dark_matter_density")
+FIELDS = ("smooth_ramp", "plateau_fronts", "clumps")
 
 #: Tolerances as fractions of each field's range: a loose bound (const
 #: blocks), two working bounds (linear and dense blocks) and one so tight
@@ -60,16 +62,44 @@ def _sha(buf) -> str:
     return hashlib.sha256(buf).hexdigest()
 
 
-def field_lanes(name: str) -> list[np.ndarray]:
-    """Eight 32³ chunks of the seeded 64³ field, then one ragged lane."""
-    f = get_field(name, (64, 64, 64), seed=7)
+def _box_smooth(x: np.ndarray, width: int = 16, passes: int = 3) -> np.ndarray:
+    """Periodic moving average of ``width`` samples, ``passes`` times
+    along every axis, as differences of cumulative sums."""
+    for ax, n in enumerate(x.shape):
+        for _ in range(passes):
+            wrap = np.concatenate([x, x.take(range(width), axis=ax)], axis=ax)
+            c = np.cumsum(wrap, axis=ax)
+            x = c.take(range(width, width + n), axis=ax) - c.take(range(n), axis=ax)
+            x /= width
+    return x
+
+
+def stable_field(name: str, shape=(64, 64, 64), seed: int = 7) -> np.ndarray:
+    """One of the :data:`FIELDS`, bit-identical on every host."""
+    g = np.random.default_rng(seed)
+    s = _box_smooth(g.random(shape)) - 0.5
+    s /= np.abs(s).max()
+    if name == "smooth_ramp":
+        i, j, k = np.indices(shape) / 64.0
+        return 0.5 * s + (i + 0.5 * j) * (1.0 - 0.25 * k)
+    if name == "plateau_fronts":
+        return np.clip(4.0 * s, -1.0, 1.0) * 300.0 + 1200.0
+    u = (s + 1.0) * (s + 1.0)
+    u = u * u
+    return u * u + 1e-3 * g.random(shape)
+
+
+def field_lanes(full: np.ndarray) -> list[np.ndarray]:
+    """Eight 32³ chunks of a 64³ field, then one ragged lane."""
     chunks = [
-        f[i : i + 32, j : j + 32, k : k + 32]
+        full[i : i + 32, j : j + 32, k : k + 32]
         for i in (0, 32)
         for j in (0, 32)
         for k in (0, 32)
     ]
-    return chunks + [f[5 : 5 + RAGGED[0], 7 : 7 + RAGGED[1], 3 : 3 + RAGGED[2]]]
+    return chunks + [
+        full[5 : 5 + RAGGED[0], 7 : 7 + RAGGED[1], 3 : 3 + RAGGED[2]]
+    ]
 
 
 def block_types(body: bytes) -> list[int]:
@@ -81,8 +111,8 @@ def block_types(body: bytes) -> list[int]:
 
 
 def field_digests(name: str) -> dict:
-    lanes = field_lanes(name)
-    full = get_field(name, (64, 64, 64), seed=7)
+    full = stable_field(name)
+    lanes = field_lanes(full)
     span = float(full.max() - full.min())
     out: dict = {"input": _sha(np.ascontiguousarray(full).tobytes()), "cases": {}}
     for key, rel in REL_TOLERANCES.items():

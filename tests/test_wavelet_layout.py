@@ -2,12 +2,12 @@
 
 :func:`reference_forward` and :func:`reference_inverse` spell the
 decomposition out as an explicit loop over every 1-D line of each
-level's box, calling the single-axis lifting kernels one line at a
-time.  The dyadic layout cuts every axis to the level's low-pass box
-``plan.low_lengths[level]``; the tensor-product layout of version-1
-chunk streams cuts only the transform axis.  The lifting steps are
-elementwise, so the production transform must match the loop exactly,
-not merely to round-off.
+level's box, calling the textbook last-axis passes of
+``tests/lifting_oracle.py`` one line at a time.  The dyadic layout
+cuts every axis to the level's low-pass box ``plan.low_lengths[level]``;
+the tensor-product layout of version-1 chunk streams cuts only the
+transform axis.  The lifting steps are elementwise, so the production
+transform must match the loop exactly, not merely to round-off.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
+from lifting_oracle import ORACLE
 from repro.analysis.subbands import subband_profile
 from repro.wavelets import (
     FILTERS,
@@ -52,7 +53,7 @@ def _steps(plan: WaveletPlan, levels):
 
 
 def reference_forward(x: np.ndarray, plan: WaveletPlan, tensor: bool = False):
-    fwd, _ = FILTERS[plan.wavelet]
+    fwd, _ = ORACLE[plan.wavelet]
     out = np.array(x, dtype=np.float64)
     for level, ax in _steps(plan, range(plan.total_levels)):
         for line in _lines(plan, level, ax, tensor):
@@ -63,7 +64,7 @@ def reference_forward(x: np.ndarray, plan: WaveletPlan, tensor: bool = False):
 def reference_inverse(
     c: np.ndarray, plan: WaveletPlan, tensor: bool = False, stop: int = 0
 ):
-    _, inv = FILTERS[plan.wavelet]
+    _, inv = ORACLE[plan.wavelet]
     out = np.array(c, dtype=np.float64)
     for level in range(plan.total_levels - 1, stop - 1, -1):
         for _, ax in reversed(list(_steps(plan, [level]))):
