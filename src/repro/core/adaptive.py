@@ -45,6 +45,7 @@ from ..errors import (
     decode_guard,
 )
 from .modes import PweMode
+from .plans import SAMPLE_INDICES
 
 __all__ = [
     "CODEC_SPERR",
@@ -134,9 +135,21 @@ def _sample(data: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError("cannot sample an empty chunk")
     if n <= _SAMPLE_RUNS * _RUN_LEN:
         return np.asarray(data, dtype=np.float64).reshape(1, n)
+    index = SAMPLE_INDICES.get(data.shape, lambda: _sample_index(data.shape))
+    return data[index].astype(np.float64)
+
+
+def _sample_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only multi-index of the sampled points of a chunk of
+    ``shape``: :data:`_SAMPLE_RUNS` evenly spread runs of :data:`_RUN_LEN`
+    consecutive points in C order.  Depends on the shape alone, so
+    :func:`_sample` caches it per shape."""
+    n = int(np.prod(shape))
     starts = np.linspace(0, n - _RUN_LEN, _SAMPLE_RUNS, dtype=np.int64)
-    flat_idx = starts[:, None] + np.arange(_RUN_LEN)
-    return data[np.unravel_index(flat_idx, data.shape)].astype(np.float64)
+    index = np.unravel_index(starts[:, None] + np.arange(_RUN_LEN), shape)
+    for axis in index:
+        axis.setflags(write=False)
+    return index
 
 
 def _diff_widths(samples: list[np.ndarray], tolerance: float) -> list[int]:

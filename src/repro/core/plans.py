@@ -2,11 +2,12 @@
 
 Chunked compression (paper Sec. III-D) runs the same per-shape setup —
 wavelet decomposition schedules, SPECK partition geometry, ZFP block
-scan tables — once per chunk even though every same-shaped chunk needs
-the identical immutable object.  This module provides a small LRU cache
-layer so N same-shaped chunks pay the setup cost once, which is where a
-large share of multi-chunk throughput lives (cuSZ+ and the ETH parallel
-framework make the same observation for their codecs).
+scan tables, the adaptive router's sample indices — once per chunk even
+though every same-shaped chunk needs the identical immutable object.
+This module provides a small LRU cache layer so N same-shaped chunks pay
+the setup cost once, which is where a large share of multi-chunk
+throughput lives (cuSZ+ and the ETH parallel framework make the same
+observation for their codecs).
 
 Everything cached here is *shape-derived and immutable*: nothing depends
 on chunk data, so sharing across chunks, threads, and repeated calls is
@@ -106,7 +107,10 @@ WAVELET_PLANS = PlanCache(maxsize=64, name="wavelet_plans")
 SPECK_GEOMETRIES = PlanCache(maxsize=32, name="speck_geometries")
 #: ZFP total-sequency scan orders, keyed by ndim.
 ZFP_SCAN_ORDERS = PlanCache(maxsize=8, name="zfp_scan_orders")
-_ALL_CACHES = (WAVELET_PLANS, SPECK_GEOMETRIES, ZFP_SCAN_ORDERS)
+#: The adaptive router's sample multi-indices, keyed by chunk shape
+#: (built by ``core.adaptive``; a 3-D index is 96 KiB).
+SAMPLE_INDICES = PlanCache(maxsize=32, name="sample_indices")
+_ALL_CACHES = (WAVELET_PLANS, SPECK_GEOMETRIES, ZFP_SCAN_ORDERS, SAMPLE_INDICES)
 
 
 def wavelet_plan(

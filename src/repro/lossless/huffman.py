@@ -12,16 +12,17 @@ Both directions are table-driven and vectorized (docs/lossless.md has the
 kernel design).  Encoding gathers each symbol's (code, length) pair and
 batch-packs the fields with :func:`repro.lossless.bitpack.pack_msb`.
 Decoding looks the next-``max_len``-bits window at every bit offset up in
-a flat ``2**max_len`` table; the only sequential part left is the
-code-length chain walk (one ``bytes`` index + add per symbol), because
-symbol boundaries are data-dependent.  Every code book is canonical, so
-codes and the decode table are computed from the length table alone.
+a flat ``2**max_len`` table.  Symbol boundaries are data-dependent, so
+the chain of code-word starts still needs a sequential walk; pointer
+jumping shortens it to one Python step per ``2**_JUMP_DEPTH`` symbols,
+and vectorized gathers fill in the starts it skips.  Every code book is
+canonical, so codes and the decode table are computed from the length
+table alone.
 """
 
 from __future__ import annotations
 
 import struct
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,14 @@ _MAX_CODE_LEN = 24  # encoder clamps to this; the decode window table is 2**max_
 #: ``backend._huffman_pack``).  512 symbols of at most ``_MAX_CODE_LEN``
 #: bits keep every segment's bit length within a ``uint16`` index entry.
 SEGMENT_SYMBOLS = 512
+
+#: Doublings of the next-code-word table in :func:`decode`: its chain
+#: walk takes one Python step per ``2**_JUMP_DEPTH`` symbols, and each
+#: doubling adds one gather over every bit offset.  Chosen by
+#: measurement over the 64 sections of a 128³ SPERR compress
+#: (EXPERIMENTS.md, "Huffman chain walk"): depths 1 and 2 were slower,
+#: 3 and 4 tied within the spread, and 3 needs one 1 MiB row less.
+_JUMP_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -254,12 +263,34 @@ def build_window_table(code: HuffmanCode) -> tuple[np.ndarray, np.ndarray, int]:
     return table_sym, table_len, max_len
 
 
+def _padded_stream(
+    data: bytes, nbits: int, code: HuffmanCode
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The decoders' shared prologue: ``(buf, table_sym, table_len,
+    max_len)``, where ``buf`` is a copy of the stream's bytes with the
+    tail bits past ``nbits`` zeroed, so windows near the end read zero
+    padding, and the rest is :func:`build_window_table`."""
+    table_sym, table_len, max_len = build_window_table(code)
+    nbytes = (nbits + 7) >> 3
+    buf = np.frombuffer(data, dtype=np.uint8, count=nbytes).copy()
+    if nbits & 7:
+        buf[-1] &= 0xFF << (8 - (nbits & 7)) & 0xFF
+    return buf, table_sym, table_len, max_len
+
+
 def decode(data: bytes, nbits: int, nsymbols: int, code: HuffmanCode) -> np.ndarray:
     """Decode ``nsymbols`` symbols from a packed Huffman bit stream.
 
     The code words must cover exactly ``nbits`` bits: a stream that runs
     out, holds an invalid code word, or has bits left after the last
     symbol raises :class:`StreamFormatError`.
+
+    The code-word starts form a chain ``p -> p + len(window at p)``.
+    Doubling that table :data:`_JUMP_DEPTH` times gives the offset
+    ``2**_JUMP_DEPTH`` symbols ahead, so the sequential walk takes one
+    ``memoryview`` index per ``2**_JUMP_DEPTH`` symbols; one gather per
+    doubling then fills in the starts between, and the symbols are
+    gathered once, at the final starts.
     """
     if nsymbols == 0:
         return np.zeros(0, dtype=np.int64)
@@ -268,27 +299,41 @@ def decode(data: bytes, nbits: int, nsymbols: int, code: HuffmanCode) -> np.ndar
     if nsymbols > nbits:
         # Every code word spends at least one bit.
         raise StreamFormatError("huffman stream exhausted mid-symbol")
-    table_sym, table_len, max_len = build_window_table(code)
-
-    # Zero any tail bits of the last byte beyond ``nbits`` so windows near
-    # the end read the same zero padding the bit-array decoder saw.
-    nbytes = (nbits + 7) >> 3
-    buf = np.frombuffer(data, dtype=np.uint8, count=nbytes).copy()
-    if nbits & 7:
-        buf[-1] &= 0xFF << (8 - (nbits & 7)) & 0xFF
+    buf, table_sym, table_len, max_len = _padded_stream(data, nbits, code)
     win = bitpack.bit_windows(buf, nbits, max_len)
 
-    # Code length at every bit offset.  The walk from a valid offset
-    # overshoots ``nbits`` by less than ``max_len`` bits and then sits on
-    # the zero padding; an invalid window (length 0) stalls it the same
-    # way, so it never indexes out of range.
-    steps = np.zeros(nbits + max_len, dtype=np.uint8)
-    np.take(table_len, win, out=steps[:nbits])
-    step_at = steps.tobytes()
+    # jumps[k][p]: the offset 2**k code words after bit offset p, so
+    # row 0 is the offset after the code word at p.  A valid window ends
+    # less than ``max_len`` bits past ``nbits``; from there, and from an
+    # invalid window (length 0), the chain loops on itself, so a walk
+    # that ran out or stalled stops moving and every index stays in
+    # range: ``mode="clip"`` never clips, it only spares ``take`` the
+    # staging copy of ``out`` that the default mode makes.  The levels
+    # share one allocation: as separate 1 MiB arrays they were paged in
+    # afresh at every section in a process that had not yet freed a
+    # larger array (80k against 0.6k minor page faults over 64 sections).
+    jumps = np.empty((_JUMP_DEPTH + 1, nbits + max_len), dtype=np.int64)
+    nxt = jumps[0]
+    nxt[:] = np.arange(nbits + max_len)
+    nxt[:nbits] += table_len.take(win)
+    for k in range(_JUMP_DEPTH):
+        jumps[k].take(jumps[k], out=jumps[k + 1], mode="clip")
+
+    # Row r of the grid holds the starts of symbols r*stride onwards: the
+    # walk fills the first column, and each doubling level copies the
+    # known columns one jump of its width ahead.
+    stride = 1 << _JUMP_DEPTH
+    rows = -(-nsymbols // stride)
+    hop = memoryview(jumps[-1])
     pos = 0
-    ends = [pos := pos + step_at[pos] for _ in range(nsymbols)]
-    starts = np.zeros(nsymbols, dtype=np.int64)
-    starts[1:] = np.frombuffer(array("q", ends), dtype=np.int64)[:-1]
+    grid = np.empty((rows, stride), dtype=np.int64)
+    grid[:, 0] = [0] + [pos := hop[pos] for _ in range(rows - 1)]
+    width = 1
+    for level in jumps[:-1]:
+        known = grid[:, :width]
+        level.take(known, out=grid[:, width : 2 * width], mode="clip")
+        width *= 2
+    starts = grid.reshape(-1)[:nsymbols]
 
     # Positions never decrease, so the last start tells whether the
     # stream ran out; a stall shows as an invalid code word.
@@ -297,7 +342,7 @@ def decode(data: bytes, nbits: int, nsymbols: int, code: HuffmanCode) -> np.ndar
     out = table_sym[win[starts]]
     if out.min() < 0:
         raise StreamFormatError("invalid huffman code word")
-    if pos != nbits:
+    if nxt[starts[-1]] != nbits:
         raise StreamFormatError("huffman stream length mismatch")
     return out.astype(np.int64)
 
@@ -343,12 +388,7 @@ def decode_segmented(
     np.cumsum(seg_bits, out=starts[1:])
     if int(starts[-1]) >= nbits:
         raise StreamFormatError("huffman segment index past stream end")
-    table_sym, table_len, max_len = build_window_table(code)
-
-    nbytes = (nbits + 7) >> 3
-    buf = np.frombuffer(data, dtype=np.uint8, count=nbytes).copy()
-    if nbits & 7:
-        buf[-1] &= 0xFF << (8 - (nbits & 7)) & 0xFF
+    buf, table_sym, table_len, max_len = _padded_stream(data, nbits, code)
     windows = bitpack.byte_windows(buf)
 
     # March all lanes one code word at a time.  Lanes that finish early

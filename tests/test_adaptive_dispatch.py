@@ -25,8 +25,11 @@ from repro.core.adaptive import (
     CODEC_STORED,
     CODEC_SZX,
     _LOW_UNIQUE_DENSITY,
+    _RUN_LEN,
+    _SAMPLE_RUNS,
     _STORED_WIDTH,
     _SZX_WIDTH,
+    _sample,
     choose_codecs,
     chunk_proxies,
     decode_stored_chunk,
@@ -78,6 +81,37 @@ class TestProxies:
     def test_empty_chunk_rejected(self):
         with pytest.raises(InvalidArgumentError):
             chunk_proxies(np.empty(0), 1e-3)
+
+    @staticmethod
+    def _unravel_sample(data):
+        """The sample as ``_sample`` took it before its index was cached
+        per shape: an ``unravel_index`` of the flat run indices per call."""
+        n = data.size
+        if n <= _SAMPLE_RUNS * _RUN_LEN:
+            return np.asarray(data, dtype=np.float64).reshape(1, n)
+        starts = np.linspace(0, n - _RUN_LEN, _SAMPLE_RUNS, dtype=np.int64)
+        flat_idx = starts[:, None] + np.arange(_RUN_LEN)
+        return data[np.unravel_index(flat_idx, data.shape)].astype(np.float64)
+
+    # 4096 points is the whole-chunk sample, 4097 the first run sample.
+    @pytest.mark.parametrize(
+        "shape", [(16, 16, 16), (4097,), (17, 241), (48, 40, 24)]
+    )
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+    def test_sample_matches_unravel_formula(self, shape, layout):
+        rng = np.random.default_rng(7)
+        if layout == "contiguous":
+            data = rng.normal(size=shape)
+        elif layout == "strided":
+            base = rng.normal(size=tuple(2 * s + 1 for s in shape))
+            data = base[tuple(slice(1, None, 2) for _ in shape)]
+        else:
+            data = rng.normal(size=shape[::-1]).T
+        assert data.shape == shape
+        want = self._unravel_sample(data).tobytes()
+        # The first call may build the cached index; the second reuses it.
+        assert _sample(data).tobytes() == want
+        assert _sample(data).tobytes() == want
 
     def test_stored_width_pins_szx_plane_cap(self):
         # _STORED_WIDTH restates szxlike's MAX_WIDTH (core cannot import

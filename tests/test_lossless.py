@@ -224,14 +224,64 @@ def _reference_decode(data, nbits, nsymbols, code):
     return out
 
 
-def _check_decode_against_reference(alphabet, book, seed, corruption):
-    """Encode a random message under a code book of the given kind, damage
-    it, and compare :func:`huffman.decode` with :func:`_reference_decode`.
+def _byte_walk_decode(data, nbits, nsymbols, code):
+    """The decoder :func:`huffman.decode` replaced, kept as the oracle for
+    its messages: the same window table and checks, but the code-length
+    chain walked one ``bytes`` index and add per symbol."""
+    if nsymbols == 0:
+        return np.zeros(0, dtype=np.int64)
+    if nbits > len(data) * 8:
+        raise StreamFormatError("huffman stream shorter than declared")
+    if nsymbols > nbits:
+        raise StreamFormatError("huffman stream exhausted mid-symbol")
+    table_sym, table_len, max_len = huffman.build_window_table(code)
+    nbytes = (nbits + 7) >> 3
+    buf = np.frombuffer(data, dtype=np.uint8, count=nbytes).copy()
+    if nbits & 7:
+        buf[-1] &= 0xFF << (8 - (nbits & 7)) & 0xFF
+    win = bitpack.bit_windows(buf, nbits, max_len)
+    steps = np.zeros(nbits + max_len, dtype=np.uint8)
+    np.take(table_len, win, out=steps[:nbits])
+    step_at = steps.tobytes()
+    pos = 0
+    ends = [pos := pos + step_at[pos] for _ in range(nsymbols)]
+    starts = np.zeros(nsymbols, dtype=np.int64)
+    starts[1:] = ends[:-1]
+    if starts[-1] >= nbits:
+        raise StreamFormatError("huffman stream exhausted mid-symbol")
+    out = table_sym[win[starts]]
+    if out.min() < 0:
+        raise StreamFormatError("invalid huffman code word")
+    if pos != nbits:
+        raise StreamFormatError("huffman stream length mismatch")
+    return out.astype(np.int64)
 
-    An undamaged stream decodes to the message.  Where the reference
+
+def _outcome(decoder, *args):
+    """``(symbols, None)`` when ``decoder(*args)`` returns, else
+    ``(None, message)`` of the :class:`StreamFormatError` it raised."""
+    try:
+        return decoder(*args), None
+    except StreamFormatError as exc:
+        return None, str(exc)
+
+
+def _assert_same_outcome(got, want):
+    assert got[1] == want[1]
+    if want[1] is None:
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[0].dtype == want[0].dtype
+
+
+def _check_decode_against_reference(alphabet, book, seed, corruption, length):
+    """Encode a random message under a code book of the given kind, damage
+    it, and compare :func:`huffman.decode` with both oracles.
+
+    Every case returns the same symbols as :func:`_byte_walk_decode` or
+    raises the same :class:`StreamFormatError` message.  An undamaged
+    stream decodes to the message.  Where :func:`_reference_decode`
     returns, the decoder returns the same symbols or (only for bits left
-    after the last symbol) raises; where the reference raises, the
-    decoder raises :class:`StreamFormatError`.
+    after the last symbol) raises; where it raises, the decoder raises.
     """
     rng = np.random.default_rng(seed)
     freqs = np.zeros(alphabet, dtype=np.int64)
@@ -249,7 +299,8 @@ def _check_decode_against_reference(alphabet, book, seed, corruption):
         freqs[rng.integers(alphabet)] += 1
     code = huffman.build_code(freqs)
     used = np.flatnonzero(freqs)
-    symbols = rng.choice(used, size=int(rng.integers(1, 400)))
+    size = rng.integers(1, 400) if length == "short" else rng.integers(2000, 2100)
+    symbols = rng.choice(used, size=int(size))
     payload, nbits = huffman.encode(symbols, code)
     nsymbols = symbols.size
     if corruption == "flip":
@@ -262,15 +313,13 @@ def _check_decode_against_reference(alphabet, book, seed, corruption):
     elif corruption == "raise":
         nsymbols += int(rng.integers(1, 20))
 
-    try:
-        expected = _reference_decode(payload, nbits, nsymbols, code)
-    except StreamFormatError:
-        expected = None
-    try:
-        got = huffman.decode(payload, nbits, nsymbols, code)
-    except StreamFormatError as exc:
+    args = (payload, nbits, nsymbols, code)
+    got, message = _outcome(huffman.decode, *args)
+    _assert_same_outcome((got, message), _outcome(_byte_walk_decode, *args))
+    expected, _ = _outcome(_reference_decode, *args)
+    if message is not None:
         assert corruption != "none"
-        assert expected is None or str(exc) == "huffman stream length mismatch"
+        assert expected is None or message == "huffman stream length mismatch"
         return
     assert expected is not None
     np.testing.assert_array_equal(got, expected)
@@ -283,15 +332,17 @@ _REFERENCE_CASES = dict(
     book=st.sampled_from(["random", "single", "deep"]),
     seed=st.integers(0, 2**32 - 1),
     corruption=st.sampled_from(["none", "flip", "shorten", "raise"]),
+    length=st.sampled_from(["short", "long"]),
 )
 
 
 @settings(max_examples=40, deadline=None)
 @given(**_REFERENCE_CASES)
-@example(alphabet=300, book="deep", seed=0, corruption="none")  # 24-bit codes
-@example(alphabet=1, book="single", seed=0, corruption="raise")
-def test_decode_matches_reference_walk(alphabet, book, seed, corruption):
-    _check_decode_against_reference(alphabet, book, seed, corruption)
+@example(alphabet=300, book="deep", seed=0, corruption="none", length="short")
+@example(alphabet=1, book="single", seed=0, corruption="raise", length="short")
+@example(alphabet=256, book="random", seed=1, corruption="flip", length="long")
+def test_decode_matches_reference_walk(alphabet, book, seed, corruption, length):
+    _check_decode_against_reference(alphabet, book, seed, corruption, length)
 
 
 @pytest.mark.fuzz
@@ -301,9 +352,70 @@ def test_decode_matches_reference_walk(alphabet, book, seed, corruption):
 )
 @settings(max_examples=int(os.environ.get("REPRO_FUZZ_N", "500")), deadline=None)
 @given(**_REFERENCE_CASES)
-def test_decode_matches_reference_walk_deep(alphabet, book, seed, corruption):
+def test_decode_matches_reference_walk_deep(alphabet, book, seed, corruption, length):
     """The same property at campaign depth (``REPRO_FUZZ_N`` examples)."""
-    _check_decode_against_reference(alphabet, book, seed, corruption)
+    _check_decode_against_reference(alphabet, book, seed, corruption, length)
+
+
+#: Symbols per step of the decoder's chain walk; the starts of the
+#: symbols between lie in the skipped part of a jump row.
+_STRIDE = 1 << huffman._JUMP_DEPTH
+
+
+def _code_book(lengths):
+    lengths = np.asarray(lengths, dtype=np.uint8)
+    return huffman.HuffmanCode(lengths, huffman._canonical_codes(lengths))
+
+
+#: Codes 0, 10, 110, 1110, 1111.  The decoder book leaves out symbol 4,
+#: so its 1111 is an invalid code word: a 4 in a message encoded with
+#: the full book stalls the decoder's walk there.
+_FULL_BOOK = _code_book([1, 2, 3, 4, 4])
+_DECODER_BOOK = _code_book([1, 2, 3, 4, 0])
+
+
+@pytest.mark.parametrize(
+    "n", list(range(1, 2 * _STRIDE + 2)) + list(range(2000, 2000 + _STRIDE))
+)
+def test_decode_matches_byte_walk_at_every_remainder(n):
+    """Message lengths at every remainder mod the walk's stride, each
+    decoded whole and with a stall, an early end, a cut stream and a
+    lowered count placed inside a skipped jump row: the decoder gives
+    the byte walk's symbols or its message."""
+    rng = np.random.default_rng(n)
+    symbols = rng.integers(0, 4, size=n)
+    lens = _FULL_BOOK.lengths[symbols].astype(np.int64)
+    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    # A symbol index off the walk's own stops, when the message has one.
+    inside = max(i for i in range(n) if i % _STRIDE or i == 0)
+
+    def check(payload, nbits, nsymbols, want_message):
+        args = (payload, nbits, nsymbols, _DECODER_BOOK)
+        got = _outcome(huffman.decode, *args)
+        _assert_same_outcome(got, _outcome(_byte_walk_decode, *args))
+        assert got[1] == want_message
+        return got[0]
+
+    payload, nbits = huffman.encode(symbols, _FULL_BOOK)
+    np.testing.assert_array_equal(check(payload, nbits, n, None), symbols)
+    # The stream runs out: symbol n would start at nbits.
+    for extra in (1, _STRIDE + 1):
+        check(payload, nbits, n + extra, "huffman stream exhausted mid-symbol")
+    # Bits left after the last symbol.
+    if n > 1:
+        check(payload, nbits, n - 1, "huffman stream length mismatch")
+    # The stream cut one bit into code word ``inside`` (a 1 then zero
+    # padding, which reads as the 2-bit code 10 ending past the cut).
+    cut = int(starts[inside]) + 1
+    if lens[inside] > 1:
+        check(payload, cut, inside + 1, "huffman stream length mismatch")
+        check(payload, cut, inside + 2, "huffman stream exhausted mid-symbol")
+    # An invalid code word stalls the walk mid-message or at ``inside``.
+    for at in {inside, (n // 2) | 1} & set(range(n)):
+        stalled = symbols.copy()
+        stalled[at] = 4
+        payload, nbits = huffman.encode(stalled, _FULL_BOOK)
+        check(payload, nbits, n, "invalid huffman code word")
 
 
 class TestRle:

@@ -97,6 +97,7 @@ class TestSharedPlans:
             "wavelet_plans",
             "speck_geometries",
             "zfp_scan_orders",
+            "sample_indices",
         }
         assert stats["wavelet_plans"]["misses"] == 1
 
