@@ -14,10 +14,10 @@ batch-packs the fields with :func:`repro.lossless.bitpack.pack_msb`.
 Decoding looks the next-``max_len``-bits window at every bit offset up in
 a flat ``2**max_len`` table.  Symbol boundaries are data-dependent, so
 the chain of code-word starts still needs a sequential walk; pointer
-jumping shortens it to one Python step per ``2**_JUMP_DEPTH`` symbols,
-and vectorized gathers fill in the starts it skips.  Every code book is
-canonical, so codes and the decode table are computed from the length
-table alone.
+jumping over one block of bit offsets at a time shortens it to one
+Python step per ``2**_JUMP_DEPTH`` symbols, and vectorized gathers fill
+in the starts it skips.  Every code book is canonical, so codes and the
+decode table are computed from the length table alone.
 """
 
 from __future__ import annotations
@@ -53,8 +53,16 @@ SEGMENT_SYMBOLS = 512
 #: doubling adds one gather over every bit offset.  Chosen by
 #: measurement over the 64 sections of a 128³ SPERR compress
 #: (EXPERIMENTS.md, "Huffman chain walk"): depths 1 and 2 were slower,
-#: 3 and 4 tied within the spread, and 3 needs one 1 MiB row less.
+#: 3 and 4 tied within the spread, and 3 needs one row less.
 _JUMP_DEPTH = 3
+
+#: Bit offsets per block of :func:`decode`'s jump tables.  One block's
+#: ``_JUMP_DEPTH + 1`` ``int64`` rows take 2 MiB, so the gathers stay in
+#: cache and a large bin stream (3.4 M bits in one 64³ mgard-like
+#: chunk) no longer needs 32 bytes per bit; chosen by measurement
+#: (EXPERIMENTS.md, "Huffman chain walk").  A block starts at the byte
+#: holding the next code word, so it must span at least 8 bits.
+_JUMP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -286,11 +294,13 @@ def decode(data: bytes, nbits: int, nsymbols: int, code: HuffmanCode) -> np.ndar
     symbol raises :class:`StreamFormatError`.
 
     The code-word starts form a chain ``p -> p + len(window at p)``.
-    Doubling that table :data:`_JUMP_DEPTH` times gives the offset
-    ``2**_JUMP_DEPTH`` symbols ahead, so the sequential walk takes one
-    ``memoryview`` index per ``2**_JUMP_DEPTH`` symbols; one gather per
-    doubling then fills in the starts between, and the symbols are
-    gathered once, at the final starts.
+    The stream is walked in blocks of :data:`_JUMP_BLOCK` bit offsets.
+    Doubling a block's chain table :data:`_JUMP_DEPTH` times gives the
+    offset ``2**_JUMP_DEPTH`` symbols ahead, so the sequential walk takes
+    one ``memoryview`` index per ``2**_JUMP_DEPTH`` symbols; one gather
+    per doubling then fills in the starts between.  The tables never
+    outgrow a block, so the working memory is about 3 MiB plus 20–30
+    bytes per symbol, however many bits the stream declares.
     """
     if nsymbols == 0:
         return np.zeros(0, dtype=np.int64)
@@ -300,49 +310,74 @@ def decode(data: bytes, nbits: int, nsymbols: int, code: HuffmanCode) -> np.ndar
         # Every code word spends at least one bit.
         raise StreamFormatError("huffman stream exhausted mid-symbol")
     buf, table_sym, table_len, max_len = _padded_stream(data, nbits, code)
-    win = bitpack.bit_windows(buf, nbits, max_len)
-
-    # jumps[k][p]: the offset 2**k code words after bit offset p, so
-    # row 0 is the offset after the code word at p.  A valid window ends
-    # less than ``max_len`` bits past ``nbits``; from there, and from an
-    # invalid window (length 0), the chain loops on itself, so a walk
-    # that ran out or stalled stops moving and every index stays in
-    # range: ``mode="clip"`` never clips, it only spares ``take`` the
-    # staging copy of ``out`` that the default mode makes.  The levels
-    # share one allocation: as separate 1 MiB arrays they were paged in
-    # afresh at every section in a process that had not yet freed a
-    # larger array (80k against 0.6k minor page faults over 64 sections).
-    jumps = np.empty((_JUMP_DEPTH + 1, nbits + max_len), dtype=np.int64)
-    nxt = jumps[0]
-    nxt[:] = np.arange(nbits + max_len)
-    nxt[:nbits] += table_len.take(win)
-    for k in range(_JUMP_DEPTH):
-        jumps[k].take(jumps[k], out=jumps[k + 1], mode="clip")
-
-    # Row r of the grid holds the starts of symbols r*stride onwards: the
-    # walk fills the first column, and each doubling level copies the
-    # known columns one jump of its width ahead.
     stride = 1 << _JUMP_DEPTH
-    rows = -(-nsymbols // stride)
-    hop = memoryview(jumps[-1])
-    pos = 0
-    grid = np.empty((rows, stride), dtype=np.int64)
-    grid[:, 0] = [0] + [pos := hop[pos] for _ in range(rows - 1)]
-    width = 1
-    for level in jumps[:-1]:
-        known = grid[:, :width]
-        level.take(known, out=grid[:, width : 2 * width], mode="clip")
-        width *= 2
-    starts = grid.reshape(-1)[:nsymbols]
+    bits_per_row = stride * nbits / nsymbols
+    # The window at every code-word start, filled block by block.
+    words = np.empty(nsymbols, dtype=np.intp)
+    # jumps[k][q]: the block offset 2**k code words after block offset
+    # q, so row 0 is the offset after the code word at q.  A code word
+    # starting in the block ends less than ``max_len`` bits past it; from
+    # there, and from an invalid window (length 0), the chain loops on
+    # itself, so a walk that left the block or stalled stops moving and
+    # every index stays in range: ``mode="clip"`` never clips, it only
+    # spares ``take`` the staging copy of ``out`` that the default mode
+    # makes.  All levels share one allocation, reused by every block:
+    # separate level arrays were paged in afresh at every section
+    # (EXPERIMENTS.md, "Huffman chain walk").
+    span = min(_JUMP_BLOCK, nbits) + max_len
+    jumps = np.empty((_JUMP_DEPTH + 1, span), dtype=np.int64)
+    offsets = np.arange(span)
+    done = last = pos = 0
+    while done < nsymbols and pos < nbits:
+        # The block starts at the byte holding the next code word.
+        lo = pos & ~7
+        n = min(_JUMP_BLOCK, nbits - lo)
+        block = buf[lo >> 3 : (lo + n + max_len + 7) >> 3]
+        win = bitpack.bit_windows(block, n, max_len)
+        levels = jumps[:, : n + max_len]
+        np.add(offsets[:n], table_len.take(win), out=levels[0, :n])
+        levels[0, n:] = offsets[n : n + max_len]
+        for k in range(_JUMP_DEPTH):
+            levels[k].take(levels[k], out=levels[k + 1], mode="clip")
 
-    # Positions never decrease, so the last start tells whether the
+        # One stop per ``stride`` symbols until the walk leaves the block
+        # or has every row it needs, in batches sized by the stream's
+        # mean code length.  A stalled walk repeats its offset to the end.
+        hop = memoryview(levels[-1])
+        q = pos - lo
+        stops = [q]
+        rows = -(-(nsymbols - done) // stride)
+        while len(stops) < rows and q < n:
+            batch = min(rows - len(stops), int((n - q) / bits_per_row) + 1)
+            stops += [q := hop[q] for _ in range(batch)]
+
+        # Row r of the grid holds the starts of symbols r*stride onwards
+        # at column r: the walk fills row 0, and each doubling level
+        # copies the known rows one jump of its width ahead.
+        grid = np.empty((stride, len(stops)), dtype=np.int64)
+        grid[0] = stops
+        width = 1
+        for level in levels[:-1]:
+            level.take(grid[:width], out=grid[width : 2 * width], mode="clip")
+            width *= 2
+        found = grid.T.reshape(-1)
+        count = min(int(np.searchsorted(found, n)), nsymbols - done)
+        words[done : done + count] = win[found[:count]]
+        done += count
+        last = lo + int(found[count - 1])
+        if done < nsymbols:
+            # The walk left the block: its first start past the block
+            # opens the next one.
+            pos = lo + int(found[count])
+
+    # Positions never decrease, so symbols are missing only when the
     # stream ran out; a stall shows as an invalid code word.
-    if starts[-1] >= nbits:
+    if done < nsymbols:
         raise StreamFormatError("huffman stream exhausted mid-symbol")
-    out = table_sym[win[starts]]
+    out = table_sym[words]
     if out.min() < 0:
         raise StreamFormatError("invalid huffman code word")
-    if nxt[starts[-1]] != nbits:
+    if last + int(table_len[words[-1]]) != nbits:
         raise StreamFormatError("huffman stream length mismatch")
     return out.astype(np.int64)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,9 +274,10 @@ def _assert_same_outcome(got, want):
         assert got[0].dtype == want[0].dtype
 
 
-def _check_decode_against_reference(alphabet, book, seed, corruption, length):
+def _check_decode_against_reference(alphabet, book, seed, corruption, length, block):
     """Encode a random message under a code book of the given kind, damage
-    it, and compare :func:`huffman.decode` with both oracles.
+    it, and compare :func:`huffman.decode`, walking ``block``-bit jump
+    blocks, with both oracles.
 
     Every case returns the same symbols as :func:`_byte_walk_decode` or
     raises the same :class:`StreamFormatError` message.  An undamaged
@@ -314,7 +316,9 @@ def _check_decode_against_reference(alphabet, book, seed, corruption, length):
         nsymbols += int(rng.integers(1, 20))
 
     args = (payload, nbits, nsymbols, code)
-    got, message = _outcome(huffman.decode, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(huffman, "_JUMP_BLOCK", block)
+        got, message = _outcome(huffman.decode, *args)
     _assert_same_outcome((got, message), _outcome(_byte_walk_decode, *args))
     expected, _ = _outcome(_reference_decode, *args)
     if message is not None:
@@ -333,16 +337,23 @@ _REFERENCE_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     corruption=st.sampled_from(["none", "flip", "shorten", "raise"]),
     length=st.sampled_from(["short", "long"]),
+    block=st.sampled_from([huffman._JUMP_BLOCK, 8, 13, 64]),
 )
 
 
 @settings(max_examples=40, deadline=None)
 @given(**_REFERENCE_CASES)
-@example(alphabet=300, book="deep", seed=0, corruption="none", length="short")
-@example(alphabet=1, book="single", seed=0, corruption="raise", length="short")
-@example(alphabet=256, book="random", seed=1, corruption="flip", length="long")
-def test_decode_matches_reference_walk(alphabet, book, seed, corruption, length):
-    _check_decode_against_reference(alphabet, book, seed, corruption, length)
+@example(
+    alphabet=300, book="deep", seed=0, corruption="none", length="short", block=8
+)
+@example(
+    alphabet=1, book="single", seed=0, corruption="raise", length="short", block=13
+)
+@example(
+    alphabet=256, book="random", seed=1, corruption="flip", length="long", block=64
+)
+def test_decode_matches_reference_walk(alphabet, book, seed, corruption, length, block):
+    _check_decode_against_reference(alphabet, book, seed, corruption, length, block)
 
 
 @pytest.mark.fuzz
@@ -352,9 +363,11 @@ def test_decode_matches_reference_walk(alphabet, book, seed, corruption, length)
 )
 @settings(max_examples=int(os.environ.get("REPRO_FUZZ_N", "500")), deadline=None)
 @given(**_REFERENCE_CASES)
-def test_decode_matches_reference_walk_deep(alphabet, book, seed, corruption, length):
+def test_decode_matches_reference_walk_deep(
+    alphabet, book, seed, corruption, length, block
+):
     """The same property at campaign depth (``REPRO_FUZZ_N`` examples)."""
-    _check_decode_against_reference(alphabet, book, seed, corruption, length)
+    _check_decode_against_reference(alphabet, book, seed, corruption, length, block)
 
 
 #: Symbols per step of the decoder's chain walk; the starts of the
@@ -374,14 +387,17 @@ _FULL_BOOK = _code_book([1, 2, 3, 4, 4])
 _DECODER_BOOK = _code_book([1, 2, 3, 4, 0])
 
 
+@pytest.mark.parametrize("block", [huffman._JUMP_BLOCK, 8, 13])
 @pytest.mark.parametrize(
     "n", list(range(1, 2 * _STRIDE + 2)) + list(range(2000, 2000 + _STRIDE))
 )
-def test_decode_matches_byte_walk_at_every_remainder(n):
+def test_decode_matches_byte_walk_at_every_remainder(n, block, monkeypatch):
     """Message lengths at every remainder mod the walk's stride, each
     decoded whole and with a stall, an early end, a cut stream and a
-    lowered count placed inside a skipped jump row: the decoder gives
-    the byte walk's symbols or its message."""
+    lowered count placed inside a skipped jump row, in one jump block or
+    across many: the decoder gives the byte walk's symbols or its
+    message."""
+    monkeypatch.setattr(huffman, "_JUMP_BLOCK", block)
     rng = np.random.default_rng(n)
     symbols = rng.integers(0, 4, size=n)
     lens = _FULL_BOOK.lengths[symbols].astype(np.int64)
@@ -416,6 +432,38 @@ def test_decode_matches_byte_walk_at_every_remainder(n):
         stalled[at] = 4
         payload, nbits = huffman.encode(stalled, _FULL_BOOK)
         check(payload, nbits, n, "invalid huffman code word")
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)``'s outcome and the peak of memory it traced."""
+    tracemalloc.start()
+    try:
+        return _outcome(fn, *args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_memory_is_bounded_by_block_and_symbols():
+    """The jump tables cover one block at a time: a long stream of long
+    code words, and a stream declaring far more bits than its symbols
+    use, decode in a few MiB beyond a copy of the stream and 32 bytes
+    per symbol.  One ``int64`` table row over every bit would take 25 MiB
+    for the first stream and 64 MiB for the second."""
+    rng = np.random.default_rng(7)
+    book = _code_book(np.full(1 << 16, 16))
+    symbols = rng.integers(0, 1 << 16, size=200_000)
+    payload, nbits = huffman.encode(symbols, book)
+    args = (payload, nbits, symbols.size, book)
+    (got, message), peak = _traced_peak(huffman.decode, *args)
+    assert message is None
+    np.testing.assert_array_equal(got, symbols)
+    assert peak < 32 * symbols.size + nbits // 8 + (6 << 20)
+
+    zeros = bytes(1 << 20)
+    args = (zeros, 8 * len(zeros), 10, _DECODER_BOOK)
+    (got, message), peak = _traced_peak(huffman.decode, *args)
+    assert message == "huffman stream length mismatch"
+    assert peak < len(zeros) + (6 << 20)
 
 
 class TestRle:
