@@ -1,12 +1,12 @@
-"""Bit-level I/O: batched bit writer/reader and SPERR stream headers."""
+"""SPERR stream headers: the fixed 20-byte chunk header and its
+parameter block.
+
+Bit packing lives in :mod:`repro.lossless.bitpack`.
+"""
 
 from .header import HEADER_SIZE, MAGIC, MAX_CHUNK_POINTS, VERSION, ChunkHeader, ChunkParams
-from .reader import BitReader
-from .writer import BitWriter
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "ChunkHeader",
     "ChunkParams",
     "HEADER_SIZE",

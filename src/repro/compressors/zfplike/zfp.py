@@ -4,16 +4,19 @@ Modes:
 
 * :class:`~repro.core.modes.SizeMode` — fixed rate: every block gets
   exactly ``rate * 4**d`` bits (zfp's flagship mode, Sec. III-B of the
-  SPERR paper notes both share this ability);
+  SPERR paper notes both share this ability), rounded and floored at
+  the 13-bit block header (nonzero flag + 12-bit exponent), so a rate
+  below ``13 / 4**d`` bits per value codes like ``13 / 4**d``;
 * :class:`~repro.core.modes.PweMode` — fixed accuracy: bitplanes whose
   contribution falls below the tolerance are dropped.  Like real zfp,
   the bound is enforced with a conservative per-dimension guard factor.
 
 Per block: common exponent → block floating point (int64) → lifted
 decorrelating transform → total-sequency reorder → negabinary →
-bitplane coding with zfp's group-testing loop.  The numeric stages are
-vectorized across blocks; the bit loop is per block (the price of a
-pure-Python reproduction, noted in DESIGN.md).
+bitplane coding with zfp's group-testing loop.  Encoding is vectorized
+across blocks (:func:`_encode_blocks_vectorized`); the decoder's bit
+loop is per block (the price of a pure-Python reproduction, noted in
+DESIGN.md).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import struct
 
 import numpy as np
 
-from ...bitstream import BitWriter
 from ...core.modes import PweMode, SizeMode
 from ...core.plans import zfp_scan_order
 from ...errors import InvalidArgumentError, StreamFormatError
@@ -42,6 +44,9 @@ __all__ = ["ZfpLikeCompressor"]
 _MAGIC = b"ZFPL"
 _EXP_BITS = 12
 _EXP_BIAS = 2048
+#: nonzero flag + exponent: a live block's header, and the smallest
+#: fixed-rate block budget
+_HEADER_BITS = 1 + _EXP_BITS
 #: block-float scaling exponent: ints are x * 2**(_SCALE_EXP - e), leaving
 #: headroom for transform growth and the extra negabinary bit below the
 #: top coded plane (PRECISION - 2)
@@ -77,62 +82,6 @@ def _unblockify(
     return padded[tuple(slice(0, n) for n in shape)]
 
 
-def _encode_block(
-    writer: BitWriter,
-    u: np.ndarray,
-    e: int,
-    nonzero: bool,
-    kmin: int,
-    max_bits: int | None,
-) -> None:
-    """zfp's per-block embedded coding (group testing per bitplane)."""
-    start = writer.nbits
-    writer.write_bit(nonzero)
-    if not nonzero:
-        if max_bits is not None:
-            pad = max_bits - (writer.nbits - start)
-            if pad > 0:
-                writer.write_bits(np.zeros(pad, dtype=np.bool_))
-        return
-    writer.write_uint(e + _EXP_BIAS, _EXP_BITS)
-    size = u.size
-    vals = [int(v) for v in u.tolist()]
-    n = 0
-    bits: list[int] = []
-    budget = None if max_bits is None else max_bits - (writer.nbits - start)
-    for k in range(PRECISION - 2, kmin - 1, -1):
-        x = 0
-        for i in range(size):
-            x |= ((vals[i] >> k) & 1) << i
-        # verbatim bits for already-significant coefficients
-        for i in range(n):
-            bits.append((x >> i) & 1)
-        x >>= n
-        m = n
-        while m < size:
-            b = 1 if x else 0
-            bits.append(b)
-            if not b:
-                break
-            while m < size - 1:
-                bit = x & 1
-                bits.append(bit)
-                if bit:
-                    break
-                x >>= 1
-                m += 1
-            x >>= 1
-            m += 1
-        n = m if m > n else n
-        if budget is not None and len(bits) >= budget:
-            break
-    if budget is not None:
-        bits = bits[:budget]
-        if len(bits) < budget:
-            bits.extend([0] * (budget - len(bits)))
-    writer.write_bits(np.asarray(bits, dtype=np.bool_))
-
-
 def _encode_blocks_vectorized(
     u: np.ndarray,
     exps: np.ndarray,
@@ -140,7 +89,12 @@ def _encode_blocks_vectorized(
     kmins: np.ndarray,
     max_bits: int | None,
 ) -> tuple[bytes, int]:
-    """Vectorized equivalent of the per-block :func:`_encode_block` loop.
+    """zfp's embedded block coding (group testing per bitplane), all blocks at once.
+
+    Returns ``(payload, nbits)``.  ``max_bits`` is the fixed-rate block
+    budget (at least :data:`_HEADER_BITS`: every block is clipped or
+    zero-padded to it) or ``None`` for fixed accuracy, where block ``b``
+    codes planes down to ``kmins[b]``.
 
     The group-testing emission of one (block, plane) pair has a closed
     positional form: with ``n`` coefficients already significant and ones
@@ -157,7 +111,8 @@ def _encode_blocks_vectorized(
     one at ``col + 1 + r``, and the group bit that follows it at
     ``col + r + 2`` — so the whole stream is a zeros array plus one
     scatter of 1-positions and a single :func:`numpy.packbits`.  Output is
-    bit-identical to the serial writer.
+    bit-identical to zfp's serial per-block coder, which
+    `tests/test_compressor_zfplike.py` keeps as its oracle.
     """
     nb, size = u.shape
     planes = np.arange(PRECISION - 2, int(kmins.min(initial=0)) - 1, -1)
@@ -179,7 +134,7 @@ def _encode_blocks_vectorized(
     for pi, k in enumerate(planes):
         active = nonzero & (k >= kmins)
         if max_bits is not None:
-            active &= 13 + cum < max_bits
+            active &= _HEADER_BITS + cum < max_bits
         if not active.any():
             # Nobody can come back: per-block activity only ever ends
             # (k falls below kmin, or the budget fills up).
@@ -213,14 +168,14 @@ def _encode_blocks_vectorized(
         total = nb * max_bits
         limits = starts + max_bits
     else:
-        block_len = np.where(nonzero, 13 + lens.sum(axis=0), 1)
+        block_len = np.where(nonzero, _HEADER_BITS + lens.sum(axis=0), 1)
         starts = np.zeros(nb, dtype=np.int64)
         np.cumsum(block_len[:-1], out=starts[1:])
         total = int(block_len.sum())
         limits = None
     plane_start = np.zeros((planes.size, nb), dtype=np.int64)
     np.cumsum(lens[:-1], axis=0, out=plane_start[1:])
-    plane_start += starts + 13
+    plane_start += starts + _HEADER_BITS
 
     dests: list[np.ndarray] = []
     drows: list[np.ndarray] = []  # owning block of each scattered 1
@@ -229,7 +184,7 @@ def _encode_blocks_vectorized(
     dests.append(starts[nz_rows])  # nonzero flag bits
     drows.append(nz_rows)
     ev = (exps[nz_rows] + _EXP_BIAS).astype(np.int64)
-    erow, ebit = np.nonzero((ev[:, None] >> np.arange(11, -1, -1)) & 1)
+    erow, ebit = np.nonzero((ev[:, None] >> np.arange(_EXP_BITS - 1, -1, -1)) & 1)
     dests.append(starts[nz_rows][erow] + 1 + ebit)
     drows.append(nz_rows[erow])
 
@@ -276,7 +231,7 @@ def _encode_blocks_vectorized(
 def _decode_block_bits(
     bits: list[int], pos: int, total: int, size: int, kmin: int, max_bits: int | None
 ) -> tuple[list[int] | None, int, bool, int]:
-    """Mirror of :func:`_encode_block` over a plain 0/1 list.
+    """Decode one block of :func:`_encode_blocks_vectorized` from a plain 0/1 list.
 
     Returns ``(negabinary values | None, e, nonzero, new_pos)``; ``None``
     values mean an all-zero block.  Working on a pre-unpacked bit list
@@ -382,7 +337,7 @@ class ZfpLikeCompressor(Compressor):
         u = to_negabinary(coeffs)
 
         if isinstance(mode, SizeMode):
-            block_bits = max(8, int(round(mode.bpp * 4**nd)))
+            block_bits = max(_HEADER_BITS, int(round(mode.bpp * 4**nd)))
             kmins = np.zeros(nb, dtype=np.int64)
             max_bits: int | None = block_bits
             tol = 0.0
@@ -399,25 +354,7 @@ class ZfpLikeCompressor(Compressor):
             max_bits = None
             block_bits = 0
 
-        if max_bits is None or max_bits >= 13:
-            payload, nbits = _encode_blocks_vectorized(
-                u, exps, nonzero, kmins, max_bits
-            )
-        else:
-            # Budgets below the flag + exponent header interact with the
-            # writer's truncation in ways the scatter form does not model;
-            # keep the reference coder for that corner.
-            writer = BitWriter()
-            for b in range(nb):
-                _encode_block(
-                    writer,
-                    u[b],
-                    int(exps[b]),
-                    bool(nonzero[b]),
-                    int(kmins[b]),
-                    max_bits,
-                )
-            payload, nbits = writer.getvalue(), writer.nbits
+        payload, nbits = _encode_blocks_vectorized(u, exps, nonzero, kmins, max_bits)
         head = _MAGIC + struct.pack(
             "<BBdQ", nd, 0 if isinstance(mode, SizeMode) else 1,
             mode.bpp if isinstance(mode, SizeMode) else tol,

@@ -27,8 +27,8 @@ import struct
 import numpy as np
 
 from .. import lossless
-from ..bitstream import BitReader, BitWriter
 from ..errors import InvalidArgumentError, StreamFormatError
+from ..lossless.bitpack import pack_msb_wide
 from ..lossless.universal import delta_decode, delta_encode, unzigzag, zigzag
 
 __all__ = [
@@ -58,35 +58,56 @@ def _position_width(n: int) -> int:
     return max(1, int(n - 1).bit_length())
 
 
+_CSR_HEAD = "<QQdBB"  # n, k, tolerance, position bits, value bits
+
+
+def _row_uints(bits: np.ndarray) -> np.ndarray:
+    """Each row of a ``(k, width <= 64)`` MSB-first bit matrix as an integer."""
+    k, width = bits.shape
+    padded = np.zeros((k, 64), dtype=np.uint8)
+    padded[:, 64 - width :] = bits
+    return np.packbits(padded, axis=1).view(">u8").reshape(k).astype(np.int64)
+
+
 def csr_encode(
     positions: np.ndarray, corrections: np.ndarray, n: int, tolerance: float
 ) -> bytes:
     """Naive sparse storage: fixed-width positions + fixed-width codes."""
     positions = np.asarray(positions, dtype=np.int64)
+    if positions.size and (positions.min() < 0 or positions.max() >= n):
+        raise InvalidArgumentError(f"outlier positions must lie in [0, {n})")
     codes = quantize_corrections(corrections, tolerance)
+    if codes.size and (codes.min() <= -(2**62) or codes.max() >= 2**62):
+        # zigzag maps them past int64
+        raise InvalidArgumentError("corrections exceed 2**62 tolerance steps")
     pos_bits = _position_width(n)
     val_bits = max(1, int(np.abs(codes).max(initial=1)).bit_length() + 1)
 
-    writer = BitWriter()
-    for p, c in zip(positions.tolist(), codes.tolist()):
-        writer.write_uint(p, pos_bits)
-        writer.write_uint(int(zigzag(np.asarray([c]))[0]), val_bits)
-    head = struct.pack("<QQdBB", n, positions.size, tolerance, pos_bits, val_bits)
-    return head + writer.getvalue()
+    # One (position, zigzag code) record per outlier, packed in one pass.
+    fields = np.stack([positions, zigzag(codes)], axis=1).ravel()
+    widths = np.tile(np.array([pos_bits, val_bits]), positions.size)
+    body, _ = pack_msb_wide(fields, widths)
+    head = struct.pack(_CSR_HEAD, n, positions.size, tolerance, pos_bits, val_bits)
+    return head + body
 
 
 def csr_decode(payload: bytes) -> tuple[np.ndarray, np.ndarray, float]:
     """Returns ``(positions, corrections, tolerance)``."""
-    head_size = struct.calcsize("<QQdBB")
+    head_size = struct.calcsize(_CSR_HEAD)
     if len(payload) < head_size:
         raise StreamFormatError("truncated CSR outlier payload")
-    n, k, tolerance, pos_bits, val_bits = struct.unpack_from("<QQdBB", payload)
-    reader = BitReader(payload[head_size:])
-    positions = np.empty(k, dtype=np.int64)
-    codes = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        positions[i] = reader.read_uint(pos_bits)
-        codes[i] = reader.read_uint(val_bits)
+    n, k, tolerance, pos_bits, val_bits = struct.unpack_from(_CSR_HEAD, payload)
+    if not (1 <= pos_bits <= 64 and 1 <= val_bits <= 64):
+        raise StreamFormatError(
+            f"CSR field widths {pos_bits}/{val_bits} outside [1, 64]"
+        )
+    body = np.frombuffer(payload, dtype=np.uint8, offset=head_size)
+    record = pos_bits + val_bits
+    if k * record > 8 * body.size:
+        raise StreamFormatError("truncated CSR outlier payload")
+    records = np.unpackbits(body)[: k * record].reshape(k, record)
+    positions = _row_uints(records[:, :pos_bits])
+    codes = _row_uints(records[:, pos_bits:])
     return positions, dequantize_corrections(unzigzag(codes), tolerance), tolerance
 
 
@@ -100,12 +121,11 @@ def bitmap_encode(
     bitmap[positions] = True
     bitmap_bytes = lossless.compress(np.packbits(bitmap).tobytes(), method="auto")
 
-    writer = BitWriter()
     # outliers have |corr| > t so codes are nonzero; zigzag makes them
     # positive for the universal code
-    delta_encode(zigzag(codes[np.argsort(positions)]), writer)
+    elias, _ = delta_encode(zigzag(codes[np.argsort(positions)]))
     head = struct.pack("<QQdI", n, positions.size, tolerance, len(bitmap_bytes))
-    return head + bitmap_bytes + writer.getvalue()
+    return head + bitmap_bytes + elias
 
 
 def bitmap_decode(payload: bytes) -> tuple[np.ndarray, np.ndarray, float]:
@@ -119,6 +139,5 @@ def bitmap_decode(payload: bytes) -> tuple[np.ndarray, np.ndarray, float]:
     positions = np.flatnonzero(bitmap)
     if positions.size != k:
         raise StreamFormatError("bitmap population does not match outlier count")
-    reader = BitReader(payload[head_size + bitmap_len :])
-    codes = unzigzag(delta_decode(reader, int(k)))
+    codes = unzigzag(delta_decode(payload[head_size + bitmap_len :], int(k)))
     return positions, dequantize_corrections(codes, tolerance), tolerance

@@ -1,152 +1,11 @@
-"""Bit-level I/O: BitWriter/BitReader pairing, headers, parameter blocks."""
+"""SPERR stream headers: the fixed chunk header and its parameter block."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.bitstream import (
-    HEADER_SIZE,
-    BitReader,
-    BitWriter,
-    ChunkHeader,
-    ChunkParams,
-)
-from repro.errors import InvalidArgumentError, StreamFormatError
-
-
-class TestBitWriter:
-    def test_empty_writer(self):
-        w = BitWriter()
-        assert w.nbits == 0
-        assert w.nbytes == 0
-        assert w.getvalue() == b""
-
-    def test_single_bits(self):
-        w = BitWriter()
-        for b in (1, 0, 1, 1, 0, 0, 0, 1):
-            w.write_bit(b)
-        assert w.nbits == 8
-        assert w.getvalue() == bytes([0b10110001])
-
-    def test_batched_bits_match_single_bits(self):
-        bits = np.array([1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
-        w1 = BitWriter()
-        w1.write_bits(bits)
-        w2 = BitWriter()
-        for b in bits:
-            w2.write_bit(bool(b))
-        assert w1.getvalue() == w2.getvalue()
-        assert w1.nbits == w2.nbits == 11
-
-    def test_tail_byte_zero_padded(self):
-        w = BitWriter()
-        w.write_bits(np.array([1, 1, 1], dtype=bool))
-        assert w.getvalue() == bytes([0b11100000])
-
-    def test_write_uint_msb_first(self):
-        w = BitWriter()
-        w.write_uint(0b1011, 4)
-        w.write_uint(0, 4)
-        assert w.getvalue() == bytes([0b10110000])
-
-    def test_write_uint_zero_width(self):
-        w = BitWriter()
-        w.write_uint(0, 0)
-        assert w.nbits == 0
-
-    def test_write_uint_overflow_rejected(self):
-        w = BitWriter()
-        with pytest.raises(InvalidArgumentError):
-            w.write_uint(16, 4)
-
-    def test_negative_uint_rejected(self):
-        w = BitWriter()
-        with pytest.raises(InvalidArgumentError):
-            w.write_uint(-1, 4)
-
-    def test_truncation_via_max_bits(self):
-        w = BitWriter()
-        w.write_bits(np.ones(16, dtype=bool))
-        assert w.getvalue(max_bits=4) == bytes([0b11110000])
-
-    def test_non_1d_rejected(self):
-        w = BitWriter()
-        with pytest.raises(InvalidArgumentError):
-            w.write_bits(np.ones((2, 2), dtype=bool))
-
-
-class TestBitReader:
-    def test_round_trip_bits(self):
-        w = BitWriter()
-        pattern = np.array([1, 0, 0, 1, 1, 1, 0, 1, 0, 1], dtype=bool)
-        w.write_bits(pattern)
-        r = BitReader(w.getvalue(), nbits=w.nbits)
-        out = r.read_bits(10)
-        assert np.array_equal(out, pattern)
-        assert r.exhausted
-
-    def test_read_beyond_end_returns_short(self):
-        r = BitReader(bytes([0xFF]), nbits=3)
-        got = r.read_bits(10)
-        assert got.size == 3
-        assert r.exhausted
-
-    def test_read_bit_raises_past_end(self):
-        r = BitReader(b"", nbits=0)
-        with pytest.raises(StreamFormatError):
-            r.read_bit()
-
-    def test_read_bits_exact_raises(self):
-        r = BitReader(bytes([0xF0]), nbits=4)
-        with pytest.raises(StreamFormatError):
-            r.read_bits_exact(5)
-
-    def test_read_uint(self):
-        w = BitWriter()
-        w.write_uint(42, 13)
-        r = BitReader(w.getvalue(), nbits=13)
-        assert r.read_uint(13) == 42
-
-    def test_declared_nbits_longer_than_buffer(self):
-        with pytest.raises(StreamFormatError):
-            BitReader(bytes([0x00]), nbits=9)
-
-    def test_seek(self):
-        w = BitWriter()
-        w.write_uint(0b1010, 4)
-        r = BitReader(w.getvalue(), nbits=4)
-        r.read_bits(4)
-        r.seek(0)
-        assert r.read_uint(4) == 0b1010
-        with pytest.raises(InvalidArgumentError):
-            r.seek(5)
-
-    def test_negative_read_rejected(self):
-        r = BitReader(bytes([0xAA]))
-        with pytest.raises(InvalidArgumentError):
-            r.read_bits(-1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.booleans(), max_size=300))
-def test_bit_round_trip_property(bits):
-    arr = np.asarray(bits, dtype=bool)
-    w = BitWriter()
-    w.write_bits(arr)
-    r = BitReader(w.getvalue(), nbits=w.nbits)
-    assert np.array_equal(r.read_bits(len(bits)), arr)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2**40 - 1), st.integers(min_value=40, max_value=64))
-def test_uint_round_trip_property(value, width):
-    w = BitWriter()
-    w.write_uint(value, width)
-    r = BitReader(w.getvalue(), nbits=width)
-    assert r.read_uint(width) == value
+from repro.bitstream import HEADER_SIZE, ChunkHeader, ChunkParams
+from repro.errors import StreamFormatError
 
 
 class TestChunkHeader:

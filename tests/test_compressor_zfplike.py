@@ -14,13 +14,14 @@ from repro.compressors.zfplike import (
     to_negabinary,
 )
 from repro.compressors.zfplike.zfp import (
-    BitWriter,
+    _EXP_BIAS,
+    _EXP_BITS,
+    _HEADER_BITS,
     _blockify,
-    _encode_block,
     _encode_blocks_vectorized,
     _unblockify,
 )
-from repro.compressors.zfplike.transform import block_exponents
+from repro.compressors.zfplike.transform import PRECISION, block_exponents
 from repro.core.plans import zfp_scan_order
 from repro.core.modes import PweMode, SizeMode
 from repro.errors import InvalidArgumentError
@@ -149,11 +150,66 @@ class TestZfpLikeCompressor:
             ZfpLikeCompressor().compress(data, PweMode(0.1))
 
 
+def _encode_block(
+    bits: list[int],
+    u: np.ndarray,
+    e: int,
+    nonzero: bool,
+    kmin: int,
+    max_bits: int | None,
+) -> None:
+    """zfp's per-block embedded coding (group testing per bitplane),
+    appended to a plain 0/1 list: the serial oracle of
+    ``_encode_blocks_vectorized``.  ``max_bits`` must hold the block
+    header (``_HEADER_BITS``)."""
+    start = len(bits)
+    bits.append(int(nonzero))
+    if not nonzero:
+        if max_bits is not None:
+            bits.extend([0] * (max_bits - 1))
+        return
+    bits.extend((e + _EXP_BIAS) >> s & 1 for s in range(_EXP_BITS - 1, -1, -1))
+    size = u.size
+    vals = [int(v) for v in u.tolist()]
+    n = 0
+    out: list[int] = []
+    budget = None if max_bits is None else max_bits - (len(bits) - start)
+    for k in range(PRECISION - 2, kmin - 1, -1):
+        x = 0
+        for i in range(size):
+            x |= ((vals[i] >> k) & 1) << i
+        # verbatim bits for already-significant coefficients
+        for i in range(n):
+            out.append((x >> i) & 1)
+        x >>= n
+        m = n
+        while m < size:
+            b = 1 if x else 0
+            out.append(b)
+            if not b:
+                break
+            while m < size - 1:
+                bit = x & 1
+                out.append(bit)
+                if bit:
+                    break
+                x >>= 1
+                m += 1
+            x >>= 1
+            m += 1
+        n = m if m > n else n
+        if budget is not None and len(out) >= budget:
+            break
+    if budget is not None:
+        out = out[:budget] + [0] * max(0, budget - len(out))
+    bits.extend(out)
+
+
 class TestVectorizedEncoderIdentity:
     """The scatter-form block coder (with its budget-exhaustion plane
-    pruning) must stay bit-identical to the reference per-block
-    ``BitWriter`` coder in every mode, including budgets that cut off
-    mid-plane."""
+    pruning) must stay bit-identical to zfp's serial per-block coder in
+    every mode, including budgets that cut off mid-plane and the
+    smallest budget, the 13-bit block header."""
 
     @staticmethod
     def _coder_inputs(data, nd, rng_seed=0):
@@ -175,16 +231,16 @@ class TestVectorizedEncoderIdentity:
 
     @staticmethod
     def _serial(u, exps, nonzero, kmins, max_bits):
-        writer = BitWriter()
+        bits: list[int] = []
         for b in range(u.shape[0]):
             _encode_block(
-                writer, u[b], int(exps[b]), bool(nonzero[b]),
+                bits, u[b], int(exps[b]), bool(nonzero[b]),
                 int(kmins[b]), max_bits,
             )
-        return writer.getvalue(), writer.nbits
+        return np.packbits(np.array(bits, dtype=np.uint8)).tobytes(), len(bits)
 
     @pytest.mark.parametrize("nd", [1, 2, 3])
-    @pytest.mark.parametrize("max_bits", [None, 64, 200, 1000])
+    @pytest.mark.parametrize("max_bits", [None, 13, 64, 200, 1000])
     def test_matches_reference_coder(self, nd, max_bits, rng):
         data = rng.standard_normal((12,) * nd).cumsum(axis=-1)
         u, exps, nonzero = self._coder_inputs(data, nd)
@@ -202,7 +258,7 @@ class TestVectorizedEncoderIdentity:
         # plane-loop break must not change a single emitted bit.
         data = rng.standard_normal((16, 16)).cumsum(axis=0)
         u, exps, nonzero = self._coder_inputs(data, 2)
-        for max_bits in (16, 24, 40, 96):
+        for max_bits in (13, 14, 15, 16, 17, 20, 24, 40, 96):
             kmins = np.zeros(u.shape[0], dtype=np.int64)
             vec = _encode_blocks_vectorized(u, exps, nonzero, kmins, max_bits)
             ref = self._serial(u, exps, nonzero, kmins, max_bits)
@@ -216,6 +272,36 @@ class TestVectorizedEncoderIdentity:
         assert _encode_blocks_vectorized(
             u, exps, nonzero, kmins, None
         ) == self._serial(u, exps, nonzero, kmins, None)
+
+
+class TestFixedRateHeaderFloor:
+    """A fixed-rate block budget is floored at the 13-bit block header
+    (nonzero flag + exponent).  A smaller budget once kept the header but
+    made the decoder skip to ``start + budget``, decoding garbage and
+    NaN; it now codes exactly like 13 bits per block."""
+
+    @staticmethod
+    def _without_rate(payload: bytes) -> bytes:
+        # magic, rank, mode code | (skip the 8-byte rate) | nbits, shape,
+        # block budget and the block payload
+        return payload[:6] + payload[14:]
+
+    @pytest.mark.parametrize(
+        "shape, bpp",
+        [((64,), 2.5), ((64,), 3.0), ((32, 32), 0.25), ((32, 32), 0.75),
+         ((16, 16, 16), 0.1), ((16, 16, 16), 0.19)],
+    )
+    def test_budget_below_header_codes_as_header(self, shape, bpp, rng):
+        nd = len(shape)
+        assert round(bpp * 4**nd) < _HEADER_BITS
+        data = rng.standard_normal(shape).cumsum(axis=-1)
+        c = ZfpLikeCompressor()
+        low = c.compress(data, SizeMode(bpp=bpp))
+        recon = c.decompress(low)
+        assert np.all(np.isfinite(recon))
+        at_floor = c.compress(data, SizeMode(bpp=_HEADER_BITS / 4**nd))
+        assert self._without_rate(low) == self._without_rate(at_floor)
+        np.testing.assert_array_equal(recon, c.decompress(at_floor))
 
 
 class TestThroughputFloors:

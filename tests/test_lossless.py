@@ -602,6 +602,39 @@ class TestBitpack:
                 np.array([1], dtype=np.uint64), np.array([33], dtype=np.int64)
             )
 
+    def test_pack_wide_msb_first(self):
+        values = np.array([0b1011, 0, 1 << 39], dtype=np.uint64)
+        lengths = np.array([4, 4, 40], dtype=np.int64)
+        packed, nbits = bitpack.pack_msb_wide(values, lengths)
+        assert nbits == 48
+        assert packed == bytes([0b10110000, 0x80, 0, 0, 0, 0])
+
+    def test_pack_wide_tail_byte_zero_padded(self):
+        values = np.array([0xFFFF_FFFF_FFFF_FFFF], dtype=np.uint64)
+        packed, nbits = bitpack.pack_msb_wide(values, np.array([35], dtype=np.int64))
+        assert nbits == 35
+        assert packed == bytes([0xFF] * 4 + [0b11100000])
+
+    def test_pack_wide_zero_width(self):
+        values = np.array([5, 7], dtype=np.uint64)
+        assert bitpack.pack_msb_wide(values, np.zeros(2, dtype=np.int64)) == (b"", 0)
+
+    def test_pack_wide_matches_bitstring_oracle_every_width(self, rng):
+        for width in range(65):
+            lengths = np.array([13, width, 64, width], dtype=np.int64)
+            values = rng.integers(0, 1 << 63, size=4, dtype=np.uint64) << np.uint64(1)
+            values |= np.uint64(1)
+            assert bitpack.pack_msb_wide(values, lengths) == self._bitstring_oracle(
+                values, lengths
+            ), width
+
+    @pytest.mark.parametrize("lengths", [[65], [-1], [3, 70]])
+    def test_pack_wide_rejects_bad_widths(self, lengths):
+        with pytest.raises(InvalidArgumentError):
+            bitpack.pack_msb_wide(
+                np.zeros(len(lengths), dtype=np.uint64), np.array(lengths)
+            )
+
     def test_bit_windows_match_extract_at_every_offset(self, rng):
         data = bytes(rng.integers(0, 256, size=37).astype(np.uint8))
         windows = bitpack.byte_windows(data)
@@ -728,6 +761,27 @@ def test_backend_auto_round_trip_property(data):
 @given(st.binary(max_size=600))
 def test_lz77_round_trip_property(data):
     assert lz77.decode(lz77.encode(data)) == data
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 64)), max_size=40
+    )
+)
+def test_pack_wide_round_trip_property(fields):
+    """Every field read back from the packed bits, MSB-first, equals its
+    value's low ``width`` bits."""
+    values = np.array([v for v, _ in fields], dtype=np.uint64)
+    lengths = np.array([w for _, w in fields], dtype=np.int64)
+    packed, nbits = bitpack.pack_msb_wide(values, lengths)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+    assert nbits == int(lengths.sum()) and not bits[nbits:].any()
+    pos = 0
+    for value, width in fields:
+        read = int("".join(map(str, bits[pos : pos + width])) or "0", 2)
+        assert read == value & ((1 << width) - 1)
+        pos += width
 
 
 # Seeded micro inputs, each shaped to the data one method is for.
