@@ -248,6 +248,13 @@ def _decode_block_bits(
             # skip the zero-padding up to the fixed block budget
             pos = min(total, max(pos, start + max_bits))
         return None, 0, False, pos
+    if max_bits is not None and max_bits < _HEADER_BITS:
+        # only encoders predating the 13-bit floor wrote such budgets,
+        # and their nonzero blocks overran them
+        raise StreamFormatError(
+            f"zfp fixed-rate budget of {max_bits} bits cannot hold a "
+            f"nonzero block's {_HEADER_BITS}-bit header"
+        )
     if pos + _EXP_BITS > total:
         raise StreamFormatError("zfp stream exhausted reading block exponent")
     e = 0

@@ -9,24 +9,35 @@ reproduction operates at laptop-scale volumes).
 Like real SPERR, trailing remainders are merged into the preceding chunk
 when they are small (under half a chunk), which avoids slivers whose
 wavelet decomposition would be shallow.
+
+Every reader sees a chunk table as a :class:`ChunkGrid`: the one tiling
+check, the lookup of the chunks a window touches, and the assembly of
+decoded boxes into that window (full volume, cropped window or coarse
+preview).
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, product
 
 import numpy as np
 
 from ..errors import InvalidArgumentError, StreamFormatError
+from ..wavelets import num_levels
 
 __all__ = [
     "Chunk",
+    "ChunkGrid",
     "plan_chunks",
     "split",
-    "assemble",
     "group_by_shape",
     "read_chunk_table",
+    "coarse_depth",
+    "coarse_extent",
     "DEFAULT_CHUNK",
 ]
 
@@ -116,39 +127,162 @@ def split(data: np.ndarray, chunks: list[Chunk]) -> list[np.ndarray]:
     return [np.ascontiguousarray(data[c.slices()]) for c in chunks]
 
 
-def assemble(
-    shape: tuple[int, ...], chunks: list[Chunk], parts: list[np.ndarray]
-) -> np.ndarray:
-    """Stitch decompressed chunk arrays back into one volume."""
-    if len(chunks) != len(parts):
-        raise InvalidArgumentError("chunk plan and part count differ")
-    out = np.empty(shape, dtype=np.float64)
-    filled = 0
-    for chunk, part in zip(chunks, parts):
-        if tuple(part.shape) != chunk.shape:
-            raise InvalidArgumentError(
-                f"part shape {part.shape} does not match chunk {chunk.shape}"
+def _axis_depth(n: int, levels_cap: int | None) -> int:
+    """Coarsening levels an ``n``-long axis supports: the wavelet
+    per-axis rule (:func:`~repro.wavelets.num_levels`), capped by
+    ``levels_cap``."""
+    depth = num_levels(n)
+    return depth if levels_cap is None else min(depth, levels_cap)
+
+
+def coarse_depth(shape: tuple[int, ...], levels_cap: int | None) -> int:
+    """Deepest coarsening level any axis of a ``shape`` chunk supports."""
+    return max(_axis_depth(n, levels_cap) for n in shape)
+
+
+def coarse_extent(n: int, level: int, levels_cap: int | None) -> int:
+    """Extent of an ``n``-long axis at coarse ``level``.
+
+    The axis halves (rounding up) once per level down to its own depth
+    and stays put below it — the same extent a wavelet low-pass box and
+    a ``[::2**k]`` decimation both produce, so sperr and non-sperr
+    coarse tiles assemble on one grid.
+    """
+    k = min(level, _axis_depth(n, levels_cap))
+    return (n + (1 << k) - 1) >> k
+
+
+class ChunkGrid:
+    """A chunk table that tiles ``shape`` as one grid of per-axis runs.
+
+    The constructor is the one tiling check: each axis must be cut into
+    consecutive runs from 0 to its extent, and every cell of that grid
+    must hold exactly one chunk (in any table order).  That is the grid
+    :func:`plan_chunks` emits; a table with repeated or overlapping
+    chunks, or with holes, would otherwise assemble into a volume with
+    stale samples.  Raises :class:`StreamFormatError` otherwise; the
+    check costs O(n_chunks * rank).  ``chunks`` keeps the table order.
+    """
+
+    def __init__(self, shape: tuple[int, ...], chunks: list[Chunk]) -> None:
+        self.chunks = list(chunks)
+        runs = []
+        for axis, extent in enumerate(shape):
+            axis_runs = sorted({c.bounds[axis] for c in self.chunks})
+            edge = 0
+            for a, b in axis_runs:
+                if a != edge:
+                    raise StreamFormatError(
+                        f"chunk table does not tile axis {axis}: run ({a}, {b}) "
+                        f"after offset {edge}"
+                    )
+                edge = b
+            if edge != extent:
+                raise StreamFormatError(
+                    f"chunk table covers axis {axis} up to {edge} of {extent}"
+                )
+            runs.append(axis_runs)
+        cells = math.prod(len(r) for r in runs)
+        if cells != len(self.chunks):
+            raise StreamFormatError(
+                f"chunk table has {len(self.chunks)} chunks for a {cells}-cell grid"
             )
-        out[chunk.slices()] = part
-        filled += part.size
-    if filled != out.size:
-        raise InvalidArgumentError("chunk plan does not tile the volume")
-    return out
+        self._runs = runs
+        self._starts = [[a for a, _ in r] for r in runs]
+        self._stops = [[b for _, b in r] for r in runs]
+        pos = [{a: p for p, a in enumerate(st)} for st in self._starts]
+        # table index of the chunk at each grid cell
+        self._cells = np.full([len(r) for r in runs], -1, dtype=np.intp)
+        for i, c in enumerate(self.chunks):
+            cell = tuple(pos[axis][a] for axis, (a, _) in enumerate(c.bounds))
+            if self._cells[cell] >= 0:
+                raise StreamFormatError(f"chunk table repeats chunk {c.bounds}")
+            self._cells[cell] = i
+
+    def _span(self, axis: int, lo: int, hi: int) -> range:
+        """Grid positions of the runs of ``axis`` that overlap ``[lo, hi)``."""
+        return range(
+            bisect_right(self._stops[axis], lo), bisect_left(self._starts[axis], hi)
+        )
+
+    def intersecting(self, bounds: tuple[tuple[int, int], ...]) -> list[int]:
+        """Ascending ids of the chunks overlapping the box ``bounds``.
+
+        A chunk overlaps when ``start < hi and lo < stop`` on every axis,
+        so an empty ``(lo, lo)`` axis still touches a run that strictly
+        contains ``lo``.
+        """
+        spans = [self._span(axis, lo, hi) for axis, (lo, hi) in enumerate(bounds)]
+        return sorted(self._cells[np.ix_(*spans)].ravel().tolist())
+
+    def tile(
+        self,
+        bounds: tuple[tuple[int, int], ...],
+        parts: dict[int, np.ndarray],
+        *,
+        level: int = 0,
+        levels_cap: int | None = None,
+        fill_value: float = float("nan"),
+    ) -> np.ndarray:
+        """Tile decoded chunk boxes into the window ``bounds``.
+
+        ``parts`` maps chunk ids to their decoded boxes; the chunks of
+        :meth:`intersecting` missing from it fill their tiles with
+        ``fill_value``.  At ``level == 0`` each box is cropped to its
+        overlap with the window, so the result equals slicing the full
+        volume.  At ``level > 0`` each box is the chunk's coarse box
+        (:func:`coarse_extent` per axis under ``levels_cap``) and is
+        placed whole on the coarse grid of the chunks covering the
+        window.  Raises :class:`~repro.errors.InvalidArgumentError` when a
+        box's shape does not match its chunk.
+        """
+        # per axis: (grid position, box extent, source slice, target slice)
+        tiles, shape = [], []
+        for axis, (lo, hi) in enumerate(bounds):
+            span = self._span(axis, lo, hi)
+            runs = [self._runs[axis][p] for p in span]
+            if level == 0:
+                tiles.append([
+                    (p, b - a, slice(max(a, lo) - a, min(b, hi) - a),
+                     slice(max(a, lo) - lo, min(b, hi) - lo))
+                    for p, (a, b) in zip(span, runs)
+                ])
+                shape.append(hi - lo)
+            else:
+                ext = [coarse_extent(b - a, level, levels_cap) for a, b in runs]
+                edges = list(accumulate(ext, initial=0))
+                tiles.append([
+                    (p, n, slice(None), slice(e, e + n))
+                    for p, n, e in zip(span, ext, edges)
+                ])
+                shape.append(edges[-1])
+        out = np.empty(shape, dtype=np.float64)
+        for cell in product(*tiles):
+            i = int(self._cells[tuple(t[0] for t in cell)])
+            dst = tuple(t[3] for t in cell)
+            part = parts.get(i)
+            if part is None:
+                out[dst] = fill_value
+                continue
+            if part.shape != tuple(t[1] for t in cell):
+                raise InvalidArgumentError(
+                    f"part shape {part.shape} does not match chunk "
+                    f"{tuple(t[1] for t in cell)}"
+                )
+            out[dst] = part[tuple(t[2] for t in cell)]
+        return out
 
 
 def read_chunk_table(
     payload: bytes, pos: int, shape: tuple[int, ...], n_chunks: int
-) -> tuple[list[Chunk], int]:
+) -> tuple[ChunkGrid, int]:
     """Read ``n_chunks`` untrusted ``rank * (u64 start, u64 stop)`` bounds.
 
     The one chunk-table reader behind every on-disk format (container,
-    legacy chunked framings, store index).  Returns the chunks and the
-    position after the table.  Raises :class:`StreamFormatError` unless
-    the chunks tile ``shape`` exactly: each axis must be cut into
-    consecutive runs, and every cell of that grid must appear once.
-    That is the grid :func:`plan_chunks` emits; a table with repeated or
-    overlapping chunks, or with holes, would otherwise assemble into a
-    volume with stale samples.  The check costs O(n_chunks * rank).
+    legacy chunked framings, store index).  Returns the checked
+    :class:`ChunkGrid` and the position after the table; raises
+    :class:`StreamFormatError` for bounds outside the shape and for
+    tables that do not tile it.
     """
     rank = len(shape)
     end = pos + 16 * rank * n_chunks
@@ -168,37 +302,4 @@ def read_chunk_table(
                     f"chunk bounds ({a}, {b}) outside axis extent {extent}"
                 )
         chunks.append(Chunk(bounds=bounds))
-    _check_tiling(shape, chunks)
-    return chunks, end
-
-
-def _check_tiling(shape: tuple[int, ...], chunks: list[Chunk]) -> None:
-    """Raise unless ``chunks`` is a permutation of one per-axis run grid."""
-    starts: list[dict[int, int]] = []
-    cells = 1
-    for axis, extent in enumerate(shape):
-        runs = sorted({c.bounds[axis] for c in chunks})
-        edge = 0
-        for a, b in runs:
-            if a != edge:
-                raise StreamFormatError(
-                    f"chunk table does not tile axis {axis}: run ({a}, {b}) "
-                    f"after offset {edge}"
-                )
-            edge = b
-        if edge != extent:
-            raise StreamFormatError(
-                f"chunk table covers axis {axis} up to {edge} of {extent}"
-            )
-        starts.append({a: i for i, (a, _) in enumerate(runs)})
-        cells *= len(runs)
-    if cells != len(chunks):
-        raise StreamFormatError(
-            f"chunk table has {len(chunks)} chunks for a {cells}-cell grid"
-        )
-    seen = set()
-    for c in chunks:
-        cell = tuple(starts[axis][a] for axis, (a, _) in enumerate(c.bounds))
-        if cell in seen:
-            raise StreamFormatError(f"chunk table repeats chunk {c.bounds}")
-        seen.add(cell)
+    return ChunkGrid(shape, chunks), end

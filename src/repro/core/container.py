@@ -78,7 +78,16 @@ from .adaptive import (
     decode_stored_chunk,
     encode_stored_chunk,
 )
-from .chunking import Chunk, assemble, group_by_shape, plan_chunks, read_chunk_table
+from .chunking import (
+    Chunk,
+    ChunkGrid,
+    _axis_depth,
+    coarse_depth,
+    coarse_extent,
+    group_by_shape,
+    plan_chunks,
+    read_chunk_table,
+)
 from .mask import (
     DegradationNote,
     apply_mask,
@@ -87,7 +96,6 @@ from .mask import (
     sanitize_array,
     tighten_pwe_for_dtype,
 )
-from ..wavelets import num_levels
 from .modes import PsnrMode, PweMode, SizeMode
 from .parallel import map_chunk_arrays, robust_chunk_map
 from .pipeline import ChunkReport, compress_stack, decompress_chunk, psnr_target_rmse
@@ -104,8 +112,6 @@ __all__ = [
     "MAX_TOTAL_POINTS",
     "compress",
     "decompress",
-    "coarse_depth",
-    "coarse_extent",
     "decode_chunks",
     "decode_tagged_chunk",
     "parse_container",
@@ -214,31 +220,6 @@ def _compress_baseline_job(
     return stream, _fast_tier_report(part.shape, tolerance, len(stream))
 
 
-def _axis_depth(n: int, levels_cap: int | None) -> int:
-    """Coarsening levels an ``n``-long axis supports: the wavelet
-    per-axis rule (:func:`~repro.wavelets.num_levels`), capped by
-    ``levels_cap``."""
-    depth = num_levels(n)
-    return depth if levels_cap is None else min(depth, levels_cap)
-
-
-def coarse_depth(shape: tuple[int, ...], levels_cap: int | None) -> int:
-    """Deepest coarsening level any axis of a ``shape`` chunk supports."""
-    return max(_axis_depth(n, levels_cap) for n in shape)
-
-
-def coarse_extent(n: int, level: int, levels_cap: int | None) -> int:
-    """Extent of an ``n``-long axis at coarse ``level``.
-
-    The axis halves (rounding up) once per level down to its own depth
-    and stays put below it — the same extent a wavelet low-pass box and
-    a ``[::2**k]`` decimation both produce, so sperr and non-sperr
-    coarse tiles assemble on one grid.
-    """
-    k = min(level, _axis_depth(n, levels_cap))
-    return (n + (1 << k) - 1) >> k
-
-
 def decode_tagged_chunk(
     stream: bytes,
     tag: int,
@@ -262,7 +243,8 @@ def decode_tagged_chunk(
     the other tags have no embedded bitstream and decode whole.
     ``level > 0`` returns the coarse box: sperr chunks skip the finest
     inverse wavelet levels, the other tags keep every ``2**k``-th
-    sample, and each axis ends at :func:`coarse_extent` under
+    sample, and each axis ends at
+    :func:`~repro.core.chunking.coarse_extent` under
     ``levels_cap``.  A ``level`` deeper than the chunk's deepest axis
     raises :class:`~repro.errors.InvalidArgumentError`.
     """
@@ -641,7 +623,9 @@ class ParsedContainer:
     see the module docstring); ``chunk_crcs`` is ``None`` on v1
     payloads, which have none.  ``codec_tags`` holds one
     :data:`~repro.core.adaptive.CODEC_NAMES` key per chunk; v1-v3
-    payloads report every chunk as sperr.  ``mask_blob`` is the raw
+    payloads report every chunk as sperr.  ``grid`` is the checked
+    chunk table (:class:`~repro.core.chunking.ChunkGrid`); ``chunks``
+    reads its chunks in table order.  ``mask_blob`` is the raw
     (still lossless-compressed) mask section, ``None`` when the input was
     finite — its stored CRC is in ``mask_crc`` and is verified by
     :func:`decompress`, not here, so salvage can survive mask damage.
@@ -651,13 +635,18 @@ class ParsedContainer:
     dtype: np.dtype
     mode_code: int
     shape: tuple[int, ...]
-    chunks: list[Chunk]
+    grid: ChunkGrid
     streams: list[bytes]
     codec_tags: tuple[int, ...]
     format_version: int = CONTAINER_VERSION
     chunk_crcs: tuple[int, ...] | None = None
     mask_blob: bytes | None = None
     mask_crc: int | None = None
+
+    @property
+    def chunks(self) -> list[Chunk]:
+        """The chunks in table order."""
+        return self.grid.chunks
 
 
 def parse_container(payload: bytes) -> ParsedContainer:
@@ -716,7 +705,7 @@ def _parse_container_body(payload: bytes, version: int) -> ParsedContainer:
         _check_header_crc(
             payload, pos, _HEADER_CRC_OFFSET, stored_header_crc, "container"
         )
-    chunks, _ = read_chunk_table(payload, table_pos, shape, n_chunks)
+    grid, _ = read_chunk_table(payload, table_pos, shape, n_chunks)
     mask_blob, streams = _split_sections(
         payload, pos, mask_nbytes, sizes, "container"
     )
@@ -725,7 +714,7 @@ def _parse_container_body(payload: bytes, version: int) -> ParsedContainer:
         dtype=_DTYPE_BY_CODE[dtype_code],
         mode_code=mode_code,
         shape=shape,
-        chunks=chunks,
+        grid=grid,
         streams=streams,
         format_version=version,
         chunk_crcs=chunk_crcs,
@@ -997,14 +986,10 @@ def decompress(
             workers=workers,
             timeout=timeout,
         )
-        filled = [
-            parts[i]
-            if i in parts
-            else np.full(chunk.shape, fill_value, dtype=np.float64)
-            for i, chunk in enumerate(parsed.chunks)
-        ]
         with obs.span("container.assemble"):
-            out = assemble(parsed.shape, parsed.chunks, filled)
+            out = parsed.grid.tile(
+                tuple((0, n) for n in parsed.shape), parts, fill_value=fill_value
+            )
         out = out.astype(parsed.dtype, copy=False)
         report = None
         if salvage:

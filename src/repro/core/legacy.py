@@ -49,7 +49,7 @@ from .adaptive import (
     CODEC_TTHRESH,
     CODEC_ZFP,
 )
-from .chunking import plan_chunks, read_chunk_table
+from .chunking import ChunkGrid, plan_chunks, read_chunk_table
 from .container import (
     MAX_TOTAL_POINTS,
     ParsedContainer,
@@ -153,7 +153,7 @@ def _parse_chunked(payload: bytes, version: int) -> ParsedContainer:
         _check_header_crc(
             payload, pos, _HEADER_CRC_OFFSET, stored_crc, "chunked payload"
         )
-    chunks, _ = read_chunk_table(payload, table_pos, shape, n_chunks)
+    grid, _ = read_chunk_table(payload, table_pos, shape, n_chunks)
     mask_blob, tiles = _split_sections(
         payload, pos, mask_nbytes, sizes, "chunked payload"
     )
@@ -163,7 +163,7 @@ def _parse_chunked(payload: bytes, version: int) -> ParsedContainer:
         dtype=dtype,
         mode_code=0,
         shape=shape,
-        chunks=chunks,
+        grid=grid,
         streams=streams,
         format_version=version,
         chunk_crcs=None if all(c is None for c in crcs) else crcs,
@@ -305,7 +305,7 @@ def _single_chunk(
         dtype=dtype,
         mode_code=0,
         shape=shape,
-        chunks=plan_chunks(shape, None),
+        grid=ChunkGrid(shape, plan_chunks(shape, None)),
         streams=[stream],
         format_version=1,
         chunk_crcs=None if crc is None else (crc,),

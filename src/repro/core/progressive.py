@@ -126,7 +126,7 @@ def decompress_multires(payload: bytes, level: int) -> np.ndarray:
     """Reconstruct a coarsened view: skip the finest ``level`` inverse
     wavelet levels (each skipped level halves every axis deep enough
     for it, under the per-axis rule of
-    :func:`~repro.core.container.coarse_extent`).
+    :func:`~repro.core.chunking.coarse_extent`).
 
     Requires a single-chunk container — coarse views of independently
     transformed chunks do not tile into one coherent coarse volume

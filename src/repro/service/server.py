@@ -84,6 +84,9 @@ from .protocol import (
 
 __all__ = ["ServiceConfig", "CompressionService", "ServiceHandle", "serve_in_thread"]
 
+#: Per-op latency samples kept for the stats percentiles.
+LATENCY_WINDOW = 4096
+
 
 @dataclass
 class ServiceConfig:
@@ -119,8 +122,6 @@ class ServiceConfig:
     body_timeout_s: float = 30.0
     #: Retry hint (ms) attached to backpressure errors.
     retry_after_ms: int = 50
-    #: Per-op latency samples kept for the stats percentiles.
-    latency_window: int = 4096
 
 
 class _BatchOverlay:
@@ -284,9 +285,7 @@ class CompressionService:
         with self._stats_lock:
             ring = self._latencies.get(op)
             if ring is None:
-                ring = self._latencies[op] = deque(
-                    maxlen=self.config.latency_window
-                )
+                ring = self._latencies[op] = deque(maxlen=LATENCY_WINDOW)
             ring.append(seconds)
 
     def counters(self) -> dict[str, int]:

@@ -70,7 +70,7 @@ from ..errors import (
     decode_guard,
 )
 from ..core.adaptive import BASELINE_TAGS, CODEC_NAMES, CODEC_SPERR
-from ..core.chunking import Chunk, read_chunk_table
+from ..core.chunking import Chunk, ChunkGrid, read_chunk_table
 from ..core.container import MAX_TOTAL_POINTS, _DTYPE_BY_CODE, _DTYPES
 
 __all__ = [
@@ -143,8 +143,10 @@ class ChunkEntry:
 class StoreIndex:
     """Decoded footer index of one store.
 
-    ``chunks`` is the chunk grid shared by every frame; ``entries`` is
-    one tuple of :class:`ChunkEntry` per frame, in chunk-grid order.
+    ``grid`` is the checked chunk grid shared by every frame
+    (:class:`~repro.core.chunking.ChunkGrid`; ``chunks`` reads its chunks
+    in table order); ``entries`` is one tuple of :class:`ChunkEntry` per
+    frame, in chunk-table order.
     ``levels`` is ``None`` when the writer used the paper's automatic
     per-axis level rule, as every current writer does; an explicit depth
     comes only from stores written before the option went, and readers
@@ -158,13 +160,18 @@ class StoreIndex:
     dtype: np.dtype
     mode_code: int
     shape: tuple[int, ...]
-    chunks: list[Chunk]
+    grid: ChunkGrid
     wavelet: str
     levels: int | None
     n_shards: int
     entries: tuple[tuple[ChunkEntry, ...], ...]
     frame_masks: tuple[bytes | None, ...]
     frame_codecs: tuple[tuple[int, ...], ...]
+
+    @property
+    def chunks(self) -> list[Chunk]:
+        """The chunks in table order."""
+        return self.grid.chunks
 
     @property
     def n_frames(self) -> int:
@@ -279,7 +286,7 @@ def _parse_index_body(payload: bytes, version: int) -> StoreIndex:
         raise StreamFormatError(
             f"index declares {n_chunks} chunks for {npoints} points"
         )
-    chunks, pos = read_chunk_table(payload, pos, shape, n_chunks)
+    grid, pos = read_chunk_table(payload, pos, shape, n_chunks)
     n_frames, n_shards = struct.unpack_from("<II", payload, pos)
     pos += 8
     if n_frames < 1 or n_frames > MAX_FRAMES:
@@ -360,7 +367,7 @@ def _parse_index_body(payload: bytes, version: int) -> StoreIndex:
         dtype=_DTYPE_BY_CODE[dtype_code],
         mode_code=mode_code,
         shape=shape,
-        chunks=chunks,
+        grid=grid,
         wavelet=WAVELET_NAMES[wavelet_id],
         levels=None if levels_code == LEVELS_AUTO else int(levels_code),
         n_shards=int(n_shards),

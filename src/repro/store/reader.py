@@ -4,15 +4,20 @@
 decodes *only* the chunks a request actually touches:
 
 * :meth:`CompressedArray.read_window` takes a window (a tuple of slices
-  and/or integer indices in index space), finds the intersecting chunks
-  through the per-axis grid index, decodes the cache misses through
+  and/or integer indices in index space), looks up the intersecting
+  chunks per axis in the index's :class:`~repro.core.chunking.ChunkGrid`,
+  decodes the cache misses through
   :func:`repro.core.container.decode_chunks` (the container's own chunk
-  decoder, optionally in parallel), and assembles the result with exact
-  overlap cropping — byte-identical to slicing the full decompression
-  at level 0.
+  decoder, optionally in parallel), and has the same grid crop the
+  decoded boxes into the window — the assembler :func:`repro.decompress`
+  uses, so the result is byte-identical to slicing the full
+  decompression at level 0.
 * ``level > 0`` serves a chunk-aligned coarse preview: every chunk
   covering the window is reconstructed at the requested wavelet level
-  and the coarse tiles are assembled on the coarse grid.
+  and the grid tiles the coarse boxes on the coarse grid.
+
+The index parser has already checked that the chunk table tiles the
+shape, so this module neither checks a tiling nor places decoded boxes.
 * ``budget=`` bounds the decode work: when the compressed bytes behind
   the cache misses exceed the budget, each miss is truncated to the
   proportional fraction of its SPECK bits via
@@ -42,12 +47,11 @@ import numpy as np
 
 from .. import obs
 from ..errors import InvalidArgumentError, StreamFormatError
+from ..core.chunking import coarse_depth
 from ..core.container import (
     CONTAINER_VERSION,
     DecodeReport,
     DecodeResult,
-    coarse_depth,
-    coarse_extent,
     decode_chunks,
 )
 from ..core.adaptive import CODEC_NAMES
@@ -142,7 +146,11 @@ class CompressedArray:
         # Only the last decoded frame's mask codes are kept: a shape-size
         # uint8 array per masked frame would grow outside ``cache_bytes``.
         self._mask_codes: tuple[int, np.ndarray] | None = None
-        self._build_grid()
+        self._chunk_depths = [
+            coarse_depth(chunk.shape, self._index.levels)
+            for chunk in self._index.chunks
+        ]
+        self._max_level = max(self._chunk_depths)
 
     # -- geometry ---------------------------------------------------------
 
@@ -181,50 +189,6 @@ class CompressedArray:
         """Deepest coarsening level any chunk supports (0 = none)."""
         return self._max_level
 
-    def _build_grid(self) -> None:
-        """Index the chunk list as an axis-aligned grid for fast lookup.
-
-        The writer's grid is an outer product of per-axis runs; a forged
-        index that is not axis-aligned, does not tile the volume, or
-        repeats cells is rejected here, before any read.
-        """
-        index = self._index
-        runs: list[list[tuple[int, int]]] = []
-        pos_of: list[dict[tuple[int, int], int]] = []
-        for ax in range(index.rank):
-            axis_runs = sorted({c.bounds[ax] for c in index.chunks})
-            expected = 0
-            for a, b in axis_runs:
-                if a != expected:
-                    raise StreamFormatError(
-                        f"chunk grid does not tile axis {ax} (gap at {expected})"
-                    )
-                expected = b
-            if expected != index.shape[ax]:
-                raise StreamFormatError(
-                    f"chunk grid covers {expected} of axis {ax}'s "
-                    f"{index.shape[ax]} points"
-                )
-            runs.append(axis_runs)
-            pos_of.append({run: p for p, run in enumerate(axis_runs)})
-        grid_shape = tuple(len(r) for r in runs)
-        if int(np.prod(grid_shape)) != index.n_chunks:
-            raise StreamFormatError(
-                f"{index.n_chunks} chunks do not form a {grid_shape} grid"
-            )
-        grid = np.full(grid_shape, -1, dtype=np.int64)
-        for i, chunk in enumerate(index.chunks):
-            pos = tuple(pos_of[ax][chunk.bounds[ax]] for ax in range(index.rank))
-            if grid[pos] != -1:
-                raise StreamFormatError(f"duplicate chunk at grid cell {pos}")
-            grid[pos] = i
-        self._axis_runs = runs
-        self._grid = grid
-        self._chunk_depths = [
-            coarse_depth(chunk.shape, index.levels) for chunk in index.chunks
-        ]
-        self._max_level = max(self._chunk_depths)
-
     # -- reads ------------------------------------------------------------
 
     def read(self, frame: int = 0, **kwargs) -> np.ndarray | DecodeResult:
@@ -245,18 +209,7 @@ class CompressedArray:
                 f"frame {frame} out of range for {self.n_frames} stored frames"
             )
         bounds, _squeeze = _normalize_window(self.shape, window)
-        return self._intersecting(bounds)
-
-    def _intersecting(self, bounds: tuple[tuple[int, int], ...]) -> list[int]:
-        """Ids of the chunks overlapping the index-space box ``bounds``."""
-        return [
-            i
-            for i, chunk in enumerate(self._index.chunks)
-            if all(
-                a < hi and lo < b
-                for (a, b), (lo, hi) in zip(chunk.bounds, bounds)
-            )
-        ]
+        return self._index.grid.intersecting(bounds)
 
     def read_window(
         self,
@@ -321,7 +274,7 @@ class CompressedArray:
             level=level,
             window=str(tuple(bounds)),
         ):
-            chosen = self._intersecting(bounds)
+            chosen = self._index.grid.intersecting(bounds)
             obs.add_counter("store.chunks.requested", len(chosen))
             use_cache = budget is None
             parts: dict[int, np.ndarray] = {}
@@ -375,13 +328,13 @@ class CompressedArray:
                     cache.put((frame, i, level), arr)
             obs.add_counter("store.chunks.decoded", len(misses))
 
-            if level == 0:
-                out = self._assemble_window(bounds, chosen, parts, fill_value)
-            else:
-                out = self._assemble_coarse(
-                    bounds, level, parts, fill_value, salvage
-                )
-            out = out.astype(self.dtype, copy=False)
+            out = self._index.grid.tile(
+                bounds,
+                parts,
+                level=level,
+                levels_cap=self._index.levels,
+                fill_value=fill_value,
+            ).astype(self.dtype, copy=False)
             if level == 0:
                 # Re-impose the frame's NaN/Inf pattern on the window.
                 # Coarse previews stay on the filled field: a coarse cell
@@ -467,76 +420,6 @@ class CompressedArray:
                             "decode_error",
                             f"shard read failed: {type(exc).__name__}: {exc}",
                         )
-        return out
-
-    def _assemble_window(
-        self,
-        bounds: tuple[tuple[int, int], ...],
-        chosen: list[int],
-        parts: dict[int, np.ndarray],
-        fill_value: float,
-    ) -> np.ndarray:
-        """Stitch level-0 chunk overlaps into the window array."""
-        out = np.empty(tuple(hi - lo for lo, hi in bounds), dtype=np.float64)
-        for i in chosen:
-            chunk = self._index.chunks[i]
-            src = tuple(
-                slice(max(a, lo) - a, min(b, hi) - a)
-                for (a, b), (lo, hi) in zip(chunk.bounds, bounds)
-            )
-            dst = tuple(
-                slice(max(a, lo) - lo, min(b, hi) - lo)
-                for (a, b), (lo, hi) in zip(chunk.bounds, bounds)
-            )
-            part = parts.get(i)
-            if part is None:
-                out[dst] = fill_value
-            else:
-                out[dst] = part[src]
-        return out
-
-    def _assemble_coarse(
-        self,
-        bounds: tuple[tuple[int, int], ...],
-        level: int,
-        parts: dict[int, np.ndarray],
-        fill_value: float,
-        salvage: bool,
-    ) -> np.ndarray:
-        """Tile per-chunk coarse boxes over the covering grid region."""
-        covered = [
-            [p for p, (a, b) in enumerate(runs) if a < hi and lo < b]
-            for runs, (lo, hi) in zip(self._axis_runs, bounds)
-        ]
-        levels_cap = self._index.levels
-        extents = [
-            [
-                coarse_extent(b - a, level, levels_cap)
-                for p in pos
-                for (a, b) in (self._axis_runs[ax][p],)
-            ]
-            for ax, pos in enumerate(covered)
-        ]
-        offsets = [np.concatenate(([0], np.cumsum(ext))).astype(int) for ext in extents]
-        out = np.empty(tuple(int(off[-1]) for off in offsets), dtype=np.float64)
-        if out.size == 0:
-            return out
-        from itertools import product
-
-        for cell in product(*(range(len(pos)) for pos in covered)):
-            pos = tuple(covered[ax][cell[ax]] for ax in range(self.rank))
-            i = int(self._grid[pos])
-            dst = tuple(
-                slice(int(offsets[ax][cell[ax]]), int(offsets[ax][cell[ax] + 1]))
-                for ax in range(self.rank)
-            )
-            part = parts.get(i)
-            if part is None:
-                if not salvage:
-                    raise StreamFormatError(f"chunk {i} missing from coarse assembly")
-                out[dst] = fill_value
-            else:
-                out[dst] = part
         return out
 
     # -- introspection -----------------------------------------------------

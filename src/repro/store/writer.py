@@ -123,7 +123,7 @@ class StoreWriter:
                 "dtype": parsed.dtype,
                 "mode_code": parsed.mode_code,
                 "shape": parsed.shape,
-                "chunks": parsed.chunks,
+                "grid": parsed.grid,
             }
         else:
             if parsed.shape != self._meta["shape"]:
@@ -197,7 +197,7 @@ class StoreWriter:
             dtype=self._meta["dtype"],
             mode_code=self._meta["mode_code"],
             shape=self._meta["shape"],
-            chunks=self._meta["chunks"],
+            grid=self._meta["grid"],
             wavelet=self.wavelet,
             levels=None,  # every chunk takes the full dyadic depth
             n_shards=self._shard_id + 1,

@@ -17,6 +17,7 @@ from repro.compressors.zfplike.zfp import (
     _EXP_BIAS,
     _EXP_BITS,
     _HEADER_BITS,
+    _MAGIC,
     _blockify,
     _encode_blocks_vectorized,
     _unblockify,
@@ -24,7 +25,7 @@ from repro.compressors.zfplike.zfp import (
 from repro.compressors.zfplike.transform import PRECISION, block_exponents
 from repro.core.plans import zfp_scan_order
 from repro.core.modes import PweMode, SizeMode
-from repro.errors import InvalidArgumentError
+from repro.errors import InvalidArgumentError, StreamFormatError
 
 
 class TestTransform:
@@ -302,6 +303,28 @@ class TestFixedRateHeaderFloor:
         at_floor = c.compress(data, SizeMode(bpp=_HEADER_BITS / 4**nd))
         assert self._without_rate(low) == self._without_rate(at_floor)
         np.testing.assert_array_equal(recon, c.decompress(at_floor))
+
+    @staticmethod
+    def _fixed_rate_stream(block_payload: bytes, n: int, block_bits: int) -> bytes:
+        """A hand-built 1-D fixed-rate stream, laid out as ``compress`` does."""
+        import struct
+
+        nbits = 8 * len(block_payload)
+        head = _MAGIC + struct.pack("<BBdQ", 1, 0, block_bits / 4, nbits)
+        return head + struct.pack("<QI", n, block_bits) + block_payload
+
+    def test_nonzero_block_below_header_budget_rejected(self):
+        # 16 blocks of 8 bits; block 0 sets its nonzero flag, whose
+        # 13-bit header cannot fit the budget
+        stream = self._fixed_rate_stream(b"\x80" + b"\x00" * 15, 64, 8)
+        with pytest.raises(StreamFormatError, match="13-bit header"):
+            ZfpLikeCompressor().decompress(stream)
+
+    def test_all_zero_blocks_below_header_budget_decode(self):
+        stream = self._fixed_rate_stream(b"\x00" * 16, 64, 8)
+        np.testing.assert_array_equal(
+            ZfpLikeCompressor().decompress(stream), np.zeros(64)
+        )
 
 
 class TestThroughputFloors:

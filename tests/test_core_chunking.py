@@ -1,12 +1,12 @@
-"""Chunk planning, splitting, and reassembly (paper Sec. III-D)."""
+"""Chunk planning, splitting, the chunk grid and reassembly (paper Sec. III-D)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.chunking import Chunk, assemble, plan_chunks, split
-from repro.errors import InvalidArgumentError
+from repro.core.chunking import Chunk, ChunkGrid, plan_chunks, split
+from repro.errors import InvalidArgumentError, StreamFormatError
 
 
 class TestPlanChunks:
@@ -56,13 +56,28 @@ class TestPlanChunks:
             plan_chunks((10, 10), (4,))
 
 
+def _full(shape):
+    return tuple((0, n) for n in shape)
+
+
 class TestSplitAssemble:
     def test_round_trip(self, rng):
         data = rng.standard_normal((30, 18))
         chunks = plan_chunks(data.shape, (16, 7))
         parts = split(data, chunks)
-        out = assemble(data.shape, chunks, parts)
+        out = ChunkGrid(data.shape, chunks).tile(
+            _full(data.shape), dict(enumerate(parts))
+        )
         np.testing.assert_array_equal(out, data)
+
+    def test_window_crop_equals_slicing(self, rng):
+        data = rng.standard_normal((40, 36, 20))
+        chunks = plan_chunks(data.shape, 16)
+        grid = ChunkGrid(data.shape, chunks[::-1])  # any table order
+        parts = dict(enumerate(split(data, grid.chunks)))
+        bounds = ((3, 37), (16, 17), (0, 20))
+        out = grid.tile(bounds, parts)
+        np.testing.assert_array_equal(out, data[3:37, 16:17, :])
 
     def test_parts_are_contiguous_copies(self, rng):
         data = rng.standard_normal((8, 8))
@@ -74,14 +89,21 @@ class TestSplitAssemble:
 
     def test_wrong_part_shape_rejected(self, rng):
         data = rng.standard_normal((8,))
-        chunks = plan_chunks(data.shape, (4,))
-        with pytest.raises(InvalidArgumentError):
-            assemble(data.shape, chunks, [np.zeros(4), np.zeros(3)])
+        grid = ChunkGrid(data.shape, plan_chunks(data.shape, (4,)))
+        with pytest.raises(InvalidArgumentError, match="part shape"):
+            grid.tile(((0, 8),), {0: np.zeros(4), 1: np.zeros(3)})
+        # at level 1 an 8-point chunk's box is 4 points long
+        grid = ChunkGrid((16,), plan_chunks((16,), (8,)))
+        coarse = grid.tile(((0, 16),), {0: np.zeros(4), 1: np.ones(4)}, level=1)
+        np.testing.assert_array_equal(coarse, [0, 0, 0, 0, 1, 1, 1, 1])
+        with pytest.raises(InvalidArgumentError, match="part shape"):
+            grid.tile(((0, 16),), {0: np.zeros(8), 1: np.zeros(8)}, level=1)
 
     def test_count_mismatch_rejected(self):
-        chunks = plan_chunks((8,), (4,))
-        with pytest.raises(InvalidArgumentError):
-            assemble((8,), chunks, [np.zeros(4)])
+        # every axis is tiled, but one cell of the 2x2 grid has no chunk
+        chunks = plan_chunks((8, 8), (4, 4))
+        with pytest.raises(StreamFormatError, match="3 chunks for a 4-cell grid"):
+            ChunkGrid((8, 8), chunks[:3])
 
     def test_chunk_size_property(self):
         c = Chunk(bounds=((0, 4), (2, 5)))
@@ -106,11 +128,11 @@ class TestReadChunkTable:
 
         chunks = plan_chunks(shape, spec)
         blob = b"\x00" * 5 + self._table(chunks)
-        parsed, end = read_chunk_table(blob, 5, shape, len(chunks))
-        assert parsed == chunks and end == len(blob)
+        grid, end = read_chunk_table(blob, 5, shape, len(chunks))
+        assert grid.chunks == chunks and end == len(blob)
         # any permutation of the grid still tiles the volume
-        parsed, _ = read_chunk_table(self._table(chunks[::-1]), 0, shape, len(chunks))
-        assert parsed == chunks[::-1]
+        grid, _ = read_chunk_table(self._table(chunks[::-1]), 0, shape, len(chunks))
+        assert grid.chunks == chunks[::-1]
 
     @pytest.mark.parametrize(
         "bounds",
@@ -139,3 +161,37 @@ class TestReadChunkTable:
         table = self._table(plan_chunks((8,), 4))
         with pytest.raises(StreamFormatError, match="truncated"):
             read_chunk_table(table[:-1], 0, (8,), 2)
+
+
+def _scan(chunks, bounds):
+    """Brute-force oracle: every chunk overlapping ``bounds``, in table order."""
+    return [
+        i
+        for i, chunk in enumerate(chunks)
+        if all(a < hi and lo < b for (a, b), (lo, hi) in zip(chunk.bounds, bounds))
+    ]
+
+
+class TestGridLookup:
+    @pytest.mark.parametrize(
+        "shape,spec",
+        [((40, 36, 20), 16), ((33, 70), (16, 32)), ((64,), 32), ((9, 10, 11), (4, 5, 3))],
+    )
+    @pytest.mark.parametrize("order", ["planned", "permuted"])
+    def test_lookup_equals_scan(self, shape, spec, order):
+        rng = np.random.default_rng(7)
+        chunks = plan_chunks(shape, spec)
+        if order == "permuted":
+            chunks = [chunks[i] for i in rng.permutation(len(chunks))]
+        grid = ChunkGrid(shape, chunks)
+        for _ in range(300):
+            bounds = []
+            for n in shape:
+                lo = int(rng.integers(0, n + 1))
+                # one box in four is empty on this axis
+                hi = lo if rng.random() < 0.25 else int(rng.integers(lo, n + 1))
+                bounds.append((lo, hi))
+            bounds = tuple(bounds)
+            assert grid.intersecting(bounds) == _scan(chunks, bounds), bounds
+        full = _full(shape)
+        assert grid.intersecting(full) == list(range(len(chunks)))

@@ -62,6 +62,18 @@ def store64(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def store_uneven(tmp_path_factory):
+    """A 40x36x20 store at chunk 16: axis runs (0, 16, 32, 40), (0, 16, 36)
+    and (0, 20), so merged remainders make interior and edge chunks of
+    four different shapes."""
+    path = tmp_path_factory.mktemp("store_uneven") / "st"
+    data = _smooth((40, 36, 20), seed=11)
+    result = write_store(path, data, PweMode(2e-3), chunk_shape=16)
+    full = decompress(result.payload)
+    return path, full
+
+
+@pytest.fixture(scope="module")
 def store_small(tmp_path_factory):
     """A small 3-D store (uneven chunk grid) for the property sweep,
     opened twice: once with the decoded-chunk cache, once without."""
@@ -110,18 +122,32 @@ class TestReadWindow:
         assert np.array_equal(out, full)
 
     @pytest.mark.parametrize(
-        "window",
+        "store, window",
         [
-            (slice(0, 32), slice(0, 32), slice(0, 32)),      # one chunk
-            (slice(8, 40), slice(16, 48), slice(0, 64)),     # crosses chunks
-            (slice(31, 33), slice(31, 33), slice(31, 33)),   # 2^3 across all 8
-            (slice(63, 64), slice(0, 1), slice(5, 6)),       # single voxel
-            (slice(0, 64), slice(0, 64), slice(0, 64)),      # full array
-            (slice(-10, None), slice(None, -50), slice(None)),  # negatives
+            pytest.param("store64", window, id=f"window{i}")
+            for i, window in enumerate([
+                (slice(0, 32), slice(0, 32), slice(0, 32)),      # one chunk
+                (slice(8, 40), slice(16, 48), slice(0, 64)),     # crosses chunks
+                (slice(31, 33), slice(31, 33), slice(31, 33)),   # 2^3 across all 8
+                (slice(63, 64), slice(0, 1), slice(5, 6)),       # single voxel
+                (slice(0, 64), slice(0, 64), slice(0, 64)),      # full array
+                (slice(-10, None), slice(None, -50), slice(None)),  # negatives
+            ])
+        ]
+        + [
+            pytest.param("store_uneven", window, id=f"uneven{i}")
+            for i, window in enumerate([
+                (slice(16, 32), slice(16, 36), slice(0, 20)),    # one merged chunk
+                (slice(10, 35), slice(14, 18), slice(3, 17)),    # crosses every run
+                (slice(31, 33), slice(15, 17), slice(19, 20)),   # corner of 4 chunks
+                (slice(39, 40), slice(35, 36), slice(0, 1)),     # single edge voxel
+                (slice(None), slice(None), slice(None)),         # full array
+                (slice(-9, None), slice(None, -21), slice(5, 5)),  # negatives, empty
+            ])
         ],
     )
-    def test_window_matches_slicing(self, store64, window):
-        path, full = store64
+    def test_window_matches_slicing(self, request, store, window):
+        path, full = request.getfixturevalue(store)
         arr = open_store(path)
         assert np.array_equal(arr.read_window(window), full[window])
 
@@ -299,23 +325,37 @@ class TestSalvage:
 
 
 class TestMultiresAndBudget:
-    def test_coarse_preview_shape_and_sanity(self, store64):
-        path, full = store64
+    @pytest.mark.parametrize(
+        "store, shape",
+        [("store64", (32, 32, 32)), ("store_uneven", (20, 18, 10))],
+        ids=["store64", "uneven"],
+    )
+    def test_coarse_preview_shape_and_sanity(self, request, store, shape):
+        path, full = request.getfixturevalue(store)
         arr = open_store(path)
         assert arr.max_level >= 1
         coarse = arr.read(level=1)
-        assert coarse.shape == (32, 32, 32)
+        assert coarse.shape == shape
         # coarse preview approximates a 2x-downsampled volume
         ds = full[::2, ::2, ::2].astype(np.float64)
         err = np.abs(coarse.astype(np.float64) - ds).mean()
         assert err < 0.5 * np.abs(ds).mean() + 0.1
 
-    def test_coarse_window_is_chunk_aligned(self, store64):
-        path, _ = store64
+    @pytest.mark.parametrize(
+        "store, window, shape",
+        [
+            # window inside one 32^3 chunk -> that chunk's level-1 box
+            ("store64", (slice(0, 10), slice(0, 10), slice(0, 10)), (16, 16, 16)),
+            # runs (16, 32) + (32, 40), (16, 36), (0, 20) -> 8 + 4, 10, 10
+            ("store_uneven", (slice(30, 34), slice(20, 21), slice(0, 5)), (12, 10, 10)),
+        ],
+        ids=["store64", "uneven"],
+    )
+    def test_coarse_window_is_chunk_aligned(self, request, store, window, shape):
+        path, _ = request.getfixturevalue(store)
         arr = open_store(path)
-        # window inside one 32^3 chunk -> that chunk's level-1 box
-        out = arr.read_window((slice(0, 10), slice(0, 10), slice(0, 10)), level=1)
-        assert out.shape == (16, 16, 16)
+        out = arr.read_window(window, level=1)
+        assert out.shape == shape
         with pytest.raises(InvalidArgumentError):
             arr.read_window((3, slice(None), slice(None)), level=1)
 

@@ -169,22 +169,74 @@ class TestMaskedFrames:
             assert sum(info["codec_counts"].values()) == info["n_chunks"]
 
 
+def _forge_chunk_table(payload: bytes, rank: int, rows) -> bytes:
+    """Rewrite an index's chunk table with ``rows`` of per-axis bounds and
+    recompute the index CRC, so only the tiling check can reject it."""
+    import struct
+    import zlib
+
+    pos = 24 + 8 * rank  # magic, meta, CRC, wavelet/levels, shape, n_chunks
+    assert struct.unpack_from("<I", payload, pos - 4) == (len(rows),)
+    table = b"".join(struct.pack("<QQ", a, b) for row in rows for a, b in row)
+    bad = bytearray(payload)
+    bad[pos : pos + len(table)] = table
+    bad[12:16] = b"\x00" * 4
+    struct.pack_into("<I", bad, 12, zlib.crc32(bytes(bad)))
+    return bytes(bad)
+
+
 class TestIndexChunkTable:
     def test_repeated_chunk_in_index_rejected(self, tmp_path):
-        import dataclasses
-
-        from repro.store import pack_index
-
         x = np.linspace(0.0, 1.0, 64)
         write_store(tmp_path / "s", x, PweMode(TOL), chunk_shape=32)
         index = parse_index((tmp_path / "s" / INDEX_NAME).read_bytes())
         assert len(index.chunks) == 2
-        forged = dataclasses.replace(index, chunks=[index.chunks[0]] * 2)
-        payload = pack_index(forged)  # CRC-valid: the index CRC is recomputed
+        payload = _forge_chunk_table(
+            (tmp_path / "s" / INDEX_NAME).read_bytes(), 1, [index.chunks[0].bounds] * 2
+        )
         with pytest.raises(ReproError, match="chunk table"):
             parse_index(payload)
         (tmp_path / "s" / INDEX_NAME).write_bytes(payload)
         with pytest.raises(ReproError, match="chunk table"):
+            open_store(tmp_path / "s")
+
+    # Planned 2x2 grid of a 64x64 frame at chunk 32, in table order.
+    _PLANNED = [
+        ((0, 32), (0, 32)),
+        ((0, 32), (32, 64)),
+        ((32, 64), (0, 32)),
+        ((32, 64), (32, 64)),
+    ]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (  # gap: axis 0 skips row 32
+                _PLANNED[:2] + [((33, 64), (0, 32)), ((33, 64), (32, 64))],
+                r"does not tile axis 0: run \(33, 64\) after offset 32",
+            ),
+            (  # overlap: the first axis-0 run reaches into the second
+                [((0, 40), (0, 32)), ((0, 40), (32, 64))] + _PLANNED[2:],
+                r"does not tile axis 0: run \(32, 64\) after offset 40",
+            ),
+            (  # repeated cell: every axis tiles, one cell twice, one empty
+                _PLANNED[:3] + [_PLANNED[0]],
+                "repeats chunk",
+            ),
+        ],
+        ids=["gap", "overlap", "repeated-cell"],
+    )
+    def test_open_store_rejects_non_tiling_table(self, tmp_path, rows, message):
+        from repro.errors import StreamFormatError
+
+        x = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
+        write_store(tmp_path / "s", x, PweMode(TOL), chunk_shape=32)
+        path = tmp_path / "s" / INDEX_NAME
+        assert [c.bounds for c in parse_index(path.read_bytes()).chunks] == (
+            self._PLANNED
+        )
+        path.write_bytes(_forge_chunk_table(path.read_bytes(), 2, rows))
+        with pytest.raises(StreamFormatError, match=message):
             open_store(tmp_path / "s")
 
 
