@@ -4,12 +4,16 @@ DESIGN.md's one deliberate deviation from the textbook algorithm is
 batch processing of each depth level.  This bench quantifies the two
 facts that justify it: the bit cost is *identical* (batching only
 reorders bits inside deterministic windows) and the vectorized codec is
-orders of magnitude faster in Python.
+orders of magnitude faster in Python.  The reference coder is a test
+oracle and lives in ``tests/speck_oracle.py``, so this bench puts
+``tests/`` on ``sys.path`` to import it.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +22,9 @@ from repro.analysis import banner, format_table
 from repro.datasets import spectral_field
 from repro.quant import integerize
 from repro.speck import codec as speck_codec
-from repro.speck.reference import reference_encode
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from speck_oracle import reference_encode  # noqa: E402
 
 
 def test_ablation_batched_vs_reference(benchmark):

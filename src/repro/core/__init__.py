@@ -35,7 +35,7 @@ from .mask import (
 )
 from .modes import Q_FACTOR, PsnrMode, PweMode, SizeMode, data_range, tolerance_from_idx
 from .parallel import map_chunk_arrays, robust_chunk_map, shutdown_pools
-from .plans import PlanCache, cache_stats, clear_plan_caches
+from .plans import cache_stats, clear_plan_caches
 from .progressive import decompress_multires, truncate
 from .timeseries import compress_frames, decompress_frame, decompress_frames, frame_count
 from .pipeline import ChunkReport, compress_chunk, decompress_chunk
@@ -69,7 +69,6 @@ __all__ = [
     "ParsedContainer",
     "parse_container",
     "robust_chunk_map",
-    "PlanCache",
     "PweMode",
     "PsnrMode",
     "Q_FACTOR",

@@ -34,6 +34,7 @@ Routing proxies (both from one strided sample of at most
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from ..errors import (
     decode_guard,
 )
 from .modes import PweMode
-from .plans import SAMPLE_INDICES
 
 __all__ = [
     "CODEC_SPERR",
@@ -135,15 +135,15 @@ def _sample(data: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError("cannot sample an empty chunk")
     if n <= _SAMPLE_RUNS * _RUN_LEN:
         return np.asarray(data, dtype=np.float64).reshape(1, n)
-    index = SAMPLE_INDICES.get(data.shape, lambda: _sample_index(data.shape))
-    return data[index].astype(np.float64)
+    return data[_sample_index(data.shape)].astype(np.float64)
 
 
+@lru_cache(maxsize=32)
 def _sample_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Read-only multi-index of the sampled points of a chunk of
     ``shape``: :data:`_SAMPLE_RUNS` evenly spread runs of :data:`_RUN_LEN`
-    consecutive points in C order.  Depends on the shape alone, so
-    :func:`_sample` caches it per shape."""
+    consecutive points in C order.  Depends on the shape alone, so it is
+    cached per shape (a 3-D index is 96 KiB)."""
     n = int(np.prod(shape))
     starts = np.linspace(0, n - _RUN_LEN, _SAMPLE_RUNS, dtype=np.int64)
     index = np.unravel_index(starts[:, None] + np.arange(_RUN_LEN), shape)

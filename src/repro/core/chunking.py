@@ -200,7 +200,10 @@ class ChunkGrid:
             self._cells[cell] = i
 
     def _span(self, axis: int, lo: int, hi: int) -> range:
-        """Grid positions of the runs of ``axis`` that overlap ``[lo, hi)``."""
+        """Grid positions of the runs of ``axis`` that overlap ``[lo, hi)``;
+        empty when ``hi <= lo``."""
+        if hi <= lo:
+            return range(0)
         return range(
             bisect_right(self._stops[axis], lo), bisect_left(self._starts[axis], hi)
         )
@@ -208,9 +211,9 @@ class ChunkGrid:
     def intersecting(self, bounds: tuple[tuple[int, int], ...]) -> list[int]:
         """Ascending ids of the chunks overlapping the box ``bounds``.
 
-        A chunk overlaps when ``start < hi and lo < stop`` on every axis,
-        so an empty ``(lo, lo)`` axis still touches a run that strictly
-        contains ``lo``.
+        A chunk overlaps when ``lo < hi``, ``start < hi`` and
+        ``lo < stop`` on every axis, so a window that is empty on any
+        axis touches no chunk.
         """
         spans = [self._span(axis, lo, hi) for axis, (lo, hi) in enumerate(bounds)]
         return sorted(self._cells[np.ix_(*spans)].ravel().tolist())

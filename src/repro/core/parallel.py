@@ -55,6 +55,10 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: Parallel attempts :func:`robust_chunk_map` makes before it re-runs
+#: the remaining items in the calling process.
+MAX_ROUNDS = 2
+
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 _POOL_LOCK = threading.Lock()
 
@@ -107,7 +111,6 @@ def robust_chunk_map(
     *,
     workers: int | None = None,
     timeout: float | None = None,
-    max_rounds: int = 2,
 ) -> tuple[list[R], list[str]]:
     """Apply ``func`` to every item, preserving order, degrading
     instead of failing.
@@ -119,7 +122,7 @@ def robust_chunk_map(
     ``functools.partial`` of one).  Exceptions raised by ``func`` itself
     propagate unchanged, but *infrastructure* failures are absorbed: a
     task that exceeds ``timeout`` seconds or dies with its pool is
-    retried on a fresh pool (up to ``max_rounds`` parallel attempts
+    retried on a fresh pool (up to :data:`MAX_ROUNDS` parallel attempts
     total) and finally re-run in the calling process.  Every degradation
     is recorded in the returned notes list so callers can surface it
     (in a :class:`~repro.core.container.DecodeReport` or
@@ -137,7 +140,7 @@ def robust_chunk_map(
     func = wrapped
     results: list[Any] = [None] * len(items)
     pending = list(range(len(items)))
-    for round_no in range(max_rounds):
+    for round_no in range(MAX_ROUNDS):
         if not pending:
             break
         try:

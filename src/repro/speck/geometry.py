@@ -110,19 +110,6 @@ class Geometry:
         """
         return self.child_table(depth)[flat_idx].reshape(-1)
 
-    def pixel_flat_to_array_flat(self, flat_idx: np.ndarray) -> np.ndarray:
-        """Map padded-space pixel indices to flat indices in the original
-        (unpadded) array.  Indices that fall in the padding map to -1."""
-        coords = np.unravel_index(flat_idx, self.padded_shape)
-        valid = np.ones(flat_idx.shape, dtype=bool)
-        for ax, n in enumerate(self.shape):
-            valid &= coords[ax] < n
-        out = np.full(flat_idx.shape, -1, dtype=np.int64)
-        if valid.any():
-            clipped = tuple(c[valid] for c in coords)
-            out[valid] = np.ravel_multi_index(clipped, self.shape)
-        return out
-
 
 class MaxPyramid:
     """Per-depth maxima of integer magnitudes over every SPECK block."""

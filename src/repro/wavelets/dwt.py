@@ -50,13 +50,13 @@ __all__ = [
 MAX_LEVELS = 6
 
 
-def num_levels(n: int, max_levels: int = MAX_LEVELS) -> int:
+def num_levels(n: int) -> int:
     """SPERR's per-axis level rule: ``min(6, floor(log2 N) - 2)``, >= 0."""
     if n < 1:
         raise InvalidArgumentError("axis length must be positive")
     if n < 8:
         return 0
-    return max(0, min(max_levels, int(math.floor(math.log2(n))) - 2))
+    return max(0, min(MAX_LEVELS, int(math.floor(math.log2(n))) - 2))
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ class WaveletPlan:
         cls,
         shape: tuple[int, ...],
         wavelet: str = "cdf97",
-        max_levels: int = MAX_LEVELS,
         levels: int | None = None,
     ) -> "WaveletPlan":
         """Build the schedule for ``shape``.
@@ -96,7 +95,7 @@ class WaveletPlan:
             raise InvalidArgumentError(
                 f"unknown wavelet {wavelet!r}; choose from {sorted(FILTERS)}"
             )
-        axis_levels = tuple(num_levels(n, max_levels) for n in shape)
+        axis_levels = tuple(num_levels(n) for n in shape)
         if levels is not None:
             if levels < 0:
                 raise InvalidArgumentError("levels must be non-negative")

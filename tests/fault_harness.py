@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ReproError
+from repro.errors import ReproError
 
 __all__ = [
     "FaultOperator",

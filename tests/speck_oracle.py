@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import StreamFormatError
-from .geometry import Geometry, MaxPyramid
+from repro.errors import StreamFormatError
+from repro.speck.geometry import Geometry, MaxPyramid
 
 __all__ = ["reference_encode", "reference_decode"]
 

@@ -2,7 +2,7 @@
 
 The byte-level fuzz campaign (test_robustness.py) attacks payloads;
 this one attacks *inputs*.  Every codec is fed arrays damaged by the
-:data:`~repro.testing.faults.ARRAY_FAULT_OPERATORS` and must either
+``ARRAY_FAULT_OPERATORS`` of ``tests/fault_harness.py`` and must either
 reject with a :class:`~repro.errors.ReproError` or return an array
 whose dtype, shape, and non-finite pattern match the damaged input
 exactly — no unflagged NaNs, no leaked fill values.
@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro.compressors import ALL_COMPRESSORS
-from repro.compressors.base import PsnrMode, psnr_target_for_idx
-from repro.core.modes import PweMode
-from repro.datasets import list_scenarios
-from repro.testing.faults import (
+from fault_harness import (
     ARRAY_FAULT_OPERATORS,
     fuzz_codec_inputs,
     inject_nonfinite,
 )
+from repro.compressors import ALL_COMPRESSORS
+from repro.compressors.base import PsnrMode, psnr_target_for_idx
+from repro.core.modes import PweMode
+from repro.datasets import list_scenarios
 
 TOL = 1e-3
 

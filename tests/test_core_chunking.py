@@ -168,7 +168,10 @@ def _scan(chunks, bounds):
     return [
         i
         for i, chunk in enumerate(chunks)
-        if all(a < hi and lo < b for (a, b), (lo, hi) in zip(chunk.bounds, bounds))
+        if all(
+            lo < hi and a < hi and lo < b
+            for (a, b), (lo, hi) in zip(chunk.bounds, bounds)
+        )
     ]
 
 

@@ -39,6 +39,16 @@ PACKAGES = [
 
 
 class TestDocstrings:
+    def test_packages_lists_every_subpackage(self):
+        """Every shipped subpackage is held to the docstring contract, so
+        an undocumented or test-only package cannot ship unnoticed."""
+        import repro
+
+        found = {
+            f"repro.{m.name}" for m in pkgutil.iter_modules(repro.__path__) if m.ispkg
+        }
+        assert set(PACKAGES) == {"repro"} | found
+
     @pytest.mark.parametrize("package", PACKAGES)
     def test_package_docstring(self, package):
         module = importlib.import_module(package)

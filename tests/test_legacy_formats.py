@@ -157,7 +157,7 @@ def test_tile_table_matches_each_baseline_header(name):
 @pytest.mark.parametrize("on_error", ["raise", "salvage"])
 @pytest.mark.parametrize("name", NAMES)
 def test_corruption_decodes_or_raises_typed_error(name, on_error):
-    from repro.testing.faults import fuzz_decoder
+    from fault_harness import fuzz_decoder
 
     payload, _ = _fixture(name)
     report = fuzz_decoder(

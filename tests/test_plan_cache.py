@@ -7,9 +7,6 @@ import pytest
 
 from repro.core import compress, decompress, PweMode
 from repro.core.plans import (
-    PlanCache,
-    SPECK_GEOMETRIES,
-    WAVELET_PLANS,
     cache_stats,
     clear_plan_caches,
     speck_geometry,
@@ -24,50 +21,6 @@ def _fresh_caches():
     clear_plan_caches()
     yield
     clear_plan_caches()
-
-
-class TestPlanCache:
-    def test_miss_then_hit(self):
-        cache = PlanCache(maxsize=4, name="t")
-        built = []
-
-        def factory():
-            built.append(1)
-            return "plan"
-
-        assert cache.get("k", factory) == "plan"
-        assert cache.get("k", factory) == "plan"
-        assert built == [1]
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 1
-
-    def test_lru_eviction_order(self):
-        cache = PlanCache(maxsize=2, name="t")
-        cache.get("a", lambda: "A")
-        cache.get("b", lambda: "B")
-        cache.get("a", lambda: "A")  # refresh a: b is now least recent
-        cache.get("c", lambda: "C")  # evicts b
-        assert cache.stats()["evictions"] == 1
-        cache.get("a", lambda: pytest.fail("a should still be cached"))
-        rebuilt = []
-        cache.get("b", lambda: rebuilt.append(1) or "B")
-        assert rebuilt == [1]
-
-    def test_clear_resets_counters(self):
-        cache = PlanCache(maxsize=4, name="t")
-        cache.get("k", lambda: 1)
-        cache.get("k", lambda: 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats() == {
-            "size": 0, "maxsize": 4, "hits": 0, "misses": 0, "evictions": 0,
-        }
-
-    def test_rejects_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            PlanCache(maxsize=0)
 
 
 class TestSharedPlans:
@@ -132,8 +85,9 @@ class TestCachedPipeline:
         mode = PweMode(1e-3)
         cold = compress(data, mode, chunk_shape=12).payload
         warm = compress(data, mode, chunk_shape=12).payload
-        assert WAVELET_PLANS.stats()["hits"] > 0
-        assert SPECK_GEOMETRIES.stats()["hits"] > 0
+        stats = cache_stats()
+        assert stats["wavelet_plans"]["hits"] > 0
+        assert stats["speck_geometries"]["hits"] > 0
         assert warm == cold
         np.testing.assert_array_equal(decompress(warm), decompress(cold))
 
@@ -143,7 +97,7 @@ class TestCachedPipeline:
         mode = PweMode(1e-3)
         baseline = compress(data, mode).payload
         # Force eviction churn by filling the small caches with other shapes.
-        for n in range(8, 8 + SPECK_GEOMETRIES.maxsize + 2):
+        for n in range(8, 8 + cache_stats()["speck_geometries"]["maxsize"] + 2):
             speck_geometry((n, n))
             wavelet_plan((n, n))
         assert compress(data, mode).payload == baseline

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from fault_harness import FAULT_OPERATORS, corrupt, fuzz_decoder
 from repro import lossless
 from repro.compressors import (
     MgardLikeCompressor,
@@ -37,7 +38,6 @@ from repro.core.timeseries import compress_frames, decompress_frames
 from repro.datasets import spectral_field
 from repro.errors import IntegrityError, InvalidArgumentError, ReproError
 from repro.store.format import parse_index
-from repro.testing.faults import FAULT_OPERATORS, corrupt, fuzz_decoder
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -5,7 +5,7 @@ Three layers of coverage:
 * the wire protocol in isolation — encode/parse round-trips (a
   Hypothesis property over every message kind), strict rejection of
   unknown versions, forged lengths, flipped bits, truncation;
-* the protocol under the :mod:`repro.testing.faults` operators — every
+* the protocol under the ``tests/fault_harness.py`` operators — every
   corruption of a valid frame either parses or raises a
   :class:`~repro.errors.ReproError`, with bounded allocations and no
   hangs;
@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fault_harness import FAULT_OPERATORS, fuzz_decoder
 from repro import compress, decompress
 from repro.core.modes import PweMode
 from repro.errors import (
@@ -66,7 +67,6 @@ from repro.service.protocol import (
     unpack_window,
 )
 from repro.store import write_store
-from repro.testing.faults import FAULT_OPERATORS, fuzz_decoder
 
 PWE = 1e-3
 

@@ -60,11 +60,6 @@ class TestGeometry:
         kids = g.children(0, np.zeros(1, dtype=np.int64))
         assert kids.size == 8
 
-    def test_pixel_mapping_skips_padding(self):
-        g = Geometry((3,))
-        flats = g.pixel_flat_to_array_flat(np.arange(4))
-        assert flats.tolist() == [0, 1, 2, -1]
-
     def test_invalid_shapes_rejected(self):
         with pytest.raises(InvalidArgumentError):
             Geometry((0,))

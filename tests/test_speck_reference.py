@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.speck import decode, encode
-from repro.speck.reference import reference_decode, reference_encode
+from speck_oracle import reference_decode, reference_encode
 
 
 def _random_case(seed: int, shape: tuple[int, ...], density: float = 0.5):

@@ -165,6 +165,16 @@ class TestReadWindow:
         out = arr.read_window((slice(5, 5), slice(0, 10), slice(None)))
         assert out.shape == (0, 10, 64)
 
+    @pytest.mark.parametrize("level, shape", [(0, (0, 10, 20)), (1, (0, 8, 10))])
+    def test_empty_window_touches_no_chunk(self, store_uneven, level, shape):
+        path, _ = store_uneven
+        arr = open_store(path)
+        window = (slice(5, 5), slice(0, 10), slice(None))
+        assert arr.chunks_for_window(window) == []
+        before = arr.cache.stats()
+        assert arr.read_window(window, level=level).shape == shape
+        assert arr.cache.stats() == before
+
     def test_only_intersecting_chunks_decoded(self, store64):
         path, _ = store64
         arr = open_store(path)  # fresh cache
