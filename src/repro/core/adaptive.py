@@ -152,34 +152,59 @@ def _sample_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return index
 
 
-def _diff_widths(samples: list[np.ndarray], tolerance: float) -> list[int]:
-    """First-difference width proxy of every sample.
-
-    Samples of one shape share one stacked percentile call; each row's
-    result is the value a per-sample call returns.
-    """
-    if not np.isfinite(tolerance) or tolerance <= 0.0:
-        raise InvalidArgumentError(f"tolerance must be positive, got {tolerance}")
-    scales = np.zeros(len(samples))
+def _grouped_diffs(samples: list[np.ndarray]):
+    """Yield ``(members, diffs)`` per sample shape: the indices of the
+    samples of that shape and their absolute first differences, one row
+    per member.  Single-point samples have no first difference and are
+    left out."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, sample in enumerate(samples):
         groups.setdefault(sample.shape, []).append(i)
     for shape, members in groups.items():
         if shape[-1] < 2:
-            continue  # a single point has no first difference
-        diffs = np.abs(np.diff(np.stack([samples[i] for i in members]), axis=-1))
-        scales[members] = np.percentile(
-            diffs.reshape(len(members), -1), 95.0, axis=1
-        )
+            continue
+        with np.errstate(over="ignore"):  # an inf difference routes stored
+            diffs = np.abs(np.diff(np.stack([samples[i] for i in members]), axis=-1))
+        yield members, diffs.reshape(len(members), -1)
+
+
+def _widths_of(scales: np.ndarray, tolerance: float) -> list[int]:
+    """Bit width of each first-difference scale in ``2 * tolerance``
+    steps; a scale whose step count overflows is :data:`_STORED_WIDTH`."""
+    if not np.isfinite(tolerance) or tolerance <= 0.0:
+        raise InvalidArgumentError(f"tolerance must be positive, got {tolerance}")
     widths = []
     with np.errstate(over="ignore"):
-        steps = scales / (2.0 * tolerance)
+        steps = np.asarray(scales, dtype=np.float64) / (2.0 * tolerance)
     for step in steps:
         if not np.isfinite(step):
             widths.append(_STORED_WIDTH)
         else:
             widths.append(int(max(0.0, np.ceil(step))).bit_length())
     return widths
+
+
+def _diff_widths(samples: list[np.ndarray], tolerance: float) -> list[int]:
+    """First-difference width proxy of every sample.
+
+    Samples of one shape share one stacked percentile call; each row's
+    result is the value a per-sample call returns.
+    """
+    scales = np.zeros(len(samples))
+    for members, diffs in _grouped_diffs(samples):
+        scales[members] = np.percentile(diffs, 95.0, axis=1)
+    return _widths_of(scales, tolerance)
+
+
+def _max_diff_width(samples: list[np.ndarray], tolerance: float) -> int:
+    """Width of the largest first difference over all samples.
+
+    The 95th percentile of a sample's differences never exceeds their
+    maximum and the width is monotone in the scale, so this bounds every
+    :func:`_diff_widths` entry from above.
+    """
+    peaks = [d.max() for _, d in _grouped_diffs(samples)]
+    return _widths_of([np.max(peaks, initial=0.0)], tolerance)[0]
 
 
 def _unique_density(sample: np.ndarray) -> float:
@@ -215,6 +240,9 @@ def choose_codecs(
     The width proxy of every chunk comes from one pass over the
     samples; the unique-value density is computed only for the
     ``adaptive`` chunks whose width alone does not decide the route.
+    ``fast`` only asks whether a width reaches :data:`_STORED_WIDTH`,
+    so when the samples' largest first difference stays under it every
+    chunk routes to szx without the percentile pass.
 
     Returns a ``uint8`` array of tags, one per chunk, and records one
     ``adaptive.route.<codec>`` counter per sampled decision on the
@@ -237,7 +265,12 @@ def choose_codecs(
         )
     with obs.span("adaptive.dispatch", policy=policy, n_chunks=len(chunks)):
         samples = [_sample(chunk) for chunk in chunks]
-        widths = _diff_widths(samples, mode.tolerance)
+        tolerance = mode.tolerance
+        if policy == "fast" and _max_diff_width(samples, tolerance) < _STORED_WIDTH:
+            tags[:] = CODEC_SZX
+            obs.add_counter("adaptive.route.szx", len(chunks))
+            return tags
+        widths = _diff_widths(samples, tolerance)
         for i, (sample, width) in enumerate(zip(samples, widths)):
             if width >= _STORED_WIDTH:
                 tag = CODEC_STORED

@@ -90,7 +90,9 @@ def truncate(payload: bytes, fraction: float) -> bytes:
     guarantee — exactly the trade-off of the streaming scenario in
     Sec. VII.  The codec tags and NaN/Inf mask section carry over
     unchanged; the result is written in the current container version
-    whatever version ``payload`` was read from.
+    whatever version ``payload`` was read from, and each cut sperr
+    section is framed with the ``stored`` lossless tag, the one rule
+    :func:`repro.compress` writes sperr sections by.
     """
     from .container import build_container, parse_container
 
@@ -108,7 +110,7 @@ def truncate(payload: bytes, fraction: float) -> bytes:
         with decode_guard("sperr"):
             raw = lossless.decompress(stream)
         new_streams.append(
-            lossless.compress(truncate_chunk_stream(raw, fraction), method="auto")
+            lossless.compress(truncate_chunk_stream(raw, fraction), method="stored")
         )
     return build_container(
         parsed.rank,

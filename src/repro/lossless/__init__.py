@@ -1,6 +1,7 @@
 """From-scratch lossless codecs: Huffman, RLE, LZ77, a static range
-coder, and the composite backend used as SPERR's final (ZSTD-substitute)
-pass.  See docs/lossless.md for stream formats and the selection policy."""
+coder, and the composite backend that stands in for ZSTD on baseline
+sections and masks (SPERR chunk sections are framed ``stored``).  See
+docs/lossless.md for stream formats and both rules."""
 
 from . import arith, bitpack, huffman, lz77, rc, rle, universal
 from .backend import METHODS, compress, decompress

@@ -1,11 +1,14 @@
-"""Lossless backend: the ZSTD-substitute final pass.
+"""Lossless backend: the ZSTD-substitute pass.
 
-Real SPERR pipes its concatenated coefficient + outlier bitstreams through
-ZSTD (paper Sec. V).  With no external compressors available we provide a
-from-scratch composite backend with several methods and an ``auto`` mode
-that keeps whichever candidate is smallest — mirroring the practical effect
-of the ZSTD pass (a small, data-dependent saving on top of the entropy-dense
-SPECK output, a larger one on structured sections such as code books).
+The paper's SPERR pipes its concatenated coefficient + outlier bitstreams
+through ZSTD (paper Sec. V).  With no external compressors available we
+provide a from-scratch composite backend with several methods and an
+``auto`` mode that keeps whichever candidate is smallest — mirroring the
+practical effect of the ZSTD pass (a small, data-dependent saving on top
+of the entropy-dense SPECK output, a larger one on structured sections
+such as code books).  SPERR chunk sections are framed ``stored`` by one
+fixed rule, as upstream SPERR writes them after 0.6.2; the baselines'
+sections and the NaN/Inf mask take ``auto``.
 
 The one-byte method tag at the front makes every payload self-describing.
 Tags 0–5 are the legacy formats and stay decodable forever; tag 6 is the

@@ -2,8 +2,13 @@
 
 Each case compresses a deterministic input (integer-seeded PCG64 draws
 and cumulative sums only, so the input is bit-stable across platforms)
-and compares the payload with ``tests/data/v2/encode_<case>.sperr``
-in-process (``workers=None``) and on a two-process pool.  The cases cover the SPERR tier's modes and chunk
+and compares the payload in-process (``workers=None``) and on a
+two-process pool with the golden ``tests/data/v2/encode_<case>.sperr``
+as the current writer frames it: every sperr section re-framed with the
+``stored`` lossless tag (:func:`expected_payload`).  The goldens were
+written while sperr sections still took the ``auto`` pass; the relation
+moves only section framing, so every chunk stream byte the codec writes
+is still pinned.  The cases cover the SPERR tier's modes and chunk
 layouts — PWE and size mode over stacked groups, single-chunk PSNR,
 ragged 1-D/2-D/3-D grids whose edge chunks form singleton shape groups,
 the adaptive router, a float32 input carrying NaN/Inf samples, and
@@ -15,7 +20,9 @@ chunk header version 1 (tensor-product wavelet layout).  Nothing writes
 that version any more; those files are decode-only oracles, pinned by
 ``tests/test_decode_golden.py`` and ``tests/test_chunk_versions.py``.
 
-Regenerate (only after an intentional format change) with::
+Regenerate (only after an intentional format change; the relation
+leaves stored sections as they are, so regenerated goldens need no
+re-framing) with::
 
     PYTHONPATH=src python - <<'PY'
     import sys; sys.path.insert(0, "tests")
@@ -33,7 +40,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro import lossless
 from repro.core import PsnrMode, PweMode, SizeMode
+from repro.core.adaptive import CODEC_SPERR
+from repro.core.container import build_container, parse_container
 
 DATA = Path(__file__).parent / "data"
 #: Goldens of the current writer (chunk header version 2).
@@ -95,11 +105,43 @@ def encode_case(name: str, workers: int | None) -> bytes:
     return repro.compress(make(), mode, workers=workers, **kwargs).payload
 
 
+def _rebuild(golden: bytes, reframe) -> bytes:
+    p = parse_container(golden)
+    streams = [
+        reframe(s) if tag == CODEC_SPERR else s
+        for s, tag in zip(p.streams, p.codec_tags)
+    ]
+    return build_container(
+        p.rank,
+        p.dtype,
+        p.mode_code,
+        p.shape,
+        p.chunks,
+        streams,
+        codec_tags=p.codec_tags,
+        mask_blob=p.mask_blob,
+    )
+
+
+def expected_payload(name: str) -> bytes:
+    """The case's golden with every sperr section framed ``stored``."""
+    golden = (GOLDEN / f"encode_{name}.sperr").read_bytes()
+    return _rebuild(golden, lambda s: b"\x00" + lossless.decompress(s))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_rebuilds_byte_exact(name):
+    """Parsing and rebuilding a golden unchanged returns its bytes, so
+    :func:`expected_payload` differs from the golden in section framing
+    alone."""
+    golden = (GOLDEN / f"encode_{name}.sperr").read_bytes()
+    assert _rebuild(golden, lambda s: s) == golden
+
+
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_payload_matches_golden(name, workers):
-    golden = (GOLDEN / f"encode_{name}.sperr").read_bytes()
-    assert encode_case(name, workers) == golden
+    assert encode_case(name, workers) == expected_payload(name)
 
 
 def _check_within_bound(name: str, payload: bytes) -> None:
