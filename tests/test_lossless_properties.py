@@ -45,7 +45,7 @@ class TestBackendSizeAccounting:
         stored = lossless.compress(data, method="stored")
         assert len(stored) == len(data) + 1
 
-    def test_sperr_pipeline_stores_sections_verbatim(self):
+    def test_compressible_payload_shrinks_through_sperr_pipeline(self):
         """End to end: every container section is its chunk stream
         framed ``stored`` (one tag byte, no lossless pass), even where
         ``auto`` would shrink it, as the structured streams of the
