@@ -41,10 +41,19 @@ The encoder answers each test with a gather from the max-magnitude
 pyramid, collects the emitted bit arrays in a list and packs them once
 at the end; a bit budget stops it after the first plane that reaches
 the budget.  The decoder unpacks the stream once into a bool array and
-reads the same tests back with an integer cursor.  Its LSP holds
-position, integer magnitude and sign, so refinement is one contiguous
-update of the first ``k_old`` magnitudes.  No volume-sized array is
-written until the caller scatters the result:
+reads the same tests back with an integer cursor.  A decoder step does
+not compact its batch: it appends the batch and its significance bits
+(a view of the stream) to its depth's pending list and descends into
+the significant sets, taken by their ``nonzero`` positions.  When the
+next plane reaches a depth, it concatenates the pending batches and
+drops their significant sets with one ``compress``, which keeps the
+LIS order and so the bits read.  The walk costs time per step, not
+per set, so one compaction per depth and plane instead of one per step
+is what this saves.  The encoder still compacts at each step.  The
+decoder's LSP holds position, integer magnitude and sign, so
+refinement is one contiguous update of the first ``k_old``
+magnitudes.  No volume-sized array is written until the caller
+scatters the result:
 :func:`repro.speck.decode_coefficients` applies the step and sign to
 the significant pixels and scatters once, and the outlier coder adds
 them at their positions as they come.
@@ -212,20 +221,31 @@ def decode_lsp(
 
     max_depth = geometry.max_depth
     tables = [geometry.child_table(d) for d in range(max_depth)]
-    lis: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
-    lis[0].append(np.zeros(1, dtype=np.int64))
+    # Each depth's LIS is kept as the batches its steps tested, their
+    # significance bits and how many of them were significant; the next
+    # plane drops the significant sets with one compress per depth.
+    sets: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+    sigs: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+    drops = [0] * (max_depth + 1)
+    sets[0].append(np.zeros(1, dtype=np.int64))
     exhausted = False
     n = k_old = refined = 0
     for n in range(nplanes - 1, -1, -1):
         k_old, refined = k, 0
-        new_lis: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+        new_sets: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+        new_sigs: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+        new_drops = [0] * (max_depth + 1)
         # Sorting pass, smallest sets first: each start depth's
         # significant sets split and are retested down to single pixels.
         for start in range(max_depth, -1, -1):
-            sets = lis[start]
-            if not sets:
+            batches = sets[start]
+            if not batches:
                 continue
-            idx = sets[0] if len(sets) == 1 else np.concatenate(sets)
+            idx = batches[0] if len(batches) == 1 else np.concatenate(batches)
+            if drops[start]:
+                tested = sigs[start]
+                sig = tested[0] if len(tested) == 1 else np.concatenate(tested)
+                idx = idx.compress(~sig)
             depth = start
             while True:
                 sig = bits[cur : cur + idx.size]
@@ -233,13 +253,14 @@ def decode_lsp(
                 if sig.size < idx.size:
                     exhausted = True
                     break
-                nsig = np.count_nonzero(sig)
-                if nsig == 0:
-                    new_lis[depth].append(idx)
-                    break
-                if nsig < idx.size:
-                    new_lis[depth].append(idx.compress(~sig))
-                    idx = idx.compress(sig)
+                hits = sig.nonzero()[0]
+                if hits.size < idx.size:
+                    new_sets[depth].append(idx)
+                    new_sigs[depth].append(sig)
+                    new_drops[depth] += hits.size
+                    if hits.size == 0:
+                        break
+                    idx = idx.take(hits)
                 if depth == max_depth:
                     signs = bits[cur : cur + idx.size]
                     cur += signs.size
@@ -256,7 +277,7 @@ def decode_lsp(
                 break
         if exhausted:
             break
-        lis = new_lis
+        sets, sigs, drops = new_sets, new_sigs, new_drops
         # Refinement pass over the pixels that predate this plane.
         refine = bits[cur : cur + k_old]
         cur += refine.size

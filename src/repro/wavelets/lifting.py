@@ -9,7 +9,12 @@ transforms:
 * lift in place along any axis of a float64 view: the kernel copies out
   the even and odd samples along that axis, runs the lifting steps as
   slice arithmetic along the same axis (vectorized over every other
-  axis), and writes the Mallat halves back into the view, and
+  axis), and writes the Mallat halves back into the view,
+* lay the inverse kernel's halves out transform axis first when that
+  makes every neighbour-sum slice one contiguous block out of several
+  short ones, and the view is small enough for the transposing copies
+  to pay (:func:`_axis_first`); the forward kernel and larger views
+  keep the view's own layout, and
 * achieve perfect reconstruction to floating-point round-off.
 
 :data:`FILTERS` holds the ``(forward, inverse)`` kernels; the exported
@@ -24,6 +29,7 @@ errors.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -73,6 +79,30 @@ def _cut(v: np.ndarray, axis: int):
         raise InvalidArgumentError("transform length must be at least 2")
     lead = (slice(None),) * axis
     return n, lambda *bounds: lead + (slice(*bounds),)
+
+
+#: Longest contiguous block (elements) of a half's neighbour-sum slice,
+#: and largest view (bytes), for which :func:`_inverse_lifting` stages
+#: the halves transform axis first.
+_SHORT_BLOCK = 2048
+_STAGE_BYTES = 1 << 19
+
+
+def _axis_first(v: np.ndarray, axis: int) -> bool:
+    """Whether :func:`_inverse_lifting` stages the halves transform axis
+    first.
+
+    In the view's own layout a neighbour-sum slice of a half is one
+    block per index of the axes before ``axis``, each about
+    ``n/2 * (extent of the axes after it)`` elements long.  With the
+    transform axis leading it is one contiguous block, which pays while
+    there are several short blocks.  Copying into and out of that layout
+    transposes the view, which costs more than it gains once the view
+    outgrows L2.
+    """
+    blocks = math.prod(v.shape[:axis])
+    block = v.shape[axis] // 2 * math.prod(v.shape[axis + 1 :])
+    return blocks > 1 and block <= _SHORT_BLOCK and v.nbytes <= _STAGE_BYTES
 
 
 def _even_sum(s: np.ndarray, n: int, out: np.ndarray, cut) -> None:
@@ -139,11 +169,20 @@ def _inverse_lifting(
     v: np.ndarray, axis: int = -1, *, coeffs: tuple, low: float, high: float
 ) -> np.ndarray:
     """Inverse of :func:`_forward_lifting`: unscale, then undo the steps
-    in reverse order."""
+    in reverse order.  The halves are laid out transform axis first
+    where :func:`_axis_first` says it pays; the arithmetic is the same
+    either way."""
     n, cut = _cut(v, axis)
+    axis %= v.ndim
+    w = v
+    if _axis_first(v, axis):
+        w = v.transpose(axis, *range(axis), *range(axis + 1, v.ndim))
+        _, cut = _cut(w, 0)
     half = (n + 1) // 2
-    s = v[cut(0, half)] / low
-    d = v[cut(half, None)] / high
+    # order="C" lays the copies out transform axis first for a
+    # transposed view (numpy would otherwise keep the view's memory order).
+    s = np.divide(w[cut(0, half)], low, order="C")
+    d = np.divide(w[cut(half, None)], high, order="C")
     t_d = np.empty_like(d)
     t_s = np.empty_like(s)
     for i in range(len(coeffs) - 1, -1, -1):
@@ -155,8 +194,8 @@ def _inverse_lifting(
             _odd_sum(d, n, t_s, cut)
             t_s *= coeffs[i]
             s -= t_s
-    v[cut(0, None, 2)] = s
-    v[cut(1, None, 2)] = d
+    w[cut(0, None, 2)] = s
+    w[cut(1, None, 2)] = d
     return v
 
 

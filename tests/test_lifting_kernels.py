@@ -5,7 +5,9 @@ direction that lifts a float64 view in place along any axis.  The
 multi-level transform calls it on box views inside its output array,
 so these tests do the same: every filter, ranks 1-3, every axis and
 lengths from 2 up, each compared byte for byte with the oracle in
-``tests/lifting_oracle.py`` run along the last axis.  The transform
+``tests/lifting_oracle.py`` run along the last axis, and the box sizes
+the transforms run on (chunk lanes, 2-D planes, long 1-D lanes), which
+reach both layouts the inverse kernel stages its halves in.  The transform
 entry points must also leave their input alone, read-only or not
 (decoded-chunk cache hits are read-only arrays).
 """
@@ -76,6 +78,58 @@ def test_kernel_on_box_view_matches_oracle(direction, wavelet, rank, ax, n):
     outside = np.ones(parent.shape, dtype=bool)
     outside[index] = False
     _assert_bytes_equal(parent[outside], before[outside])
+
+
+#: Stacked ``(lanes, *lane)`` boxes at the sizes the transforms run on:
+#: chunk lanes in L2-sized blocks, a whole 64³ lane, 2-D planes and
+#: long 1-D lanes.  Some (box, axis) pairs stage the inverse kernel's
+#: halves transform axis first and some keep the view's layout.
+CHUNK_BOXES = {
+    "16^3x16": (16, 16, 16, 16),
+    "24^3x8": (8, 24, 24, 24),
+    "32^3x1": (1, 32, 32, 32),
+    "32^3x2": (2, 32, 32, 32),
+    "64^3": (1, 64, 64, 64),
+    "256^2": (1, 256, 256),
+    "512^2": (1, 512, 512),
+    "4096x4": (4, 4096),
+}
+
+_CHUNK_CASES = [
+    (name, axis) for name, shape in CHUNK_BOXES.items() for axis in range(1, len(shape))
+]
+
+
+def _chunk_box(name: str, seed: int):
+    """A :data:`CHUNK_BOXES` box view inside a larger random array."""
+    shape = CHUNK_BOXES[name]
+    parent = np.random.default_rng(seed).standard_normal(
+        tuple(e + sum(_PAD) for e in shape)
+    )
+    return parent, tuple(slice(_PAD[0], _PAD[0] + e) for e in shape)
+
+
+@pytest.mark.parametrize("wavelet", sorted(FILTERS))
+@pytest.mark.parametrize("direction", (0, 1), ids=("forward", "inverse"))
+@pytest.mark.parametrize("name,axis", _CHUNK_CASES, ids=lambda v: str(v))
+def test_kernel_on_chunk_sized_box_matches_oracle(name, axis, direction, wavelet):
+    parent, index = _chunk_box(name, seed=axis + 10 * len(name))
+    before = parent.copy()
+    want = _oracle_along(ORACLE[wavelet][direction], parent[index], axis)
+    view = parent[index]
+    assert FILTERS[wavelet][direction](view, axis) is view
+    _assert_bytes_equal(parent[index], want)
+    outside = np.ones(parent.shape, dtype=bool)
+    outside[index] = False
+    _assert_bytes_equal(parent[outside], before[outside])
+
+
+def test_chunk_boxes_cover_both_inverse_layouts():
+    staged = {}
+    for name, axis in _CHUNK_CASES:
+        parent, index = _chunk_box(name, seed=0)
+        staged[name, axis] = lifting._axis_first(parent[index], axis)
+    assert set(staged.values()) == {True, False}, staged
 
 
 @pytest.mark.parametrize("n", LENGTHS)
