@@ -51,27 +51,45 @@ __all__ = ["ServiceClient", "AsyncServiceClient", "ServiceError", "BackpressureE
 
 
 class ServiceError(ReproError):
-    """A structured error response from the service."""
+    """A structured error response from the service.
 
-    def __init__(self, code: str, message: str, retry_after_ms: int = 0) -> None:
+    ``trace_id`` is the server's id for the request (``None`` when the
+    response carried none), matching the ``trace_id`` of its spans.
+    """
+
+    def __init__(
+        self,
+        code: str,
+        message: str,
+        retry_after_ms: int = 0,
+        trace_id: str | None = None,
+    ) -> None:
         super().__init__(f"[{code}] {message}")
         self.code = code
         self.retry_after_ms = retry_after_ms
+        self.trace_id = trace_id
 
 
 class BackpressureError(ServiceError):
     """The server rejected the request under admission control."""
 
 
+def _error_from_response(msg: Message, default_code: str) -> ServiceError:
+    """The exception an error response stands for."""
+    code = str(msg.header.get("code", default_code))
+    detail = str(msg.header.get("message", ""))
+    retry = msg.header.get("retry_after_ms", 0)
+    retry = int(retry) if isinstance(retry, (int, float)) else 0
+    trace_id = msg.header.get("trace_id")
+    trace_id = trace_id if isinstance(trace_id, str) else None
+    cls = BackpressureError if code == ERR_BACKPRESSURE else ServiceError
+    return cls(code, detail, retry_after_ms=retry, trace_id=trace_id)
+
+
 def _raise_for_error(msg: Message) -> Message:
     """Translate an error response into an exception; pass OK through."""
     if msg.kind == MSG_ERROR:
-        code = str(msg.header.get("code", "internal"))
-        detail = str(msg.header.get("message", ""))
-        retry = msg.header.get("retry_after_ms", 0)
-        retry = int(retry) if isinstance(retry, (int, float)) else 0
-        cls = BackpressureError if code == ERR_BACKPRESSURE else ServiceError
-        raise cls(code, detail, retry_after_ms=retry)
+        raise _error_from_response(msg, "internal")
     if msg.kind != MSG_OK:
         raise StreamFormatError(
             f"unexpected response kind {msg.kind} from service"
@@ -335,12 +353,7 @@ class AsyncServiceClient:
                     future.set_result(msg)
                 elif msg.request_id == 0:
                     # Connection-level protocol error: fail everything.
-                    self._fail_pending(
-                        ServiceError(
-                            str(msg.header.get("code", "protocol")),
-                            str(msg.header.get("message", "")),
-                        )
-                    )
+                    self._fail_pending(_error_from_response(msg, "protocol"))
         except asyncio.CancelledError:
             raise
         except asyncio.IncompleteReadError:

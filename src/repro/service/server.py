@@ -12,11 +12,15 @@ asyncio TCP server speaking the length-prefixed protocol of
 
 Three service-tier mechanisms sit between the socket and the store:
 
-* **Request batching.**  Concurrent window reads drain into one batch;
-  within a batch every distinct ``(frame, chunk, level)`` is decoded
-  once and fanned back out to every request that touches it (a
-  batch-local overlay in front of the tenant's cache), so N clients
-  hammering the same region cost one decode per chunk, not N.
+* **Request batching.**  Concurrent window reads that need a decode
+  drain into one batch; within a batch every distinct
+  ``(frame, chunk, level)`` is decoded once and fanned back out to
+  every request that touches it (a batch-local overlay in front of the
+  tenant's cache), so N clients hammering the same region cost one
+  decode per chunk, not N.  A read whose chunks are all resident in
+  its tenant's cache slice has nothing to merge: it skips the queue and
+  the ``batch_hold_s`` wait and runs at once on the worker pool as a
+  batch of one (``budget=`` reads always queue).
 * **Admission control.**  Per-tenant in-flight caps and a global
   pending cap; a request over either limit is answered immediately with
   a structured ``backpressure`` error (plus a ``retry_after_ms`` hint)
@@ -28,7 +32,8 @@ Three service-tier mechanisms sit between the socket and the store:
   ``read_window``'s per-call cache override, so one tenant's scan cannot
   evict another tenant's within-quota hot set.
 
-Every request is tagged with a trace id and, when a :mod:`repro.obs`
+Every request is tagged with a trace id, echoed as ``trace_id`` in the
+header of its response, and, when a :mod:`repro.obs`
 trace is active, the worker-side spans (``service.compress``,
 ``service.batch.read`` wrapping the store's own ``store.read_window`` /
 ``store.chunk.decode`` spans) and service counters land in it, giving
@@ -109,7 +114,9 @@ class ServiceConfig:
     #: Max window reads coalesced into one decode batch.
     max_batch: int = 32
     #: Optional gathering delay after a batch's first request; >0 trades
-    #: a little latency for deterministic coalescing of a burst.
+    #: a little latency for deterministic coalescing of a burst.  Only
+    #: reads that need a decode wait for it: a read whose chunks are all
+    #: resident in its tenant's cache slice skips the queue and the hold.
     batch_hold_s: float = 0.0
     #: Global ceiling of the tenant-partitioned decoded-chunk cache.
     cache_bytes: int = DEFAULT_CACHE_BYTES
@@ -164,7 +171,7 @@ class _BatchOverlay:
 
 @dataclass
 class _ReadRequest:
-    """One admitted window read waiting in the batch queue."""
+    """One admitted window read; ``future`` is set when it queues."""
 
     msg: Message
     tenant: str
@@ -173,7 +180,7 @@ class _ReadRequest:
     frame: int
     level: int
     budget: int | None
-    future: asyncio.Future
+    future: asyncio.Future | None = None
 
 
 class CompressionService:
@@ -367,6 +374,7 @@ class CompressionService:
                     await self._send(
                         writer, write_lock,
                         _error(0, ERR_PROTOCOL, "frame body timed out"),
+                        f"{conn_id:x}-0",
                     )
                     break
                 except ReproError as exc:
@@ -376,7 +384,8 @@ class CompressionService:
                     self._count("protocol_errors")
                     obs.add_counter("service.protocol_errors")
                     await self._send(
-                        writer, write_lock, _error(0, ERR_PROTOCOL, str(exc))
+                        writer, write_lock,
+                        _error(0, ERR_PROTOCOL, str(exc)), f"{conn_id:x}-0",
                     )
                     break
                 t = asyncio.get_running_loop().create_task(
@@ -393,7 +402,9 @@ class CompressionService:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _send(self, writer, write_lock, msg: Message) -> None:
+    async def _send(self, writer, write_lock, msg: Message, trace_id: str) -> None:
+        """Write one response frame, its header stamped with ``trace_id``."""
+        msg.header["trace_id"] = trace_id
         data = encode_message(msg, max_payload=self.config.max_payload_bytes)
         async with write_lock:
             writer.write(data)
@@ -425,6 +436,7 @@ class CompressionService:
                 writer, write_lock,
                 _error(msg.request_id, ERR_BAD_REQUEST,
                        f"unknown request kind {msg.kind}"),
+                trace_id,
             )
             return
 
@@ -434,7 +446,7 @@ class CompressionService:
             response = self._handle_control(msg)
             self._count("responses_error" if response.kind == MSG_ERROR
                         else "responses_ok")
-            await self._send(writer, write_lock, response)
+            await self._send(writer, write_lock, response, trace_id)
             self._record_latency(op, loop.time() - t0)
             return
 
@@ -456,6 +468,7 @@ class CompressionService:
                     f"(cap {self.config.max_pending})",
                     retry_after_ms=self.config.retry_after_ms,
                 ),
+                trace_id,
             )
             return
 
@@ -471,7 +484,7 @@ class CompressionService:
             # requests get backpressure) instead of letting completed
             # payloads pile up in blocked send tasks without bound.
             await self._send_response(
-                writer, write_lock, response, msg.request_id
+                writer, write_lock, response, msg.request_id, trace_id
             )
         finally:
             self._tenant_inflight[tenant] -= 1
@@ -499,7 +512,8 @@ class CompressionService:
         )
 
     async def _send_response(
-        self, writer, write_lock, response: Message, request_id: int
+        self, writer, write_lock, response: Message, request_id: int,
+        trace_id: str,
     ) -> None:
         """Send a response; on encoding failure reply with ERR_INTERNAL.
 
@@ -508,7 +522,7 @@ class CompressionService:
         never written.
         """
         try:
-            await self._send(writer, write_lock, response)
+            await self._send(writer, write_lock, response, trace_id)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # client went away; nothing left to tell it
         except Exception as exc:  # noqa: BLE001 - encoding failed
@@ -517,6 +531,7 @@ class CompressionService:
                 writer, write_lock,
                 _error(request_id, ERR_INTERNAL,
                        f"response encoding failed: {type(exc).__name__}: {exc}"),
+                trace_id,
             )
 
     def _handle_control(self, msg: Message) -> Message:
@@ -604,20 +619,47 @@ class CompressionService:
             isinstance(budget, bool) or not isinstance(budget, int)
         ):
             raise InvalidArgumentError("budget must be an integer byte count")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self._read_queue.put(
-            _ReadRequest(
-                msg=msg,
-                tenant=tenant,
-                trace_id=trace_id,
-                window=window,
-                frame=frame,
-                level=level,
-                budget=budget,
-                future=future,
-            )
+        req = _ReadRequest(
+            msg=msg,
+            tenant=tenant,
+            trace_id=trace_id,
+            window=window,
+            frame=frame,
+            level=level,
+            budget=budget,
         )
-        return await future
+        loop = asyncio.get_running_loop()
+        if self._is_resident(req):
+            # Nothing to decode, so nothing to merge: skip the queue and
+            # the hold.  Still on the pool, not the loop: a masked frame
+            # may decode its mask and a large window is a large copy.  A
+            # chunk evicted since the check is decoded by this read.
+            self._count("resident_reads")
+            obs.add_counter("service.reads.resident")
+            [(_req, response)] = await loop.run_in_executor(
+                self._pool, self._process_batch, [req]
+            )
+            return response
+        req.future = loop.create_future()
+        await self._read_queue.put(req)
+        return await req.future
+
+    def _is_resident(self, req: _ReadRequest) -> bool:
+        """True when every chunk ``req`` touches is in its tenant's slice.
+
+        A request the geometry rejects is not resident: it queues and
+        fails in ``read_window`` with the error it always got.
+        """
+        if req.budget is not None:
+            return False
+        try:
+            chunks = self._arr.chunks_for_window(req.window, frame=req.frame)
+        except ReproError:
+            return False
+        return all(
+            self.cache.contains((req.frame, i, req.level), req.tenant)
+            for i in chunks
+        )
 
     async def _batch_loop(self) -> None:
         """Drain the read queue into batches and run them on the pool."""

@@ -121,6 +121,17 @@ class DecodedChunkCache:
             state.hits += 1
             return arr
 
+    def contains(self, key: Hashable, tenant: str = "default") -> bool:
+        """True when ``key`` is resident in ``tenant``'s slice.
+
+        Read-only: unlike :meth:`get` it counts no hit or miss, leaves
+        the LRU order as it is and creates no tenant record, so a
+        residency probe does not show up as cache traffic.
+        """
+        with self._lock:
+            state = self._tenants.get(tenant)
+            return state is not None and key in state.entries
+
     def _unlink(self, state: _Tenant, tenant: str, key: Hashable) -> None:
         arr = state.entries.pop(key)
         del self._order[(tenant, key)]

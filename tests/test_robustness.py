@@ -188,10 +188,12 @@ _TIMESERIES = "sprrts1"
 
 #: The read-only layouts, from their committed fixtures: container v1
 #: (no CRCs) and v3 (mask, no tags) through ``repro.decompress``, store
-#: indexes v1 and v2 through ``parse_index``, and the explicit wavelet
-#: depth of a chunk header (through a level-1 decode) and of a store
-#: index.  No fresh write reaches these paths, so only these targets
-#: fuzz them.
+#: indexes v1 and v2 through ``parse_index``, the explicit wavelet depth
+#: of a chunk header (through a level-1 decode) and of a store index,
+#: and the retired ``CHNK``/``CHK2``/``CHK3``/``MSKW``/``SZXF`` framings
+#: of ``tests/data/legacy_*.bin`` through ``repro.decompress`` (their
+#: salvage-mode fuzz stays in ``test_legacy_formats.py``).  No fresh
+#: write reaches these paths, so only these targets fuzz them.
 _READ_ONLY = {
     "sprrpy1": ("container_v1.sperr", repro.decompress),
     "sprrpy3": ("encode_masked_f32.sperr", repro.decompress),
@@ -199,6 +201,11 @@ _READ_ONLY = {
     "sprridx2": ("store_v2_masked/index.bin", parse_index),
     "levels1-sperr": ("levels1.sperr", partial(decompress_multires, level=1)),
     "levels1-index": ("store_levels1/index.bin", parse_index),
+    **{
+        f"legacy-{name}": (f"legacy_{name}.bin", repro.decompress)
+        for name in ("chnk", "chk2", "chk2_sperr", "chk3", "chk3_szx",
+                     "mskw", "szxf")
+    },
 }
 _FUZZ_TARGETS = sorted(
     [*_FUZZ_CODECS, _RAW_CHUNK, *_RAW_CHUNK_PATHS, _TIMESERIES, *_READ_ONLY]

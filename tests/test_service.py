@@ -21,6 +21,7 @@ pinned separately in ``test_service_concurrency.py``.
 from __future__ import annotations
 
 import asyncio
+import re
 import socket
 import struct
 
@@ -30,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fault_harness import FAULT_OPERATORS, fuzz_decoder
-from repro import compress, decompress
+from repro import compress, decompress, obs
 from repro.core.modes import PweMode
 from repro.errors import (
     AllocationLimitError,
@@ -57,6 +58,7 @@ from repro.service.protocol import (
     MSG_OK,
     MSG_PING,
     MSG_READ_WINDOW,
+    MSG_STATS,
     PRELUDE_SIZE,
     PROTOCOL_VERSION,
     REQUEST_KINDS,
@@ -640,3 +642,68 @@ class TestAsyncClient:
                 return err.value.code
 
         assert asyncio.run(drive()) == "bad_request"
+
+
+class TestTraceIds:
+    """Every response header carries the server's ``conn-request`` trace
+    id, so a slow or refused request can be matched to its spans."""
+
+    TRACE_ID = r"[0-9a-f]+-[0-9a-f]+"
+
+    def _check(self, trace_id, request_id) -> str:
+        assert isinstance(trace_id, str)
+        conn, rid = trace_id.split("-")
+        assert re.fullmatch(self.TRACE_ID, trace_id)
+        assert int(rid, 16) == request_id
+        return conn
+
+    def test_ok_read_and_control_responses(self, server):
+        with ServiceClient(server.host, server.port) as c, \
+                ServiceClient(server.host, server.port) as other:
+            with obs.trace("trace-ids") as tracer:
+                msg = c._request(
+                    MSG_READ_WINDOW, {"window": pack_window(None), "frame": 0}
+                )
+            conn = self._check(msg.header["trace_id"], msg.request_id)
+            ping = c._request(MSG_PING, {})
+            assert self._check(ping.header["trace_id"], ping.request_id) == conn
+            stats = c._request(MSG_STATS, {})
+            assert self._check(stats.header["trace_id"], stats.request_id) == conn
+            pong = other._request(MSG_PING, {})
+            assert self._check(pong.header["trace_id"], pong.request_id) != conn
+        # The worker-side span of the read carries the same id.
+        spans = tracer.report().find("service.batch.read")
+        assert [s.attrs["trace_id"] for s in spans] == [msg.header["trace_id"]]
+
+    def test_bad_request_error_carries_trace_id(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.read_window(None, frame=99)
+        assert err.value.code == "bad_request"
+        self._check(err.value.trace_id, client._next_id)
+
+    def test_backpressure_reject_carries_trace_id(self, store_path):
+        config = ServiceConfig(
+            max_inflight_per_tenant=1, max_pending=4, batch_hold_s=0.2,
+            cache_bytes=0,
+        )
+
+        async def drive(handle):
+            async with await AsyncServiceClient.connect(
+                handle.host, handle.port
+            ) as c:
+                return await asyncio.gather(
+                    *[c.read_window((slice(0, 16),) * 3) for _ in range(3)],
+                    return_exceptions=True,
+                )
+
+        with serve_in_thread(store_path, config=config) as handle:
+            results = asyncio.run(drive(handle))
+        rejects = [r for r in results if isinstance(r, BackpressureError)]
+        assert rejects and len(rejects) < len(results)
+        conns = {
+            r.trace_id.split("-")[0] for r in rejects
+            if re.fullmatch(self.TRACE_ID, r.trace_id)
+        }
+        assert len(conns) == 1  # all on the one connection
+        rids = sorted(int(r.trace_id.split("-")[1], 16) for r in rejects)
+        assert len(set(rids)) == len(rejects) and set(rids) <= {1, 2, 3}

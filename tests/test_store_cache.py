@@ -304,6 +304,25 @@ class TestTenantCacheBudget:
             "entries": 1, "nbytes": 512, "hits": 0, "misses": 1, "evictions": 0
         }
 
+    def test_contains_is_read_only(self):
+        """A residency probe counts nothing, keeps the LRU order and
+        creates no tenant record."""
+        cache = DecodedChunkCache(512, tenant_quota=512)
+        cache.put("a", _arr(256, 0), "t1")
+        cache.put("b", _arr(256, 0), "t2")
+        assert cache.contains("a", "t1") and cache.contains("b", "t2")
+        assert not cache.contains("a", "t2")
+        assert not cache.contains("a", "nobody")
+        assert not cache.contains("a")
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 0)
+        assert set(stats["tenants"]) == {"t1", "t2"}
+        assert stats["tenants"]["t1"]["hits"] == 0
+        # "a" was probed, not refreshed: it is still the global LRU.
+        cache.put("c", _arr(256, 0), "t2")
+        assert not cache.contains("a", "t1")
+        assert cache.contains("b", "t2") and cache.contains("c", "t2")
+
 
 class TestCacheOverride:
     def test_second_cache_is_override_compatible(self, small_store):
