@@ -1,9 +1,9 @@
 """Fig. 7: strong-scaling speedup of chunk-parallel compression, 1-126
 workers, three tolerance levels.
 
-The paper measures OpenMP threads on a 128-core node; this container has
-one core, so the speedup curve is modelled from measured per-chunk serial
-times (the median of nine timings per chunk, since the tail is set by
+The paper measures OpenMP threads on a 128-core node; the development
+host has 2 CPUs, so the speedup curve is modelled from measured per-chunk
+serial times (the median of nine timings per chunk, since the tail is set by
 the slowest chunk) with an LPT schedule (substitution documented in
 DESIGN.md).  The
 model preserves the figure's phenomenology: near-linear speedup while

@@ -59,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for chunked compression (default: in-process)",
+        help="worker processes for chunked compression; 1 runs in-process "
+        "(default: one per CPU for volumes of 4 MiB or more with two chunks "
+        "per worker, in-process otherwise)",
     )
     c.add_argument("--verbose", action="store_true", help="print a cost summary")
     c.add_argument(
@@ -137,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sb.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for chunked compression (default: in-process)",
+        help="worker processes for chunked compression; 1 runs in-process "
+        "(default: one per CPU for volumes of 4 MiB or more with two chunks "
+        "per worker, in-process otherwise)",
     )
 
     sg = st_sub.add_parser(

@@ -34,7 +34,7 @@ from .mask import (
     sanitize_array,
 )
 from .modes import Q_FACTOR, PsnrMode, PweMode, SizeMode, data_range, tolerance_from_idx
-from .parallel import map_chunk_arrays, robust_chunk_map, shutdown_pools
+from .parallel import resolve_workers, robust_chunk_map, shutdown_pools
 from .plans import cache_stats, clear_plan_caches
 from .progressive import decompress_multires, truncate
 from .timeseries import compress_frames, decompress_frame, decompress_frames, frame_count
@@ -75,7 +75,7 @@ __all__ = [
     "SizeMode",
     "cache_stats",
     "clear_plan_caches",
-    "map_chunk_arrays",
+    "resolve_workers",
     "shutdown_pools",
     "compress",
     "compress_chunk",

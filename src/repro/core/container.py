@@ -57,6 +57,7 @@ import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,7 +98,7 @@ from .mask import (
     tighten_pwe_for_dtype,
 )
 from .modes import PsnrMode, PweMode, SizeMode
-from .parallel import map_chunk_arrays, robust_chunk_map
+from .parallel import SharedArray, resolve_workers, robust_chunk_map, split_groups
 from .pipeline import ChunkReport, compress_stack, decompress_chunk, psnr_target_rmse
 from .progressive import truncate_chunk_stream
 
@@ -201,16 +202,10 @@ def _compress_stack_job(
     return out
 
 
-def _compress_chunk_job(part: np.ndarray, *args) -> tuple[bytes, ChunkReport]:
-    """One chunk as a stack of one (module-level, picklable for the
-    process pool)."""
-    return _compress_stack_job(part[None], *args)[0]
-
-
 def _compress_baseline_job(
     part: np.ndarray, name: str, mode: PweMode | SizeMode | PsnrMode
 ) -> tuple[bytes, ChunkReport]:
-    """Module-level baseline chunk job (picklable for the process pool).
+    """Compress one chunk with a baseline registry codec.
 
     The chunk stream is the default-constructed registry codec's payload
     for the float64 chunk, so each baseline keeps its own stream format
@@ -345,9 +340,13 @@ def decode_chunks(
     (``crc=None`` skips verification).  Every CRC is checked before any
     decode work: raise mode raises
     :class:`~repro.errors.IntegrityError` on the first mismatch, salvage
-    mode records it and skips the chunk.  Returns ``(parts, failures,
-    notes)``: decoded arrays and ``(status, error)`` pairs keyed by
-    index, plus the process pool's degradation notes.
+    mode records it and skips the chunk.  ``workers=None`` or ``1``
+    decodes in-process; ``workers=N >= 2`` cuts the jobs into at most
+    ``N`` contiguous groups, one pool task each, that write their boxes
+    into one shared-memory buffer (``timeout`` bounds each task).
+    Returns ``(parts, failures, notes)``: decoded arrays and ``(status,
+    error)`` pairs keyed by index, plus the process pool's degradation
+    notes.
     """
     failures: dict[int, tuple[str, str]] = {}
     with obs.span("container.verify", n_chunks=len(jobs)):
@@ -368,12 +367,14 @@ def decode_chunks(
         salvage=salvage,
         span=span,
     )
-    results, notes = robust_chunk_map(
-        work,
-        [(stream, shape, tag, level) for _, stream, shape, tag, _, level in todo],
-        workers=workers,
-        timeout=timeout,
-    )
+    items = [(stream, shape, tag, level) for _, stream, shape, tag, _, level in todo]
+    groups = split_groups(len(items), workers or 1)
+    if len(groups) <= 1:
+        results, notes = [work(item) for item in items], []
+    else:
+        results, notes = _decode_pooled(
+            work, items, groups, levels_cap, workers=workers, timeout=timeout
+        )
     parts: dict[int, np.ndarray] = {}
     for job, value in zip(todo, results):
         if isinstance(value, str):
@@ -381,6 +382,61 @@ def decode_chunks(
         else:
             parts[job[0]] = value
     return parts, failures, notes
+
+
+def _decode_into(
+    flat: np.ndarray, batch: list[tuple[tuple, int]], work
+) -> list[str | None]:
+    """Decode each ``(item, offset)`` of ``batch`` with ``work`` into
+    ``flat[offset:]``; ``None`` per written box, the failure summary
+    for each salvaged one."""
+    status: list[str | None] = []
+    for item, offset in batch:
+        value = work(item)
+        if isinstance(value, str):
+            status.append(value)
+        else:
+            flat[offset : offset + value.size] = value.ravel()
+            status.append(None)
+    return status
+
+
+def _decode_group_job(batch, ref: tuple, work) -> list[str | None]:
+    """One decode pool task: a contiguous group of chunks into the
+    shared output buffer ``ref``."""
+    return SharedArray.call(ref, _decode_into, batch, work)
+
+
+def _decode_pooled(
+    work, items: list[tuple], groups: list[range], levels_cap, *, workers, timeout
+) -> tuple[list[np.ndarray | str], list[str]]:
+    """Decode ``items`` as one pool task per group; results in item order.
+
+    Every box's extent is known from its table shape and level, so the
+    boxes get fixed offsets in one float64 shared-memory buffer and only
+    failure summaries travel back through the pipe.  Each box is copied
+    out of the buffer before it is released.
+    """
+    shapes = [
+        tuple(coarse_extent(n, level, levels_cap) for n in shape)
+        for _, shape, _, level in items
+    ]
+    offsets = list(accumulate((math.prod(s) for s in shapes), initial=0))
+    with SharedArray((offsets[-1],), np.float64) as shared:
+        per_group, notes = robust_chunk_map(
+            partial(_decode_group_job, ref=shared.ref, work=work),
+            [[(items[j], offsets[j]) for j in group] for group in groups],
+            workers=workers,
+            timeout=timeout,
+        )
+        results: list[np.ndarray | str] = [
+            shared.array[offsets[j] : offsets[j + 1]].reshape(shapes[j]).copy()
+            if status is None
+            else status
+            for group, statuses in zip(groups, per_group)
+            for j, status in zip(group, statuses)
+        ]
+    return results, notes
 
 
 def compress(
@@ -397,11 +453,17 @@ def compress(
 
     ``chunk_shape=None`` compresses the volume as a single chunk;
     an int or tuple tiles it for parallel execution (Sec. III-D).
-    ``workers=None`` (or 1) runs same-shaped chunks through stacked
-    numpy kernels in-process; ``workers >= 2`` fans the chunks out over
-    a persistent pool of that many processes, byte-identically.  A
-    broken or unavailable pool degrades to in-process execution and is
-    recorded in ``result.notes``.
+    ``workers=1`` runs same-shaped chunks through stacked numpy kernels
+    in-process; ``workers=N >= 2`` cuts the chunk list into at most
+    ``N`` contiguous groups and runs each, stacked the same way, as one
+    task on a persistent pool of ``N`` processes that reads the volume
+    from shared memory.  ``workers=None`` uses one process per CPU for
+    volumes of at least :data:`~repro.core.parallel.AUTO_MIN_BYTES`
+    called from the main thread, and stays in-process otherwise
+    (:func:`~repro.core.parallel.resolve_workers`).  Payloads are
+    byte-identical for every ``workers``.  A broken or unavailable pool
+    degrades to in-process execution and is recorded in
+    ``result.notes``.
     ``trace=True`` collects a per-stage span trace for this call and
     attaches it as ``result.trace``; when an ambient
     :class:`~repro.obs.trace` is already active, spans flow to it
@@ -467,6 +529,7 @@ def _compress_impl(
     mode = tighten_pwe_for_dtype(mode, data)
 
     chunks = plan_chunks(data.shape, chunk_shape)
+    workers = resolve_workers(workers, data.nbytes, len(chunks))
     # ``quality`` skips the sampling pass (and its ``adaptive.dispatch``
     # span) entirely: every chunk is sperr.
     if codec == "quality":
@@ -483,13 +546,8 @@ def _compress_impl(
         workers=workers,
         codec=codec,
     ):
-        results, pool_notes = _compress_parts(
-            data,
-            chunks,
-            tags,
-            mode,
-            wavelet=wavelet,
-            workers=workers,
+        results, pool_notes = _compress_chunks(
+            data, chunks, tags, mode, wavelet=wavelet, workers=workers
         )
         notes += [DegradationNote("pool_fallback", note) for note in pool_notes]
         streams = [packed for packed, _ in results]
@@ -526,51 +584,88 @@ def _fast_tier_report(
     )
 
 
-def _compress_parts(
+def _compress_chunks(
     data: np.ndarray,
     chunks: list[Chunk],
     tags: np.ndarray,
     mode: PweMode | SizeMode | PsnrMode,
     *,
     wavelet: str,
-    workers: int | None,
+    workers: int,
 ) -> tuple[list[tuple[bytes, ChunkReport]], list[str]]:
-    """Compress every chunk under its codec tag; results in chunk order,
-    plus the process pool's degradation notes.
+    """Compress every chunk in ``workers`` contiguous groups; results in
+    chunk order, plus the process pool's degradation notes.
 
-    sperr-tagged chunks run through :func:`compress_stack`: in-process,
-    one call per shape group; with ``workers >= 2``, one stack of one
-    per chunk on the process pool.  The PSNR target is resolved once
-    from the whole field.  szx-tagged chunks run through one stacked
+    One group is :func:`_compress_parts` in-process.  More groups put
+    the volume in shared memory once and run :func:`_compress_parts` on
+    each group's chunks as one pool task, so each task keeps the
+    per-shape-group stacking.  The PSNR target is resolved here, once
+    from the whole field, and each baseline codec checks the mode before
+    any task starts.
+    """
+    for name, tag in BASELINE_TAGS.items():
+        if np.any(tags == tag):
+            from ..compressors import ALL_COMPRESSORS
+
+            ALL_COMPRESSORS[name]().check_mode(mode)
+    opts = {"mode": mode, "wavelet": wavelet, "target_rmse": psnr_target_rmse(mode, data)}
+    groups = split_groups(len(chunks), workers)
+    if len(groups) <= 1:
+        return _compress_parts(data, chunks, tags, **opts), []
+    with SharedArray(data.shape, data.dtype) as shared:
+        np.copyto(shared.array, data)
+        per_group, notes = robust_chunk_map(
+            partial(_compress_group_job, **opts),
+            [
+                (shared.ref, chunks[g.start : g.stop], tags[g.start : g.stop])
+                for g in groups
+            ],
+            workers=workers,
+        )
+    return [pair for group in per_group for pair in group], notes
+
+
+def _compress_group_job(
+    item: tuple, **kwargs
+) -> list[tuple[bytes, ChunkReport]]:
+    """One compress pool task: ``item`` is ``(ref, chunks, tags)``, a
+    contiguous group of chunks of the shared volume ``ref``."""
+    ref, chunks, tags = item
+    return SharedArray.call(ref, _compress_parts, chunks, tags, **kwargs)
+
+
+def _compress_parts(
+    data: np.ndarray,
+    chunks: list[Chunk],
+    tags: np.ndarray,
+    *,
+    mode: PweMode | SizeMode | PsnrMode,
+    wavelet: str,
+    target_rmse: float | None,
+) -> list[tuple[bytes, ChunkReport]]:
+    """Compress these ``chunks`` of ``data`` under their codec ``tags``;
+    results in the order given.
+
+    sperr-tagged chunks run through :func:`compress_stack`, one call per
+    shape group.  szx-tagged chunks run through one stacked
     :func:`encode_chunks` kernel call (which is byte-identical
     chunk-by-chunk to serial encoding); stored chunks are framed
-    verbatim; baseline-tagged chunks run one job per chunk, on the pool
-    when there is one.
+    verbatim; baseline-tagged chunks run one codec call each.  No
+    result holds a view of ``data``.
     """
     results: list[tuple[bytes, ChunkReport] | None] = [None] * len(chunks)
     sperr_idx = [i for i, t in enumerate(tags) if t == CODEC_SPERR]
     szx_idx = [i for i, t in enumerate(tags) if t == CODEC_SZX]
     stored_idx = [i for i, t in enumerate(tags) if t == CODEC_STORED]
-    notes: list[str] = []
 
     if sperr_idx:
         sub = [chunks[i] for i in sperr_idx]
-        args = (mode, wavelet, psnr_target_rmse(mode, data))
-        if workers is None or workers == 1:
-            # Same-shaped chunks traverse each stage as one stacked call.
-            for _, members in group_by_shape(sub):
-                stack = np.stack([data[sub[j].slices()] for j in members])
-                for j, pair in zip(members, _compress_stack_job(stack, *args)):
-                    results[sperr_idx[j]] = pair
-        else:
-            # Chunks are sliced inside the workers: the volume travels
-            # through shared memory once instead of pickling every chunk.
-            pairs, sperr_notes = map_chunk_arrays(
-                _compress_chunk_job, data, sub, args=args, workers=workers
-            )
-            notes += sperr_notes
-            for i, pair in zip(sperr_idx, pairs):
-                results[i] = pair
+        # Same-shaped chunks traverse each stage as one stacked call.
+        for _, members in group_by_shape(sub):
+            stack = np.stack([data[sub[j].slices()] for j in members])
+            pairs = _compress_stack_job(stack, mode, wavelet, target_rmse)
+            for j, pair in zip(members, pairs):
+                results[sperr_idx[j]] = pair
 
     # fast/adaptive policies guarantee PweMode before any chunk is
     # tagged szx or stored (see choose_codecs).
@@ -597,25 +692,14 @@ def _compress_parts(
                     _fast_tier_report(part.shape, mode.tolerance, len(stream)),
                 )
 
-    for name, tag in BASELINE_TAGS.items():
-        idx = [i for i, t in enumerate(tags) if t == tag]
-        if not idx:
-            continue
-        from ..compressors import ALL_COMPRESSORS
+    names = {tag: name for name, tag in BASELINE_TAGS.items()}
+    for i, tag in enumerate(tags):
+        if int(tag) in names:
+            results[i] = _compress_baseline_job(
+                data[chunks[i].slices()], names[int(tag)], mode
+            )
 
-        ALL_COMPRESSORS[name]().check_mode(mode)
-        pairs, baseline_notes = map_chunk_arrays(
-            _compress_baseline_job,
-            data,
-            [chunks[i] for i in idx],
-            args=(name, mode),
-            workers=workers,
-        )
-        notes += baseline_notes
-        for i, pair in zip(idx, pairs):
-            results[i] = pair
-
-    return results, notes  # type: ignore[return-value]
+    return results  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -957,9 +1041,12 @@ def decompress(
     damaged ones with ``fill_value`` (default NaN), and returns a
     :class:`DecodeResult` carrying the array and a :class:`DecodeReport` —
     per-chunk independence as a fault-isolation boundary.  ``timeout``
-    bounds each parallel chunk task in seconds; an expired or broken pool
-    degrades to serial for the affected chunks and is recorded in the
-    report rather than raised.  ``workers`` works as in :func:`compress`.
+    bounds each pool task (a contiguous group of chunks) in seconds; an
+    expired or broken pool degrades to serial for the affected groups and
+    is recorded in the report rather than raised.  ``workers`` works as
+    in :func:`compress`, the size rule of ``workers=None`` counting the
+    decoded volume's bytes; each task writes its chunks into one
+    shared-memory buffer instead of sending arrays back through a pipe.
     The retired baseline wrapper framings decode here too, through
     :mod:`repro.core.legacy`.
     """
@@ -978,6 +1065,7 @@ def decompress(
         n = len(parsed.streams)
         crcs = parsed.chunk_crcs or (None,) * n
         salvage = on_error == "salvage"
+        nbytes = math.prod(parsed.shape) * parsed.dtype.itemsize
         parts, failures, notes = decode_chunks(
             [
                 (i, stream, chunk.shape, tag, crc, 0)
@@ -987,14 +1075,17 @@ def decompress(
             ],
             parsed.rank,
             salvage=salvage,
-            workers=workers,
+            workers=resolve_workers(workers, nbytes, n),
             timeout=timeout,
         )
         with obs.span("container.assemble"):
             out = parsed.grid.tile(
                 tuple((0, n) for n in parsed.shape), parts, fill_value=fill_value
             )
-        out = out.astype(parsed.dtype, copy=False)
+        # Damaged (salvaged or fuzzed) chunks can decode to float64
+        # values beyond float32's range; they cast to inf, silently.
+        with np.errstate(over="ignore"):
+            out = out.astype(parsed.dtype, copy=False)
         report = None
         if salvage:
             report = DecodeReport.from_failures(

@@ -3,23 +3,27 @@
 Real SPERR parallelizes with OpenMP threads over chunks (paper
 Sec. III-D).  Here the one setting is ``workers``:
 
-* ``workers=None`` or ``1`` — every chunk runs in the calling process,
-  in order;
-* ``workers=N >= 2`` — chunks fan out over a persistent
-  ``ProcessPoolExecutor`` of ``N`` workers.
+* ``workers=1`` — every chunk runs in the calling process, in order;
+* ``workers=N >= 2`` — the chunks are cut into at most ``N`` contiguous
+  groups (:func:`split_groups`), one task per group on a persistent
+  ``ProcessPoolExecutor`` of ``N`` workers;
+* ``workers=None`` — :func:`resolve_workers` picks: one process per CPU
+  in ``os.sched_getaffinity(0)`` for a whole-volume compress or
+  decompress of at least :data:`AUTO_MIN_BYTES` with at least
+  :data:`AUTO_MIN_CHUNKS_PER_WORKER` chunks per worker, called from the
+  main thread; in-process otherwise.  Store window reads and the
+  service's request threads never start a pool on their own.
 
-Two throughput mechanisms back the pool:
+Each task runs the in-process code on its group, so the pooled path
+keeps the per-shape-group stacked kernels: in-process is the same code
+with one group.  Arrays never travel through the pickle pipe: the
+volume a compress reads and the decoded chunks a decompress writes live
+in POSIX shared memory (:class:`SharedArray`), and tasks carry only its
+name, shape and dtype.  Pools are created once per worker count and
+reused across calls, so repeated compressions (the in-situ pattern)
+stop paying pool spin-up per volume.
 
-* **persistent pools** — one pool per worker count, created once and
-  reused across calls, so repeated compressions (the in-situ pattern)
-  stop paying pool spin-up per volume;
-* **zero-copy chunk dispatch** — :func:`map_chunk_arrays` places the
-  volume in POSIX shared memory once and hands workers
-  ``(shm_name, shape, dtype, bounds)`` descriptors instead of pickled
-  chunk arrays, eliminating the per-chunk float64 round-trip through
-  the pickle pipe.
-
-Both compress and decode map through :func:`robust_chunk_map`, so they
+Compress and decode both map through :func:`robust_chunk_map`, so they
 share one timeout/retry/serial-fallback policy and one worker-trace
 merge.  Every setting produces byte-identical results: the work
 functions are deterministic and results are returned in input order.
@@ -30,13 +34,13 @@ the limitation Sec. III-D concedes.
 from __future__ import annotations
 
 import atexit
+import os
 import threading
 from concurrent.futures import (
     BrokenExecutor,
     ProcessPoolExecutor,
     TimeoutError as FuturesTimeoutError,
 )
-from functools import partial
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -46,10 +50,14 @@ from ..errors import InvalidArgumentError
 from ..obs import absorb_result, wrap_worker
 
 __all__ = [
-    "map_chunk_arrays",
-    "robust_chunk_map",
+    "AUTO_MIN_BYTES",
+    "AUTO_MIN_CHUNKS_PER_WORKER",
+    "SharedArray",
     "get_pool",
+    "resolve_workers",
+    "robust_chunk_map",
     "shutdown_pools",
+    "split_groups",
 ]
 
 T = TypeVar("T")
@@ -58,6 +66,17 @@ R = TypeVar("R")
 #: Parallel attempts :func:`robust_chunk_map` makes before it re-runs
 #: the remaining items in the calling process.
 MAX_ROUNDS = 2
+
+#: ``workers=None`` keeps volumes smaller than this in-process.  Set from
+#: the alternating-pairs crossover table in EXPERIMENTS.md
+#: ("Parallelism"), 2-CPU host, chunk 32: two processes lost every pair
+#: at 48³ float64 (0.84 MiB), won 11 of 14 at 64³ (2 MiB), and won every
+#: pair of compress and decompress from 96³ (6.75 MiB) up.
+AUTO_MIN_BYTES = 4 << 20
+
+#: ``workers=None`` gives every pool worker at least this many chunks,
+#: so a task's stacked kernels still see a stack.
+AUTO_MIN_CHUNKS_PER_WORKER = 2
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 _POOL_LOCK = threading.Lock()
@@ -98,11 +117,46 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-def _in_process(workers: int | None, n_items: int) -> bool:
-    """Validate ``workers``; true when the items run in the caller."""
+def _check_workers(workers: int | None) -> None:
     if workers is not None and workers < 1:
         raise InvalidArgumentError("workers must be at least 1")
-    return workers is None or workers == 1 or n_items <= 1
+
+
+def resolve_workers(workers: int | None, nbytes: int, n_chunks: int) -> int:
+    """The process count a whole-volume compress or decompress uses.
+
+    An explicit ``workers`` is kept as given.  ``None`` means one
+    process per CPU in ``os.sched_getaffinity(0)``, capped so every
+    worker gets :data:`AUTO_MIN_CHUNKS_PER_WORKER` chunks, for volumes
+    of at least :data:`AUTO_MIN_BYTES` (``nbytes``) called from the
+    main thread; otherwise 1 (in-process).  Threads never start a pool
+    on their own: forking a process that runs other threads is unsafe,
+    and a threaded caller (the service) already parallelises across
+    requests.
+    """
+    _check_workers(workers)
+    if workers is not None:
+        return workers
+    if (
+        nbytes < AUTO_MIN_BYTES
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, n_chunks // AUTO_MIN_CHUNKS_PER_WORKER))
+
+
+def split_groups(n: int, parts: int) -> list[range]:
+    """Cut ``range(n)`` into ``min(parts, n)`` contiguous groups whose
+    sizes differ by at most one (the larger ones first)."""
+    parts = max(1, min(parts, n))
+    base, extra = divmod(n, parts)
+    groups, start = [], 0
+    for g in range(parts):
+        stop = start + base + (g < extra)
+        groups.append(range(start, stop))
+        start = stop
+    return groups
 
 
 def robust_chunk_map(
@@ -117,22 +171,26 @@ def robust_chunk_map(
 
     Results are returned in input order regardless of completion order,
     mirroring SPERR's deterministic concatenation of chunk bitstreams.
-    With ``workers >= 2`` the items run on the persistent process pool,
-    so ``func`` must be picklable (a module-level callable or a
-    ``functools.partial`` of one).  Exceptions raised by ``func`` itself
-    propagate unchanged, but *infrastructure* failures are absorbed: a
-    task that exceeds ``timeout`` seconds or dies with its pool is
-    retried on a fresh pool (up to :data:`MAX_ROUNDS` parallel attempts
-    total) and finally re-run in the calling process.  Every degradation
-    is recorded in the returned notes list so callers can surface it
-    (in a :class:`~repro.core.container.DecodeReport` or
+    ``workers=None`` or ``1`` (or a single item) runs in the calling
+    process.  With ``workers >= 2`` each item is one task on the
+    persistent process pool, so ``func`` must be picklable (a
+    module-level callable or a ``functools.partial`` of one).
+    Exceptions raised by ``func`` itself propagate unchanged, but
+    *infrastructure* failures are absorbed: a task that exceeds
+    ``timeout`` seconds or dies with its pool is retried on a fresh
+    pool (up to :data:`MAX_ROUNDS` parallel attempts total) and finally
+    re-run in the calling process, so ``func`` must be safe to run
+    twice.  Every degradation is recorded in the returned notes list so
+    callers can surface it (in a
+    :class:`~repro.core.container.DecodeReport` or
     ``CompressionResult.notes``) rather than losing the whole volume to
     one broken worker.
 
     Returns ``(results, notes)``; ``notes`` is empty on a clean run.
     """
+    _check_workers(workers)
     notes: list[str] = []
-    if _in_process(workers, len(items)):
+    if workers is None or workers == 1 or len(items) <= 1:
         return [func(item) for item in items], notes
 
     wrapped = wrap_worker(func)
@@ -149,7 +207,7 @@ def robust_chunk_map(
         except (BrokenExecutor, RuntimeError) as exc:
             notes.append(
                 f"process pool unavailable ({type(exc).__name__}: {exc}); "
-                f"falling back to serial for {len(pending)} chunks"
+                f"falling back to serial for {len(pending)} tasks"
             )
             _discard_pool(workers)
             break
@@ -162,14 +220,14 @@ def robust_chunk_map(
                 fut.cancel()
                 failed.append(i)
                 notes.append(
-                    f"chunk {i} exceeded the {timeout}s task timeout "
+                    f"task {i} exceeded the {timeout}s task timeout "
                     f"(round {round_no + 1})"
                 )
             except BrokenExecutor as exc:
                 failed.append(i)
                 broken = True
                 notes.append(
-                    f"chunk {i} lost to a broken process pool "
+                    f"task {i} lost to a broken process pool "
                     f"({type(exc).__name__})"
                 )
         if failed and (broken or timeout is not None):
@@ -179,7 +237,7 @@ def robust_chunk_map(
         pending = failed
     if pending:
         notes.append(
-            f"degraded to serial execution for chunks {sorted(pending)}"
+            f"degraded to serial execution for tasks {sorted(pending)}"
         )
         for i in pending:
             results[i] = func(items[i])
@@ -190,61 +248,69 @@ def robust_chunk_map(
     return results, notes
 
 
-def _shm_apply(func: Callable[..., R], args: tuple, job: tuple) -> R:
-    """Worker side of the zero-copy path: slice the shared volume and run.
+class SharedArray:
+    """A numpy array in POSIX shared memory, for pool tasks to read or
+    write by name.
 
-    ``job`` is ``(shm_name, shape, dtype_str, bounds)``; the chunk is
-    copied out of shared memory (workers never write the shared segment)
-    and handed to ``func(chunk, *args)``.  Pool workers share the
-    parent's resource-tracker process, so the attach here adds no extra
-    tracking and the parent's ``unlink`` is the single point of cleanup.
+    The creating process owns the segment: :meth:`close` (or leaving the
+    ``with`` block) drops :attr:`array` and unlinks the segment, so the
+    caller must hold no other view of it by then.  Tasks reach it
+    through :meth:`call`, which attaches by :attr:`ref`.  Pool workers
+    share the parent's resource-tracker process, so an attach adds no
+    tracking and the owner's ``unlink`` is the one point of cleanup;
+    workers only ever ``close()`` their mapping.
     """
-    name, shape, dtype_str, bounds = job
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        arr = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-        part = arr[tuple(slice(a, b) for a, b in bounds)].copy()
-    finally:
-        shm.close()
-    return func(part, *args)
 
-
-def map_chunk_arrays(
-    func: Callable[..., R],
-    data: np.ndarray,
-    chunks: Sequence,
-    *,
-    args: tuple = (),
-    workers: int | None = None,
-) -> tuple[list[R], list[str]]:
-    """Apply ``func(chunk_array, *args)`` to every chunk of ``data``.
-
-    ``chunks`` is a sequence of :class:`~repro.core.chunking.Chunk`.
-    In-process, each chunk is a contiguous copy sliced from ``data``.
-    With ``workers >= 2`` the volume is written to POSIX shared memory
-    once and :func:`robust_chunk_map` hands the pool
-    ``(shm_name, shape, dtype, bounds)`` descriptors — no pickling of
-    chunk arrays — so ``func`` (and everything in ``args``) must be
-    picklable.  Returns ``(results, notes)`` like
-    :func:`robust_chunk_map`; output is byte-identical for every
-    ``workers``.
-    """
-    data = np.asarray(data)
-    if _in_process(workers, len(chunks)):
-        results = [
-            func(np.ascontiguousarray(data[c.slices()]), *args) for c in chunks
-        ]
-        return results, []
-
-    shm = shared_memory.SharedMemory(create=True, size=max(1, data.nbytes))
-    try:
-        shared = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
-        np.copyto(shared, data)
-        del shared  # release the buffer export so close() succeeds
-        jobs = [(shm.name, data.shape, data.dtype.str, c.bounds) for c in chunks]
-        return robust_chunk_map(
-            partial(_shm_apply, func, args), jobs, workers=workers
+    def __init__(self, shape: tuple[int, ...], dtype) -> None:
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        self._shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
+        #: ``(name, shape, dtype_str)``: all a task needs to attach.
+        self.ref = (self._shm.name, tuple(shape), dtype.str)
+        self.array: np.ndarray | None = np.ndarray(
+            shape, dtype=dtype, buffer=self._shm.buf
         )
-    finally:
-        shm.close()
-        shm.unlink()
+
+    def __enter__(self) -> "SharedArray":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Release and unlink the segment (idempotent)."""
+        if self.array is None:
+            return
+        self.array = None
+        try:
+            self._shm.close()
+        except BufferError:
+            # Views held by a propagating exception's frames: the
+            # mapping goes with them; the name is unlinked regardless.
+            pass
+        finally:
+            self._shm.unlink()
+
+    @staticmethod
+    def call(ref: tuple, func: Callable[..., R], *args, **kwargs) -> R:
+        """Run ``func(array, *args, **kwargs)`` on the shared array named
+        by ``ref``.
+
+        ``func`` must not return views of the array: the mapping is
+        closed when it returns.
+        """
+        name, shape, dtype_str = ref
+        shm = shared_memory.SharedMemory(name=name)
+        try:
+            return func(
+                np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf),
+                *args,
+                **kwargs,
+            )
+        finally:
+            try:
+                shm.close()
+            except BufferError:
+                # An exception from ``func`` holds views in its frames;
+                # the mapping goes with them once it is handled.
+                pass

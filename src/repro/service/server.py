@@ -586,7 +586,9 @@ class CompressionService:
             codec = msg.header.get("codec", "quality")
             if codec not in CODEC_POLICIES:
                 raise InvalidArgumentError(f"bad codec spec {codec!r}")
-            result = compress(data, mode, chunk_shape=chunk, codec=codec)
+            # In-process: the service parallelises across requests, and
+            # its worker threads must never fork a pool.
+            result = compress(data, mode, chunk_shape=chunk, codec=codec, workers=1)
             header = {
                 "nbytes": result.nbytes,
                 "bpp": result.bpp,
@@ -596,7 +598,7 @@ class CompressionService:
 
     def _do_decompress(self, msg: Message, trace_id: str) -> Message:
         with obs.span("service.decompress", trace_id=trace_id):
-            out = decompress(bytes(msg.payload))
+            out = decompress(bytes(msg.payload), workers=1)
             header, payload = array_to_wire(out)
             return Message(MSG_OK, msg.request_id, header, payload)
 

@@ -302,8 +302,12 @@ class TestSpeed:
 
     @staticmethod
     def _speedup(best_of_3, data, mode, codec):
+        # Both tiers in-process: the per-chunk cost ratio, whatever
+        # process count ``workers=None`` would pick for this field.
         def run(policy):
-            return lambda: compress(data, mode, chunk_shape=32, codec=policy)
+            return lambda: compress(
+                data, mode, chunk_shape=32, codec=policy, workers=1
+            )
 
         def measure():
             quality, other = best_of_3(run("quality"), run(codec))

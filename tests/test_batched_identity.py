@@ -2,15 +2,17 @@
 
 In-process compress stacks same-shaped chunks through the wavelet /
 quant / SPECK / outlier stages (DESIGN + docs/architecture.md "Batched
-execution"); a process pool runs one chunk per job.  The contract is
-that the stacking changes *nothing* observable: the same bitstreams,
-the same container bytes, the same obs counters — only the wall time.
-These tests pin that contract three ways:
+execution"); each process-pool task does the same on its group of
+chunks.  The contract is that the stacking changes *nothing*
+observable: the same bitstreams, the same container bytes, the same obs
+counters — only the wall time.  These tests pin that contract three
+ways:
 
 * a Hypothesis sweep over random shapes (prime dimensions included),
-  chunk shapes and modes (PWE, size and PSNR), comparing the grouped
-  in-process payload (``workers=None``) against one chunk per process
-  job (``workers=2``) byte for byte;
+  chunk shapes and modes (PWE, size and PSNR), comparing every chunk
+  stream of the grouped in-process payload (``workers=None``) against
+  that chunk coded as a stack of one, and the whole payload against
+  the pooled one (``workers=2``), byte for byte;
 * stacked SZx encode against the one-chunk entry point;
 * obs counter equivalence: a traced in-process compress accumulates the
   same counter totals as a traced pooled one, whose worker counters
@@ -29,6 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PsnrMode, PweMode, SizeMode, compress, decompress
+from repro.core.chunking import plan_chunks
+from repro.core.container import _compress_stack_job, parse_container
+from repro.core.pipeline import psnr_target_rmse
 from repro import obs
 
 
@@ -42,7 +47,17 @@ def _field(shape: tuple[int, ...], seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: grouped in-process == one chunk per process job, byte for byte.
+# End-to-end: grouped in-process == one stack of one per chunk == pooled
+# groups, byte for byte.
+
+
+def _one_lane_streams(data, mode, chunk) -> list[bytes]:
+    """Every chunk's container stream, each chunk coded as a stack of one."""
+    rmse = psnr_target_rmse(mode, data)
+    return [
+        _compress_stack_job(data[c.slices()][None], mode, "cdf97", rmse)[0][0]
+        for c in plan_chunks(data.shape, chunk)
+    ]
 
 
 @st.composite
@@ -79,6 +94,9 @@ class TestBatchedExecutorIdentity:
         data = _field(shape, seed)
         pooled = compress(data, mode, chunk_shape=chunk, workers=2)
         batch = compress(data, mode, chunk_shape=chunk)
+        assert parse_container(batch.payload).streams == _one_lane_streams(
+            data, mode, chunk
+        )
         assert batch.payload == pooled.payload
         np.testing.assert_array_equal(
             decompress(batch.payload), decompress(pooled.payload)
@@ -100,6 +118,9 @@ class TestBatchedExecutorIdentity:
         mode = PweMode(1e-3)
         pooled = compress(data, mode, chunk_shape=8, workers=2)
         batch = compress(data, mode, chunk_shape=8)
+        assert parse_container(batch.payload).streams == _one_lane_streams(
+            data, mode, 8
+        )
         assert batch.payload == pooled.payload
 
 

@@ -190,8 +190,8 @@ class TestIntegrityOverhead:
 
 class TestBatchExecutor:
     """In-process compress stacks each group of same-shaped chunks into
-    one ``compress_stack`` call; the bytes match one chunk per process
-    job."""
+    one ``compress_stack`` call; the bytes match the pooled compress,
+    whose tasks stack their own groups."""
 
     @pytest.fixture
     def stack_shapes(self, monkeypatch):
@@ -217,7 +217,7 @@ class TestBatchExecutor:
     )
     def test_one_call_per_shape_group(self, stack_shapes, miranda, shape, groups):
         data = miranda(shape)
-        batch = compress(data, _pwe(data), chunk_shape=32)
+        batch = compress(data, _pwe(data), chunk_shape=32, workers=1)
         assert sorted(stack_shapes) == groups
         pooled = compress(data, _pwe(data), chunk_shape=32, workers=2)
         assert batch.payload == pooled.payload

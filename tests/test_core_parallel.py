@@ -12,8 +12,7 @@ import pytest
 
 import repro
 from repro.core import container, parallel
-from repro.core.chunking import plan_chunks
-from repro.core.parallel import map_chunk_arrays, robust_chunk_map, shutdown_pools
+from repro.core.parallel import robust_chunk_map, shutdown_pools
 from repro.errors import InvalidArgumentError
 
 #: ``workers`` settings by the execution they select.
@@ -61,8 +60,8 @@ class TestChunkMap:
         """``workers`` is the only parallelism setting."""
         data = np.zeros(4)
         with pytest.raises(TypeError):
-            map_chunk_arrays(
-                np.sum, data, plan_chunks(data.shape, 2), executor="process"
+            repro.compress(
+                data, repro.PweMode(1e-2), chunk_shape=2, executor="process"
             )
 
     def test_one_pool_per_worker_count(self):

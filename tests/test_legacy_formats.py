@@ -164,3 +164,26 @@ def test_corruption_decodes_or_raises_typed_error(name, on_error):
         lambda b: repro.decompress(b, on_error=on_error), payload, n=30, seed=0
     )
     assert report.ok, report.summary()
+
+
+#: Seeds whose byte overwrites of ``legacy_mskw.bin`` decode float64
+#: values beyond float32's range.
+_OVERFLOW_SEEDS = (1346, 1584, 2744, 2846)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", _OVERFLOW_SEEDS)
+def test_corrupted_mskw_casts_without_warning(seed):
+    """The final float32 cast of a damaged decode is silent: the call
+    returns an array or raises a typed error, never a RuntimeWarning."""
+    payload, _ = _fixture("mskw")
+    rng = np.random.default_rng(seed)
+    buf = bytearray(payload)
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.integers(0, len(buf)))
+        buf[pos] = int(rng.integers(0, 256))
+    try:
+        out = repro.decompress(bytes(buf))
+    except repro.ReproError:
+        return
+    assert isinstance(out, np.ndarray) and out.dtype == np.float32

@@ -203,7 +203,11 @@ class TestWorkerMerge:
         worker_spans = [
             s for s in report_a.spans if s.attrs.get("worker_item") is not None
         ]
-        assert len(report_a.find("chunk.compress")) == 8
+        # One stacked span per shape group per task: two tasks of four
+        # same-shaped chunks, every chunk coded exactly once.
+        stacks = report_a.find("chunk.compress")
+        assert [s.attrs["lanes"] for s in stacks] == [4, 4]
+        assert sorted(s.attrs["worker_item"] for s in stacks) == [0, 1]
         assert worker_spans and all(s.pid != os.getpid() for s in worker_spans)
         # worker counters folded into the parent totals
         assert report_a.counters["chunk.bytes"] > 0
