@@ -22,7 +22,7 @@ def test_ablation_lossless_backend(benchmark):
         "Visc idx=24": (miranda_viscosity(shape), 24),
         "CH4 idx=12": (s3d_ch4(shape), 12),
     }
-    methods = ("stored", "rle", "huffman", "lz77", "rc", "auto")
+    methods = ("stored", "huffman", "lz77", "rc", "auto")
 
     sizes: dict[tuple[str, str], int] = {}
     raw_sizes: dict[str, int] = {}

@@ -10,10 +10,15 @@ natural alternatives are worse:
 
 This bench intercepts real SPERR outlier lists (positions clustered
 nowhere, corrections concentrated just above t) and codes the *same*
-lists with all four designs.
+lists with all four designs.  The CSR and bitmap coders are ablation
+code, not part of the package: they live in ``tests/outlier_designs.py``,
+so this bench puts ``tests/`` on ``sys.path`` to import them.
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +27,10 @@ from repro.analysis import banner, format_table
 from repro.analysis.outliers import _intercept_outliers
 from repro.compressors.szlike import codec as sz_codec
 from repro.datasets import miranda_viscosity, nyx_dark_matter_density, s3d_temperature
-from repro.outlier import bitmap_encode, csr_encode, encode_outliers
+from repro.outlier import encode_outliers
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from outlier_designs import bitmap_encode, csr_encode  # noqa: E402
 
 
 def test_ablation_outlier_design_space(benchmark):

@@ -330,18 +330,23 @@ _MODE_NAMES = {0: "PWE-bounded", 1: "size-bounded", 2: "PSNR-bounded"}
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from .core.adaptive import CODEC_NAMES
-    from .core.container import parse_container
+    from .core.container import parse_framing
     from .core.mask import decode_mask, mask_summary
 
     with open(args.input, "rb") as f:
         payload = f.read()
-    parsed = parse_container(payload)
+    framing, parsed = parse_framing(payload)
     npoints = int(np.prod(parsed.shape))
-    crc_note = "CRC-protected" if parsed.format_version >= 2 else "no checksums"
-    print(f"format:   v{parsed.format_version} ({crc_note})")
+    if framing.startswith("SPRRPY"):
+        crc_note = "CRC-protected" if parsed.format_version >= 2 else "no checksums"
+        print(f"format:   v{parsed.format_version} ({framing}, {crc_note})")
+        mode = _MODE_NAMES.get(parsed.mode_code, f"code {parsed.mode_code}")
+    else:
+        print(f"format:   {framing} (retired framing, read-only)")
+        mode = "not recorded by this framing"
     print(f"shape:    {parsed.shape}")
     print(f"dtype:    {parsed.dtype}")
-    print(f"mode:     {_MODE_NAMES.get(parsed.mode_code, f'code {parsed.mode_code}')}")
+    print(f"mode:     {mode}")
     print(f"chunks:   {len(parsed.chunks)}")
     counts = {n: 0 for n in CODEC_NAMES.values()}
     for t in parsed.codec_tags:

@@ -754,6 +754,19 @@ def parse_container(payload: bytes) -> ParsedContainer:
         raise StreamFormatError(f"container framing truncated: {exc}") from exc
 
 
+def parse_framing(payload: bytes) -> tuple[str, ParsedContainer]:
+    """The magic dispatch of :func:`decompress` and ``sperr info``:
+    returns ``(framing, parsed)``, ``framing`` being the magic read
+    (``"SPRRPY4"``, or a retired wrapper such as ``"CHK2"`` read by
+    :func:`repro.core.legacy.parse_legacy`)."""
+    magic = bytes(payload[:8])
+    if magic in _VERSION_BY_MAGIC:
+        return magic.rstrip(b"\0").decode(), parse_container(payload)
+    from .legacy import parse_legacy
+
+    return magic[:4].decode("latin-1"), parse_legacy(payload)
+
+
 def _parse_container_body(payload: bytes, version: int) -> ParsedContainer:
     """The one container reader; its ``version`` checks are the whole
     read path of the read-only v1-v3 layouts."""
@@ -986,7 +999,8 @@ class DecodeReport:
 
     @property
     def ok(self) -> bool:
-        """True when every chunk decoded and no degradation occurred."""
+        """True when every chunk decoded.  Pool fallbacks and an
+        unrecoverable NaN/Inf mask appear only in :attr:`notes`."""
         return not self.failed_chunks
 
     def summary(self) -> str:
@@ -1012,9 +1026,17 @@ class DecodeResult:
     report: DecodeReport
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.data.astype(dtype)
-        return self.data
+        # numpy >= 2 passes ``copy``: True must return a new array, False
+        # must not copy (InvalidArgumentError is the ValueError numpy
+        # expects then).  Older numpy passes no ``copy``.
+        if dtype is None:
+            dtype = self.data.dtype
+        if copy is False and np.dtype(dtype) != self.data.dtype:
+            raise InvalidArgumentError(
+                f"cannot view {self.data.dtype} decode output as {np.dtype(dtype)} "
+                "without a copy"
+            )
+        return self.data.astype(dtype, copy=bool(copy))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -1056,12 +1078,7 @@ def decompress(
         )
     with obs.span("sperr.decompress", nbytes=len(payload), mode=on_error):
         with obs.span("container.parse"):
-            if bytes(payload[:8]) in _VERSION_BY_MAGIC:
-                parsed = parse_container(payload)
-            else:
-                from .legacy import parse_legacy
-
-                parsed = parse_legacy(payload)
+            _, parsed = parse_framing(payload)
         n = len(parsed.streams)
         crcs = parsed.chunk_crcs or (None,) * n
         salvage = on_error == "salvage"

@@ -1,9 +1,10 @@
-"""From-scratch lossless codecs: Huffman, RLE, LZ77, a static range
-coder, and the composite backend that stands in for ZSTD on baseline
-sections and masks (SPERR chunk sections are framed ``stored``).  See
+"""From-scratch lossless codecs: Huffman, LZ77, a static range coder,
+the decoders of the retired RLE and adaptive-arithmetic tags, and the
+composite backend that stands in for ZSTD on baseline sections and
+masks (SPERR chunk sections are framed ``stored``).  See
 docs/lossless.md for stream formats and both rules."""
 
-from . import arith, bitpack, huffman, lz77, rc, rle, universal
+from . import arith, bitpack, huffman, lz77, rc, rle
 from .backend import METHODS, compress, decompress
 
 __all__ = [
@@ -16,5 +17,4 @@ __all__ = [
     "rc",
     "rle",
     "lz77",
-    "universal",
 ]

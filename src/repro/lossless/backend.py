@@ -13,23 +13,22 @@ sections and the NaN/Inf mask take ``auto``.
 The one-byte method tag at the front makes every payload self-describing.
 Tags 0–5 are the legacy formats and stay decodable forever; tag 6 is the
 vectorized static range coder that replaced the per-bit adaptive coder.
-Tags 3 (RLE then Huffman) and 5 (the adaptive coder) are decode-only:
-``auto`` never chose either on any measured traffic, so no method
-encodes them.  docs/lossless.md documents the formats and the selection
-policy.
+Tags 1 (RLE), 3 (RLE then Huffman) and 5 (the adaptive coder) are
+decode-only: ``auto`` never chose any of them on any measured caller's
+traffic, so no method encodes them.  docs/lossless.md documents the
+formats and the selection policy.
 
-``auto`` prices stored, rle, huffman, rc and lz77 cheapest-first and
-hands each coder the current best size as an abort budget, so losing
+``auto`` prices stored, huffman, rc and lz77 cheapest-first and hands
+each coder the current best size as an abort budget, so losing
 candidates stop early instead of finishing a payload that will be
 thrown away:
 
 1. ``stored`` is the floor.
-2. ``rle`` is priced exactly from the run histogram before encoding.
-3. ``huffman`` is priced exactly from the byte histogram and the
+2. ``huffman`` is priced exactly from the byte histogram and the
    code-length table; only a winner is packed.
-4. ``rc`` is skipped when the order-0 entropy bound already loses, and
+3. ``rc`` is skipped when the order-0 entropy bound already loses, and
    aborts mid-stream past the budget.
-5. ``lz77`` runs under the entropy gate below (dictionary matching is
+4. ``lz77`` runs under the entropy gate below (dictionary matching is
    the most expensive probe and cannot win on entropy-dense data).
 """
 
@@ -53,7 +52,7 @@ _TAG_LZ77 = 4
 _TAG_AC = 5
 _TAG_RC = 6
 
-METHODS = ("stored", "rle", "huffman", "lz77", "rc", "auto")
+METHODS = ("stored", "huffman", "lz77", "rc", "auto")
 
 #: ``auto`` hands payloads up to this size to the LZ77 probe (the
 #: vectorized matcher runs ~1 MiB in well under a second; the old
@@ -151,9 +150,9 @@ def _huffman_unpack(data: bytes) -> bytes:
 def compress(data: bytes, method: str = "auto") -> bytes:
     """Losslessly compress ``data`` with the chosen method.
 
-    ``auto`` prices stored, RLE, Huffman and the range coder (plus LZ77
-    when the data is small or its byte entropy suggests real redundancy)
-    and keeps the smallest result.
+    ``auto`` prices stored, Huffman and the range coder (plus LZ77 when
+    the data is small or its byte entropy suggests real redundancy) and
+    keeps the smallest result.
     """
     with span("lossless.encode", method=method) as sp:
         out = _compress_body(data, method)
@@ -164,8 +163,6 @@ def compress(data: bytes, method: str = "auto") -> bytes:
 
 def _compress_explicit(data: bytes, method: str) -> bytes:
     """Encode with one specific method (returned even if larger)."""
-    if method == "rle":
-        return bytes([_TAG_RLE]) + rle.encode(data)
     if method == "huffman":
         arr = np.frombuffer(data, dtype=np.uint8)
         code = huffman.build_code(np.bincount(arr, minlength=256))
@@ -189,18 +186,9 @@ def _compress_body(data: bytes, method: str) -> bytes:
     n = len(data)
     best = bytes([_TAG_STORED]) + data
 
-    # RLE: each (value, run<=255) pair costs two bytes; the pair count
-    # follows from the change points, so the size is exact and free.
-    arr = np.frombuffer(data, dtype=np.uint8)
-    changes = np.flatnonzero(np.diff(arr)) + 1
-    bounds = np.concatenate(([0], changes, [n]))
-    runs = np.diff(bounds)
-    n_pairs = int((-(-runs // 255)).sum())
-    if 1 + 8 + 2 * n_pairs < len(best):
-        best = bytes([_TAG_RLE]) + rle.encode(data)
-
     # Huffman: exact size from histogram x code-length table; pack only
     # if it wins.  The serialized code book serves both.
+    arr = np.frombuffer(data, dtype=np.uint8)
     freqs = np.bincount(arr, minlength=256)
     code = huffman.build_code(freqs)
     book = huffman.serialize_code(code)

@@ -1,10 +1,9 @@
 """Vectorized MSB-first bit packing/unpacking kernels.
 
 The coders that write variable-width bit fields (Huffman, LZ77 token
-streams, the range coder's frequency table, the Elias codes and the
-CSR outlier records) all emit them MSB-first within each byte.
-Doing that one field at a time costs a Python-level loop per symbol;
-these kernels do it in O(1) numpy passes:
+streams, the range coder's frequency table) all emit them MSB-first
+within each byte.  Doing that one field at a time costs a Python-level
+loop per symbol; these kernels do it in O(1) numpy passes:
 
 * :func:`pack_msb` scatters every field into 32-bit words with
   ``np.bincount``.  A field of width ``w <= 32`` at bit offset ``p``
@@ -13,8 +12,6 @@ these kernels do it in O(1) numpy passes:
   *summed* instead of OR'd, and one weighted bincount per word lane
   (window high half, low half) is exact: each word sums to less than
   2**32, far inside the 2**53 a ``float64`` weight holds exactly.
-  :func:`pack_msb_wide` takes fields of up to 64 bits by splitting
-  each into two halves first.
 * :func:`byte_windows` precomputes the 32-bit big-endian window at
   every byte offset, after which :func:`extract_msb` reads a field at
   any bit position with two shifts — the decode-side mirror.
@@ -22,9 +19,8 @@ these kernels do it in O(1) numpy passes:
   copies of the byte windows, for table-driven decoders.
 
 `tests/test_lossless.py` checks :func:`pack_msb` against a per-field
-``np.unpackbits`` bit-string oracle at every width and offset (and
-:func:`pack_msb_wide` at every width up to 64), and :func:`extract_msb`
-by round trip through :func:`pack_msb`.
+``np.unpackbits`` bit-string oracle at every width and offset, and
+:func:`extract_msb` by round trip through :func:`pack_msb`.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from ..errors import InvalidArgumentError
 
 __all__ = [
     "pack_msb",
-    "pack_msb_wide",
     "byte_windows",
     "extract_msb",
     "bit_windows",
@@ -95,26 +90,6 @@ def pack_msb(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         minlength=size,
     )
     return acc[:nwords].astype(">u4").tobytes()[:nbytes], total
-
-
-def pack_msb_wide(values: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
-    """:func:`pack_msb` for fields of up to 64 bits; returns (bytes, nbits).
-
-    Each field becomes a high part of ``max(0, width - 32)`` bits and a
-    low part of ``min(width, 32)`` bits, which :func:`pack_msb` writes
-    in that order — the same bits as one ``width``-bit field.
-    """
-    values = np.asarray(values, dtype=np.uint64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if values.shape != lengths.shape or values.ndim != 1:
-        raise InvalidArgumentError("values and lengths must be matching 1-D arrays")
-    if lengths.size and (int(lengths.min()) < 0 or int(lengths.max()) > 64):
-        raise InvalidArgumentError("field widths must lie in [0, 64]")
-    high = np.maximum(lengths - MAX_FIELD_BITS, 0)
-    return pack_msb(
-        np.stack([values >> np.uint64(MAX_FIELD_BITS), values], axis=1).ravel(),
-        np.stack([high, lengths - high], axis=1).ravel(),
-    )
 
 
 def byte_windows(data: bytes | np.ndarray) -> np.ndarray:

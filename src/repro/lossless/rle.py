@@ -1,8 +1,11 @@
-"""Byte run-length coding, fully vectorized both ways.
+"""Byte run-length decoding, fully vectorized.
 
-Used as one candidate in the lossless backend's ``auto`` mode.  SPECK
-significance streams from smooth fields contain long zero runs at early
-bitplanes, which RLE captures cheaply before Huffman coding.
+Lossless tag 1 is a stream of ``(value, run_length)`` byte pairs, runs
+capped at 255, after a ``u64`` byte count.  Nothing encodes it any more
+— ``auto`` never chose it on any measured caller's data once SPERR
+sections were framed ``stored`` — but tag-1 payloads stay decodable,
+pinned by ``tests/data/lossless_rle.bin``.  The decoder also still
+serves the decode-only tag 3, whose Huffman section holds a tag-1 body.
 """
 
 from __future__ import annotations
@@ -13,37 +16,11 @@ import numpy as np
 
 from ..errors import StreamFormatError
 
-__all__ = ["encode", "decode"]
-
-_MAX_RUN = 255
-
-
-def encode(data: bytes) -> bytes:
-    """Encode as ``(value, run_length)`` byte pairs, runs capped at 255."""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if arr.size == 0:
-        return struct.pack("<Q", 0)
-    # Boundaries where the byte value changes.
-    change = np.flatnonzero(np.diff(arr)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [arr.size]))
-    values = arr[starts]
-    runs = ends - starts
-    # Split runs longer than _MAX_RUN into multiple pairs.
-    npairs = (runs + _MAX_RUN - 1) // _MAX_RUN
-    out_values = np.repeat(values, npairs)
-    # Run lengths per pair: _MAX_RUN for all but the last pair of each run.
-    out_runs = np.full(int(npairs.sum()), _MAX_RUN, dtype=np.int64)
-    last_idx = np.cumsum(npairs) - 1
-    out_runs[last_idx] = runs - (npairs - 1) * _MAX_RUN
-    pairs = np.empty(out_values.size * 2, dtype=np.uint8)
-    pairs[0::2] = out_values
-    pairs[1::2] = out_runs.astype(np.uint8)
-    return struct.pack("<Q", arr.size) + pairs.tobytes()
+__all__ = ["decode"]
 
 
 def decode(data: bytes) -> bytes:
-    """Inverse of :func:`encode`."""
+    """Expand a ``u64 n`` + ``(value, run)`` pair stream to ``n`` bytes."""
     if len(data) < 8:
         raise StreamFormatError("truncated RLE stream")
     (n,) = struct.unpack("<Q", data[:8])

@@ -1,7 +1,6 @@
 """Outlier location and coding — the machinery that turns size-bounded
 SPECK into the PWE-bounded SPERR (paper Sec. IV)."""
 
-from .alternatives import bitmap_decode, bitmap_encode, csr_decode, csr_encode
 from .coder import (
     OutlierCoder,
     OutlierEncoding,
@@ -19,8 +18,4 @@ __all__ = [
     "decode_outliers",
     "locate_outliers",
     "locate_outliers_batch",
-    "csr_encode",
-    "csr_decode",
-    "bitmap_encode",
-    "bitmap_decode",
 ]

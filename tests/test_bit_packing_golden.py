@@ -2,13 +2,12 @@
 
 ``tests/data/bit_packing_digests.json`` holds the sha256 and length of:
 
-* :func:`~repro.outlier.csr_encode` and :func:`~repro.outlier.bitmap_encode`
+* ``csr_encode`` and ``bitmap_encode`` of ``tests/outlier_designs.py``
   on the outlier lists of the Sec.-II ablation's three cases
   (``benchmarks/bench_ablation_outlier_designs.py``: 24³ Visc-20,
   Temp-20 and Nyx-20), plus one CSR case whose positions and codes are
   wider than 32 bits;
-* :func:`~repro.lossless.universal.gamma_encode` and
-  :func:`~repro.lossless.universal.delta_encode` streams of seeded
+* ``gamma_encode`` and ``delta_encode`` (same module) streams of seeded
   integer sets, two of them wider than 32 bits;
 * :class:`~repro.compressors.zfplike.ZfpLikeCompressor` payloads of
   seeded 1-D/2-D/3-D cumulative sums in accuracy mode and at fixed-rate
@@ -41,8 +40,13 @@ import pytest
 
 from repro.compressors.zfplike import ZfpLikeCompressor
 from repro.core.modes import PweMode, SizeMode
-from repro.lossless.universal import delta_encode, gamma_encode, zigzag
-from repro.outlier import bitmap_encode, csr_encode
+from outlier_designs import (
+    bitmap_encode,
+    csr_encode,
+    delta_encode,
+    gamma_encode,
+    zigzag,
+)
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = DATA / "bit_packing_digests.json"

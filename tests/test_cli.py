@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import EXIT_BAD_ARGS, EXIT_CORRUPT, build_parser, main
+from repro.core import parse_container
+from repro.core.progressive import decompress_multires, truncate
 from repro.datasets import spectral_field
+from repro.errors import StreamFormatError
 
 
 @pytest.fixture
@@ -245,3 +249,44 @@ class TestCli:
         assert main(["decompress", str(out), str(back)]) == 0
         t = (data.max() - data.min()) / 2**10
         assert np.abs(np.load(back) - data).max() <= t
+
+
+DATA = Path(__file__).parent / "data"
+
+#: Every retired framing fixture -> the magic ``info`` must name.
+LEGACY = {
+    "chnk": "CHNK",
+    "chk2": "CHK2",
+    "chk2_sperr": "CHK2",
+    "chk3": "CHK3",
+    "chk3_szx": "CHK3",
+    "mskw": "MSKW",
+    "szxf": "SZXF",
+}
+
+
+class TestLegacyFramings:
+    """``info`` reads the retired framings ``decompress`` reads
+    (``tests/test_legacy_formats.py`` checks those decodes); the
+    container-only readers still reject them."""
+
+    @pytest.mark.parametrize("name", sorted(LEGACY))
+    def test_info_names_the_framing(self, name, capsys):
+        expected = np.load(DATA / f"legacy_{name}.npy")
+        assert main(["info", str(DATA / f"legacy_{name}.bin")]) == 0
+        printed = capsys.readouterr().out
+        assert f"format:   {LEGACY[name]} (retired framing, read-only)" in printed
+        assert f"shape:    {expected.shape}" in printed
+        assert f"dtype:    {expected.dtype}" in printed
+        assert "mode:     not recorded" in printed
+
+    @pytest.mark.parametrize("name", sorted(LEGACY))
+    def test_container_readers_reject_legacy(self, name):
+        payload = (DATA / f"legacy_{name}.bin").read_bytes()
+        for reader in (
+            parse_container,
+            lambda p: truncate(p, 0.5),
+            lambda p: decompress_multires(p, 1),
+        ):
+            with pytest.raises(StreamFormatError, match="bad magic"):
+                reader(payload)

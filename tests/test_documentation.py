@@ -223,7 +223,7 @@ class TestLosslessDocument:
             for m in lossless.METHODS
             if m != "auto"
         }
-        assert decode_only == set(range(7)) - emitted == {3, 5}
+        assert decode_only == set(range(7)) - emitted == {1, 3, 5}
 
 
 #: Documents whose backticked references must resolve.

@@ -77,14 +77,21 @@ class TestGoldenStreams:
 
     def test_auto_never_emits_legacy_ac(self, golden_input):
         """``auto`` output stays within the supported-encoder tag set:
-        RLE+Huffman (tag 3) and the per-bit adaptive coder (tag 5) are
-        decode-only now.  ``runs`` (runs of 64 over four values) is an
-        input tag 3 used to win on."""
+        RLE (tag 1), RLE+Huffman (tag 3) and the per-bit adaptive coder
+        (tag 5) are decode-only now.  ``runs`` (runs of 64 over four
+        values) is an input tags 3 and then 1 used to win on; it now
+        goes to LZ77."""
         runs = bytes(b for b in bytes(range(4)) * 16 for _ in range(64))
         for data in (golden_input, runs):
-            assert lossless.compress(data, method="auto")[0] not in (3, 5)
+            assert lossless.compress(data, method="auto")[0] not in (1, 3, 5)
+        assert lossless.compress(runs, method="auto")[0] == 4
 
     def test_rle_huffman_is_decode_only(self, golden_input):
         assert "rle+huffman" not in lossless.METHODS
         with pytest.raises(InvalidArgumentError):
             lossless.compress(golden_input, method="rle+huffman")
+
+    def test_rle_is_decode_only(self, golden_input):
+        assert "rle" not in lossless.METHODS
+        with pytest.raises(InvalidArgumentError):
+            lossless.compress(golden_input, method="rle")

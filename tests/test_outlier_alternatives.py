@@ -1,4 +1,5 @@
-"""Universal codes and the Sec. II alternative outlier coders."""
+"""Universal codes and the Sec. II alternative outlier coders of
+``tests/outlier_designs.py``."""
 
 from __future__ import annotations
 
@@ -8,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidArgumentError, StreamFormatError
-from repro.lossless.universal import (
+from outlier_designs import (
+    bitmap_decode,
+    bitmap_encode,
+    csr_decode,
+    csr_encode,
     delta_decode,
     delta_encode,
     gamma_decode,
@@ -16,7 +21,6 @@ from repro.lossless.universal import (
     unzigzag,
     zigzag,
 )
-from repro.outlier import bitmap_decode, bitmap_encode, csr_decode, csr_encode
 
 
 class TestZigzag:

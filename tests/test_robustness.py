@@ -310,10 +310,11 @@ class TestFaultInjectionMatrix:
 #: Every lossless stream tag the backend can emit or still decode,
 #: fuzzed directly against the tag-dispatch decoder rather than through
 #: the container, so corruption always lands inside the codec payloads.
-#: ``rle+huffman`` (tag 3) and ``ac`` (tag 5) are decode-only; their
-#: clean payloads are the golden fixtures.
+#: ``rle`` (tag 1), ``rle+huffman`` (tag 3) and ``ac`` (tag 5) are
+#: decode-only; their clean payloads are the golden fixtures.
 _LOSSLESS_METHODS = ("stored", "rle", "huffman", "rle+huffman", "lz77", "ac", "rc")
 _DECODE_ONLY_FIXTURES = {
+    "rle": "lossless_rle.bin",
     "rle+huffman": "lossless_rle_huffman.bin",
     "ac": "lossless_ac.bin",
 }
@@ -437,6 +438,18 @@ class TestContainerV2Integrity:
     def test_decode_result_is_array_like(self, chunked_payload):
         result = repro.decompress(chunked_payload, on_error="salvage")
         assert np.asarray(result).shape == (16, 16, 16)
+
+    def test_decode_result_honours_copy(self, chunked_payload):
+        result = repro.decompress(chunked_payload, on_error="salvage")
+        before = result.data.copy()
+        for copied in (np.array(result), np.array(result, dtype=np.float32)):
+            copied[0, 0, 0] = 5.0
+        np.testing.assert_array_equal(result.data, before)
+        assert np.asarray(result) is result.data
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            assert np.array(result, copy=False) is result.data
+            with pytest.raises(ValueError):
+                np.array(result, dtype=np.float32, copy=False)
 
 
 # --- container v4 (mixed-codec chunk table) integrity and salvage -----------
