@@ -337,13 +337,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
         payload = f.read()
     framing, parsed = parse_framing(payload)
     npoints = int(np.prod(parsed.shape))
-    if framing.startswith("SPRRPY"):
+    if parsed.mode_code is None:
+        print(f"format:   {framing} (retired framing, read-only)")
+        mode = "not recorded by this framing"
+    else:
         crc_note = "CRC-protected" if parsed.format_version >= 2 else "no checksums"
         print(f"format:   v{parsed.format_version} ({framing}, {crc_note})")
         mode = _MODE_NAMES.get(parsed.mode_code, f"code {parsed.mode_code}")
-    else:
-        print(f"format:   {framing} (retired framing, read-only)")
-        mode = "not recorded by this framing"
     print(f"shape:    {parsed.shape}")
     print(f"dtype:    {parsed.dtype}")
     print(f"mode:     {mode}")

@@ -326,6 +326,6 @@ def decode_stored_chunk(
             )
         return (
             np.frombuffer(stream, dtype="<f8", count=n, offset=pos)
-            .astype(np.float64)
             .reshape(shape)
+            .astype(np.float64)
         )

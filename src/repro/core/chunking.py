@@ -11,9 +11,9 @@ when they are small (under half a chunk), which avoids slivers whose
 wavelet decomposition would be shallow.
 
 Every reader sees a chunk table as a :class:`ChunkGrid`: the one tiling
-check, the lookup of the chunks a window touches, and the assembly of
-decoded boxes into that window (full volume, cropped window or coarse
-preview).
+check, the lookup of the chunks a window touches, and the slices that
+place each decoded box in that window (full volume, cropped window or
+coarse preview).
 """
 
 from __future__ import annotations
@@ -218,28 +218,33 @@ class ChunkGrid:
         spans = [self._span(axis, lo, hi) for axis, (lo, hi) in enumerate(bounds)]
         return sorted(self._cells[np.ix_(*spans)].ravel().tolist())
 
-    def tile(
+    def covering(
+        self, bounds: tuple[tuple[int, int], ...]
+    ) -> tuple[tuple[int, int], ...]:
+        """The chunk-aligned box of the chunks overlapping ``bounds`` (an
+        empty axis stays empty)."""
+        spans = [self._span(axis, lo, hi) for axis, (lo, hi) in enumerate(bounds)]
+        return tuple(
+            (self._starts[a][s[0]], self._stops[a][s[-1]]) if s else (lo, lo)
+            for a, (s, (lo, _)) in enumerate(zip(spans, bounds))
+        )
+
+    def placements(
         self,
         bounds: tuple[tuple[int, int], ...],
-        parts: dict[int, np.ndarray],
         *,
         level: int = 0,
         levels_cap: int | None = None,
-        fill_value: float = float("nan"),
-    ) -> np.ndarray:
-        """Tile decoded chunk boxes into the window ``bounds``.
-
-        ``parts`` maps chunk ids to their decoded boxes; the chunks of
-        :meth:`intersecting` missing from it fill their tiles with
-        ``fill_value``.  At ``level == 0`` each box is cropped to its
-        overlap with the window, so the result equals slicing the full
-        volume.  At ``level > 0`` each box is the chunk's coarse box
-        (:func:`coarse_extent` per axis under ``levels_cap``) and is
-        placed whole on the coarse grid of the chunks covering the
-        window.  Raises :class:`~repro.errors.InvalidArgumentError` when a
-        box's shape does not match its chunk.
-        """
-        # per axis: (grid position, box extent, source slice, target slice)
+    ) -> tuple[tuple[int, ...], dict[int, tuple[tuple[int, ...], tuple, tuple]]]:
+        """``(shape, places)``: the window's output shape and, for every
+        chunk of :meth:`intersecting` in ascending id order, ``(box,
+        crop, dst)``: its decoded box's shape, the crop of that box and
+        the output slices it fills.  At ``level == 0`` a box is cropped
+        to the window, so the output equals slicing the full volume; at
+        ``level > 0`` the chunk's coarse box (:func:`coarse_extent` under
+        ``levels_cap``) is placed whole on the coarse grid of the chunks
+        covering the window."""
+        # per axis: (grid position, box extent, crop slice, dst slice)
         tiles, shape = [], []
         for axis, (lo, hi) in enumerate(bounds):
             span = self._span(axis, lo, hi)
@@ -259,21 +264,13 @@ class ChunkGrid:
                     for p, n, e in zip(span, ext, edges)
                 ])
                 shape.append(edges[-1])
-        out = np.empty(shape, dtype=np.float64)
-        for cell in product(*tiles):
-            i = int(self._cells[tuple(t[0] for t in cell)])
-            dst = tuple(t[3] for t in cell)
-            part = parts.get(i)
-            if part is None:
-                out[dst] = fill_value
-                continue
-            if part.shape != tuple(t[1] for t in cell):
-                raise InvalidArgumentError(
-                    f"part shape {part.shape} does not match chunk "
-                    f"{tuple(t[1] for t in cell)}"
-                )
-            out[dst] = part[tuple(t[2] for t in cell)]
-        return out
+        places = {
+            int(self._cells[tuple(t[0] for t in cell)]): tuple(
+                tuple(t[k] for t in cell) for k in (1, 2, 3)
+            )
+            for cell in product(*tiles)
+        }
+        return tuple(shape), dict(sorted(places.items()))
 
 
 def read_chunk_table(

@@ -57,7 +57,6 @@ import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -113,7 +112,7 @@ __all__ = [
     "MAX_TOTAL_POINTS",
     "compress",
     "decompress",
-    "decode_chunks",
+    "decode_window",
     "decode_tagged_chunk",
     "parse_container",
     "build_container",
@@ -234,8 +233,10 @@ def decode_tagged_chunk(
     This is the one chunk decoder: :func:`decompress`, the store's
     :meth:`~repro.store.CompressedArray.read_window` and
     :func:`~repro.core.progressive.decompress_multires` all reach it
-    through :func:`decode_chunks`.  Baseline tags decode through the
-    registry codec; every tag must reproduce the table shape.
+    through :func:`decode_window`.  Baseline tags decode through the
+    registry codec; every tag must reproduce the table shape.  The box
+    owns its memory, as the store caches it (a view, such as a coarse
+    box's ``[::2**k]`` stride, would pin a larger base).
 
     ``fraction < 1`` first cuts a sperr chunk's SPECK section to that
     share of its bits (:func:`~repro.core.progressive.truncate_chunk_stream`);
@@ -276,6 +277,8 @@ def decode_tagged_chunk(
             if level:
                 steps = (1 << min(level, _axis_depth(n, levels_cap)) for n in shape)
                 box = box[tuple(slice(None, None, step) for step in steps)]
+        if box.base is not None:
+            box = box.copy()
     coarse = tuple(coarse_extent(n, level, levels_cap) for n in shape)
     if box.shape != coarse:
         raise StreamFormatError(
@@ -285,158 +288,158 @@ def decode_tagged_chunk(
     return box
 
 
-def _decode_chunk_job(
-    item: tuple[bytes, tuple[int, ...], int, int],
-    rank: int,
-    levels_cap: int | None,
-    fraction: float | None,
-    salvage: bool,
-    span: str | None,
-) -> np.ndarray | str:
-    """The chunk-decode job every read path maps (module-level, so the
-    process pool can pickle it).
-
-    ``item`` is ``(stream, expected_shape, tag, level)``.  Salvage mode
-    only changes whether a failure propagates or comes back as a
-    one-line summary string.  ``span`` names an optional per-chunk span.
-    """
-    stream, expected_shape, tag, level = item
-    scope = (
-        obs.span(span, nbytes=len(stream), level=level, codec=tag)
-        if span
-        else nullcontext()
-    )
-    try:
-        with scope:
-            return decode_tagged_chunk(
-                stream,
-                tag,
-                rank,
-                expected_shape,
-                level=level,
-                levels_cap=levels_cap,
-                fraction=fraction,
-            )
-    except Exception as exc:  # noqa: BLE001 - isolation boundary by design
-        if not salvage:
-            raise
-        return f"{type(exc).__name__}: {exc}"
-
-
-def decode_chunks(
-    jobs: list[tuple[int, bytes, tuple[int, ...], int, int | None, int]],
-    rank: int,
+def decode_window(
+    grid: ChunkGrid,
+    bounds: tuple[tuple[int, int], ...],
+    jobs: list[tuple[int, bytes, int, int | None, int]],
+    dtype: np.dtype,
     *,
     salvage: bool,
+    fill_value: float = float("nan"),
+    level: int = 0,
     levels_cap: int | None = None,
+    hits: dict[int, np.ndarray] | None = None,
     fraction: float | None = None,
     workers: int | None = None,
     timeout: float | None = None,
     span: str | None = None,
-) -> tuple[dict[int, np.ndarray], dict[int, tuple[str, str]], list[str]]:
-    """Verify, then decode, chunk streams through :func:`_decode_chunk_job`.
+    keep: bool = False,
+) -> tuple[np.ndarray, dict[int, tuple[str, str]], list[str], dict[int, np.ndarray]]:
+    """Verify, decode and place the chunks of the window ``bounds``: the
+    one decode step of :func:`decompress`, the store's ``read_window``
+    and :func:`~repro.core.progressive.decompress_multires`.
 
-    Each job is ``(index, stream, expected_shape, tag, crc, level)``
-    (``crc=None`` skips verification).  Every CRC is checked before any
-    decode work: raise mode raises
-    :class:`~repro.errors.IntegrityError` on the first mismatch, salvage
-    mode records it and skips the chunk.  ``workers=None`` or ``1``
-    decodes in-process; ``workers=N >= 2`` cuts the jobs into at most
-    ``N`` contiguous groups, one pool task each, that write their boxes
-    into one shared-memory buffer (``timeout`` bounds each task).
-    Returns ``(parts, failures, notes)``: decoded arrays and ``(status,
-    error)`` pairs keyed by index, plus the process pool's degradation
-    notes.
+    Each job is ``(index, stream, tag, crc, level)``; every CRC is
+    checked before any decode (raise mode raises
+    :class:`~repro.errors.IntegrityError`, salvage mode skips the chunk).
+    :func:`_place_boxes` writes each chunk's cached box (``hits``),
+    decoded box or ``fill_value`` at the slices
+    :meth:`~repro.core.chunking.ChunkGrid.placements` gives: in-process
+    straight into the window, or with ``workers=N >= 2`` as at most
+    ``N`` contiguous groups, one pool task each (``timeout`` bounds
+    each), into a shared volume over the window's chunk-aligned
+    covering region that the parent casts the window out of.  Returns
+    ``(out, failures, notes, decoded)``: the window in ``dtype``,
+    ``(status, error)`` per failed index, the pool's degradation notes
+    and, with ``keep``, each decoded box as an owned array (for a cache).
     """
     failures: dict[int, tuple[str, str]] = {}
     with obs.span("container.verify", n_chunks=len(jobs)):
-        for index, stream, _shape, _tag, crc, _level in jobs:
+        for index, stream, _tag, crc, _level in jobs:
             if crc is not None and zlib.crc32(stream) != crc:
                 if not salvage:
                     raise IntegrityError(f"chunk {index} CRC mismatch")
-                failures[index] = (
-                    "crc_mismatch",
-                    f"chunk CRC mismatch (stored {crc:#010x})",
-                )
-    todo = [job for job in jobs if job[0] not in failures]
-    work = partial(
-        _decode_chunk_job,
-        rank=rank,
-        levels_cap=levels_cap,
-        fraction=fraction,
-        salvage=salvage,
-        span=span,
-    )
-    items = [(stream, shape, tag, level) for _, stream, shape, tag, _, level in todo]
-    groups = split_groups(len(items), workers or 1)
-    if len(groups) <= 1:
-        results, notes = [work(item) for item in items], []
-    else:
-        results, notes = _decode_pooled(
-            work, items, groups, levels_cap, workers=workers, timeout=timeout
+                detail = f"chunk CRC mismatch (stored {crc:#010x})"
+                failures[index] = ("crc_mismatch", detail)
+    todo = {
+        index: (stream, grid.chunks[index].shape, tag, job_level)
+        for index, stream, tag, _crc, job_level in jobs
+        if index not in failures
+    }
+    hits = hits or {}
+    decode = dict(rank=len(bounds), levels_cap=levels_cap, fraction=fraction)
+    place = dict(fill_value=fill_value, salvage=salvage, span=span, decode=decode)
+    ids = list(todo)
+    groups = [ids[g.start : g.stop] for g in split_groups(len(ids), workers or 1)]
+    pooled = len(groups) > 1
+    # Pooled, whole boxes land in the covering region (at level > 0 the
+    # window itself), so the parent can copy them out for the cache.
+    region = grid.covering(bounds) if pooled else bounds
+    shape, places = grid.placements(region, level=level, levels_cap=levels_cap)
+    decoded: dict[int, np.ndarray] = {}
+    notes: list[str] = []
+    with SharedArray(shape, np.float64) if pooled else nullcontext() as shared:
+        out = shared.array if pooled else np.empty(shape, dtype=np.float64)
+        # The parent places the hits and fills, and in-process every box.
+        failures |= _place_boxes(
+            out,
+            [
+                (i, hits.get(i, todo.get(i)), *p)
+                for i, p in places.items()
+                if not pooled or i not in todo
+            ],
+            **place,
+            decoded=decoded if keep and not pooled else None,
         )
-    parts: dict[int, np.ndarray] = {}
-    for job, value in zip(todo, results):
-        if isinstance(value, str):
-            failures[job[0]] = ("decode_error", value)
-        else:
-            parts[job[0]] = value
-    return parts, failures, notes
+        if pooled:
+            per_group, notes = robust_chunk_map(
+                partial(_place_group_job, ref=shared.ref, place=place),
+                [[(i, todo[i], *places[i]) for i in group] for group in groups],
+                workers=workers,
+                timeout=timeout,
+            )
+            for group_failures in per_group:
+                failures |= group_failures
+            if keep:
+                decoded = {
+                    i: out[places[i][2]].copy() for i in ids if i not in failures
+                }
+            if level == 0:
+                cut = zip(bounds, region)
+                out = out[tuple(slice(lo - a, hi - a) for (lo, hi), (a, _) in cut)]
+        # Damaged (salvaged or fuzzed) chunks can decode to float64
+        # values beyond float32's range; they cast to inf, silently.
+        with np.errstate(over="ignore"):
+            out = out.astype(dtype, copy=pooled)
+    return out, failures, notes, decoded
 
 
-def _decode_into(
-    flat: np.ndarray, batch: list[tuple[tuple, int]], work
-) -> list[str | None]:
-    """Decode each ``(item, offset)`` of ``batch`` with ``work`` into
-    ``flat[offset:]``; ``None`` per written box, the failure summary
-    for each salvaged one."""
-    status: list[str | None] = []
-    for item, offset in batch:
-        value = work(item)
-        if isinstance(value, str):
-            status.append(value)
-        else:
-            flat[offset : offset + value.size] = value.ravel()
-            status.append(None)
-    return status
+def _place_boxes(
+    out: np.ndarray,
+    entries: list[tuple],
+    *,
+    fill_value: float,
+    salvage: bool,
+    span: str | None,
+    decode: dict,
+    decoded: dict[int, np.ndarray] | None = None,
+) -> dict[int, tuple[str, str]]:
+    """Write each ``(index, source, box, crop, dst)`` entry into ``out``.
 
-
-def _decode_group_job(batch, ref: tuple, work) -> list[str | None]:
-    """One decode pool task: a contiguous group of chunks into the
-    shared output buffer ``ref``."""
-    return SharedArray.call(ref, _decode_into, batch, work)
-
-
-def _decode_pooled(
-    work, items: list[tuple], groups: list[range], levels_cap, *, workers, timeout
-) -> tuple[list[np.ndarray | str], list[str]]:
-    """Decode ``items`` as one pool task per group; results in item order.
-
-    Every box's extent is known from its table shape and level, so the
-    boxes get fixed offsets in one float64 shared-memory buffer and only
-    failure summaries travel back through the pipe.  Each box is copied
-    out of the buffer before it is released.
+    ``source`` is a cached box, a ``(stream, shape, tag, level)`` item
+    that :func:`decode_tagged_chunk` decodes with the ``decode`` options
+    (inside a ``span`` per chunk when one is named), or ``None``.
+    ``out[dst]`` gets the box's ``crop``, or ``fill_value`` when there is
+    no box.  Salvage mode fills a failed decode too and returns its
+    ``("decode_error", summary)`` by index instead of raising;
+    ``decoded`` collects the boxes decoded here.
     """
-    shapes = [
-        tuple(coarse_extent(n, level, levels_cap) for n in shape)
-        for _, shape, _, level in items
-    ]
-    offsets = list(accumulate((math.prod(s) for s in shapes), initial=0))
-    with SharedArray((offsets[-1],), np.float64) as shared:
-        per_group, notes = robust_chunk_map(
-            partial(_decode_group_job, ref=shared.ref, work=work),
-            [[(items[j], offsets[j]) for j in group] for group in groups],
-            workers=workers,
-            timeout=timeout,
-        )
-        results: list[np.ndarray | str] = [
-            shared.array[offsets[j] : offsets[j + 1]].reshape(shapes[j]).copy()
-            if status is None
-            else status
-            for group, statuses in zip(groups, per_group)
-            for j, status in zip(group, statuses)
-        ]
-    return results, notes
+    errors: dict[int, tuple[str, str]] = {}
+    for index, source, box, crop, dst in entries:
+        if isinstance(source, tuple):
+            stream, shape, tag, level = source
+            attrs = {"nbytes": len(stream), "level": level, "codec": tag}
+            scope = obs.span(span, **attrs) if span else nullcontext()
+            try:
+                with scope:
+                    source = decode_tagged_chunk(
+                        stream, tag, expected_shape=shape, level=level, **decode
+                    )
+            except Exception as exc:  # noqa: BLE001 - isolation boundary by design
+                if not salvage:
+                    raise
+                errors[index] = ("decode_error", f"{type(exc).__name__}: {exc}")
+                source = None
+            else:
+                if decoded is not None:
+                    decoded[index] = source
+        if source is None:
+            out[dst] = fill_value
+        elif source.shape != box:
+            raise InvalidArgumentError(
+                f"box shape {source.shape} does not match chunk {box}"
+            )
+        else:
+            out[dst] = source[crop]
+    return errors
+
+
+def _place_group_job(
+    entries: list[tuple], ref: tuple, place: dict
+) -> dict[int, tuple[str, str]]:
+    """One decode pool task (module-level, so the pool can pickle it):
+    its group's chunks into the shared array ``ref``."""
+    return SharedArray.call(ref, _place_boxes, entries, **place)
 
 
 def compress(
@@ -711,7 +714,10 @@ class ParsedContainer:
     see the module docstring); ``chunk_crcs`` is ``None`` on v1
     payloads, which have none.  ``codec_tags`` holds one
     :data:`~repro.core.adaptive.CODEC_NAMES` key per chunk; v1-v3
-    payloads report every chunk as sperr.  ``grid`` is the checked
+    payloads report every chunk as sperr.  ``mode_code`` is the
+    container's mode byte (0=PWE, 1=size, 2=PSNR), ``None`` for the
+    retired framings of :mod:`repro.core.legacy`, which record no mode.
+    ``grid`` is the checked
     chunk table (:class:`~repro.core.chunking.ChunkGrid`); ``chunks``
     reads its chunks in table order.  ``mask_blob`` is the raw
     (still lossless-compressed) mask section, ``None`` when the input was
@@ -721,7 +727,7 @@ class ParsedContainer:
 
     rank: int
     dtype: np.dtype
-    mode_code: int
+    mode_code: int | None
     shape: tuple[int, ...]
     grid: ChunkGrid
     streams: list[bytes]
@@ -1067,8 +1073,9 @@ def decompress(
     expired or broken pool degrades to serial for the affected groups and
     is recorded in the report rather than raised.  ``workers`` works as
     in :func:`compress`, the size rule of ``workers=None`` counting the
-    decoded volume's bytes; each task writes its chunks into one
-    shared-memory buffer instead of sending arrays back through a pipe.
+    decoded volume's bytes; each task decodes its chunks into place in
+    one shared-memory volume instead of sending arrays back through a
+    pipe (:func:`decode_window`).
     The retired baseline wrapper framings decode here too, through
     :mod:`repro.core.legacy`.
     """
@@ -1083,26 +1090,17 @@ def decompress(
         crcs = parsed.chunk_crcs or (None,) * n
         salvage = on_error == "salvage"
         nbytes = math.prod(parsed.shape) * parsed.dtype.itemsize
-        parts, failures, notes = decode_chunks(
-            [
-                (i, stream, chunk.shape, tag, crc, 0)
-                for i, (stream, chunk, tag, crc) in enumerate(
-                    zip(parsed.streams, parsed.chunks, parsed.codec_tags, crcs)
-                )
-            ],
-            parsed.rank,
+        jobs = list(zip(range(n), parsed.streams, parsed.codec_tags, crcs, [0] * n))
+        out, failures, notes, _ = decode_window(
+            parsed.grid,
+            tuple((0, extent) for extent in parsed.shape),
+            jobs,
+            parsed.dtype,
             salvage=salvage,
+            fill_value=fill_value,
             workers=resolve_workers(workers, nbytes, n),
             timeout=timeout,
         )
-        with obs.span("container.assemble"):
-            out = parsed.grid.tile(
-                tuple((0, n) for n in parsed.shape), parts, fill_value=fill_value
-            )
-        # Damaged (salvaged or fuzzed) chunks can decode to float64
-        # values beyond float32's range; they cast to inf, silently.
-        with np.errstate(over="ignore"):
-            out = out.astype(parsed.dtype, copy=False)
         report = None
         if salvage:
             report = DecodeReport.from_failures(

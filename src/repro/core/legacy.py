@@ -161,7 +161,7 @@ def _parse_chunked(payload: bytes, version: int) -> ParsedContainer:
     return ParsedContainer(
         rank=rank,
         dtype=dtype,
-        mode_code=0,
+        mode_code=None,
         shape=shape,
         grid=grid,
         streams=streams,
@@ -303,7 +303,7 @@ def _single_chunk(
     return ParsedContainer(
         rank=len(shape),
         dtype=dtype,
-        mode_code=0,
+        mode_code=None,
         shape=shape,
         grid=ChunkGrid(shape, plan_chunks(shape, None)),
         streams=[stream],

@@ -134,13 +134,13 @@ def decompress_multires(payload: bytes, level: int) -> np.ndarray:
     transformed chunks do not tile into one coherent coarse volume
     (:meth:`repro.store.CompressedArray.read_window` offers the
     chunk-aligned equivalent for sharded stores).  The chunk decodes
-    through :func:`~repro.core.container.decode_chunks`, the path every
+    through :func:`~repro.core.container.decode_window`, the step every
     container and store read takes, so a one-chunk store read at
     ``level`` returns the same bytes for every codec tag.  ``level = 0``
     is full decompression; outlier corrections are point-wise at full
     resolution, so they are applied only when ``level == 0``.
     """
-    from .container import decode_chunks, decompress, parse_container
+    from .container import decode_window, decompress, parse_container
 
     if level < 0:
         raise InvalidArgumentError("level must be non-negative")
@@ -154,9 +154,11 @@ def decompress_multires(payload: bytes, level: int) -> np.ndarray:
         return decompress(payload)
     shape = checked_shape(parsed.shape, "multires")
     crc = parsed.chunk_crcs[0] if parsed.chunk_crcs else None
-    parts, _failures, _notes = decode_chunks(
-        [(0, parsed.streams[0], shape, parsed.codec_tags[0], crc, level)],
-        parsed.rank,
+    return decode_window(
+        parsed.grid,
+        tuple((0, n) for n in shape),
+        [(0, parsed.streams[0], parsed.codec_tags[0], crc, level)],
+        parsed.dtype,
         salvage=False,
-    )
-    return parts[0].astype(parsed.dtype, copy=False)
+        level=level,
+    )[0]

@@ -5,16 +5,14 @@ decodes *only* the chunks a request actually touches:
 
 * :meth:`CompressedArray.read_window` takes a window (a tuple of slices
   and/or integer indices in index space), looks up the intersecting
-  chunks per axis in the index's :class:`~repro.core.chunking.ChunkGrid`,
-  decodes the cache misses through
-  :func:`repro.core.container.decode_chunks` (the container's own chunk
-  decoder, optionally in parallel), and has the same grid crop the
-  decoded boxes into the window — the assembler :func:`repro.decompress`
-  uses, so the result is byte-identical to slicing the full
-  decompression at level 0.
+  chunks in the index's :class:`~repro.core.chunking.ChunkGrid` and
+  decodes the cache misses into the window (optionally in parallel)
+  through :func:`repro.core.container.decode_window`, the step
+  :func:`repro.decompress` takes, so at level 0 the result is
+  byte-identical to slicing the full decompression.
 * ``level > 0`` serves a chunk-aligned coarse preview: every chunk
   covering the window is reconstructed at the requested wavelet level
-  and the grid tiles the coarse boxes on the coarse grid.
+  and placed on the coarse grid.
 
 The index parser has already checked that the chunk table tiles the
 shape, so this module neither checks a tiling nor places decoded boxes.
@@ -52,7 +50,7 @@ from ..core.container import (
     CONTAINER_VERSION,
     DecodeReport,
     DecodeResult,
-    decode_chunks,
+    decode_window,
 )
 from ..core.adaptive import CODEC_NAMES
 from ..core.mask import apply_mask, decode_mask, mask_summary
@@ -277,12 +275,12 @@ class CompressedArray:
             chosen = self._index.grid.intersecting(bounds)
             obs.add_counter("store.chunks.requested", len(chosen))
             use_cache = budget is None
-            parts: dict[int, np.ndarray] = {}
+            hits: dict[int, np.ndarray] = {}
             misses: list[int] = []
             for i in chosen:
                 cached = cache.get((frame, i, level)) if use_cache else None
                 if cached is not None:
-                    parts[i] = cached
+                    hits[i] = cached
                     obs.add_counter("store.cache.hits")
                 else:
                     obs.add_counter("store.cache.misses")
@@ -304,7 +302,6 @@ class CompressedArray:
                 (
                     i,
                     streams[i],
-                    self._index.chunks[i].shape,
                     self._index.frame_codecs[frame][i],
                     entries[i].crc32,
                     min(level, self._chunk_depths[i]),
@@ -312,29 +309,26 @@ class CompressedArray:
                 for i in misses
                 if i in streams
             ]
-            decoded, decode_failures, notes = decode_chunks(
+            out, decode_failures, notes, decoded = decode_window(
+                self._index.grid,
+                bounds,
                 jobs,
-                self.rank,
+                self.dtype,
                 salvage=salvage,
+                fill_value=fill_value,
+                level=level,
                 levels_cap=self._index.levels,
+                hits=hits,
                 fraction=fraction,
                 workers=workers,
                 span="store.chunk.decode",
+                keep=use_cache,
             )
             failures.update(decode_failures)
-            parts.update(decoded)
-            if use_cache:
-                for i, arr in decoded.items():
-                    cache.put((frame, i, level), arr)
+            for i, arr in decoded.items():
+                cache.put((frame, i, level), arr)
             obs.add_counter("store.chunks.decoded", len(misses))
 
-            out = self._index.grid.tile(
-                bounds,
-                parts,
-                level=level,
-                levels_cap=self._index.levels,
-                fill_value=fill_value,
-            ).astype(self.dtype, copy=False)
             if level == 0:
                 # Re-impose the frame's NaN/Inf pattern on the window.
                 # Coarse previews stay on the filled field: a coarse cell

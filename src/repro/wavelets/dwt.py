@@ -140,8 +140,11 @@ def forward(
 
 
 def inverse(coeffs: np.ndarray, plan: WaveletPlan) -> np.ndarray:
-    """Inverse multi-level DWT (exact inverse of :func:`forward`)."""
-    return inverse_batch(np.asarray(coeffs)[None], plan)[0]
+    """Inverse multi-level DWT (exact inverse of :func:`forward`); lifts
+    a copy of ``coeffs`` in place, so the result owns its memory."""
+    out = np.array(coeffs, dtype=np.float64)
+    _lift(out[None], plan, backward=True, copy=False)
+    return out
 
 
 #: Target per-block working set for the stacked transforms.  Each
@@ -160,8 +163,10 @@ def _lift(
     backward: bool,
     stop: int = 0,
     tensor: bool = False,
+    copy: bool = True,
 ) -> np.ndarray:
-    """Run the lifting schedule over a copy of a ``(lanes, *shape)`` stack.
+    """Run the lifting schedule over a copy of a ``(lanes, *shape)`` stack
+    (over the float64 ``stack`` itself with ``copy=False``).
 
     The forward transform walks levels and axes in order; the inverse
     (``backward``) walks both in reverse and stops before level
@@ -177,7 +182,7 @@ def _lift(
     independent of its neighbours.  Lanes are processed in L2-sized
     blocks (see :data:`_BLOCK_BYTES`).
     """
-    out = np.array(stack, dtype=np.float64)
+    out = np.array(stack, dtype=np.float64) if copy else stack
     if out.shape[1:] != plan.shape:
         raise InvalidArgumentError(
             f"array shape {out.shape[1:]} does not match plan {plan.shape}"

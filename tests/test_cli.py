@@ -280,6 +280,16 @@ class TestLegacyFramings:
         assert f"dtype:    {expected.dtype}" in printed
         assert "mode:     not recorded" in printed
 
+    @pytest.mark.parametrize("name", ["chk2", "mskw"])
+    def test_retired_framings_record_no_mode(self, name):
+        # the MSKW fixture holds a PSNR-targeted tile, which mode code 0
+        # would have reported as PWE-bounded
+        from repro.core.container import parse_framing
+
+        framing, parsed = parse_framing((DATA / f"legacy_{name}.bin").read_bytes())
+        assert framing == LEGACY[name]
+        assert parsed.mode_code is None
+
     @pytest.mark.parametrize("name", sorted(LEGACY))
     def test_container_readers_reject_legacy(self, name):
         payload = (DATA / f"legacy_{name}.bin").read_bytes()

@@ -60,14 +60,22 @@ def _full(shape):
     return tuple((0, n) for n in shape)
 
 
+def _place(grid, bounds, parts, **kwargs):
+    """Write each part at the slices ``grid.placements`` gives."""
+    shape, places = grid.placements(bounds, **kwargs)
+    out = np.full(shape, np.nan)
+    for i, (box, crop, dst) in places.items():
+        assert parts[i].shape == box
+        out[dst] = parts[i][crop]
+    return out
+
+
 class TestSplitAssemble:
     def test_round_trip(self, rng):
         data = rng.standard_normal((30, 18))
         chunks = plan_chunks(data.shape, (16, 7))
         parts = split(data, chunks)
-        out = ChunkGrid(data.shape, chunks).tile(
-            _full(data.shape), dict(enumerate(parts))
-        )
+        out = _place(ChunkGrid(data.shape, chunks), _full(data.shape), dict(enumerate(parts)))
         np.testing.assert_array_equal(out, data)
 
     def test_window_crop_equals_slicing(self, rng):
@@ -76,8 +84,10 @@ class TestSplitAssemble:
         grid = ChunkGrid(data.shape, chunks[::-1])  # any table order
         parts = dict(enumerate(split(data, grid.chunks)))
         bounds = ((3, 37), (16, 17), (0, 20))
-        out = grid.tile(bounds, parts)
+        out = _place(grid, bounds, parts)
         np.testing.assert_array_equal(out, data[3:37, 16:17, :])
+        # ascending ids, as ``intersecting`` lists them
+        assert list(grid.placements(bounds)[1]) == grid.intersecting(bounds)
 
     def test_parts_are_contiguous_copies(self, rng):
         data = rng.standard_normal((8, 8))
@@ -87,17 +97,27 @@ class TestSplitAssemble:
         assert data[0, 0] != 999.0
         assert all(p.flags.c_contiguous for p in parts)
 
-    def test_wrong_part_shape_rejected(self, rng):
-        data = rng.standard_normal((8,))
-        grid = ChunkGrid(data.shape, plan_chunks(data.shape, (4,)))
-        with pytest.raises(InvalidArgumentError, match="part shape"):
-            grid.tile(((0, 8),), {0: np.zeros(4), 1: np.zeros(3)})
-        # at level 1 an 8-point chunk's box is 4 points long
+    def test_placement_box_shapes(self):
+        grid = ChunkGrid((8,), plan_chunks((8,), (4,)))
+        shape, places = grid.placements(((2, 8),))
+        assert shape == (6,)
+        assert places == {
+            0: ((4,), (slice(2, 4),), (slice(0, 2),)),
+            1: ((4,), (slice(0, 4),), (slice(2, 6),)),
+        }
+        # at level 1 an 8-point chunk's box is 4 points long, placed whole
         grid = ChunkGrid((16,), plan_chunks((16,), (8,)))
-        coarse = grid.tile(((0, 16),), {0: np.zeros(4), 1: np.ones(4)}, level=1)
+        coarse = _place(grid, ((0, 16),), {0: np.zeros(4), 1: np.ones(4)}, level=1)
         np.testing.assert_array_equal(coarse, [0, 0, 0, 0, 1, 1, 1, 1])
-        with pytest.raises(InvalidArgumentError, match="part shape"):
-            grid.tile(((0, 16),), {0: np.zeros(8), 1: np.zeros(8)}, level=1)
+        shape, places = grid.placements(((9, 12),), level=1)
+        assert shape == (4,) and places == {1: ((4,), (slice(None),), (slice(0, 4),))}
+
+    def test_covering_is_chunk_aligned(self):
+        grid = ChunkGrid((40, 36, 20), plan_chunks((40, 36, 20), 16))
+        assert grid.covering(((3, 17), (16, 17), (0, 20))) == ((0, 32), (16, 36), (0, 20))
+        assert grid.covering(_full((40, 36, 20))) == _full((40, 36, 20))
+        # an empty axis stays empty
+        assert grid.covering(((5, 5), (0, 4), (0, 1)))[0] == (5, 5)
 
     def test_count_mismatch_rejected(self):
         # every axis is tiled, but one cell of the 2x2 grid has no chunk
