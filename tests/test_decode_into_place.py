@@ -122,7 +122,8 @@ def test_every_path_reads_the_same(store, case):
     seen = {}
     for workers in WORKERS:
         for cached in (True, False):
-            arr = open_store(store, cache_bytes=(64 << 20) if cached else 0)
+            # the store's own cache is off; ``cache=`` turns a recorder on
+            arr = open_store(store, cache_bytes=0)
             recorder = _Recorder() if cached else None
             # cold read, then a read served from the cache where it is on
             outs = [
