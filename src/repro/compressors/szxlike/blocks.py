@@ -304,12 +304,15 @@ def _encode_batch(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     return out
 
 
-def decode_lane(body: bytes, tolerance: float) -> np.ndarray:
-    """Decode one lane body back to its flat float64 samples.
+def decode_lane(body: bytes, tolerance: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Decode one lane body back to its float64 samples in ``shape``
+    (which must hold the lane's sample count).
 
     The body is untrusted: every section length is validated against the
     declared block count before any allocation or slice, and malformed
-    framing raises :class:`~repro.errors.StreamFormatError`.
+    framing raises :class:`~repro.errors.StreamFormatError`.  A lane of
+    whole blocks decodes straight into an array that owns its memory;
+    otherwise the result is a view of the block-padded buffer.
     """
     if not np.isfinite(tolerance) or tolerance <= 0.0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tolerance}")
@@ -363,7 +366,14 @@ def decode_lane(body: bytes, tolerance: float) -> np.ndarray:
             f"{total_planes * _PLANE_BYTES}"
         )
 
-    recon = np.empty((nb, BLOCK), dtype=np.float64)
+    if int(np.prod(shape)) != n:
+        raise StreamFormatError(f"szx lane decodes {n} samples for shape {shape}")
+    if n == nb * BLOCK:
+        out = np.empty(shape, dtype=np.float64)
+        recon = out.reshape(nb, BLOCK)
+    else:
+        recon = np.empty((nb, BLOCK), dtype=np.float64)
+        out = recon.reshape(-1)[:n].reshape(shape)
     cmask = types == T_CONST
     dmask = types == T_DENSE
     offmask = cmask | dmask
@@ -397,4 +407,4 @@ def decode_lane(body: bytes, tolerance: float) -> np.ndarray:
         )
         recon[planed] += codes.astype(np.float64) * q
 
-    return recon.reshape(-1)[:n]
+    return out

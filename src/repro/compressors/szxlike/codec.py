@@ -101,13 +101,7 @@ def decode_chunk(
             raise StreamFormatError(
                 f"szx chunk declares tolerance {tolerance}"
             )
-        flat = decode_lane(stream[pos:], tolerance)
-        n = int(np.prod(shape))
-        if flat.size != n:
-            raise StreamFormatError(
-                f"szx chunk decodes {flat.size} samples for shape {shape}"
-            )
-        return flat.reshape(shape)
+        return decode_lane(stream[pos:], tolerance, shape)
 
 
 class SzxLikeCompressor(Compressor):

@@ -235,8 +235,9 @@ def decode_tagged_chunk(
     :func:`~repro.core.progressive.decompress_multires` all reach it
     through :func:`decode_window`.  Baseline tags decode through the
     registry codec; every tag must reproduce the table shape.  The box
-    owns its memory, as the store caches it (a view, such as a coarse
-    box's ``[::2**k]`` stride, would pin a larger base).
+    pins no memory beyond its own bytes, as the store caches it: a view
+    of a larger base (a coarse box's ``[::2**k]`` stride, a ragged szx
+    lane's block padding) is copied.
 
     ``fraction < 1`` first cuts a sperr chunk's SPECK section to that
     share of its bits (:func:`~repro.core.progressive.truncate_chunk_stream`);
@@ -277,7 +278,7 @@ def decode_tagged_chunk(
             if level:
                 steps = (1 << min(level, _axis_depth(n, levels_cap)) for n in shape)
                 box = box[tuple(slice(None, None, step) for step in steps)]
-        if box.base is not None:
+        if box.base is not None and memoryview(box.base).nbytes > box.nbytes:
             box = box.copy()
     coarse = tuple(coarse_extent(n, level, levels_cap) for n in shape)
     if box.shape != coarse:
@@ -301,6 +302,7 @@ def decode_window(
     hits: dict[int, np.ndarray] | None = None,
     fraction: float | None = None,
     workers: int | None = None,
+    groups: int | None = None,
     timeout: float | None = None,
     span: str | None = None,
     keep: bool = False,
@@ -316,9 +318,10 @@ def decode_window(
     decoded box or ``fill_value`` at the slices
     :meth:`~repro.core.chunking.ChunkGrid.placements` gives: in-process
     straight into the window, or with ``workers=N >= 2`` as at most
-    ``N`` contiguous groups, one pool task each (``timeout`` bounds
-    each), into a shared volume over the window's chunk-aligned
-    covering region that the parent casts the window out of.  Returns
+    ``groups`` (default ``N``) contiguous groups, one task each on the
+    pool of ``N`` processes (``timeout`` bounds each), into a shared
+    volume over the window's chunk-aligned covering region that the
+    parent casts the window out of.  Returns
     ``(out, failures, notes, decoded)``: the window in ``dtype``,
     ``(status, error)`` per failed index, the pool's degradation notes
     and, with ``keep``, each decoded box as an owned array (for a cache).
@@ -340,8 +343,9 @@ def decode_window(
     decode = dict(rank=len(bounds), levels_cap=levels_cap, fraction=fraction)
     place = dict(fill_value=fill_value, salvage=salvage, span=span, decode=decode)
     ids = list(todo)
-    groups = [ids[g.start : g.stop] for g in split_groups(len(ids), workers or 1)]
-    pooled = len(groups) > 1
+    cuts = split_groups(len(ids), groups or workers or 1)
+    parts = [ids[g.start : g.stop] for g in cuts]
+    pooled = len(parts) > 1
     # Pooled, whole boxes land in the covering region (at level > 0 the
     # window itself), so the parent can copy them out for the cache.
     region = grid.covering(bounds) if pooled else bounds
@@ -364,7 +368,7 @@ def decode_window(
         if pooled:
             per_group, notes = robust_chunk_map(
                 partial(_place_group_job, ref=shared.ref, place=place),
-                [[(i, todo[i], *places[i]) for i in group] for group in groups],
+                [[(i, todo[i], *places[i]) for i in part] for part in parts],
                 workers=workers,
                 timeout=timeout,
             )

@@ -11,8 +11,11 @@ Sec. III-D).  Here the one setting is ``workers``:
   in ``os.sched_getaffinity(0)`` for a whole-volume compress or
   decompress of at least :data:`AUTO_MIN_BYTES` with at least
   :data:`AUTO_MIN_CHUNKS_PER_WORKER` chunks per worker, called from the
-  main thread; in-process otherwise.  Store window reads and the
-  service's request threads never start a pool on their own.
+  main thread; in-process otherwise.  A store window read
+  (``window=True``) never starts a pool: called from the main thread,
+  it rides the largest pool already running once its cache misses give
+  every group :data:`AUTO_MIN_CHUNKS_PER_WORKER` chunks, and stays
+  in-process otherwise.  The service's request threads never pool.
 
 Each task runs the in-process code on its group, so the pooled path
 keeps the per-shape-group stacked kernels: in-process is the same code
@@ -41,7 +44,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     TimeoutError as FuturesTimeoutError,
 )
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
@@ -93,6 +96,9 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     with _POOL_LOCK:
         pool = _POOLS.get(workers)
         if pool is None:
+            # Workers forked before the tracker starts would each start
+            # their own, which unlink the parent's segments at exit.
+            resource_tracker.ensure_running()
             pool = _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
         return pool
 
@@ -122,28 +128,42 @@ def _check_workers(workers: int | None) -> None:
         raise InvalidArgumentError("workers must be at least 1")
 
 
-def resolve_workers(workers: int | None, nbytes: int, n_chunks: int) -> int:
-    """The process count a whole-volume compress or decompress uses.
+def resolve_workers(
+    workers: int | None, nbytes: int, n_chunks: int, *, window: bool = False
+) -> int | tuple[int, int]:
+    """The process count a whole-volume compress or decompress uses, or
+    with ``window`` the ``(pool, groups)`` a store window read of
+    ``n_chunks`` cache misses uses.
 
-    An explicit ``workers`` is kept as given.  ``None`` means one
-    process per CPU in ``os.sched_getaffinity(0)``, capped so every
-    worker gets :data:`AUTO_MIN_CHUNKS_PER_WORKER` chunks, for volumes
-    of at least :data:`AUTO_MIN_BYTES` (``nbytes``) called from the
-    main thread; otherwise 1 (in-process).  Threads never start a pool
-    on their own: forking a process that runs other threads is unsafe,
-    and a threaded caller (the service) already parallelises across
-    requests.
+    An explicit ``workers`` is kept as given (``(workers, workers)``
+    for a window).  ``None`` means one process per CPU in
+    ``os.sched_getaffinity(0)``, capped so every worker gets
+    :data:`AUTO_MIN_CHUNKS_PER_WORKER` chunks, for volumes of at least
+    :data:`AUTO_MIN_BYTES` (``nbytes``) called from the main thread;
+    otherwise 1 (in-process).  A window read never starts a pool: from
+    the main thread it rides the largest running pool, its misses cut
+    into ``min(pool, n_chunks // AUTO_MIN_CHUNKS_PER_WORKER)`` groups
+    when that is at least 2, and is ``(1, 1)`` otherwise, since a fresh
+    pool's start-up costs more than a one-shot read saves.  Threads
+    never pool on their own: forking a process that runs other threads
+    is unsafe, and a threaded caller (the service) already parallelises
+    across requests.
     """
     _check_workers(workers)
     if workers is not None:
-        return workers
-    if (
-        nbytes < AUTO_MIN_BYTES
-        or threading.current_thread() is not threading.main_thread()
-    ):
+        return (workers, workers) if window else workers
+    if threading.current_thread() is not threading.main_thread():
+        return (1, 1) if window else 1
+    per_worker = n_chunks // AUTO_MIN_CHUNKS_PER_WORKER
+    if window:
+        with _POOL_LOCK:
+            pool = max(_POOLS, default=1)
+        groups = min(pool, per_worker)
+        return (pool, groups) if groups > 1 else (1, 1)
+    if nbytes < AUTO_MIN_BYTES:
         return 1
     cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus, n_chunks // AUTO_MIN_CHUNKS_PER_WORKER))
+    return max(1, min(cpus, per_worker))
 
 
 def split_groups(n: int, parts: int) -> list[range]:
@@ -256,9 +276,10 @@ class SharedArray:
     ``with`` block) drops :attr:`array` and unlinks the segment, so the
     caller must hold no other view of it by then.  Tasks reach it
     through :meth:`call`, which attaches by :attr:`ref`.  Pool workers
-    share the parent's resource-tracker process, so an attach adds no
-    tracking and the owner's ``unlink`` is the one point of cleanup;
-    workers only ever ``close()`` their mapping.
+    share the parent's resource-tracker process (:func:`get_pool`
+    starts it before it forks), so an attach adds no tracking and the
+    owner's ``unlink`` is the one point of cleanup; workers only ever
+    ``close()`` their mapping.
     """
 
     def __init__(self, shape: tuple[int, ...], dtype) -> None:

@@ -6,7 +6,8 @@ decodes *only* the chunks a request actually touches:
 * :meth:`CompressedArray.read_window` takes a window (a tuple of slices
   and/or integer indices in index space), looks up the intersecting
   chunks in the index's :class:`~repro.core.chunking.ChunkGrid` and
-  decodes the cache misses into the window (optionally in parallel)
+  decodes the cache misses into the window (on a running process pool
+  when there are enough of them, see :meth:`CompressedArray.read_window`)
   through :func:`repro.core.container.decode_window`, the step
   :func:`repro.decompress` takes, so at level 0 the result is
   byte-identical to slicing the full decompression.
@@ -53,6 +54,7 @@ from ..core.container import (
     decode_window,
 )
 from ..core.adaptive import CODEC_NAMES
+from ..core.parallel import resolve_workers
 from ..core.mask import apply_mask, decode_mask, mask_summary
 from .cache import DEFAULT_CACHE_BYTES, DecodedChunkCache
 from .format import (
@@ -235,7 +237,13 @@ class CompressedArray:
         returns a :class:`~repro.core.container.DecodeResult` whose
         report lists damaged chunks; only their window intersection is
         filled with ``fill_value``.  ``workers`` overrides the store's
-        default decode parallelism for this read.  ``cache`` overrides the store's
+        default decode parallelism for this read: ``N`` decodes the
+        misses as at most ``N`` tasks on a pool of ``N`` processes, and
+        ``None`` (:func:`~repro.core.parallel.resolve_workers`) starts
+        no pool: from the main thread it rides the largest pool already
+        running once the misses give every task
+        :data:`~repro.core.parallel.AUTO_MIN_CHUNKS_PER_WORKER` chunks,
+        and decodes in-process otherwise.  ``cache`` overrides the store's
         shared decoded-chunk cache for this read (anything with
         ``get(key)``/``put(key, arr)``, e.g. another
         :class:`~repro.store.DecodedChunkCache`) — the service tier
@@ -309,6 +317,7 @@ class CompressedArray:
                 for i in misses
                 if i in streams
             ]
+            pool, groups = resolve_workers(workers, 0, len(jobs), window=True)
             out, decode_failures, notes, decoded = decode_window(
                 self._index.grid,
                 bounds,
@@ -320,9 +329,11 @@ class CompressedArray:
                 levels_cap=self._index.levels,
                 hits=hits,
                 fraction=fraction,
-                workers=workers,
+                workers=pool,
+                groups=groups,
                 span="store.chunk.decode",
-                keep=use_cache,
+                # A duck-typed cache (the service's overlay) may hold anything.
+                keep=use_cache and getattr(cache, "enabled", True),
             )
             failures.update(decode_failures)
             for i, arr in decoded.items():

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,3 +173,37 @@ class TestBrokenWorkers:
         assert result.report.ok
         assert any("broken process pool" in n for n in result.report.notes)
         np.testing.assert_array_equal(repro.decompress(payload, workers=2), expected)
+
+
+#: A pool forked by a plain map, then pooled shared-memory tasks.
+_FORK_FIRST = """
+from functools import partial
+import numpy as np
+from repro.core.parallel import SharedArray, robust_chunk_map
+
+robust_chunk_map(abs, [-1, -2, -3, -4], workers=2)
+for _ in range(40):
+    with SharedArray((4,), np.float64) as shared:
+        robust_chunk_map(
+            partial(SharedArray.call, shared.ref, np.copyto), [1.0, 2.0], workers=2
+        )
+"""
+
+
+def test_pool_forked_first_shares_the_resource_tracker():
+    """Workers forked before any shared array exists still register
+    with the parent's resource tracker: none of them starts its own,
+    which would report the parent's segments as leaked and unlink them
+    a second time at exit."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_FIRST],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "resource_tracker" not in proc.stderr

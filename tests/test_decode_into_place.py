@@ -14,6 +14,9 @@ Pinned here:
 * Every box the store caches owns its memory (``base is None``), for
   each store codec tag, at level 0 and 1, in-process and pooled: a view
   would keep a larger base alive outside the cache's byte budget.
+* No copy the cache cannot use: an szx box of whole blocks is the
+  lane's own array (padded and coarse boxes are copied), and a pooled
+  read through a cache that holds nothing copies no box out.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.compressors.szxlike import codec as szx_codec
 from repro.core.adaptive import CODEC_SPERR, CODEC_STORED, CODEC_SZX
-from repro.core.container import DecodeResult
+from repro.core.container import DecodeResult, decode_tagged_chunk, decode_window
 from repro.core.modes import PweMode
 from repro.errors import InvalidArgumentError
-from repro.store import StoreWriter, open_store, pack_index, shard_name
+from repro.store import StoreWriter, open_store, pack_index, reader, shard_name
 from repro.store.format import INDEX_NAME
 
 WORKERS = [None, 1, 2, 3]
@@ -190,3 +194,51 @@ def test_cached_boxes_own_their_memory(three_tag_store, workers, level):
     boxes = [arr.cache.get(key) for key in keys]
     assert all(box is not None and box.base is None for box in boxes)
     assert arr.cache.nbytes == sum(box.nbytes for box in boxes)
+
+
+@pytest.mark.parametrize(
+    "shape, level, copied",
+    [
+        # 128 whole blocks of 256 samples
+        pytest.param((32, 32, 32), 0, False, id="whole-blocks"),
+        pytest.param((30, 26, 20), 0, True, id="padded"),
+        pytest.param((32, 32, 32), 1, True, id="coarse"),
+    ],
+)
+def test_szx_boxes_are_copied_only_to_drop_a_larger_base(
+    monkeypatch, shape, level, copied
+):
+    data = _smooth(shape, 4).astype(np.float64)
+    stream = szx_codec.encode_chunk(data, 1e-3)
+    original, lanes = szx_codec.decode_lane, []
+
+    def spy(*args):
+        lanes.append(original(*args))
+        return lanes[-1]
+
+    monkeypatch.setattr(szx_codec, "decode_lane", spy)
+    box = decode_tagged_chunk(stream, CODEC_SZX, 3, shape, level=level)
+    (lane,) = lanes
+    assert np.shares_memory(box, lane) != copied
+    assert box.base is None
+    step = 1 << level
+    assert np.array_equal(box, lane[::step, ::step, ::step])
+    assert np.max(np.abs(box - data[::step, ::step, ::step])) <= 1e-3
+
+
+@pytest.mark.parametrize("cache_bytes, copies", [(0, 0), (1 << 20, 6)])
+def test_pooled_read_copies_boxes_only_for_a_live_cache(
+    store, monkeypatch, cache_bytes, copies
+):
+    calls = []
+
+    def spy(*args, **kwargs):
+        result = decode_window(*args, **kwargs)
+        calls.append(len(result[3]))
+        return result
+
+    monkeypatch.setattr(reader, "decode_window", spy)
+    arr = open_store(store, cache_bytes=cache_bytes)
+    arr.read_window(workers=2)
+    assert calls == [copies]
+    assert len(arr.cache) == copies

@@ -6,7 +6,9 @@ Whole-volume :func:`repro.compress` / :func:`repro.decompress` (and
 that payloads and decoded arrays are byte-identical for ``workers``
 None/1/2/3 over every tier, mode and input kind, that salvage, worker
 loss and tracing behave as in-process, and that small inputs, store
-window reads, the service and threads never start a pool.
+window reads, the service and threads never start a pool.  A store
+window read from the main thread rides a pool that is already running
+once its cache misses give every task two chunks, with the same bytes.
 
 Most cases lower :data:`~repro.core.parallel.AUTO_MIN_BYTES` to 0 so
 small inputs exercise the automatic path; on a one-CPU host (CI runs
@@ -18,6 +20,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +32,15 @@ from repro.core.chunking import group_by_shape, plan_chunks
 from repro.core.container import build_container, parse_container
 from repro.core.parallel import (
     AUTO_MIN_BYTES,
+    get_pool,
     resolve_workers,
     shutdown_pools,
     split_groups,
 )
-from repro.errors import InvalidArgumentError
+from repro.cli import main
+from repro.errors import IntegrityError, InvalidArgumentError
 from repro.service import ServiceClient, serve_in_thread
-from repro.store import open_store, write_store
+from repro.store import StoreWriter, open_store, reader, shard_name, write_store
 
 WORKERS = (None, 1, 2, 3)
 CPUS = len(os.sched_getaffinity(0))
@@ -130,6 +135,24 @@ class TestResolveWorkers:
         t.start()
         t.join()
         assert out == [1]
+
+    def test_window_reads_ride_the_largest_running_pool(self, monkeypatch):
+        assert resolve_workers(3, 0, 1, window=True) == (3, 3)
+        monkeypatch.setattr(parallel, "_POOLS", {})
+        assert resolve_workers(None, 1 << 30, 64, window=True) == (1, 1)
+        monkeypatch.setattr(parallel, "_POOLS", {2: None, 4: None})
+        assert resolve_workers(None, 0, 64, window=True) == (4, 4)
+        # a pool of 4 runs a 6-miss read as 3 groups of two
+        assert resolve_workers(None, 0, 6, window=True) == (4, 3)
+        assert resolve_workers(None, 0, 4, window=True) == (4, 2)
+        assert resolve_workers(None, 0, 3, window=True) == (1, 1)
+        out = []
+        t = threading.Thread(
+            target=lambda: out.append(resolve_workers(None, 0, 64, window=True))
+        )
+        t.start()
+        t.join()
+        assert out == [(1, 1)]
 
     @pytest.mark.parametrize("n, parts", [(0, 2), (1, 3), (7, 2), (64, 3), (5, 8)])
     def test_split_groups_is_contiguous_and_even(self, n, parts):
@@ -310,6 +333,161 @@ class TestStaysInProcess:
         assert parallel._POOLS == {}
         assert np.max(np.abs(back - data)) <= mode.tolerance
         assert np.max(np.abs(full - data)) <= mode.tolerance
+
+
+#: Frame 1 of the float64 store has this chunk's CRC broken.
+DAMAGED = 5
+
+#: ``id -> (store, read_window keywords)``; every read misses 4+ chunks.
+READS = {
+    "full": ("f64", {}),
+    "window": ("f64", {"window": (slice(3, 25), slice(2, 20), slice(1, 19))}),
+    "int-index": ("f64", {"window": (slice(0, 30), 9, slice(None))}),
+    "level1": ("f64", {"level": 1}),
+    "budget": ("f64", {"window": (slice(0, 20), slice(0, 20)), "budget": 3000}),
+    "salvage": ("f64", {"frame": 1, "on_error": "salvage", "fill_value": -7.0}),
+    "masked-f32": ("f32", {"window": (slice(2, 30), slice(4, 26))}),
+}
+
+
+@pytest.fixture(scope="module")
+def stores(tmp_path_factory):
+    """Two stores on the :data:`RAGGED` grid at chunk 8 (36 chunks): a
+    float64 one of two frames, chunk :data:`DAMAGED` of frame 1 with a
+    flipped byte, and a one-frame float32 one with NaN/Inf samples."""
+    root = tmp_path_factory.mktemp("window_reads")
+    mode = repro.PweMode(1e-3)
+    with StoreWriter(root / "f64", mode, chunk_shape=8, workers=1) as writer:
+        writer.append(_field(RAGGED, 3))
+        writer.append(_field(RAGGED, 4))
+    entry = open_store(root / "f64").index.entries[1][DAMAGED]
+    shard = root / "f64" / shard_name(entry.shard)
+    raw = bytearray(shard.read_bytes())
+    raw[entry.offset + entry.length // 2] ^= 0xFF
+    shard.write_bytes(bytes(raw))
+    write_store(
+        root / "f32", _masked_f32(RAGGED), repro.PweMode(1e-3), chunk_shape=8, workers=1
+    )
+    return root
+
+
+def _read(path: Path, workers, **kwargs):
+    """One read on a fresh handle: ``(dtype, shape, bytes, report)`` and
+    the pids of its chunk decode spans."""
+    with obs.trace("read") as tracer:
+        result = open_store(path).read_window(workers=workers, **kwargs)
+    report = None
+    if isinstance(result, repro.DecodeResult):
+        result, report = result.data, result.report
+    pids = {s.pid for s in tracer.report().find("store.chunk.decode")}
+    return (result.dtype, result.shape, result.tobytes(), report), pids
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """The ``(workers, groups)`` of every ``decode_window`` a read makes."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["workers"], kwargs["groups"]))
+        return container.decode_window(*args, **kwargs)
+
+    monkeypatch.setattr(reader, "decode_window", spy)
+    return calls
+
+
+class TestWindowReads:
+    """A main-thread ``read_window(workers=None)`` decodes its misses on
+    the largest running pool once they give every task two chunks, with
+    the bytes of ``workers=1``; it never starts a pool or one of a new
+    size."""
+
+    @pytest.mark.parametrize("case", list(READS))
+    def test_rides_a_running_pool(self, stores, case):
+        name, kwargs = READS[case]
+        want, in_process = _read(stores / name, 1, **kwargs)
+        assert in_process == {os.getpid()}
+        get_pool(2)
+        running = sorted(parallel._POOLS)
+        got, pids = _read(stores / name, None, **kwargs)
+        assert got == want
+        assert pids and os.getpid() not in pids
+        assert sorted(parallel._POOLS) == running
+        if case == "salvage":
+            assert got[3].failed_chunks == [DAMAGED]
+
+    def test_raise_mode_raises_the_same_error(self, stores):
+        get_pool(2)
+        for workers in WORKERS:
+            with pytest.raises(IntegrityError, match=f"chunk {DAMAGED} CRC"):
+                open_store(stores / "f64").read_window(frame=1, workers=workers)
+
+    def test_mixed_cache_hits(self, stores, decode_calls):
+        first = (slice(0, 16), slice(0, 16))
+        second = (slice(0, 30), slice(0, 16))  # half of it cached
+        get_pool(2)
+        outs = {}
+        for workers in (1, None):
+            arr = open_store(stores / "f64")
+            outs[workers] = [
+                arr.read_window(w, workers=workers).tobytes() for w in (first, second)
+            ]
+            assert len(arr.cache) == len(arr.chunks_for_window(second))
+        assert outs[None] == outs[1]
+        # 12 misses, then 12 hits and 12 misses: both ride the pool of 2
+        assert decode_calls[2:] == [(2, 2), (2, 2)]
+
+    def test_rides_the_largest_pool_with_fewer_groups(self, stores, decode_calls):
+        shutdown_pools()
+        get_pool(2)
+        get_pool(3)
+        window = (slice(0, 16), slice(0, 16), slice(0, 8))  # 2 x 2 x 1 chunks
+        arr = open_store(stores / "f64", cache_bytes=0)
+        assert len(arr.chunks_for_window(window)) == 4
+        got = arr.read_window(window)
+        assert decode_calls == [(3, 2)]
+        assert sorted(parallel._POOLS) == [2, 3]
+        assert got.tobytes() == arr.read_window(window, workers=1).tobytes()
+
+    def test_no_pool_running_stays_in_process(self, stores, decode_calls):
+        shutdown_pools()
+        _, pids = _read(stores / "f64", None)
+        assert pids == {os.getpid()}
+        assert decode_calls == [(1, 1)]
+        assert parallel._POOLS == {}
+
+    def test_too_few_misses_stay_in_process(self, stores, decode_calls):
+        get_pool(2)
+        running = sorted(parallel._POOLS)
+        window = (slice(0, 8), slice(0, 8), slice(0, 20))  # three chunks
+        _, pids = _read(stores / "f64", None, window=window)
+        assert pids == {os.getpid()}
+        assert decode_calls == [(1, 1)]
+        assert sorted(parallel._POOLS) == running
+
+    def test_thread_stays_in_process(self, stores, decode_calls):
+        get_pool(2)
+        arr = open_store(stores / "f64")
+        out = []
+        t = threading.Thread(target=lambda: out.append(arr.read_window()))
+        t.start()
+        t.join()
+        assert decode_calls == [(1, 1)]
+        assert out[0].tobytes() == arr.read_window(workers=1).tobytes()
+
+    @pytest.mark.parametrize("window", [None, "3:25,2:20,1:19"])
+    def test_one_shot_cli_get_creates_no_pool(self, stores, tmp_path, window):
+        """A one-shot ``sperr store get`` has no pool to ride: starting
+        one would cost more than its read saves."""
+        shutdown_pools()
+        out = tmp_path / "w.npy"
+        args = ["store", "get", str(stores / "f64"), str(out)]
+        assert main(args + (["--window", window] if window else [])) == 0
+        assert parallel._POOLS == {}
+        want = open_store(stores / "f64").read(workers=1)
+        if window:
+            want = want[3:25, 2:20, 1:19]
+        assert np.load(out).tobytes() == want.tobytes()
 
 
 @pytest.mark.usefixtures("auto_everything")
