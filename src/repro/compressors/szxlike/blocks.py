@@ -76,18 +76,22 @@ _PLANE_BYTES = BLOCK // 8
 #: Parameter doubles stored per block type (raw blocks store the block).
 _PARAM_COUNTS = np.array([1, 2, 1, BLOCK], dtype=np.int64)
 
+#: ``1 << j`` for the eight bits of a byte, one per row.
+_BIT_VALUES = (np.uint8(1) << np.arange(8, dtype=np.uint8))[:, None]
+
 # Centered index ramp shared by the linear predictor on both sides.
 _IC = np.arange(BLOCK, dtype=np.float64) - (BLOCK - 1) / 2.0
 _VAR_IC = float(np.sum(_IC * _IC))
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Vectorized ``int.bit_length`` for non-negative integer arrays."""
-    out = np.zeros(x.shape, dtype=np.int64)
-    nz = x > 0
-    if np.any(nz):
-        out[nz] = np.floor(np.log2(x[nz].astype(np.float64))).astype(np.int64) + 1
-    return out
+    """Vectorized ``int.bit_length`` of ``trunc(x)``: 0 where ``x < 1``
+    (NaN included).
+
+    Where ``x >= 1`` it is ``frexp``'s exponent, exact for any finite
+    float64 and for the uint32 codes, and cheaper than a float ``log2``.
+    """
+    return np.where(x >= 1, np.frexp(x)[1], 0)
 
 
 def _pad_lanes(
@@ -116,14 +120,11 @@ def _pad_lanes(
     return stacked, lanes
 
 
-def _pack_fixed(values: np.ndarray, bits: int) -> bytes:
-    """Pack small non-negative ints as ``bits``-wide fields, MSB first
-    (the bytes :func:`~repro.lossless.bitpack.pack_msb` gives for one
-    fixed width)."""
-    if values.size == 0:
-        return b""
-    fields = np.unpackbits(values.astype(np.uint8)[:, None], axis=1)[:, 8 - bits :]
-    return np.packbits(fields).tobytes()
+def _field_bits(values: np.ndarray, bits: int) -> np.ndarray:
+    """Small non-negative ints as rows of ``bits`` MSB-first bits; packing
+    any run of rows gives those fields' bytes as
+    :func:`~repro.lossless.bitpack.pack_msb` does for one fixed width."""
+    return np.unpackbits(values.astype(np.uint8)[:, None], axis=1)[:, 8 - bits :]
 
 
 #: Blocks one stacked pass of :func:`encode_lanes` takes at most (unless
@@ -165,7 +166,6 @@ def encode_lanes(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
 def _encode_batch(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     """:func:`encode_lanes` of one stacked batch of lanes."""
     x, lanes = _pad_lanes(arrays)
-    nb_total = x.shape[0]
     q = 2.0 * tolerance
 
     # -- classification (whole-matrix reductions) -------------------------
@@ -174,13 +174,19 @@ def _encode_batch(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     bmin = x.min(axis=1)
     bmax = x.max(axis=1)
     mid = 0.5 * (bmin + bmax)
-    mean = x.mean(axis=1)
-    res_lin = np.multiply(x, _IC)
+    mean = x.sum(axis=1) / BLOCK  # what x.mean(axis=1) computes
+    # Products by the ramp run through einsum, whose stride-0 loops beat
+    # a broadcast multiply (the outer product most).  Each entry is
+    # one rounded product plus +0.0, which only turns -0.0 into +0.0.  No
+    # zero's sign reaches a byte: the slope sum is -0.0 only for an
+    # all-zero block, which codes constant, and residuals are only ever
+    # divided, rounded to integer codes or taken in absolute value.
+    res_lin = np.einsum("ij,j->ij", x, _IC)
     slope = res_lin.sum(axis=1) / _VAR_IC
 
     tmp = np.empty_like(x)
     np.subtract(x, mean[:, None], out=res_lin)
-    np.multiply(slope[:, None], _IC, out=tmp)
+    np.einsum("i,j->ij", slope, _IC, out=tmp)
     res_lin -= tmp
     res_sel = np.subtract(x, mid[:, None])
     # One abs pass and one reduction beat a max and a min reduction.
@@ -193,19 +199,14 @@ def _encode_batch(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     # estimated from the zigzag bound 2*|res|max/q (within one plane of
     # the quantized value); exact widths are recomputed below once the
     # type is fixed and only the winning branch is ever quantized.
+    # Linear costs 16 + 32 w and dense 8 + 32 w bytes, so linear wins
+    # exactly when its width estimate is the smaller one.
     with np.errstate(invalid="ignore", over="ignore"):
-        w_lin_est = _bit_length(
-            np.minimum(2.0 * rmax_lin / q, 2.0**62).astype(np.int64)
+        w_lin_est, w_den_est = _bit_length(
+            np.minimum(2.0 * np.stack([rmax_lin, rmax_den]) / q, 2.0**62)
         )
-        w_den_est = _bit_length(
-            np.minimum(2.0 * rmax_den / q, 2.0**62).astype(np.int64)
-        )
-    cost_lin = 16.0 + w_lin_est * _PLANE_BYTES
-    cost_den = 8.0 + w_den_est * _PLANE_BYTES
-
-    types = np.full(nb_total, T_DENSE, dtype=np.int64)
-    lin = cost_lin < cost_den
-    types[lin] = T_LINEAR
+    lin = w_lin_est < w_den_est
+    types = np.where(lin, T_LINEAR, T_DENSE)
     # res_sel holds the dense residual; linear blocks take theirs.
     res_sel[lin] = res_lin[lin]
     codes = res_lin
@@ -216,22 +217,25 @@ def _encode_batch(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
         # code magnitude is the largest residual magnitude, divided and
         # rounded.
         amax = np.rint(np.where(lin, rmax_lin, rmax_den) / q)
-    # Overflow guard: zigzag codes must fit MAX_WIDTH bit planes.
-    types[~np.isfinite(amax) | (amax > 2.0 ** (MAX_WIDTH - 1) - 1)] = T_RAW
+    # Overflow guard: zigzag codes must fit MAX_WIDTH bit planes (the
+    # negated test also catches NaN and infinity).
+    types[~(amax <= 2.0 ** (MAX_WIDTH - 1) - 1)] = T_RAW
     types[(bmax - bmin) <= q] = T_CONST
 
     # -- PWE verification (demote floating-point corners to raw) ----------
     coded = (types == T_LINEAR) | (types == T_DENSE)
-    if np.any(coded):
+    if coded.any():
         np.multiply(codes, q, out=tmp)
         np.subtract(res_sel, tmp, out=tmp)
-        err = np.abs(tmp, out=tmp).max(axis=1)
-        types[coded & (err > tolerance)] = T_RAW
-        coded = (types == T_LINEAR) | (types == T_DENSE)
+        np.abs(tmp, out=tmp)
+        # Demotions are rare: one flat test skips the per-row maxima
+        # unless some sample errs past the bound.
+        if (tmp > tolerance).any():
+            types[coded & (tmp.max(axis=1) > tolerance)] = T_RAW
+            coded = (types == T_LINEAR) | (types == T_DENSE)
     cmask = types == T_CONST
-    if np.any(cmask):
+    if cmask.any():
         types[cmask & (rmax_den > tolerance)] = T_RAW
-        cmask = types == T_CONST
 
     # -- exact widths and zigzag codes for coded blocks -------------------
     # Every row is cast (const and raw rows may hold NaN or huge codes)
@@ -239,7 +243,7 @@ def _encode_batch(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     with np.errstate(invalid="ignore"):
         c = codes.astype(np.int32)
     u = np.left_shift(c, 1)
-    u ^= c >> 31
+    u ^= np.right_shift(c, 31, out=c)
     u = u.view(np.uint32)
     u[~coded] = 0
     widths = _bit_length(u.max(axis=1))
@@ -248,55 +252,49 @@ def _encode_batch(arrays: list[np.ndarray], tolerance: float) -> list[bytes]:
     counts = _PARAM_COUNTS[types]
     poff = np.concatenate(([0], np.cumsum(counts)))
     params = np.empty(int(poff[-1]), dtype=np.float64)
-    params[poff[:-1][cmask]] = mid[cmask]
+    # First slot: the midrange (const, dense) or the mean (linear); raw
+    # blocks overwrite theirs below.
     lmask = types == T_LINEAR
-    params[poff[:-1][lmask]] = mean[lmask]
+    params[poff[:-1]] = np.where(lmask, mean, mid)
     params[poff[:-1][lmask] + 1] = slope[lmask]
-    dmask = types == T_DENSE
-    params[poff[:-1][dmask]] = mid[dmask]
     rmask = types == T_RAW
-    if np.any(rmask):
+    if rmask.any():
         idx = poff[:-1][rmask, None] + np.arange(BLOCK)
         params[idx.ravel()] = x[rmask].ravel()
 
     # -- bitshuffled planes: one 32-byte row per (block, plane) -----------
-    pw = widths  # width == 0 for const/raw blocks already
-    plane_off = np.concatenate(([0], np.cumsum(pw)))
-    total_planes = int(plane_off[-1])
-    if total_planes:
-        planes = np.empty((total_planes, _PLANE_BYTES), dtype=np.uint8)
-        # Pack one bit level at a time: each pass touches only the blocks
-        # whose stack is still that deep, so no (total_planes, BLOCK)
-        # gather is ever materialized.
-        rows = np.flatnonzero(pw)
-        src = u if rows.size == nb_total else u[rows]
-        row_off = plane_off[:-1]
-        for k in range(int(widths.max())):
-            if k:
-                keep = pw[rows] > k
-                if not keep.all():
-                    rows = rows[keep]
-                    src = u[rows]
-            bits = (src & np.uint32(1 << k)) != 0
-            planes[row_off[rows] + k] = np.packbits(bits, axis=1)
+    # Every bit level of every block packs in one pass: each byte of the
+    # codes is masked by its eight bit values at once, level-major, and
+    # the rows under each block's width are then taken in stream order.
+    plane_off = np.concatenate(([0], np.cumsum(widths)))
+    depth = int(widths.max())
+    if depth:
+        nb_total = len(u)
+        # The cast keeps the low byte, so the first one needs no shift.
+        masked = [
+            (u >> np.uint32(shift) if shift else u).astype(np.uint8).reshape(1, -1)
+            & _BIT_VALUES[: depth - shift]
+            for shift in range(0, depth, 8)
+        ]
+        bits = np.concatenate(masked) if len(masked) > 1 else masked[0]
+        levels = np.packbits(bits).reshape(depth * nb_total, _PLANE_BYTES)
+        keep = np.arange(depth) < widths[:, None]
+        rows = (np.arange(depth) * nb_total + np.arange(nb_total)[:, None])[keep]
+        planes = levels.take(rows, axis=0)
     else:
         planes = np.zeros((0, _PLANE_BYTES), dtype=np.uint8)
 
     # -- slice the shared tables back into per-lane streams ---------------
+    type_bits = _field_bits(types, 2)
+    width_bits = _field_bits(widths, 5)
     out = []
     start = 0
     for n, nb in lanes:
         end = start + nb
-        t_lane = types[start:end]
-        w_lane = widths[start:end][
-            (t_lane == T_LINEAR) | (t_lane == T_DENSE)
-        ]
-        type_bytes = _pack_fixed(t_lane, 2)
-        width_bytes = _pack_fixed(w_lane, 5)
         body = bytearray()
         body += _LANE_HEAD.pack(n, nb)
-        body += type_bytes
-        body += width_bytes
+        body += np.packbits(type_bits[start:end]).tobytes()
+        body += np.packbits(width_bits[start:end][coded[start:end]]).tobytes()
         body += params[poff[start] : poff[end]].tobytes()
         body += planes[plane_off[start] : plane_off[end]].tobytes()
         out.append(bytes(body))

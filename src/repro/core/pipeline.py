@@ -198,7 +198,7 @@ def compress_stack(
             )
             t3 = time.perf_counter()
             # Only lanes that have outliers get an outlier section.
-            coded, rows = np.unique(lanes, return_inverse=True)
+            coded, rows = _coded_lanes(lanes, n_lanes)
             if coded.size:
                 encodings = encode_outliers_batch(
                     rows, positions, corrections, coded.size, chunk_size, tolerance
@@ -250,6 +250,15 @@ def compress_stack(
             )
             out.append((stream, report))
     return out
+
+
+def _coded_lanes(lanes: np.ndarray, n_lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(lanes, return_inverse=True)`` for sorted ``lanes``:
+    the lanes that have outliers, and each outlier's row among them
+    (a run of each coded lane's count), without a sort."""
+    counts = np.bincount(lanes, minlength=n_lanes)
+    coded = np.flatnonzero(counts)
+    return coded, np.repeat(np.arange(coded.size), counts[coded])
 
 
 def split_chunk_stream(raw: bytes) -> tuple[ChunkHeader, ChunkParams, bytes, bytes]:

@@ -7,6 +7,8 @@ together with the exact correction value ``corr = x - x̃``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import InvalidArgumentError
@@ -33,8 +35,8 @@ def locate_outliers_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outliers of a ``(lanes, ...)`` stack: ``(lanes, positions, corrections)``.
 
-    ``positions`` are flat indices within each lane.  ``np.nonzero``
-    walks the mask in C order, so each lane's positions come out
+    ``positions`` are flat indices within each lane.  The mask is
+    searched flat, in C order, so each lane's positions come out
     ascending, grouped by lane.
     """
     original = np.asarray(original, dtype=np.float64)
@@ -45,7 +47,8 @@ def locate_outliers_batch(
         raise InvalidArgumentError("PWE tolerance must be positive")
     n_lanes = original.shape[0]
     with span("outlier.locate", tolerance=tolerance, lanes=n_lanes) as sp:
-        err = original.reshape(n_lanes, -1) - reconstruction.reshape(n_lanes, -1)
-        lanes, positions = np.nonzero(np.abs(err) > tolerance)
-        sp.set(n_outliers=int(lanes.size))
-    return lanes, positions, err[lanes, positions]
+        err = original.reshape(-1) - reconstruction.reshape(-1)
+        flat = np.flatnonzero(np.abs(err) > tolerance)
+        lanes, positions = np.divmod(flat, math.prod(original.shape[1:]))
+        sp.set(n_outliers=int(flat.size))
+    return lanes, positions, err.take(flat)

@@ -41,15 +41,17 @@ The encoder answers each test with a gather from the max-magnitude
 pyramid, collects the emitted bit arrays in a list and packs them once
 at the end; a bit budget stops it after the first plane that reaches
 the budget.  The decoder unpacks the stream once into a bool array and
-reads the same tests back with an integer cursor.  A decoder step does
-not compact its batch: it appends the batch and its significance bits
-(a view of the stream) to its depth's pending list and descends into
-the significant sets, taken by their ``nonzero`` positions.  When the
-next plane reaches a depth, it concatenates the pending batches and
-drops their significant sets with one ``compress``, which keeps the
-LIS order and so the bits read.  The walk costs time per step, not
-per set, so one compaction per depth and plane instead of one per step
-is what this saves.  The encoder still compacts at each step.  The
+reads the same tests back with an integer cursor.  Both sides keep
+the LIS the same way.  A step does not compact its batch: it appends
+the batch and its significance bits (emitted or read) to its depth's
+pending list and descends into the significant sets, taken by their
+``nonzero`` positions.  When the next plane reaches a depth, it
+concatenates the pending batches and drops their significant sets
+with one ``compress``, which keeps the LIS order and so the bits.  The
+walk costs time per step, not per set, so one compaction per depth
+and plane instead of one per step is what this saves.  When nothing
+pads (32³ chunks, 32768-long outlier lanes), the encoder reads the
+caller's magnitudes and signs in place; it never writes them.  The
 decoder's LSP holds position, integer magnitude and sign, so
 refinement is one contiguous update of the first ``k_old``
 magnitudes.  No volume-sized array is written until the caller
@@ -117,9 +119,12 @@ def encode(
     pyramid = MaxPyramid(geometry, mags)
     levels = pyramid.levels
     max_depth = geometry.max_depth
-    neg = np.zeros(geometry.padded_shape, dtype=np.bool_)
-    neg[tuple(slice(0, n) for n in mags.shape)] = negative
-    neg = neg.reshape(-1)
+    if geometry.padded_shape == geometry.shape:
+        neg = np.asarray(negative, dtype=np.bool_).reshape(-1)
+    else:
+        neg = np.zeros(geometry.padded_shape, dtype=np.bool_)
+        neg[tuple(slice(0, n) for n in mags.shape)] = negative
+        neg = neg.reshape(-1)
 
     nplanes = pyramid.global_max.bit_length()
     parts = [np.unpackbits(np.array([nplanes], dtype=np.uint8)).view(np.bool_)]
@@ -131,32 +136,44 @@ def encode(
     k = 0
 
     tables = [geometry.child_table(d) for d in range(max_depth)]
-    lis: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
-    lis[0].append(np.zeros(1, dtype=np.int64))
+    # The LIS is kept as :func:`decode_lsp` keeps it: per depth, the
+    # batches its steps tested, their significance bits and how many of
+    # them were significant.
+    sets: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+    sigs: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+    drops = [0] * (max_depth + 1)
+    sets[0].append(np.zeros(1, dtype=np.int64))
     for n in range(nplanes - 1, -1, -1):
         threshold = np.uint64(1 << n)
         k_old = k
         sort_bits = 0
-        new_lis: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+        new_sets: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+        new_sigs: list[list[np.ndarray]] = [[] for _ in range(max_depth + 1)]
+        new_drops = [0] * (max_depth + 1)
         # Sorting pass, smallest sets first: each start depth's
         # significant sets split and are retested down to single pixels.
         for start in range(max_depth, -1, -1):
-            sets = lis[start]
-            if not sets:
+            batches = sets[start]
+            if not batches:
                 continue
-            idx = sets[0] if len(sets) == 1 else np.concatenate(sets)
+            idx = batches[0] if len(batches) == 1 else np.concatenate(batches)
+            if drops[start]:
+                tested = sigs[start]
+                sig = tested[0] if len(tested) == 1 else np.concatenate(tested)
+                idx = idx.compress(~sig)
             depth = start
             while True:
                 sig = levels[depth].take(idx) >= threshold
                 parts.append(sig)
                 sort_bits += idx.size
-                nsig = np.count_nonzero(sig)
-                if nsig == 0:
-                    new_lis[depth].append(idx)
-                    break
-                if nsig < idx.size:
-                    new_lis[depth].append(idx.compress(~sig))
-                    idx = idx.compress(sig)
+                hits = sig.nonzero()[0]
+                if hits.size < idx.size:
+                    new_sets[depth].append(idx)
+                    new_sigs[depth].append(sig)
+                    new_drops[depth] += hits.size
+                    if hits.size == 0:
+                        break
+                    idx = idx.take(hits)
                 if depth == max_depth:
                     parts.append(neg.take(idx))
                     pos[k : k + idx.size] = idx
@@ -164,7 +181,7 @@ def encode(
                     break
                 idx = tables[depth].take(idx, axis=0).ravel()
                 depth += 1
-        lis = new_lis
+        sets, sigs, drops = new_sets, new_sigs, new_drops
         # Refinement pass over the pixels that predate this plane.
         parts.append((levels[max_depth].take(pos[:k_old]) & threshold) != 0)
         stats.planes.append(n)

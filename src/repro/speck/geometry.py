@@ -121,8 +121,12 @@ class MaxPyramid:
                 f"magnitude shape {mags.shape} does not match geometry {geometry.shape}"
             )
         self.geometry = geometry
-        padded = np.zeros(geometry.padded_shape, dtype=np.uint64)
-        padded[tuple(slice(0, n) for n in geometry.shape)] = mags
+        # The finest level is the caller's array when nothing pads; the
+        # pyramid only reads it.
+        padded = mags
+        if geometry.padded_shape != geometry.shape:
+            padded = np.zeros(geometry.padded_shape, dtype=np.uint64)
+            padded[tuple(slice(0, n) for n in geometry.shape)] = mags
 
         levels: list[np.ndarray] = [None] * (geometry.max_depth + 1)  # type: ignore[list-item]
         levels[geometry.max_depth] = padded

@@ -10,11 +10,11 @@ transforms:
   the even and odd samples along that axis, runs the lifting steps as
   slice arithmetic along the same axis (vectorized over every other
   axis), and writes the Mallat halves back into the view,
-* lay the inverse kernel's halves out transform axis first when that
-  makes every neighbour-sum slice one contiguous block out of several
-  short ones, and the view is small enough for the transposing copies
-  to pay (:func:`_axis_first`); the forward kernel and larger views
-  keep the view's own layout, and
+* lay both kernels' halves out transform axis first when that makes
+  every neighbour-sum slice one contiguous block out of several short
+  ones, and the view is small enough for the transposing copies to pay
+  (one rule, :func:`_axis_first`, for both); larger views keep the
+  view's own layout, and
 * achieve perfect reconstruction to floating-point round-off.
 
 :data:`FILTERS` holds the ``(forward, inverse)`` kernels; the exported
@@ -82,15 +82,14 @@ def _cut(v: np.ndarray, axis: int):
 
 
 #: Longest contiguous block (elements) of a half's neighbour-sum slice,
-#: and largest view (bytes), for which :func:`_inverse_lifting` stages
-#: the halves transform axis first.
+#: and largest view (bytes), for which the lifting kernels stage the
+#: halves transform axis first.
 _SHORT_BLOCK = 2048
 _STAGE_BYTES = 1 << 19
 
 
 def _axis_first(v: np.ndarray, axis: int) -> bool:
-    """Whether :func:`_inverse_lifting` stages the halves transform axis
-    first.
+    """Whether the lifting kernels stage the halves transform axis first.
 
     In the view's own layout a neighbour-sum slice of a half is one
     block per index of the axes before ``axis``, each about
@@ -103,6 +102,15 @@ def _axis_first(v: np.ndarray, axis: int) -> bool:
     blocks = math.prod(v.shape[:axis])
     block = v.shape[axis] // 2 * math.prod(v.shape[axis + 1 :])
     return blocks > 1 and block <= _SHORT_BLOCK and v.nbytes <= _STAGE_BYTES
+
+
+def _staged(v: np.ndarray, axis: int) -> np.ndarray:
+    """``v`` itself, or ``v`` transposed transform axis first where
+    :func:`_axis_first` says staging the halves that way pays."""
+    axis %= v.ndim
+    if not _axis_first(v, axis):
+        return v
+    return v.transpose(axis, *range(axis), *range(axis + 1, v.ndim))
 
 
 def _even_sum(s: np.ndarray, n: int, out: np.ndarray, cut) -> None:
@@ -143,11 +151,17 @@ def _forward_lifting(
     (lowpass length ``ceil(n/2)``).  Each neighbour sum is staged in a
     reused scratch buffer; the arithmetic (add, scale, accumulate)
     matches the textbook form operation for operation, so the result is
-    bit-identical to it.
+    bit-identical to it, whether or not the halves are laid out
+    transform axis first (:func:`_axis_first`).
     """
     n, cut = _cut(v, axis)
-    s = v[cut(0, None, 2)].copy()
-    d = v[cut(1, None, 2)].copy()
+    w = _staged(v, axis)
+    if w is not v:
+        _, cut = _cut(w, 0)
+    # ``copy`` lays the halves out in C order, so transform axis first
+    # for a transposed view.
+    s = w[cut(0, None, 2)].copy()
+    d = w[cut(1, None, 2)].copy()
     t_d = np.empty_like(d)
     t_s = np.empty_like(s)
     for i, coeff in enumerate(coeffs):
@@ -160,8 +174,8 @@ def _forward_lifting(
             t_s *= coeff
             s += t_s
     half = (n + 1) // 2
-    np.multiply(s, low, out=v[cut(0, half)])
-    np.multiply(d, high, out=v[cut(half, None)])
+    np.multiply(s, low, out=w[cut(0, half)])
+    np.multiply(d, high, out=w[cut(half, None)])
     return v
 
 
@@ -173,10 +187,8 @@ def _inverse_lifting(
     where :func:`_axis_first` says it pays; the arithmetic is the same
     either way."""
     n, cut = _cut(v, axis)
-    axis %= v.ndim
-    w = v
-    if _axis_first(v, axis):
-        w = v.transpose(axis, *range(axis), *range(axis + 1, v.ndim))
+    w = _staged(v, axis)
+    if w is not v:
         _, cut = _cut(w, 0)
     half = (n + 1) // 2
     # order="C" lays the copies out transform axis first for a

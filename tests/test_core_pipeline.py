@@ -9,7 +9,7 @@ import pytest
 
 from repro.bitstream import HEADER_SIZE, ChunkHeader, ChunkParams
 from repro.core.modes import PweMode, SizeMode
-from repro.core.pipeline import compress_chunk, decompress_chunk
+from repro.core.pipeline import _coded_lanes, compress_chunk, decompress_chunk
 from repro.errors import InvalidArgumentError, StreamFormatError
 from repro.speck import encode
 
@@ -172,3 +172,21 @@ def test_forged_padding_coefficients_dropped(rng):
     got = decompress_chunk(with_speck_section(*forged[:2]), rank=3)
     assert got.shape == shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "n_lanes,lanes",
+    [(4, []), (4, [2, 2, 2]), (6, [0, 0, 1, 3, 3, 3, 5]), (64, None)],
+    ids=["empty", "one-lane", "gaps", "random"],
+)
+def test_coded_lanes_equal_unique_inverse(n_lanes, lanes, rng):
+    """The count-based grouping of sorted outlier lanes equals
+    ``np.unique(..., return_inverse=True)``."""
+    if lanes is None:
+        lanes = np.sort(rng.integers(0, n_lanes, size=5000))
+        lanes = lanes[lanes % 7 != 3]
+    lanes = np.asarray(lanes, dtype=np.int64)
+    coded, rows = _coded_lanes(lanes, n_lanes)
+    want_coded, want_rows = np.unique(lanes, return_inverse=True)
+    assert coded.tolist() == want_coded.tolist()
+    assert rows.tolist() == want_rows.tolist()

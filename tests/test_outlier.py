@@ -12,7 +12,9 @@ from repro.outlier import (
     OutlierCoder,
     decode_outliers,
     encode_outliers,
+    encode_outliers_batch,
     locate_outliers,
+    locate_outliers_batch,
 )
 
 
@@ -46,6 +48,27 @@ class TestLocateOutliers:
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(InvalidArgumentError):
             locate_outliers(np.zeros(3), np.zeros(3), 0.0)
+
+
+    @pytest.mark.parametrize("tolerance", [0.15, 10.0], ids=["mixed", "none"])
+    def test_batch_matches_2d_nonzero_formula(self, tolerance, rng):
+        """The flat search returns what a 2-D ``nonzero`` and a 2-D
+        fancy index return, dtypes included, with an all-inlier lane
+        (tolerance 0.15) and an empty result (tolerance 10)."""
+        orig = rng.normal(size=(5, 6, 7, 8))
+        rec = orig + rng.normal(scale=0.1, size=orig.shape)
+        rec[2] = orig[2]
+        err = orig.reshape(5, -1) - rec.reshape(5, -1)
+        want_lanes, want_pos = np.nonzero(np.abs(err) > tolerance)
+        lanes, pos, corr = locate_outliers_batch(orig, rec, tolerance)
+        for got, want in (
+            (lanes, want_lanes),
+            (pos, want_pos),
+            (corr, err[want_lanes, want_pos]),
+        ):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert (lanes.size > 0) == (tolerance < 1) and 2 not in lanes
 
 
 class TestOutlierCoder:
@@ -155,6 +178,28 @@ def test_outlier_guarantee_property(n, seed, t):
     order = np.argsort(dpos)
     order_in = np.argsort(pos)
     assert np.abs(dcorr[order] - corr[order_in]).max() <= t / 2 * (1 + 1e-9) + 1e-15
+
+
+@pytest.mark.parametrize("n", [32768, 13824], ids=["unpadded", "padded"])
+def test_batch_encode_leaves_inputs_and_matches_per_lane(n, rng):
+    """Read-only outlier lists stay untouched, and each lane's stream is
+    the one-lane encoding of its own outliers (lane 1 has none)."""
+    tolerance = 0.01
+    per_lane = [np.sort(rng.choice(n, size=k, replace=False)) for k in (900, 0, 400)]
+    lanes = np.repeat(np.arange(3), [p.size for p in per_lane])
+    positions = np.concatenate(per_lane)
+    corrections = rng.normal(scale=0.1, size=positions.size)
+    corrections[np.abs(corrections) <= tolerance] = 2 * tolerance
+    inputs = (lanes, positions, corrections)
+    saved = [a.copy() for a in inputs]
+    for a in inputs:
+        a.setflags(write=False)
+    encodings = encode_outliers_batch(*inputs, 3, n, tolerance)
+    for a, b in zip(inputs, saved):
+        assert a.tobytes() == b.tobytes()
+    for lane, enc in enumerate(encodings):
+        mine = lanes == lane
+        assert enc == encode_outliers(positions[mine], corrections[mine], n, tolerance)
 
 
 class TestForgedPaddingPositions:

@@ -183,6 +183,29 @@ class TestCodecIntegers:
         assert not rec.any()
 
 
+class TestEncodeInputs:
+    """:func:`encode` reads the caller's magnitudes and signs in place
+    when nothing pads (32³ chunks, 32768-long outlier lanes) and through
+    zero-filled copies otherwise; either way the inputs stay untouched,
+    read-only or not, and the stream is the one private copies give."""
+
+    @pytest.mark.parametrize(
+        "shape", [(32, 32, 32), (32768,), (24, 24, 24), (13824,)], ids=str
+    )
+    def test_inputs_unchanged(self, shape, rng):
+        mags = rng.integers(1, 1 << 12, size=shape).astype(np.uint64)
+        mags[rng.random(shape) < 0.85] = 0
+        neg = rng.random(shape) < 0.5
+        want = encode(mags.copy(), neg.copy())
+        for writeable in (True, False):
+            m, s = mags.copy(), neg.copy()
+            m.setflags(write=writeable)
+            s.setflags(write=writeable)
+            assert encode(m, s) == want
+            assert m.tobytes() == mags.tobytes()
+            assert s.tobytes() == neg.tobytes()
+
+
 class TestCodecCoefficients:
     def test_error_bounded_by_q(self, smooth_field):
         q = 1e-3
